@@ -47,10 +47,6 @@ class AutGroupReport:
     identity_index: int
     certificate: str
 
-    @property
-    def quotient_order(self) -> int:
-        return len(self.elements)
-
 
 @dataclass(frozen=True)
 class QuotientGroup:

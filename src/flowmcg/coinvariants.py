@@ -27,7 +27,7 @@ from .intlat import (
     transpose,
 )
 from .numberfield import FieldElement, NumberField
-from .pf import PFData, field_kernel, pf_data
+from .pf import PFData, pf_data, positive_eigenvector
 from .substitution import (
     Substitution,
     cycle_lengths,
@@ -444,7 +444,8 @@ def build_coinvariants(sub: Substitution, base: int | str | None = None) -> Dire
     last_error: Exception | None = None
     for orientation, n_try in (("standard", n0), ("transposed", transpose(n0))):
         try:
-            u_n = _left_eigenvector(field, n_try, lam_d)
+            vec, total = positive_eigenvector(field, n_try, lam_d, transposed=True)
+            u_n = tuple(x / total for x in vec)
             pf_n = pf_data(n_try)
             group = DirectLimitGroup(
                 derived=derived,
@@ -461,34 +462,6 @@ def build_coinvariants(sub: Substitution, base: int | str | None = None) -> Dire
     raise InternalCheckError(
         f"no orientation gives trace(order unit) = 1: {last_error}"
     )
-
-
-def _left_eigenvector(
-    field: NumberField, m: IntMatrix, eigenvalue: FieldElement
-) -> tuple[FieldElement, ...]:
-    n = len(m)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            el = field.rational(m[j][i])
-            if i == j:
-                el = el - eigenvalue
-            row.append(el)
-        rows.append(row)
-    kernel = field_kernel(field, rows)
-    if len(kernel) != 1:
-        raise InternalCheckError("left eigenspace of the limit matrix is not a line")
-    vec = list(kernel[0])
-    signs = {x.sign() for x in vec}
-    if signs == {-1}:
-        vec = [-x for x in vec]
-    elif signs != {1}:
-        raise InternalCheckError("limit eigenvector is not strictly positive")
-    total = vec[0]
-    for x in vec[1:]:
-        total = total + x
-    return tuple(x / total for x in vec)
 
 
 def element_equal(group: DirectLimitGroup, g: GroupElement, h: GroupElement) -> bool:

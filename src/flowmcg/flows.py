@@ -89,9 +89,10 @@ def _certified_return_words(
     """All return words of the cylinder [w], complete by construction.
 
     First a repetitivity bound R with every admissible R-block containing w
-    is found; all gaps between consecutive occurrences inside admissible
-    blocks of length R + 3|w| are then the full return-word set.  Order is
-    fixed afterwards by first occurrence along a canonical fixed point.
+    is found; the gaps that follow the occurrences of w starting inside
+    sigma^p(a) in sigma^p(ab), ab in L_2, with min |sigma^p| >= R + |w|, are
+    then the full return-word set.  Order is fixed afterwards by first
+    occurrence along a canonical fixed point.
     """
     k = len(w)
     r_bound = None
@@ -104,18 +105,25 @@ def _certified_return_words(
         n *= 2
     if r_bound is None:
         raise ResourceLimitError("no repetitivity bound found for the base word")
-    span = r_bound + 3 * k
-    lang = sub.language(span)
     found: set[tuple[int, ...]] = set()
-    for block in lang.blocks_of(span):
-        occ = [i for i in range(len(block) - k + 1) if block[i : i + k] == w]
+    for image, cut, occ in _base_occurrences(sub, w, r_bound + k):
         for a, b in zip(occ, occ[1:]):
-            found.add(block[a:b])
+            if a >= cut:
+                break
+            found.add(image[a:b])
     if not found:
         raise InternalCheckError("base word never recurs in admissible blocks")
 
     order = _first_occurrence_order(sub, w, found, depth)
     return order
+
+
+def _base_occurrences(sub: Substitution, w: tuple[int, ...], reach: int):
+    """For every ab in L_2: sigma^p(ab), |sigma^p(a)| and the positions of
+    w in sigma^p(ab), for the least p with min |sigma^p| >= reach."""
+    k = len(w)
+    for image, cut in sub.two_block_images(sub.growth_power(reach)):
+        yield image, cut, [i for i in range(len(image) - k + 1) if image[i : i + k] == w]
 
 
 def _contains(block: tuple[int, ...], w: tuple[int, ...]) -> bool:
@@ -163,31 +171,28 @@ def _recoded_language(
     alphabet: Alphabet,
     n_target: int,
 ) -> LanguageTable:
-    """Language of the induced system: decode ambient blocks at the cuts
-    given by occurrences of the base word."""
+    """Language of the induced system: decode the visits that follow each
+    occurrence of the base word starting inside sigma^k(a) in sigma^k(ab),
+    ab in L_2, with sigma^k(b) long enough to hold n_target more visits."""
     index = {r: i for i, r in enumerate(returns)}
     k = len(w)
     max_t = max(len(r) for r in returns)
-    span = n_target * max_t + 2 * k + max_t
-    lang = sub.language(span)
     bags: dict[int, set[tuple[int, ...]]] = {n: set() for n in range(1, n_target + 1)}
-    for block in lang.blocks_of(span):
-        occ = [i for i in range(len(block) - k + 1) if block[i : i + k] == w]
+    for image, cut, occ in _base_occurrences(sub, w, n_target * max_t + k):
         seq = []
         for a, b in zip(occ, occ[1:]):
-            seg = block[a:b]
+            seg = image[a:b]
             if seg not in index:
                 raise InternalCheckError("decoded segment is not a return word")
             seq.append(index[seg])
-        t = tuple(seq)
-        for n in range(1, n_target + 1):
-            for i in range(len(t) - n + 1):
-                bags[n].add(t[i : i + n])
-    for n in range(1, n_target + 1):
-        if not bags[n]:
-            raise ResourceLimitError(
-                f"induced language empty at length {n}; span too short"
-            )
+        for start, pos in enumerate(occ):
+            if pos >= cut:
+                break
+            visits = tuple(seq[start : start + n_target])
+            if len(visits) < n_target:
+                raise InternalCheckError("image too short for the recoded length")
+            for n in range(1, n_target + 1):
+                bags[n].add(visits[:n])
     return LanguageTable(alphabet, {n: frozenset(b) for n, b in bags.items()}, n_target)
 
 
@@ -700,16 +705,6 @@ class CocycleProfile:
         for _, s in self.slopes:
             if s <= 0:
                 raise InternalCheckError("cocycle slopes must be positive")
-
-    def arithmetic_mean(self) -> Fraction:
-        vals = [s for _, s in self.slopes]
-        return sum(vals, Fraction(0)) / len(vals)
-
-    def geometric_mean(self) -> float:
-        prod = 1.0
-        for _, s in self.slopes:
-            prod *= float(s)
-        return prod ** (1.0 / len(self.slopes))
 
 
 def cocycle_slopes(fc: FlowCode, x0=None, k_range=range(0, 24)) -> CocycleProfile:

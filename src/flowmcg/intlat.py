@@ -40,23 +40,6 @@ def mat_vec(a: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def vec_mat(v: Sequence[int], a: IntMatrix) -> tuple[int, ...]:
-    n = len(a[0])
-    return tuple(sum(v[i] * a[i][j] for i in range(len(a))) for j in range(n))
-
-
-def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
-    n = len(a)
-    out = identity(n)
-    base = a
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
-
-
 def smith_with_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """(U, D, V) with U·m·V = D diagonal, U and V unimodular, diagonal
     entries nonnegative with each dividing the next."""

@@ -135,12 +135,17 @@ class AlgebraicNumber:
         return 1 if cur.lo > q else -1
 
     def equals(self, other: "AlgebraicNumber") -> bool:
+        """Same minimal polynomial and the same root of it.  Each interval
+        holds exactly one root, so the roots agree exactly when the
+        intersection of the intervals holds a root, i.e. a sign change."""
         if self.minpoly != other.minpoly:
             return False
         if self.is_rational:
             return True
-        canon = AlgebraicNumber.real_roots_of(self.minpoly)
-        return _which_root(self, canon) == _which_root(other, canon)
+        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
+        if lo >= hi:
+            return False
+        return (eval_ascending(self.minpoly, lo) > 0) != (eval_ascending(self.minpoly, hi) > 0)
 
 
 def _nudge_open(asc: Sequence[int], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
@@ -174,18 +179,6 @@ def _nudge_open(asc: Sequence[int], lo: Fraction, hi: Fraction) -> tuple[Fractio
     return lo, hi
 
 
-def _which_root(a: AlgebraicNumber, canon: list[AlgebraicNumber]) -> int:
-    cur = a
-    while True:
-        hits = [
-            k for k, c in enumerate(canon)
-            if not (cur.hi < c.lo or c.hi < cur.lo)
-        ]
-        if len(hits) == 1:
-            return hits[0]
-        cur = cur.refined((cur.hi - cur.lo) / 4)
-
-
 class NumberField:
     """Q(lambda) for a fixed real algebraic lambda, with exact operations.
 
@@ -201,6 +194,23 @@ class NumberField:
         self.monic: tuple[Fraction, ...] = tuple(
             Fraction(c, lead) for c in root.minpoly
         )
+
+    def __eq__(self, other: object) -> bool:
+        """Fields are equal when their generators are the same root of the
+        same minimal polynomial."""
+        if self is other:
+            return True
+        if not isinstance(other, NumberField):
+            return NotImplemented
+        return self.root.equals(other.root)
+
+    def __hash__(self) -> int:
+        return hash(self.root.minpoly)
+
+    def _check(self, *elements: "FieldElement") -> None:
+        if any(x.field != self for x in elements):
+            raise ValidationError("operands lie in different number fields")
+
     # element constructors -------------------------------------------------
 
     def element(self, coeffs: Sequence[Fraction | int]) -> "FieldElement":
@@ -239,15 +249,21 @@ class NumberField:
     # arithmetic -----------------------------------------------------------
 
     def add(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
+        if a.field is not self or b.field is not self:
+            self._check(a, b)
         return FieldElement(self, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
     def sub(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
+        if a.field is not self or b.field is not self:
+            self._check(a, b)
         return FieldElement(self, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
 
     def neg(self, a: "FieldElement") -> "FieldElement":
         return FieldElement(self, tuple(-x for x in a.coeffs))
 
     def mul(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
+        if a.field is not self or b.field is not self:
+            self._check(a, b)
         d = self.degree
         prod = [Fraction(0)] * (2 * d - 1)
         for i, x in enumerate(a.coeffs):
@@ -260,10 +276,14 @@ class NumberField:
         return FieldElement(self, tuple(self._reduce_div(prod)))
 
     def scal(self, q: Fraction | int, a: "FieldElement") -> "FieldElement":
+        if a.field is not self:
+            self._check(a)
         q = Fraction(q)
         return FieldElement(self, tuple(q * x for x in a.coeffs))
 
     def inv(self, a: "FieldElement") -> "FieldElement":
+        if a.field is not self:
+            self._check(a)
         if a.is_zero():
             raise ZeroDivisionError("field element is zero")
         if self.degree == 1:
@@ -330,11 +350,6 @@ class NumberField:
     def to_float(self, a: "FieldElement") -> float:
         return float(self.approx(a, Fraction(1, 10**17)))
 
-    def as_rational(self, a: "FieldElement") -> Fraction:
-        if any(c != 0 for c in a.coeffs[1:]):
-            raise ValidationError("element is irrational")
-        return a.coeffs[0]
-
 
 @dataclass(frozen=True)
 class FieldElement:
@@ -368,6 +383,8 @@ class FieldElement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldElement):
             return NotImplemented
+        if other.field is not self.field:
+            self.field._check(other)
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
@@ -529,12 +546,18 @@ def classify_roots_vs_unit_circle(asc: Sequence[int]) -> tuple[int, int, int]:
 
 
 def _root_side_of_circle(root, max_halvings: int) -> int:
-    """-1 inside, 1 outside, 0 undecided after the refinement budget."""
+    """-1 inside, 1 outside, 0 undecided after the refinement budget.
+
+    sympy may present a root as c*CRootOf(q, i) with c rational, after
+    rescaling the polynomial; the root of q is then refined to eps/|c|.
+    """
+    scale, base = root.as_coeff_Mul()
+    factor = Fraction(int(scale.p), int(scale.q))
     eps = sympy.Rational(1, 4)
     for _ in range(max_halvings):
-        val = root.eval_rational(eps, eps)
-        re = Fraction(int(sympy.re(val).p), int(sympy.re(val).q))
-        im = Fraction(int(sympy.im(val).p), int(sympy.im(val).q))
+        val = base.eval_rational(eps / abs(scale), eps / abs(scale))
+        re = factor * Fraction(int(sympy.re(val).p), int(sympy.re(val).q))
+        im = factor * Fraction(int(sympy.im(val).p), int(sympy.im(val).q))
         e = Fraction(eps.p, eps.q)
         lo_sq = _clip_nonneg(abs(re) - e) ** 2 + _clip_nonneg(abs(im) - e) ** 2
         hi_sq = (abs(re) + e) ** 2 + (abs(im) + e) ** 2

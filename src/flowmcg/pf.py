@@ -7,18 +7,19 @@ dominant eigenvalue, so every reported frequency is exact.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import sympy
 
-from .errors import InternalCheckError, ResourceLimitError, ValidationError
+from .errors import InternalCheckError, ValidationError
 from .numberfield import (
     AlgebraicNumber,
     FieldElement,
     NumberField,
-    ascending_from_poly,
     classify_roots_vs_unit_circle,
     factor_charpoly,
     poly_from_ascending,
@@ -92,9 +93,6 @@ class PFData:
     def frequencies(self) -> tuple[FieldElement, ...]:
         return self.left
 
-    def frequency_of(self, letter: int) -> FieldElement:
-        return self.left[letter]
-
 
 def _as_matrix(obj) -> tuple[IntMatrix, tuple[str, ...] | None]:
     if isinstance(obj, Substitution):
@@ -124,7 +122,45 @@ def _matrix_is_primitive(m: IntMatrix) -> bool:
 
 
 def pf_data(obj) -> PFData:
-    """Exact dominant-eigenvalue data for a primitive substitution or matrix."""
+    """Exact dominant-eigenvalue data for a primitive substitution or matrix.
+    A substitution keeps its data; a matrix is solved on every call."""
+    if isinstance(obj, Substitution):
+        return obj.cached("pf_data", lambda: _solve_pf(obj))
+    return _solve_pf(obj)
+
+
+def positive_eigenvector(
+    field: NumberField, m: IntMatrix, eigenvalue: FieldElement, transposed: bool
+) -> tuple[tuple[FieldElement, ...], FieldElement]:
+    """The eigenvector of m (of its transpose when `transposed`, i.e. the
+    left eigenvector) for a simple eigenvalue, signed positive, with its
+    coordinate sum."""
+    n = len(m)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            el = field.rational(m[j][i] if transposed else m[i][j])
+            if i == j:
+                el = el - eigenvalue
+            row.append(el)
+        rows.append(row)
+    kernel = field_kernel(field, rows)
+    if len(kernel) != 1:
+        raise InternalCheckError("dominant eigenspace dimension != 1")
+    vec = list(kernel[0])
+    signs = {x.sign() for x in vec}
+    if signs == {-1}:
+        vec = [-x for x in vec]
+    elif signs != {1}:
+        raise InternalCheckError("dominant eigenvector not strictly positive")
+    total = vec[0]
+    for x in vec[1:]:
+        total = total + x
+    return tuple(vec), total
+
+
+def _solve_pf(obj) -> PFData:
     m, labels = _as_matrix(obj)
     if isinstance(obj, Substitution):
         if not is_primitive(obj):
@@ -149,33 +185,8 @@ def pf_data(obj) -> PFData:
     lam_el = field.generator()
     n = len(m)
 
-    def eigvec(transposed: bool) -> tuple[tuple[FieldElement, ...], FieldElement]:
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                entry = m[j][i] if transposed else m[i][j]
-                el = field.rational(entry)
-                if i == j:
-                    el = el - lam_el
-                row.append(el)
-            rows.append(row)
-        kernel = field_kernel(field, rows)
-        if len(kernel) != 1:
-            raise InternalCheckError("dominant eigenspace dimension != 1")
-        vec = list(kernel[0])
-        signs = {x.sign() for x in vec}
-        if signs == {-1}:
-            vec = [-x for x in vec]
-        elif signs != {1}:
-            raise InternalCheckError("dominant eigenvector not strictly positive")
-        total = vec[0]
-        for x in vec[1:]:
-            total = total + x
-        return tuple(vec), total
-
-    left_raw, left_sum = eigvec(transposed=True)
-    right_raw, right_sum = eigvec(transposed=False)
+    left_raw, left_sum = positive_eigenvector(field, m, lam_el, transposed=True)
+    right_raw, right_sum = positive_eigenvector(field, m, lam_el, transposed=False)
     left = tuple(x / left_sum for x in left_raw)
     right = tuple(x / right_sum for x in right_raw)
     for j in range(n):
@@ -420,73 +431,58 @@ def cr_check(obj) -> BalanceVerdict:
     )
 
 
-def _power_for_block_length(sub: Substitution, n: int) -> int:
-    k = 1
-    while True:
-        if min(len(sub.iterate_idx(a, k)) for a in range(sub.size)) >= max(n, 1):
-            return k
-        k += 1
-        if k > 64:
-            raise ResourceLimitError("image growth too slow for block recoding")
+def _two_block_measures(sub: Substitution) -> dict[tuple[int, ...], FieldElement]:
+    """mu(ab) for every ab in L_2: the positive left eigenvector, of total
+    mass 1, of the substitution acting on 2-blocks (ab -> the 2-blocks of
+    sigma(ab) that start inside sigma(a))."""
+    data = pf_data(sub)
+    pairs = sub.two_blocks()
+    index = {ab: i for i, ab in enumerate(pairs)}
+    counts = [[0] * len(pairs) for _ in pairs]
+    for i, (image, cut) in enumerate(sub.two_block_images(1)):
+        for pos in range(cut):
+            counts[i][index[image[pos : pos + 2]]] += 1
+    vec, total = positive_eigenvector(
+        data.field, counts, data.field.generator(), transposed=True
+    )
+    return {ab: x / total for ab, x in zip(pairs, vec)}
 
 
 def block_frequencies(sub: Substitution, n: int):
     """Exact frequency of every admissible length-n block, as elements of
-    the field of the dominant eigenvalue.
-
-    Computed from the block recoding of a suitable power of the substitution:
-    the frequency vector is the unique dominant left eigenvector of the
-    recoded incidence matrix, normalized to total mass 1.
-    """
+    the field of the dominant eigenvalue."""
     if n < 0:
         raise ValidationError("block length must be nonnegative")
-    data = pf_data(sub)
-    field = data.field
     if n == 0:
-        return {(): field.one()}
-    if n == 1:
-        return {(a,): data.left[a] for a in range(sub.size)}
-    k = _power_for_block_length(sub, n)
-    blocks = sorted(sub.language(n).blocks_of(n))
-    index = {b: i for i, b in enumerate(blocks)}
-    nb = len(blocks)
-    counts = [[0] * nb for _ in range(nb)]
-    for b in blocks:
-        image = []
-        for letter in b:
-            image.extend(sub.iterate_idx(letter, k))
-        width = len(sub.iterate_idx(b[0], k))
-        for pos in range(width):
-            w = tuple(image[pos : pos + n])
-            if len(w) < n:
-                raise InternalCheckError("block image too short after power choice")
-            if w not in index:
-                raise InternalCheckError("image window is not an admissible block")
-            counts[index[b]][index[w]] += 1
-    lam_k = field.power(field.generator(), k)
-    rows = []
-    for i in range(nb):
-        row = []
-        for j in range(nb):
-            el = field.rational(counts[j][i])
-            if i == j:
-                el = el - lam_k
-            row.append(el)
-        rows.append(row)
-    kernel = field_kernel(field, rows)
-    if len(kernel) != 1:
-        raise InternalCheckError("block frequency eigenspace dimension != 1")
-    vec = list(kernel[0])
-    signs = {v.sign() for v in vec}
-    if signs == {-1}:
-        vec = [-v for v in vec]
-    elif signs != {1}:
-        raise InternalCheckError("block frequency vector not strictly positive")
-    total = vec[0]
-    for v in vec[1:]:
-        total = total + v
-    vec = [v / total for v in vec]
-    return {b: vec[i] for b, i in index.items()}
+        return {(): pf_data(sub).field.one()}
+    return dict(_block_measures(sub, n))
+
+
+def _block_measures(sub: Substitution, n: int) -> dict[tuple[int, ...], FieldElement]:
+    """mu(w) for every w in L_n, memoised on the substitution."""
+    return sub.cached(("block_measures", n), lambda: _measure_windows(sub, n))
+
+
+def _measure_windows(sub: Substitution, n: int) -> dict[tuple[int, ...], FieldElement]:
+    """mu(w) for every w in L_n, in one walk over the windows: lam^-k times
+    the sum over ab in L_2 of mu(ab) times the number of occurrences of w in
+    sigma^k(ab) that start inside sigma^k(a), with min |sigma^k| >= n - 1
+    (Queffelec, LNM 1294, ch. 5)."""
+    field = pf_data(sub).field
+    mu2 = sub.cached("two_block_measures", lambda: _two_block_measures(sub))
+    k = sub.growth_power(n - 1)
+    scale = field.power(field.generator(), -k)
+    # lam^-k mu(ab) as integer coefficients over one common denominator
+    scaled = {ab: (mu * scale).coeffs for ab, mu in mu2.items()}
+    den = math.lcm(*(c.denominator for cs in scaled.values() for c in cs))
+    sums: dict[tuple[int, ...], list[int]] = {}
+    for ab, (image, cut) in zip(sub.two_blocks(), sub.two_block_images(k)):
+        nums = [c.numerator * (den // c.denominator) for c in scaled[ab]]
+        for w, hits in Counter(image[i : i + n] for i in range(cut)).items():
+            acc = sums.setdefault(w, [0] * field.degree)
+            for j, c in enumerate(nums):
+                acc[j] += hits * c
+    return {w: field.element([Fraction(x, den) for x in sums[w]]) for w in sorted(sums)}
 
 
 def cylinder_measure(sub: Substitution, word) -> FieldElement:
@@ -503,11 +499,7 @@ def cylinder_measure(sub: Substitution, word) -> FieldElement:
         return data.field.one()
     if any(a < 0 or a >= sub.size for a in idx):
         raise ValidationError("letter index out of range")
-    freqs = block_frequencies(sub, len(idx))
-    if idx not in freqs:
+    measure = _block_measures(sub, len(idx)).get(idx)
+    if measure is None:
         raise ValidationError("word is not admissible")
-    return freqs[idx]
-
-
-def _alphabet_of(sub: Substitution):
-    return sub.alphabet
+    return measure

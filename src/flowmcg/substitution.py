@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Hashable, Mapping, Sequence, TypeVar
 
 from .errors import ResourceLimitError, ValidationError
 from .words import Alphabet, LanguageTable, Word, windows
 
-# total symbols a language-generation run may materialize
-DEFAULT_SYMBOL_BUDGET = 2_000_000
+# total symbols the images sigma^k(ab) built for one power may hold
+SYMBOL_BUDGET = 2_000_000
+# highest power of the substitution taken to make images long enough
+_MAX_POWER = 64
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -27,7 +31,8 @@ class Substitution:
                 raise ValidationError("image words must live over the same alphabet")
             if len(w) == 0:
                 raise ValidationError("image words must be nonempty")
-        object.__setattr__(self, "_lang_cache", {})
+        object.__setattr__(self, "_blocks", {})
+        object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_iter_cache", {})
 
     @classmethod
@@ -116,17 +121,79 @@ class Substitution:
     def is_right_proper(self) -> bool:
         return len(set(self.last_letter_map())) == 1
 
-    def language(self, n_max: int, symbol_budget: int = DEFAULT_SYMBOL_BUDGET) -> LanguageTable:
-        """Language table to n_max, cached; larger tables subsume smaller."""
-        cache: dict = self._lang_cache  # type: ignore[attr-defined]
-        best = cache.get("table")
-        if best is None or best.n_max < n_max:
-            best = generate_language(self, n_max, symbol_budget)
-            cache["table"] = best
-        if best.n_max == n_max:
-            return best
-        trimmed = {n: best.blocks[n] for n in range(1, n_max + 1)}
-        return LanguageTable(self.alphabet, trimmed, n_max)
+    def language(self, n_max: int) -> LanguageTable:
+        """Language table to n_max.  Each length is generated when first
+        asked for and kept on the substitution for every later table."""
+        if n_max < 1:
+            raise ValidationError("n_max must be >= 1")
+        return LanguageTable(
+            self.alphabet,
+            self._blocks,  # type: ignore[attr-defined]
+            n_max,
+            lambda n: generate_language(self, n),
+        )
+
+    def cached(self, key: Hashable, build: Callable[[], T]) -> T:
+        """Data derived from this substitution, built on first use."""
+        memo: dict = self._memo  # type: ignore[attr-defined]
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+    def two_blocks(self) -> tuple[tuple[int, int], ...]:
+        """L_2, sorted: the 2-blocks of the letter images, closed under
+        taking the 2-blocks of sigma(ab) for every ab found."""
+        return self.cached("two_blocks", self._close_two_blocks)
+
+    def _close_two_blocks(self) -> tuple[tuple[int, int], ...]:
+        found = {w for a in range(self.size) for w in windows(self.images[a].idx, 2)}
+        todo = list(found)
+        while todo:
+            a, b = todo.pop()
+            # the blocks inside sigma(a) and sigma(b) are in already
+            w = (self.images[a].idx[-1], self.images[b].idx[0])
+            if w not in found:
+                found.add(w)
+                todo.append(w)
+        return tuple(sorted(found))
+
+    def image_lengths(self, k: int) -> tuple[int, ...]:
+        """|sigma^k(c)| for every letter c, without building the images."""
+        lengths = (1,) * self.size
+        for _ in range(k):
+            lengths = tuple(sum(lengths[b] for b in w.idx) for w in self.images)
+        return lengths
+
+    def growth_power(self, reach: int) -> int:
+        """The least k with every image sigma^k(c) at least `reach` long."""
+        for k in range(_MAX_POWER + 1):
+            lengths = self.image_lengths(k)
+            if sum(lengths) > SYMBOL_BUDGET:
+                break
+            if min(lengths) >= reach:
+                return k
+        raise ResourceLimitError("image growth too slow to reach the block length")
+
+    def two_block_images(self, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """For every ab in L_2, in order, the word sigma^k(ab) and the length
+        of sigma^k(a).
+
+        With min |sigma^k(c)| >= n - 1, every length-n window of the
+        subshift is a window of some sigma^k(ab) that starts inside
+        sigma^k(a), and each occurrence of it in a point is counted by
+        exactly one such start."""
+        lengths = self.image_lengths(k)
+        if sum(lengths[a] + lengths[b] for a, b in self.two_blocks()) > SYMBOL_BUDGET:
+            raise ResourceLimitError(
+                f"language generation exceeded budget of {SYMBOL_BUDGET} symbols"
+            )
+        return self.cached(
+            ("two_block_images", k),
+            lambda: tuple(
+                (self.iterate_idx(a, k) + self.iterate_idx(b, k), len(self.iterate_idx(a, k)))
+                for a, b in self.two_blocks()
+            ),
+        )
 
 
 def incidence_matrix(sub: Substitution) -> tuple[tuple[int, ...], ...]:
@@ -139,13 +206,6 @@ def incidence_matrix(sub: Substitution) -> tuple[tuple[int, ...], ...]:
             counts[a] += 1
         rows.append(tuple(counts))
     return tuple(rows)
-
-
-def abelianization(sub: Substitution, seq: Sequence[int]) -> tuple[int, ...]:
-    counts = [0] * sub.size
-    for a in seq:
-        counts[a] += 1
-    return tuple(counts)
 
 
 def is_primitive(sub: Substitution) -> bool:
@@ -169,37 +229,14 @@ def is_primitive(sub: Substitution) -> bool:
     return all(all(row) for row in acc)
 
 
-def generate_language(
-    sub: Substitution, n_max: int, symbol_budget: int = DEFAULT_SYMBOL_BUDGET
-) -> LanguageTable:
-    """Blocks of length <= n_max occurring in images of letters under powers.
-
-    Iterates the full image words of every letter and stops once the block
-    sets repeat with all images at least n_max long. For primitive
-    substitutions this is the language of the subshift.
-    """
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
-    d = sub.size
-    words: list[tuple[int, ...]] = [(a,) for a in range(d)]
-    prev: dict[int, frozenset[tuple[int, ...]]] | None = None
-    spent = 0
-    while True:
-        words = [sub.apply_idx(w) for w in words]
-        spent += sum(len(w) for w in words)
-        if spent > symbol_budget:
-            raise ResourceLimitError(
-                f"language generation exceeded budget of {symbol_budget} symbols"
-            )
-        cur: dict[int, frozenset[tuple[int, ...]]] = {}
-        for n in range(1, n_max + 1):
-            bag: set[tuple[int, ...]] = set()
-            for w in words:
-                bag.update(windows(w, n))
-            cur[n] = frozenset(bag)
-        if prev == cur and min(len(w) for w in words) >= n_max:
-            return LanguageTable(sub.alphabet, cur, n_max)
-        prev = cur
+def generate_language(sub: Substitution, n: int) -> frozenset[tuple[int, ...]]:
+    """L_n: the length-n windows of sigma^k(ab) that start inside
+    sigma^k(a), over ab in L_2, with the least k making min |sigma^k| >= n - 1.
+    For primitive substitutions this is the language of the subshift."""
+    if n < 1:
+        raise ValidationError("block length must be >= 1")
+    spans = sub.two_block_images(sub.growth_power(n - 1))
+    return frozenset(image[i : i + n] for image, cut in spans for i in range(cut))
 
 
 def complexity(sub: Substitution, n: int) -> int:
@@ -238,16 +275,6 @@ def is_aperiodic(sub: Substitution, n_check: int = 50) -> PeriodicityVerdict:
                     )
             raise ValidationError("complexity bound hit but no periodic word found")
     return PeriodicityVerdict(periodic=False, window=n_check)
-
-
-def right_fixed_letters(sub: Substitution) -> list[int]:
-    """Letters a with the image of a starting with a: seeds of one-sided
-    fixed points to the right under some power (here power 1)."""
-    return [a for a in range(sub.size) if sub.images[a].idx[0] == a]
-
-
-def left_fixed_letters(sub: Substitution) -> list[int]:
-    return [a for a in range(sub.size) if sub.images[a].idx[-1] == a]
 
 
 def right_fixed_prefix(sub: Substitution, seed: int, length: int) -> tuple[int, ...]:

@@ -8,7 +8,7 @@ single character, and as comma-joined lists otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
 
@@ -90,9 +90,6 @@ class Word:
             raise ValidationError("cannot concatenate words over different alphabets")
         return Word(self.alphabet, self.idx + other.idx)
 
-    def slice(self, start: int, stop: int) -> "Word":
-        return Word(self.alphabet, self.idx[start:stop])
-
     def __repr__(self) -> str:
         return f"Word({self.text!r})"
 
@@ -106,11 +103,16 @@ def windows(seq: Sequence[int], n: int) -> Iterator[tuple[int, ...]]:
 
 @dataclass
 class LanguageTable:
-    """Admissible blocks of a subshift, complete for every n <= n_max."""
+    """Admissible blocks of a subshift, complete for every n <= n_max.
+
+    With a `source`, a length missing from `blocks` is generated by it on
+    first use and stored there.
+    """
 
     alphabet: Alphabet
     blocks: dict[int, frozenset[tuple[int, ...]]]
     n_max: int
+    source: Callable[[int], frozenset[tuple[int, ...]]] | None = None
 
     def blocks_of(self, n: int) -> frozenset[tuple[int, ...]]:
         if n == 0:
@@ -119,7 +121,10 @@ class LanguageTable:
             raise ValidationError(
                 f"language table only complete to length {self.n_max}, asked for {n}"
             )
-        return self.blocks[n]
+        found = self.blocks.get(n)
+        if found is None:
+            found = self.blocks[n] = self.source(n)
+        return found
 
     def admissible(self, w: tuple[int, ...] | Word) -> bool:
         idx = w.idx if isinstance(w, Word) else tuple(w)
@@ -283,10 +288,6 @@ class SlidingBlockCode:
         if w.alphabet != self.in_alphabet:
             raise ValidationError("word alphabet does not match code input alphabet")
         return Word(self.out_alphabet, self.apply(w.idx))
-
-
-def apply_code(code: SlidingBlockCode, w: Word) -> Word:
-    return code.apply_word(w)
 
 
 def compose_codes(
