@@ -16,7 +16,7 @@ from itertools import product
 from typing import Mapping, Sequence
 
 from .asymptotics import stabilize_power
-from .errors import InternalCheckError, ValidationError
+from .errors import InternalCheckError, ResourceLimitError, ValidationError
 from .flows import INVERSE_RADIUS_BUDGET, _check_roundtrip, _search_inverse
 from .substitution import Substitution, is_primitive, right_fixed_prefix
 from .words import LanguageTable, SlidingBlockCode, compose_codes, code_preserves_language
@@ -24,6 +24,10 @@ from .words import LanguageTable, SlidingBlockCode, compose_codes, code_preserve
 DEFAULT_RADIUS = 2
 DEFAULT_CHECK_DEPTH = 12
 SHIFT_ID_WINDOW = 4096
+# candidate codes enumerated before any is checked: a search that finishes
+# needs at most 381,184 on the known inputs (0→21, 1→0210, 2→2011 at radius 1),
+# while 0→01, 1→12, 2→23, 3→30 needs millions and used to exhaust memory
+CANDIDATE_BUDGET = 1_000_000
 GROUP_NAME_BOUND = 12
 
 
@@ -114,9 +118,14 @@ def _equal_mod_shift(
 
 def _enumerate_candidates(
     lang: LanguageTable, radius: int, d: int
-) -> list[dict[tuple[int, ...], int]]:
-    """All output assignments to admissible windows whose images respect
-    2-block admissibility across overlaps."""
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The admissible windows in sorted order, and every assignment of
+    outputs to them (one tuple per candidate, in window order) whose images
+    respect 2-block admissibility across overlaps.
+
+    Raises ResourceLimitError once more than CANDIDATE_BUDGET candidates are
+    enumerated, before any is checked.
+    """
     width = 2 * radius + 1
     blocks = sorted(lang.blocks_of(width))
     pairs = {w for w in lang.blocks_of(2)}
@@ -130,7 +139,7 @@ def _enumerate_candidates(
                 succ[index[u]].append(index[join[1:]])
 
     out: list[int | None] = [None] * len(blocks)
-    found: list[dict[tuple[int, ...], int]] = []
+    found: list[tuple[int, ...]] = []
 
     def consistent(i: int) -> bool:
         for j in succ[i]:
@@ -144,7 +153,12 @@ def _enumerate_candidates(
 
     def walk(i: int) -> None:
         if i == len(blocks):
-            found.append({blocks[j]: out[j] for j in range(len(blocks))})
+            if len(found) == CANDIDATE_BUDGET:
+                raise ResourceLimitError(
+                    f"automorphism search: more than {CANDIDATE_BUDGET} "
+                    f"candidate codes at radius {radius}"
+                )
+            found.append(tuple(out))
             return
         for letter in range(d):
             out[i] = letter
@@ -153,7 +167,7 @@ def _enumerate_candidates(
         out[i] = None
 
     walk(0)
-    return found
+    return blocks, found
 
 
 def search_automorphisms(
@@ -179,8 +193,10 @@ def search_automorphisms(
 
     codes: list[SlidingBlockCode] = []
     inverses: list[SlidingBlockCode] = []
-    for rule in _enumerate_candidates(lang, radius, d):
-        code = SlidingBlockCode(sub.alphabet, sub.alphabet, radius, dict(rule))
+    blocks, candidates = _enumerate_candidates(lang, radius, d)
+    for outputs in candidates:
+        rule = dict(zip(blocks, outputs))
+        code = SlidingBlockCode(sub.alphabet, sub.alphabet, radius, rule)
         if not code_preserves_language(code, lang, lang, n_check):
             continue
         try:

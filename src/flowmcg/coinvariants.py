@@ -22,7 +22,10 @@ from .intlat import (
     eventual_kernel,
     hnf_rows,
     invariant_factors,
+    invert,
+    mat_from,
     mat_vec,
+    row_reduce,
     smith_with_transform,
     transpose,
 )
@@ -40,16 +43,6 @@ from .words import Alphabet, Cylinder, CylinderSet, Word
 _RETURN_DEPTH_CAP = 40
 
 
-def _derived_labels(count: int) -> Alphabet:
-    if count <= 26:
-        return Alphabet.of(chr(ord("A") + i) for i in range(count))
-    return Alphabet.of(f"r{i}" for i in range(count))
-
-
-def _fixed_point_prefix(sub: Substitution, letter: int, depth: int) -> tuple[int, ...]:
-    return sub.iterate_idx(letter, depth)
-
-
 def return_words_of(
     sub: Substitution, letter: int, depth_cap: int = _RETURN_DEPTH_CAP
 ) -> tuple[tuple[int, ...], ...]:
@@ -64,7 +57,7 @@ def return_words_of(
         raise ValidationError("return words need a letter that begins its own image")
     prev: tuple[tuple[int, ...], ...] | None = None
     for depth in range(2, depth_cap):
-        prefix = _fixed_point_prefix(sub, letter, depth)
+        prefix = sub.iterate_idx(letter, depth)
         occ = [i for i, a in enumerate(prefix) if a == letter]
         if len(occ) < 2:
             continue
@@ -200,7 +193,7 @@ def derived_proper(sub: Substitution, base: int | str | None = None) -> DerivedD
     b, c_b, returns = best
     powered = sub.power(c_b)
     index = {r: i for i, r in enumerate(returns)}
-    labels = _derived_labels(len(returns))
+    labels = Alphabet.labels(len(returns))
     images = []
     for r in returns:
         code = decompose_into_returns(powered.apply_idx(r), b, index)
@@ -332,9 +325,8 @@ class DirectLimitGroup:
         self.base_measure = base_measure
         self.pf_n = pf_n
         self.dimension = len(n_matrix)
-        basis, stabilized_at = eventual_kernel(n_matrix)
+        basis, _steps = eventual_kernel(n_matrix)
         self.eventual_kernel_basis = tuple(basis)
-        self.kernel_stabilized_at = stabilized_at
         self._kernel_hnf = hnf_rows(basis) if basis else ()
         self.order_unit = self.element(0, derived.lengths)
         unit_trace = trace(self, self.order_unit)
@@ -409,18 +401,10 @@ class DirectLimitGroup:
 
 
 def _int_inverse(u: IntMatrix) -> IntMatrix:
-    from .intlat import _invert_rational
-
-    inv = _invert_rational(u)
-    out = []
-    for row in inv:
-        r = []
-        for x in row:
-            if x.denominator != 1:
-                raise InternalCheckError("transform matrix is not unimodular")
-            r.append(int(x))
-        out.append(tuple(r))
-    return tuple(out)
+    inv = invert(u)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise InternalCheckError("transform matrix is not unimodular")
+    return mat_from(inv)
 
 
 def build_coinvariants(sub: Substitution, base: int | str | None = None) -> DirectLimitGroup:
@@ -774,31 +758,11 @@ def _infinitesimal_rank_of(group: DirectLimitGroup) -> int:
     rows = []
     for k in range(deg):
         rows.append([group.u_n[i].coeffs[k] if k < len(group.u_n[i].coeffs) else Fraction(0) for i in range(d)])
-    rank = _rational_rank(rows)
-    null_dim = d - rank
+    null_dim = d - len(row_reduce(rows)[1])
     inf = null_dim - len(group.eventual_kernel_basis)
     if inf < 0:
         raise InternalCheckError("eventual kernel escapes the trace kernel")
     return inf
-
-
-def _rational_rank(rows: list[list[Fraction]]) -> int:
-    a = [list(r) for r in rows]
-    rank = 0
-    cols = len(a[0]) if a else 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pv = a[rank][col]
-        a[rank] = [x / pv for x in a[rank]]
-        for r in range(len(a)):
-            if r != rank and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-    return rank
 
 
 @dataclass(frozen=True)

@@ -31,12 +31,6 @@ INVERSE_RADIUS_BUDGET = 6
 _REPETITIVITY_CAP = 4096
 
 
-def _labels(count: int) -> Alphabet:
-    if count <= 26:
-        return Alphabet.of(chr(ord("A") + i) for i in range(count))
-    return Alphabet.of(f"r{i}" for i in range(count))
-
-
 @dataclass(frozen=True)
 class ReturnSystem:
     """A cross section recoded on its return words.
@@ -231,7 +225,7 @@ def induce(
     if not sub.language(len(word)).admissible(word):
         raise ValidationError("section word is not admissible")
     returns = _certified_return_words(sub, word, depth)
-    alphabet = _labels(len(returns))
+    alphabet = Alphabet.labels(len(returns))
     weights = tuple(
         cylinder_measure(sub, r + word) for r in returns
     )

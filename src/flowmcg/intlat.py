@@ -2,7 +2,8 @@
 
 Matrices are tuples of row tuples. Kernels are saturated (computed through a
 Smith decomposition with unimodular transforms), lattices are canonicalized by
-row Hermite normal form over a common denominator.
+row Hermite normal form over a common denominator. Elimination over a field
+(Q or a number field) is one Gauss–Jordan routine, `row_reduce`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,12 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import smith_normal_decomp
+
 from .errors import InternalCheckError, ValidationError
+from .numberfield import FieldElement
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -42,118 +48,79 @@ def mat_vec(a: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
 
 def smith_with_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """(U, D, V) with U·m·V = D diagonal, U and V unimodular, diagonal
-    entries nonnegative with each dividing the next."""
+    entries nonnegative with each dividing the next.
+
+    The decomposition is sympy's: its extended-gcd row and column steps
+    finish on inputs where Euclidean pivot steps let entries grow without
+    bound.  The identity and the shape of D are checked here.
+    """
     rows, cols = len(m), len(m[0]) if m else 0
-    a = [list(r) for r in m]
-    u = [list(r) for r in identity(rows)]
-    v = [list(r) for r in identity(cols)]
+    dm = DomainMatrix([[ZZ(x) for x in r] for r in m], (rows, cols), ZZ)
+    d, u, v = (mat_from(x.to_list()) for x in smith_normal_decomp(dm))
+    diag = [d[i][i] for i in range(min(rows, cols))]
+    if (
+        mat_mul(mat_mul(u, m), v) != d
+        or any(x for i, r in enumerate(d) for j, x in enumerate(r) if i != j)
+        or any(x < 0 for x in diag)
+        or any(b % a if a else b for a, b in zip(diag, diag[1:]))
+    ):
+        raise InternalCheckError("Smith decomposition failed its check")
+    return u, d, v
 
-    def row_op(i, j, q):  # row i -= q * row j
-        for k in range(cols):
-            a[i][k] -= q * a[j][k]
-        for k in range(rows):
-            u[i][k] -= q * u[j][k]
 
-    def col_op(i, j, q):  # col i -= q * col j
-        for k in range(rows):
-            a[k][i] -= q * a[k][j]
-        for k in range(cols):
-            v[k][i] -= q * v[k][j]
+def row_reduce(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form of a matrix over a field, with its pivot
+    columns in order.
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for k in range(rows):
-            a[k][i], a[k][j] = a[k][j], a[k][i]
-        for k in range(cols):
-            v[k][i], v[k][j] = v[k][j], v[k][i]
-
-    t = 0
-    while t < min(rows, cols):
-        piv = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
+    Entries are Fractions or elements of one NumberField.  Deterministic:
+    the pivot of each column is the first nonzero entry at or below the
+    current row.  Each pivot is inverted once, since field inversion is the
+    costly step.
+    """
+    a = [list(r) for r in rows]
+    pivots: list[int] = []
+    for col in range(len(a[0]) if a else 0):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(a)) if not _is_zero(a[r][col])), None)
         if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    row_op(i, t, a[i][t] // a[t][t])
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    col_op(j, t, a[t][j] // a[t][t])
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-            if all(a[i][t] == 0 for i in range(t + 1, rows)) and all(
-                a[t][j] == 0 for j in range(t + 1, cols)
-            ):
-                break
-        t += 1
-    rank = t
-    # enforce the divisibility chain d_i | d_{i+1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            x, y = a[i][i], a[i + 1][i + 1]
-            if x != 0 and y % x != 0:
-                # pull column i+1 into column i, then re-diagonalize 2x2 block
-                for k in range(rows):
-                    a[k][i] += a[k][i + 1]
-                for k in range(cols):
-                    v[k][i] += v[k][i + 1]
-                _rediagonalize_pair(a, u, v, i, rows, cols)
-                changed = True
-    for i in range(rank):
-        if a[i][i] < 0:
-            for k in range(cols):
-                a[i][k] = -a[i][k]
-            for k in range(rows):
-                u[i][k] = -u[i][k]
-    return mat_from(u), mat_from(a), mat_from(v)
-
-
-def _rediagonalize_pair(a, u, v, i, rows, cols):
-    """Restore diagonal form on rows/cols i, i+1 by Euclidean steps."""
-    while True:
-        if a[i + 1][i] != 0:
-            if a[i][i] == 0 or abs(a[i + 1][i]) < abs(a[i][i]):
-                a[i], a[i + 1] = a[i + 1], a[i]
-                u[i], u[i + 1] = u[i + 1], u[i]
-            if a[i + 1][i] != 0 and a[i][i] != 0:
-                q = a[i + 1][i] // a[i][i]
-                for k in range(cols):
-                    a[i + 1][k] -= q * a[i][k]
-                for k in range(rows):
-                    u[i + 1][k] -= q * u[i][k]
-            if a[i + 1][i] != 0:
-                continue
-        if a[i][i + 1] != 0 and a[i][i] != 0:
-            q = a[i][i + 1] // a[i][i]
-            for k in range(rows):
-                a[k][i + 1] -= q * a[k][i]
-            for k in range(cols):
-                v[k][i + 1] -= q * v[k][i]
             continue
-        break
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = _inverse(a[rank][col])
+        a[rank] = [x * inv for x in a[rank]]
+        for r in range(len(a)):
+            if r != rank and not _is_zero(a[r][col]):
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        pivots.append(col)
+    return a, pivots
 
 
-def smith_diagonal(m: IntMatrix) -> list[int]:
-    _u, d, _v = smith_with_transform(m)
-    n = min(len(d), len(d[0]) if d else 0)
-    return [abs(d[i][i]) for i in range(n)]
+def _is_zero(x) -> bool:
+    return x.is_zero() if isinstance(x, FieldElement) else x == 0
+
+
+def _inverse(x):
+    return x.field.inv(x) if isinstance(x, FieldElement) else 1 / x
+
+
+def invert(rows: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
+    """Inverse over Q of a square matrix with rational entries."""
+    n = len(rows)
+    augmented = [
+        [Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+        for i, r in enumerate(rows)
+    ]
+    reduced, pivots = row_reduce(augmented)
+    if pivots[:n] != list(range(n)):
+        raise ValidationError("singular matrix")
+    return [row[n:] for row in reduced]
 
 
 def invariant_factors(m: IntMatrix) -> list[int]:
-    return [x for x in smith_diagonal(m) if x != 0]
+    """The nonzero diagonal entries of the Smith form of m."""
+    _u, d, _v = smith_with_transform(m)
+    n = min(len(d), len(d[0]) if d else 0)
+    return [d[i][i] for i in range(n) if d[i][i] != 0]
 
 
 def right_kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
@@ -303,7 +270,7 @@ class Lattice:
         """{y : x·y in Z for all x in L}; requires full rank."""
         if self.rank != self.n:
             raise ValidationError("dual implemented for full-rank lattices only")
-        inv = _invert_rational(self.rows)
+        inv = invert(self.rows)
         # dual basis rows: den * (R^{-1})^T
         frows = [
             [Fraction(self.den) * inv[j][i] for j in range(self.n)]
@@ -325,21 +292,3 @@ class Lattice:
 
     def __hash__(self) -> int:
         return hash((self.den, self.rows, self.n))
-
-
-def _invert_rational(rows: IntMatrix) -> list[list[Fraction]]:
-    n = len(rows)
-    a = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
-         for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValidationError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]

@@ -16,6 +16,7 @@ from typing import Sequence
 import sympy
 
 from .errors import InternalCheckError, ValidationError
+from .intlat import row_reduce
 from .numberfield import (
     AlgebraicNumber,
     FieldElement,
@@ -35,37 +36,17 @@ def field_kernel(
 ) -> list[tuple[FieldElement, ...]]:
     """Basis of the right kernel of a square matrix over the field.
 
-    Deterministic: pivots are chosen as the first nonzero entry scanning down
-    each column, free variables are set to 1 one at a time.
+    Deterministic: the pivots are those of `row_reduce`, and free variables
+    are set to 1 one at a time.
     """
+    reduced, pivots = row_reduce(rows)
     n = len(rows)
-    a = [list(r) for r in rows]
-    pivot_of_col: dict[int, int] = {}
-    rank = 0
-    for col in range(n):
-        piv = None
-        for r in range(rank, n):
-            if not a[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = field.inv(a[rank][col])
-        a[rank] = [x * inv for x in a[rank]]
-        for r in range(n):
-            if r != rank and not a[r][col].is_zero():
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        pivot_of_col[col] = rank
-        rank += 1
-    free_cols = [c for c in range(n) if c not in pivot_of_col]
     basis = []
-    for fc in free_cols:
-        vec = [field.zero() for _ in range(n)]
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [field.zero()] * n
         vec[fc] = field.one()
-        for c, r in pivot_of_col.items():
-            vec[c] = -a[r][fc]
+        for r, c in enumerate(pivots):
+            vec[c] = -reduced[r][fc]
         basis.append(tuple(vec))
     return basis
 
@@ -74,9 +55,7 @@ def field_kernel(
 class PFData:
     """Dominant-eigenvalue package of a primitive nonnegative integer matrix.
 
-    ``left`` and ``right`` are eigenvectors normalized to coordinate sum 1;
-    ``left_raw_sum`` is the coordinate sum of the un-normalized left vector
-    whose free coordinate was pinned to 1.
+    ``left`` and ``right`` are eigenvectors normalized to coordinate sum 1.
     """
 
     matrix: IntMatrix
@@ -84,7 +63,6 @@ class PFData:
     field: NumberField
     left: tuple[FieldElement, ...]
     right: tuple[FieldElement, ...]
-    left_raw_sum: FieldElement
     charpoly_factors: tuple[tuple[tuple[int, ...], int], ...]
     pf_factor: tuple[int, ...]
     labels: tuple[str, ...] | None = None
@@ -104,21 +82,6 @@ def _as_matrix(obj) -> tuple[IntMatrix, tuple[str, ...] | None]:
     if any(x < 0 for row in m for x in row):
         raise ValidationError("incidence matrix must be nonnegative")
     return m, None
-
-
-def _matrix_is_primitive(m: IntMatrix) -> bool:
-    n = len(m)
-    bound = n * n - 2 * n + 2 if n > 1 else 1
-    reach = [[bool(x) for x in row] for row in m]
-    cur = m
-    for _ in range(bound):
-        if all(x > 0 for row in cur for x in row):
-            return True
-        cur = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*m))
-            for row in cur
-        )
-    return all(x > 0 for row in cur for x in row)
 
 
 def pf_data(obj) -> PFData:
@@ -162,11 +125,9 @@ def positive_eigenvector(
 
 def _solve_pf(obj) -> PFData:
     m, labels = _as_matrix(obj)
-    if isinstance(obj, Substitution):
-        if not is_primitive(obj):
-            raise ValidationError("substitution is not primitive")
-    elif not _matrix_is_primitive(m):
-        raise ValidationError("matrix is not primitive")
+    if not is_primitive(m):
+        kind = "substitution" if isinstance(obj, Substitution) else "matrix"
+        raise ValidationError(f"{kind} is not primitive")
     factors = tuple(factor_charpoly(m))
     best: AlgebraicNumber | None = None
     best_factor: tuple[int, ...] | None = None
@@ -207,7 +168,6 @@ def _solve_pf(obj) -> PFData:
         field=field,
         left=left,
         right=right,
-        left_raw_sum=left_sum,
         charpoly_factors=factors,
         pf_factor=best_factor,
         labels=labels,

@@ -208,18 +208,18 @@ def incidence_matrix(sub: Substitution) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def is_primitive(sub: Substitution) -> bool:
-    """Some power of the incidence matrix is strictly positive.
+def is_primitive(obj: Substitution | Sequence[Sequence[int]]) -> bool:
+    """Some power of the incidence matrix (of a substitution, or a square
+    nonnegative integer matrix given directly) is strictly positive.
 
     Boolean powers up to the Wielandt bound d^2 - 2d + 2 decide this.
     """
-    d = sub.size
-    m = [[bool(x) for x in row] for row in incidence_matrix(sub)]
-    if d == 1:
-        return True
+    matrix = incidence_matrix(obj) if isinstance(obj, Substitution) else obj
+    d = len(matrix)
+    m = [[bool(x) for x in row] for row in matrix]
     bound = d * d - 2 * d + 2
     acc = m
-    for _ in range(bound):
+    for _ in range(bound - 1):
         if all(all(row) for row in acc):
             return True
         acc = [

@@ -31,6 +31,13 @@ class Alphabet:
     def of(cls, symbols: Iterable[str]) -> "Alphabet":
         return cls(tuple(symbols))
 
+    @classmethod
+    def labels(cls, count: int) -> "Alphabet":
+        """Letters for a recoded alphabet: A, B, ... up to 26, else r0, r1, ..."""
+        if count <= 26:
+            return cls.of(chr(ord("A") + i) for i in range(count))
+        return cls.of(f"r{i}" for i in range(count))
+
     def __len__(self) -> int:
         return len(self.symbols)
 

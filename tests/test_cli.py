@@ -64,6 +64,19 @@ def test_coinvariants_summary(capsys, tm_file):
     assert payload["trace_image"] == "Z[1/2]"
 
 
+def test_sigma4_coinvariants_and_aut_budget(capsys, tmp_path):
+    path = tmp_path / "sigma4.json"
+    rules = {"0": "01", "1": "12", "2": "23", "3": "30"}
+    path.write_text(json.dumps({"alphabet": list("0123"), "rules": rules}))
+    payload = run_json(capsys, ["coinvariants", str(path)])
+    assert payload["invariant_factors"][-3:] == [2, 4, 32]
+    # the radius-1 candidate list passes its budget before any is checked
+    assert run(["aut", str(path), "--radius", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "resource budget exhausted" in err
+    assert "Traceback" not in err
+
+
 def test_asymptotics_json_and_dot(capsys, tm_file):
     payload = run_json(capsys, ["asymptotics", tm_file])
     assert payload["count"] == 2

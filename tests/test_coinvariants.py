@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
+import sympy
 
 from flowmcg.coinvariants import (
     build_coinvariants,
@@ -14,6 +16,7 @@ from flowmcg.coinvariants import (
     trace_image,
 )
 from flowmcg.errors import ValidationError
+from flowmcg.substitution import Substitution
 
 
 def test_derived_return_words(tm, fib):
@@ -44,6 +47,16 @@ def test_constant_length_six_presentation(cyclic4):
     assert report.invariant_factors == (1, 2, 6)
     assert report.trace_image_description == "Z[1/6]"
     assert report.infinitesimal_rank == 2
+
+
+def test_sigma4_presentation_completes():
+    # the squared derived matrix of this input made the old pivot-loop Smith
+    # form grow entries past 100,000 bits without finishing
+    sigma4 = Substitution.from_rules({"0": "01", "1": "12", "2": "23", "3": "30"})
+    report = coinvariants_report(sigma4)
+    assert report.invariant_factors == (1,) * 9 + (2, 4, 32)
+    quotient = build_coinvariants(sigma4).stabilized_quotient_matrix()
+    assert prod(report.invariant_factors) == abs(sympy.Matrix(quotient).det())
 
 
 def test_order_unit_has_trace_one(tm, fib):

@@ -1,0 +1,183 @@
+"""Oracle tests for the exact linear-algebra layer: Smith form, the shared
+Gauss-Jordan elimination, and the primitivity test."""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+from math import gcd
+
+import pytest
+import sympy
+
+from flowmcg.errors import ValidationError
+from flowmcg.intlat import (
+    identity,
+    invariant_factors,
+    invert,
+    mat_mul,
+    row_reduce,
+    smith_with_transform,
+)
+from flowmcg.pf import field_kernel, pf_data
+from flowmcg.substitution import Substitution, incidence_matrix, is_primitive
+
+
+def _det(m):
+    """Laplace expansion along the first row; the inputs are at most 5x5."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def _determinantal_divisors(m):
+    """d_k = gcd of the k x k minors, for k = 1 .. min(rows, cols)."""
+    rows, cols = len(m), len(m[0])
+    out = []
+    for k in range(1, min(rows, cols) + 1):
+        g = 0
+        for rs in combinations(range(rows), k):
+            for cs in combinations(range(cols), k):
+                g = gcd(g, _det([[m[r][c] for c in cs] for r in rs]))
+        out.append(g)
+    return out
+
+
+def _random_matrices(count, seed):
+    """Integer matrices up to 4x5 with entries in [-6, 6]; about a third get
+    a zero row, and about a third a row repeated with a multiple (singular)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        kind = rng.randrange(3)
+        if kind == 1:
+            m[rng.randrange(rows)] = [0] * cols
+        elif kind == 2 and rows > 1:
+            i, j = rng.sample(range(rows), 2)
+            m[i] = [rng.randint(-3, 3) * x for x in m[j]]
+        yield tuple(tuple(r) for r in m)
+
+
+def test_invariant_factors_are_quotients_of_determinantal_divisors():
+    for m in _random_matrices(300, seed=3):
+        # d_k vanishes exactly for k above the rank
+        divisors = [d for d in _determinantal_divisors(m) if d]
+        expected = [b // a for a, b in zip([1] + divisors, divisors)]
+        assert invariant_factors(m) == expected, m
+
+
+def test_smith_transforms_are_unimodular():
+    for m in _random_matrices(300, seed=4):
+        u, d, v = smith_with_transform(m)
+        assert mat_mul(mat_mul(u, m), v) == d
+        assert abs(_det([list(r) for r in u])) == 1
+        assert abs(_det([list(r) for r in v])) == 1
+
+
+def test_smith_form_of_zero_and_empty_matrices():
+    assert smith_with_transform(((0, 0, 0), (0, 0, 0)))[1] == ((0, 0, 0), (0, 0, 0))
+    assert invariant_factors(((0, 0), (0, 0))) == []
+    assert smith_with_transform(()) == ((), (), ())
+
+
+def test_inverse_times_matrix_is_identity():
+    checked = 0
+    for m in _random_matrices(300, seed=5):
+        if len(m) != len(m[0]):
+            continue
+        if _det([list(r) for r in m]) == 0:
+            with pytest.raises(ValidationError):
+                invert(m)
+            continue
+        inv = invert(m)
+        n = len(m)
+        product = [
+            [sum(Fraction(m[i][k]) * inv[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        assert product == [list(r) for r in identity(n)]
+        checked += 1
+    assert checked >= 20
+
+
+def test_rank_agrees_with_sympy():
+    for m in _random_matrices(300, seed=6):
+        rows = [
+            [Fraction(x, 1 + (i + j) % 3) for j, x in enumerate(r)]
+            for i, r in enumerate(m)
+        ]
+        reduced, pivots = row_reduce(rows)
+        assert len(pivots) == sympy.Matrix(rows).rank()
+        # reduced form: each pivot column is a unit vector
+        for r, c in enumerate(pivots):
+            assert [row[c] for row in reduced] == [int(i == r) for i in range(len(rows))]
+
+
+@pytest.mark.parametrize("name", ["fib", "tribonacci"])
+def test_field_kernel_vectors_lie_in_the_kernel(request, name):
+    sub = request.getfixturevalue(name)
+    data = pf_data(sub)
+    field, lam = data.field, data.field.generator()
+    m = incidence_matrix(sub)
+    n = len(m)
+    for shifted in (m, tuple(zip(*m))):
+        rows = [
+            [field.rational(x) - (lam if i == j else field.zero()) for j, x in enumerate(r)]
+            for i, r in enumerate(shifted)
+        ]
+        kernel = field_kernel(field, rows)
+        assert len(kernel) == 1
+        for vec in kernel:
+            for row in rows:
+                acc = field.zero()
+                for x, y in zip(row, vec):
+                    acc = acc + x * y
+                assert acc.is_zero()
+    # a rank-one matrix over Q(lam): n - 1 kernel vectors, each in the kernel
+    row = [field.rational(1), lam, lam * lam][:n]
+    rows = [[lam * x for x in row], row] + [[field.zero()] * n] * (n - 2)
+    kernel = field_kernel(field, rows)
+    assert len(kernel) == n - 1
+    for vec in kernel:
+        acc = field.zero()
+        for x, y in zip(row, vec):
+            acc = acc + x * y
+        assert acc.is_zero()
+
+
+def _positive_power_exists(m):
+    """Integer powers up to the Wielandt bound, as a reference."""
+    n = len(m)
+    cur = m
+    for _ in range(n * n - 2 * n + 2):
+        if all(x > 0 for row in cur for x in row):
+            return True
+        cur = mat_mul(cur, m)
+    return all(x > 0 for row in cur for x in row)
+
+
+def test_primitivity_of_matrices_matches_integer_powers():
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        m = tuple(tuple(rng.choice((0, 0, 1, 2)) for _ in range(n)) for _ in range(n))
+        assert is_primitive(m) == _positive_power_exists(m), m
+    # Wielandt's matrix, a cycle with one chord: its least positive power is
+    # exactly the bound (n-1)^2 + 1; without the chord it is a permutation
+    for n in range(2, 6):
+        cycle = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+        assert not is_primitive(cycle)
+        cycle[n - 1][1] = 1
+        assert is_primitive(cycle)
+
+
+def test_non_primitive_inputs_name_their_kind():
+    with pytest.raises(ValidationError, match="matrix is not primitive"):
+        pf_data(((1, 1), (0, 1)))
+    with pytest.raises(ValidationError, match="substitution is not primitive"):
+        pf_data(Substitution.from_rules({"0": "01", "1": "11"}))
+    assert is_primitive(Substitution.from_rules({"0": "00"}))
