@@ -17,12 +17,11 @@ from .errors import InternalCheckError, ValidationError
 from .substitution import (
     Substitution,
     cycle_lengths,
+    fixed_point,
     is_aperiodic,
     is_primitive,
-    left_fixed_suffix,
-    right_fixed_prefix,
 )
-from .words import SlidingBlockCode
+from .words import SlidingBlockCode, shift_offsets
 
 DEFAULT_TAIL_CHECK = 2048
 
@@ -41,21 +40,14 @@ class OneSidedFixedPoint:
     power: int
 
     def __post_init__(self) -> None:
-        powered = self.sub.power(self.power)
-        if self.direction == "right":
-            if powered.first_letter_map()[self.seed] != self.seed:
-                raise ValidationError("seed does not begin its own image")
-        elif self.direction == "left":
-            if powered.last_letter_map()[self.seed] != self.seed:
-                raise ValidationError("seed does not end its own image")
-        else:
+        if self.direction not in ("left", "right"):
             raise ValidationError("direction must be 'left' or 'right'")
+        self.expand(1)
 
     def expand(self, length: int) -> tuple[int, ...]:
-        powered = self.sub.power(self.power)
-        if self.direction == "right":
-            return right_fixed_prefix(powered, self.seed, length)
-        return left_fixed_suffix(powered, self.seed, length)
+        return fixed_point(
+            self.sub, self.seed, length, self.power, left=self.direction == "left"
+        )
 
 
 @dataclass(frozen=True)
@@ -111,14 +103,8 @@ def _tails_agree(
 ) -> bool:
     """Do the right-infinite expansions x and y eventually coincide up to a
     shift of at most max_shift, as far as the data reaches?"""
-    for j in range(-max_shift, max_shift + 1):
-        start = max(0, -j)
-        length = min(len(x) - start, len(y) - start - j)
-        if length <= max_shift:
-            continue
-        if all(x[start + i] == y[start + j + i] for i in range(length)):
-            return True
-    return False
+    shifts = range(-max_shift, max_shift + 1)
+    return next(shift_offsets(x, y, shifts, max_shift + 1), None) is not None
 
 
 def asymptotic_classes(
@@ -164,13 +150,16 @@ def asymptotic_classes(
     check = tail_check_length
     max_shift = max(len(powered.image_idx(c)) for c in range(d))
 
-    # drop duplicate presentations of one point (same window up to shift)
+    # drop duplicate presentations of one point (same window up to shift,
+    # on at least half of it)
+    shifts = range(-max_shift, max_shift + 1)
     for leaves in raw:
         kept: list[Leaf] = []
         for leaf in leaves:
             w = leaf.window(check)
             dup = any(
-                _window_shift_equal(w, other.window(check), max_shift)
+                next(shift_offsets(w, other.window(check), shifts, len(w) // 2), None)
+                is not None
                 for other in kept
             )
             if not dup:
@@ -202,19 +191,6 @@ def asymptotic_classes(
     return AsymptoticClassSet(
         sub=sub, power=k, classes=tuple(classes), tail_certificate=check
     )
-
-
-def _window_shift_equal(
-    x: tuple[int, ...], y: tuple[int, ...], max_shift: int
-) -> bool:
-    for j in range(-max_shift, max_shift + 1):
-        start = max(0, -j)
-        stop = min(len(x), len(y) - j)
-        if stop - start < len(x) // 2:
-            continue
-        if all(x[i] == y[i + j] for i in range(start, stop)):
-            return True
-    return False
 
 
 def action_on_classes(op, classes: AsymptoticClassSet) -> tuple[int, ...]:

@@ -18,8 +18,14 @@ from typing import Mapping, Sequence
 from .asymptotics import stabilize_power
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
 from .flows import INVERSE_RADIUS_BUDGET, _check_roundtrip, _search_inverse
-from .substitution import Substitution, is_primitive, right_fixed_prefix
-from .words import LanguageTable, SlidingBlockCode, compose_codes, code_preserves_language
+from .substitution import Substitution, cycle_lengths, fixed_point, is_primitive
+from .words import (
+    LanguageTable,
+    SlidingBlockCode,
+    code_preserves_language,
+    compose_codes,
+    shift_offsets,
+)
 
 DEFAULT_RADIUS = 2
 DEFAULT_CHECK_DEPTH = 12
@@ -74,13 +80,6 @@ class MeasureActionReport:
     block_length: int
 
 
-def _sample_fixed_prefix(sub: Substitution, length: int) -> tuple[int, ...]:
-    powered = sub.power(stabilize_power(sub))
-    fl = powered.first_letter_map()
-    seed = next(a for a in range(sub.size) if fl[a] == a)
-    return right_fixed_prefix(powered, seed, length)
-
-
 def _equal_mod_shift(
     a: SlidingBlockCode,
     b: SlidingBlockCode,
@@ -92,23 +91,14 @@ def _equal_mod_shift(
     Two matching offsets on a long aperiodic sample would mean the window
     is periodic; that is reported rather than resolved silently.
     """
-    out_a = a.apply(sample)
-    out_b = b.apply(sample)
-    hits = []
-    for k in range(-max_offset, max_offset + 1):
-        # position t of the point has index t - r in each output array
-        agree = True
-        checked = 0
-        for i, x in enumerate(out_a):
-            t = i + a.radius
-            j = t + k - b.radius
-            if 0 <= j < len(out_b):
-                checked += 1
-                if x != out_b[j]:
-                    agree = False
-                    break
-        if agree and checked > max_offset:
-            hits.append(k)
+    # position t of the point has index t - r in each output array, so
+    # a = shift^k b reads out_a[i] == out_b[i + k + a.radius - b.radius]
+    delta = a.radius - b.radius
+    shifts = range(delta - max_offset, delta + max_offset + 1)
+    hits = [
+        j - delta
+        for j in shift_offsets(a.apply(sample), b.apply(sample), shifts, max_offset + 1)
+    ]
     if len(hits) > 1:
         raise InternalCheckError(
             f"shift identification ambiguous: offsets {hits} all match"
@@ -208,7 +198,8 @@ def search_automorphisms(
         codes.append(code)
         inverses.append(inv)
 
-    sample = _sample_fixed_prefix(sub, SHIFT_ID_WINDOW)
+    seed = min(cycle_lengths(sub.first_letter_map()))
+    sample = fixed_point(sub, seed, SHIFT_ID_WINDOW, stabilize_power(sub))
     ident_rule = {w: w[radius] for w in lang.blocks_of(2 * radius + 1)}
     ident_pos = next(
         (i for i, c in enumerate(codes) if dict(c.rule) == ident_rule), None

@@ -16,11 +16,13 @@ from math import gcd
 from typing import Mapping, Sequence
 
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
+from .flows import decompose_into_returns, return_words
 from .intlat import (
     IntMatrix,
     Lattice,
     eventual_kernel,
     hnf_rows,
+    identity,
     invariant_factors,
     invert,
     mat_from,
@@ -39,75 +41,6 @@ from .substitution import (
     is_primitive,
 )
 from .words import Alphabet, Cylinder, CylinderSet, Word
-
-_RETURN_DEPTH_CAP = 40
-
-
-def return_words_of(
-    sub: Substitution, letter: int, depth_cap: int = _RETURN_DEPTH_CAP
-) -> tuple[tuple[int, ...], ...]:
-    """Return words of `letter` along the one-sided fixed point seeded there,
-    in order of first occurrence.
-
-    Requires the letter to begin its own image.  The scan deepens until the
-    set repeats and is closed under the substitution (the image of every
-    return word decomposes into known return words).
-    """
-    if sub.first_letter_map()[letter] != letter:
-        raise ValidationError("return words need a letter that begins its own image")
-    prev: tuple[tuple[int, ...], ...] | None = None
-    for depth in range(2, depth_cap):
-        prefix = sub.iterate_idx(letter, depth)
-        occ = [i for i, a in enumerate(prefix) if a == letter]
-        if len(occ) < 2:
-            continue
-        segs: list[tuple[int, ...]] = []
-        seen: set[tuple[int, ...]] = set()
-        for a, b in zip(occ, occ[1:]):
-            s = tuple(prefix[a:b])
-            if s not in seen:
-                seen.add(s)
-                segs.append(s)
-        current = tuple(segs)
-        if current == prev and _returns_closed(sub, letter, current):
-            return current
-        prev = current
-    raise ResourceLimitError("return-word set failed to stabilize")
-
-
-def _returns_closed(
-    sub: Substitution, letter: int, returns: Sequence[tuple[int, ...]]
-) -> bool:
-    known = set(returns)
-    for r in returns:
-        image = sub.apply_idx(r)
-        occ = [i for i, a in enumerate(image) if a == letter]
-        if not occ or occ[0] != 0:
-            return False
-        pieces = [tuple(image[a:b]) for a, b in zip(occ, occ[1:])]
-        pieces.append(tuple(image[occ[-1]:]))
-        if any(p not in known for p in pieces):
-            return False
-    return True
-
-
-def decompose_into_returns(
-    word: Sequence[int], letter: int, index: Mapping[tuple[int, ...], int]
-) -> tuple[int, ...]:
-    """Split a word starting and implicitly ending at `letter` occurrences
-    into return-word letters."""
-    occ = [i for i, a in enumerate(word) if a == letter]
-    if not occ or occ[0] != 0:
-        raise InternalCheckError("word does not start at the base letter")
-    pieces = [tuple(word[a:b]) for a, b in zip(occ, occ[1:])]
-    pieces.append(tuple(word[occ[-1]:]))
-    out = []
-    for p in pieces:
-        if p not in index:
-            raise InternalCheckError("decomposition hit an unknown return word")
-        out.append(index[p])
-    return tuple(out)
-
 
 @dataclass(frozen=True)
 class DerivedData:
@@ -182,15 +115,9 @@ def derived_proper(sub: Substitution, base: int | str | None = None) -> DerivedD
     else:
         candidates = sorted(cycles)
 
-    best: tuple[int, int, tuple[tuple[int, ...], ...]] | None = None
-    for b in candidates:
-        c_b = cycles[b]
-        powered = sub.power(c_b)
-        returns = return_words_of(powered, b)
-        if best is None or len(returns) < len(best[2]):
-            best = (b, c_b, returns)
-    assert best is not None
-    b, c_b, returns = best
+    found = [(return_words(sub, (b,), seed=b), b) for b in candidates]
+    returns, b = min(found, key=lambda rb: len(rb[0]))
+    c_b = cycles[b]
     powered = sub.power(c_b)
     index = {r: i for i, r in enumerate(returns)}
     labels = Alphabet.labels(len(returns))
@@ -569,24 +496,12 @@ def _combine_block_weights(
             vec[v[0]] += cnt
         return group.element(0, vec)
     eta = derived.eta
-    m = 0
-    while min(len(eta.iterate_idx(a, m)) for a in range(d)) < s:
-        m += 1
-        if m > 64:
-            raise ResourceLimitError("supertile growth too slow for block length")
-    pairs = sorted(eta.language(2).blocks_of(2))
+    m = eta.growth_power(s)
     b_weight: dict[tuple[int, int], int] = {}
-    for (i, j) in pairs:
-        left = eta.iterate_idx(i, m)
-        right = eta.iterate_idx(j, m)
-        joined = left + right
-        total = 0
-        for v, cnt in h.items():
-            for p in range(len(left)):
-                if tuple(joined[p : p + s]) == v:
-                    total += cnt
+    for ij, (joined, cut) in zip(eta.two_blocks(), eta.two_block_images(m)):
+        total = sum(h.get(joined[p : p + s], 0) for p in range(cut))
         if total:
-            b_weight[(i, j)] = total
+            b_weight[ij] = total
     head = derived.head_letter
     vec = [0] * d
     for (i, j), wt in b_weight.items():
@@ -876,14 +791,11 @@ def restrict_class(sub: Substitution, gamma: Mapping, section) -> RestrictedClas
     if base_letter is None:
         returns: tuple[tuple[int, ...], ...] = tuple((a,) for a in range(sub.size))
     else:
-        fl = sub.first_letter_map()
-        cycles = cycle_lengths(fl)
-        if base_letter not in cycles:
+        if base_letter not in cycle_lengths(sub.first_letter_map()):
             raise ValidationError(
                 "cross-section letter must begin its own image under some power"
             )
-        powered = sub.power(cycles[base_letter])
-        returns = return_words_of(powered, base_letter)
+        returns = return_words(sub, (base_letter,), seed=base_letter)
 
     language = sub.language(max(2, max_len + max(len(r) for r in returns)))
     weights = []
@@ -997,15 +909,13 @@ def induced_action(flow_code, group: DirectLimitGroup | None = None) -> ActionRe
         group = build_coinvariants(sub)
     if kind == "identity":
         d = group.dimension
-        from .intlat import identity as _identity
-
         basis = tuple(
             group.element(0, tuple(int(i == j) for i in range(d))) for j in range(d)
         )
         return ActionReport(
             kind=kind,
             level=0,
-            matrix=_identity(d),
+            matrix=identity(d),
             fixes_order_unit=True,
             basis_images=basis,
             unit_image=group.order_unit,

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
 from .numberfield import FieldElement, NumberField
 from .pf import cylinder_measure, pf_data
-from .substitution import Substitution, cycle_lengths, is_primitive
+from .substitution import Substitution, cycle_lengths, fixed_point, is_primitive
 from .words import (
     Alphabet,
     CylinderSet,
@@ -29,6 +29,8 @@ from .words import (
 DEFAULT_DEPTH = 12
 INVERSE_RADIUS_BUDGET = 6
 _REPETITIVITY_CAP = 4096
+# longest fixed-point prefix scanned to order the return words
+_ORDER_SCAN_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -77,17 +79,26 @@ class ReturnSystem:
         return self.base is not None and self.base.is_whole_space
 
 
-def _certified_return_words(
-    sub: Substitution, w: tuple[int, ...], depth: int
+def return_words(
+    sub: Substitution, w: tuple[int, ...], seed: int | None = None
 ) -> tuple[tuple[int, ...], ...]:
-    """All return words of the cylinder [w], complete by construction.
+    """All return words of the cylinder [w], complete by construction, in
+    order of first occurrence along the one-sided fixed point grown from
+    `seed` (a letter on a cycle of the first-letter map; by default the
+    least such letter).
 
     First a repetitivity bound R with every admissible R-block containing w
     is found; the gaps that follow the occurrences of w starting inside
     sigma^p(a) in sigma^p(ab), ab in L_2, with min |sigma^p| >= R + |w|, are
-    then the full return-word set.  Order is fixed afterwards by first
-    occurrence along a canonical fixed point.
+    then the full return-word set.
     """
+    cycles = cycle_lengths(sub.first_letter_map())
+    if seed is None:
+        seed = min(cycles)
+    elif seed not in cycles:
+        raise ValidationError(
+            "seed letter does not begin its own image under any power"
+        )
     k = len(w)
     r_bound = None
     n = max(2 * k, 2)
@@ -108,8 +119,40 @@ def _certified_return_words(
     if not found:
         raise InternalCheckError("base word never recurs in admissible blocks")
 
-    order = _first_occurrence_order(sub, w, found, depth)
-    return order
+    # first occurrences along the fixed point; every return word occurs in
+    # it, since the shift is minimal
+    n = 2 * max(len(r) for r in found) + k
+    while True:
+        prefix = fixed_point(sub, seed, n, cycles[seed])
+        occ = [i for i in range(n - k + 1) if prefix[i : i + k] == w]
+        ordered = tuple(dict.fromkeys(prefix[a:b] for a, b in zip(occ, occ[1:])))
+        if not found.issuperset(ordered):
+            raise InternalCheckError(
+                "fixed-point scan found a return word outside the certified set"
+            )
+        if len(ordered) == len(found):
+            return ordered
+        if n >= _ORDER_SCAN_CAP:
+            raise ResourceLimitError("fixed point did not exhibit every return word")
+        n *= 2
+
+
+def decompose_into_returns(
+    word: Sequence[int], letter: int, index: Mapping[tuple[int, ...], int]
+) -> tuple[int, ...]:
+    """Split a word starting and implicitly ending at `letter` occurrences
+    into return-word letters."""
+    occ = [i for i, a in enumerate(word) if a == letter]
+    if not occ or occ[0] != 0:
+        raise InternalCheckError("word does not start at the base letter")
+    pieces = [tuple(word[a:b]) for a, b in zip(occ, occ[1:])]
+    pieces.append(tuple(word[occ[-1]:]))
+    out = []
+    for p in pieces:
+        if p not in index:
+            raise InternalCheckError("decomposition hit an unknown return word")
+        out.append(index[p])
+    return tuple(out)
 
 
 def _base_occurrences(sub: Substitution, w: tuple[int, ...], reach: int):
@@ -123,39 +166,6 @@ def _base_occurrences(sub: Substitution, w: tuple[int, ...], reach: int):
 def _contains(block: tuple[int, ...], w: tuple[int, ...]) -> bool:
     k = len(w)
     return any(block[i : i + k] == w for i in range(len(block) - k + 1))
-
-
-def _first_occurrence_order(
-    sub: Substitution,
-    w: tuple[int, ...],
-    members: set[tuple[int, ...]],
-    depth: int,
-) -> tuple[tuple[int, ...], ...]:
-    fl = sub.first_letter_map()
-    cycles = cycle_lengths(fl)
-    seed = min(cycles)
-    powered = sub.power(cycles[seed])
-    k = len(w)
-    ordered: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for d in range(2, depth + 30):
-        prefix = powered.iterate_idx(seed, d)
-        occ = [i for i in range(len(prefix) - k + 1) if prefix[i : i + k] == w]
-        for a, b in zip(occ, occ[1:]):
-            seg = prefix[a:b]
-            if seg not in seen:
-                if seg not in members:
-                    raise InternalCheckError(
-                        "fixed-point scan found a return word outside the "
-                        "certified set"
-                    )
-                seen.add(seg)
-                ordered.append(seg)
-        if seen == members:
-            return tuple(ordered)
-        if len(prefix) > 200_000:
-            break
-    raise ResourceLimitError("fixed point did not exhibit every return word in depth")
 
 
 def _recoded_language(
@@ -224,7 +234,7 @@ def induce(
 
     if not sub.language(len(word)).admissible(word):
         raise ValidationError("section word is not admissible")
-    returns = _certified_return_words(sub, word, depth)
+    returns = return_words(sub, word)
     alphabet = Alphabet.labels(len(returns))
     weights = tuple(
         cylinder_measure(sub, r + word) for r in returns
@@ -278,21 +288,12 @@ def _try_recoded_sub(
     letter = word[0]
     if sub.first_letter_map()[letter] != letter:
         return None
-    index = {tuple(r): i for i, r in enumerate(returns)}
-    images = []
-    for r in returns:
-        image = sub.apply_idx(r)
-        occ = [i for i, a in enumerate(image) if a == letter]
-        if not occ or occ[0] != 0:
-            return None
-        pieces = [tuple(image[a:b]) for a, b in zip(occ, occ[1:])]
-        pieces.append(tuple(image[occ[-1]:]))
-        try:
-            code = tuple(index[p] for p in pieces)
-        except KeyError:
-            return None
-        images.append(Word(alphabet, code))
-    return Substitution(alphabet, tuple(images))
+    index = {r: i for i, r in enumerate(returns)}
+    images = tuple(
+        Word(alphabet, decompose_into_returns(sub.apply_idx(r), letter, index))
+        for r in returns
+    )
+    return Substitution(alphabet, images)
 
 
 def supertile_section(sub: Substitution) -> ReturnSystem:
@@ -750,32 +751,17 @@ def _as_recoded_sequence(system: ReturnSystem, x0) -> tuple[int, ...]:
 def _two_sided_point(sub: Substitution, k_lo: int, k_hi: int):
     """Coordinate access for a substitution-periodic two-sided point with a
     legal seed pair around the origin."""
-    from .substitution import left_fixed_suffix, right_fixed_prefix
-
-    fl = sub.first_letter_map()
-    ll = sub.last_letter_map()
-    fl_cycles = cycle_lengths(fl)
-    ll_cycles = cycle_lengths(ll)
+    fl_cycles = cycle_lengths(sub.first_letter_map())
+    ll_cycles = cycle_lengths(sub.last_letter_map())
     lang2 = sub.language(2)
-    seed = None
-    for b in sorted(fl_cycles):
-        for a in sorted(ll_cycles):
-            k = fl_cycles[b] * ll_cycles[a]
-            powered = sub.power(k)
-            if powered.first_letter_map()[b] != b or powered.last_letter_map()[a] != a:
-                continue
-            if lang2.admissible((a, b)):
-                seed = (a, b, powered)
-                break
-        if seed:
-            break
+    seeds = [(a, b) for b in sorted(fl_cycles) for a in sorted(ll_cycles)]
+    seed = next((ab for ab in seeds if lang2.admissible(ab)), None)
     if seed is None:
         raise InternalCheckError("no admissible periodic seed pair")
-    a, b, powered = seed
-    need_right = max(1, k_hi + 1)
-    need_left = max(1, -k_lo + 1)
-    right = right_fixed_prefix(powered, b, need_right)
-    left = left_fixed_suffix(powered, a, need_left)
+    a, b = seed
+    k = fl_cycles[b] * ll_cycles[a]
+    right = fixed_point(sub, b, max(1, k_hi + 1), k)
+    left = fixed_point(sub, a, max(1, -k_lo + 1), k, left=True)
 
     def get(k: int) -> int:
         if k >= 0:

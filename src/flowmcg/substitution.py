@@ -277,30 +277,25 @@ def is_aperiodic(sub: Substitution, n_check: int = 50) -> PeriodicityVerdict:
     return PeriodicityVerdict(periodic=False, window=n_check)
 
 
-def right_fixed_prefix(sub: Substitution, seed: int, length: int) -> tuple[int, ...]:
-    """Prefix of the one-sided fixed point grown from a right seed."""
-    if sub.images[seed].idx[0] != seed:
-        raise ValidationError("seed letter does not start its own image")
-    w: tuple[int, ...] = (seed,)
+def fixed_point(
+    sub: Substitution, seed: int, length: int, power: int = 1, left: bool = False
+) -> tuple[int, ...]:
+    """The first `length` symbols of the one-sided fixed point of sigma^power
+    grown from `seed`; with `left`, the last `length` symbols of the left
+    fixed point, which ends in the seed.  Read off the memoised iterates
+    sigma^(power*j)(seed)."""
+    w = sub.iterate_idx(seed, power)
+    if (w[-1] if left else w[0]) != seed:
+        end = "end" if left else "start"
+        raise ValidationError(f"seed letter does not {end} its own image")
+    j = 1
     while len(w) < length:
-        nxt = sub.apply_idx(w)
+        j += 1
+        nxt = sub.iterate_idx(seed, power * j)
         if len(nxt) == len(w):
             raise ValidationError("seed does not grow; substitution not expanding here")
         w = nxt
-    return w[:length]
-
-
-def left_fixed_suffix(sub: Substitution, seed: int, length: int) -> tuple[int, ...]:
-    """Suffix of the one-sided fixed point grown from a left seed."""
-    if sub.images[seed].idx[-1] != seed:
-        raise ValidationError("seed letter does not end its own image")
-    w: tuple[int, ...] = (seed,)
-    while len(w) < length:
-        nxt = sub.apply_idx(w)
-        if len(nxt) == len(w):
-            raise ValidationError("seed does not grow; substitution not expanding here")
-        w = nxt
-    return w[-length:]
+    return w[len(w) - length :] if left else w[:length]
 
 
 def cycle_lengths(f: tuple[int, ...]) -> dict[int, int]:

@@ -108,6 +108,18 @@ def windows(seq: Sequence[int], n: int) -> Iterator[tuple[int, ...]]:
         yield t[i : i + n]
 
 
+def shift_offsets(
+    x: tuple[int, ...], y: tuple[int, ...], shifts: Iterable[int], min_overlap: int
+) -> Iterator[int]:
+    """Every offset j in `shifts`, in order, with x[i] == y[i + j] wherever
+    both sides are defined and at least `min_overlap` such positions."""
+    for j in shifts:
+        start = max(0, -j)
+        stop = min(len(x), len(y) - j)
+        if stop - start >= min_overlap and x[start:stop] == y[start + j : stop + j]:
+            yield j
+
+
 @dataclass
 class LanguageTable:
     """Admissible blocks of a subshift, complete for every n <= n_max.
@@ -290,11 +302,6 @@ class SlidingBlockCode:
                     f"window {win} not covered by the code rule"
                 )
         return tuple(out)
-
-    def apply_word(self, w: Word) -> Word:
-        if w.alphabet != self.in_alphabet:
-            raise ValidationError("word alphabet does not match code input alphabet")
-        return Word(self.out_alphabet, self.apply(w.idx))
 
 
 def compose_codes(

@@ -1,0 +1,187 @@
+"""One implementation each for fixed points, return words and comparison up
+to shift, checked against reference copies of the earlier algorithms: a
+return-word scan that deepens sigma^(c*d)(b) until the set repeats and is
+closed under the substitution, and fixed points grown by repeated
+application."""
+
+import pytest
+
+from flowmcg.asymptotics import _tails_agree
+from flowmcg.automorphisms import _equal_mod_shift
+from flowmcg.errors import InternalCheckError, ValidationError
+from flowmcg.flows import decompose_into_returns, return_words
+from flowmcg.substitution import Substitution, cycle_lengths, fixed_point
+from flowmcg.words import Alphabet, SlidingBlockCode, shift_offsets
+
+# the ten primitive aperiodic inputs of test_criterion_09, then the first
+# twelve primitive aperiodic draws of its generator (seed 20260822)
+RULES = [
+    {"0": "01", "1": "0"},
+    {"0": "01", "1": "10"},
+    {"0": "01", "1": "02", "2": "0"},
+    {"0": "012230", "1": "123301", "2": "230012", "3": "301123"},
+    {"0": "01", "1": "00"},
+    {"0": "0111", "1": "0"},
+    {"0": "0012", "1": "12", "2": "012"},
+    {"0": "011", "1": "01"},
+    {"0": "01", "1": "12", "2": "23", "3": "30"},
+    {"0": "02", "1": "01", "2": "1"},
+    {"0": "01", "1": "010"},
+    {"0": "1100", "1": "100"},
+    {"0": "111", "1": "101"},
+    {"0": "1202", "1": "2", "2": "0"},
+    {"0": "221", "1": "001", "2": "21"},
+    {"0": "1111", "1": "010"},
+    {"0": "21", "1": "0210", "2": "2011"},
+    {"0": "1010", "1": "00"},
+    {"0": "021", "1": "02", "2": "21"},
+    {"0": "0010", "1": "101"},
+    {"0": "010", "1": "011"},
+    {"0": "1101", "1": "00"},
+]
+IDS = [",".join(f"{a}>{w}" for a, w in sorted(r.items())) for r in RULES]
+
+
+def reference_return_words(sub, letter, depth_cap=40):
+    """Return words of `letter` along the fixed point seeded there, in order
+    of first occurrence; the scan deepens until the set repeats and the
+    image of every return word splits into known return words."""
+    prev = None
+    for depth in range(2, depth_cap):
+        prefix = sub.iterate_idx(letter, depth)
+        occ = [i for i, a in enumerate(prefix) if a == letter]
+        current = tuple(dict.fromkeys(prefix[a:b] for a, b in zip(occ, occ[1:])))
+        if current and current == prev and _closed(sub, letter, current):
+            return current
+        prev = current
+    raise AssertionError("reference scan did not stabilize")
+
+
+def _closed(sub, letter, returns):
+    for r in returns:
+        image = sub.apply_idx(r)
+        occ = [i for i, a in enumerate(image) if a == letter]
+        if not occ or occ[0] != 0:
+            return False
+        pieces = [image[a:b] for a, b in zip(occ, occ[1:])] + [image[occ[-1]:]]
+        if any(p not in returns for p in pieces):
+            return False
+    return True
+
+
+def naive_fixed_point(sub, seed, power, reach):
+    """sigma^power applied to the seed, letter by letter, until the word is
+    at least `reach` long."""
+    w = (seed,)
+    while len(w) < reach:
+        for _ in range(power):
+            w = sub.apply_idx(w)
+    return w
+
+
+@pytest.mark.parametrize("rules", RULES, ids=IDS)
+def test_return_words_match_the_deepening_scan(rules):
+    sub = Substitution.from_rules(rules)
+    cycles = cycle_lengths(sub.first_letter_map())
+    for b, c in sorted(cycles.items()):
+        expected = reference_return_words(sub.power(c), b)
+        assert return_words(sub, (b,), seed=b) == expected
+
+
+def test_return_words_order_follows_the_seed():
+    # Thue-Morse: the fixed points from 0 and from 1 meet the return words
+    # of 1 in different orders
+    tm = Substitution.from_rules({"0": "01", "1": "10"})
+    from_0 = return_words(tm, (1,))
+    from_1 = return_words(tm, (1,), seed=1)
+    assert from_0 == return_words(tm, (1,), seed=0)
+    assert set(from_0) == set(from_1)
+    assert from_0 != from_1
+
+
+def test_return_words_reject_a_seed_off_the_cycles(fib):
+    with pytest.raises(ValidationError):
+        return_words(fib, (0,), seed=1)
+
+
+@pytest.mark.parametrize("rules", RULES, ids=IDS)
+def test_fixed_point_matches_repeated_application(rules):
+    sub = Substitution.from_rules(rules)
+    for left, letter_map in (
+        (False, sub.first_letter_map()),
+        (True, sub.last_letter_map()),
+    ):
+        cycles = cycle_lengths(letter_map)
+        for seed, c in sorted(cycles.items()):
+            for power in (c, 2 * c):
+                w = naive_fixed_point(sub, seed, power, 300)
+                for n in range(0, 301):
+                    expected = w[len(w) - n :] if left else w[:n]
+                    got = fixed_point(sub, seed, n, power, left=left)
+                    assert got == expected, (seed, power, left, n)
+        for a in range(sub.size):
+            if a in cycles:
+                continue
+            for power in range(1, 2 * sub.size + 1):
+                with pytest.raises(ValidationError):
+                    fixed_point(sub, a, 5, power, left=left)
+
+
+def test_fixed_point_rejects_a_seed_that_does_not_grow():
+    sub = Substitution.from_rules({"0": "0", "1": "10"})
+    assert fixed_point(sub, 0, 1) == (0,)
+    with pytest.raises(ValidationError, match="does not grow"):
+        fixed_point(sub, 0, 2)
+
+
+def test_shift_offsets_only_offset_zero():
+    x = (0, 1, 1, 0, 1, 0, 0, 1)
+    assert list(shift_offsets(x, x, range(-2, 3), 3)) == [0]
+    # offset 0 is a hit, though falsy
+    assert _tails_agree(x, x, 2)
+
+
+def test_shift_offsets_negative_offsets():
+    x = (5, 0, 1, 2)
+    y = (0, 1, 2)
+    assert list(shift_offsets(x, y, range(-2, 3), 3)) == [-1]
+    assert list(shift_offsets(y, x, range(-2, 3), 3)) == [1]
+
+
+def test_shift_offsets_overlap_at_the_minimum():
+    x = (0, 1, 2)
+    y = (1, 2, 7)
+    # x[i] == y[i - 1] on i = 1, 2: an overlap of two symbols
+    assert list(shift_offsets(x, y, range(-1, 2), 2)) == [-1]
+    assert list(shift_offsets(x, y, range(-1, 2), 3)) == []
+    assert _tails_agree(x, y, 1)
+    assert not _tails_agree(x, y, 2)
+
+
+def test_shift_offsets_all_periodic_offsets():
+    x = (0, 1) * 6
+    assert list(shift_offsets(x, x, range(-4, 5), 4)) == [-4, -2, 0, 2, 4]
+
+
+def test_equal_mod_shift_offsets(fib):
+    lang = fib.language(8)
+    sample = fixed_point(fib, 0, 200, 2)
+    ident = SlidingBlockCode.shift_power(fib.alphabet, lang, 0)
+    shift = SlidingBlockCode.shift_power(fib.alphabet, lang, 1)
+    assert _equal_mod_shift(ident, ident, sample, 0) == 0
+    assert _equal_mod_shift(shift, ident, sample, 1) == 1
+    assert _equal_mod_shift(ident, shift, sample, 1) == -1
+
+
+def test_equal_mod_shift_ambiguous_on_a_periodic_sample():
+    alphabet = Alphabet.of("01")
+    ident = SlidingBlockCode(alphabet, alphabet, 0, {(0,): 0, (1,): 1})
+    with pytest.raises(InternalCheckError, match="ambiguous"):
+        _equal_mod_shift(ident, ident, (0, 1) * 20, 2)
+
+
+def test_decompose_into_returns_rejects_an_unknown_piece():
+    index = {(0, 1): 0, (0,): 1}
+    assert decompose_into_returns((0, 1, 0, 0), 0, index) == (0, 1, 1)
+    with pytest.raises(InternalCheckError):
+        decompose_into_returns((0, 1, 1, 0), 0, index)
