@@ -203,7 +203,7 @@ def action_on_classes(op, classes: AsymptoticClassSet) -> tuple[int, ...]:
     raises instead of guessing.
     """
     sub = classes.sub
-    check = min(classes.tail_certificate, 512)
+    check = classes.tail_certificate
     powered = sub.power(classes.power)
     max_shift = max(len(powered.image_idx(c)) for c in range(sub.size))
     tails = [cls[0].right.expand(check) for cls in classes.classes]

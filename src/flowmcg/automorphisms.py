@@ -30,9 +30,8 @@ from .words import (
 DEFAULT_RADIUS = 2
 DEFAULT_CHECK_DEPTH = 12
 SHIFT_ID_WINDOW = 4096
-# candidate codes enumerated before any is checked: a search that finishes
-# needs at most 381,184 on the known inputs (0→21, 1→0210, 2→2011 at radius 1),
-# while 0→01, 1→12, 2→23, 3→30 needs millions and used to exhaust memory
+# search nodes (window outputs tried) of the candidate search: the known
+# inputs need at most 10,500 (0→01, 1→12, 2→23, 3→30 at radius 2)
 CANDIDATE_BUDGET = 1_000_000
 GROUP_NAME_BOUND = 12
 
@@ -107,56 +106,69 @@ def _equal_mod_shift(
 
 
 def _enumerate_candidates(
-    lang: LanguageTable, radius: int, d: int
+    lang: LanguageTable, radius: int, d: int, n_check: int
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """The admissible windows in sorted order, and every assignment of
-    outputs to them (one tuple per candidate, in window order) whose images
-    respect 2-block admissibility across overlaps.
+    outputs to them (one tuple per candidate, in window order, sorted) under
+    which each admissible block of length n + 2·radius, 2 <= n <= n_check,
+    has an admissible image.
 
-    Raises ResourceLimitError once more than CANDIDATE_BUDGET candidates are
-    enumerated, before any is checked.
+    One depth-first search assigns the windows in an order along the overlap
+    graph and checks each block as soon as its last window is assigned.
+    Raises ResourceLimitError once it visits more than CANDIDATE_BUDGET
+    search nodes.
     """
     width = 2 * radius + 1
     blocks = sorted(lang.blocks_of(width))
-    pairs = {w for w in lang.blocks_of(2)}
     index = {w: i for i, w in enumerate(blocks)}
-    # overlap successors: u then v when u[1:] == v[:-1] and the join is admissible
     succ: list[list[int]] = [[] for _ in blocks]
-    for u in blocks:
-        for last in range(d):
-            join = u + (last,)
-            if lang.admissible(join):
-                succ[index[u]].append(index[join[1:]])
+    for u in lang.blocks_of(width + 1):
+        succ[index[u[:-1]]].append(index[u[1:]])
+    # visit order: depth-first along overlap successors, so the windows of a
+    # block tend to be assigned one after another
+    order: list[int] = []
+    pos = [-1] * len(blocks)
+    for root in range(len(blocks)):
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            if pos[i] < 0:
+                pos[i] = len(order)
+                order.append(i)
+                stack.extend(reversed(succ[i]))
+    # each block is checked at the position of its last window in the order
+    closing: list[list[tuple[tuple[int, ...], frozenset]]] = [[] for _ in blocks]
+    for n in range(2, n_check + 1):
+        images = lang.blocks_of(n)
+        for w in lang.blocks_of(n + 2 * radius):
+            wins = tuple(index[w[i : i + width]] for i in range(n))
+            closing[max(pos[i] for i in wins)].append((wins, images))
 
-    out: list[int | None] = [None] * len(blocks)
+    out = [0] * len(blocks)
     found: list[tuple[int, ...]] = []
+    nodes = 0
 
-    def consistent(i: int) -> bool:
-        for j in succ[i]:
-            if out[j] is not None and (out[i], out[j]) not in pairs:
-                return False
-        for h in range(len(blocks)):
-            if out[h] is not None and i in succ[h]:
-                if (out[h], out[i]) not in pairs:
-                    return False
-        return True
-
-    def walk(i: int) -> None:
-        if i == len(blocks):
-            if len(found) == CANDIDATE_BUDGET:
-                raise ResourceLimitError(
-                    f"automorphism search: more than {CANDIDATE_BUDGET} "
-                    f"candidate codes at radius {radius}"
-                )
+    def walk(p: int) -> None:
+        nonlocal nodes
+        if p == len(order):
             found.append(tuple(out))
             return
+        i = order[p]
         for letter in range(d):
+            nodes += 1
+            if nodes > CANDIDATE_BUDGET:
+                raise ResourceLimitError(
+                    f"automorphism search: more than {CANDIDATE_BUDGET} "
+                    f"search nodes at radius {radius}"
+                )
             out[i] = letter
-            if consistent(i):
-                walk(i + 1)
-        out[i] = None
+            if all(
+                tuple(out[j] for j in wins) in images for wins, images in closing[p]
+            ):
+                walk(p + 1)
 
     walk(0)
+    found.sort()
     return blocks, found
 
 
@@ -167,9 +179,10 @@ def search_automorphisms(
 ) -> AutGroupReport:
     """Every automorphism realizable at the given radius.
 
-    Exhausts output assignments on admissible windows, keeps those that
-    preserve the language to depth n_check and admit a verified two-sided
-    inverse code, then groups the survivors modulo shift powers.
+    Searches the output assignments on admissible windows, pruned by the
+    language to depth n_check (at most CANDIDATE_BUDGET search nodes), keeps
+    the survivors that pass the full language check and admit a verified
+    two-sided inverse code, then groups them modulo shift powers.
     """
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
@@ -183,7 +196,7 @@ def search_automorphisms(
 
     codes: list[SlidingBlockCode] = []
     inverses: list[SlidingBlockCode] = []
-    blocks, candidates = _enumerate_candidates(lang, radius, d)
+    blocks, candidates = _enumerate_candidates(lang, radius, d, n_check)
     for outputs in candidates:
         rule = dict(zip(blocks, outputs))
         code = SlidingBlockCode(sub.alphabet, sub.alphabet, radius, rule)

@@ -4,6 +4,7 @@ from flowmcg.asymptotics import (
     classes_to_dot,
     stabilize_power,
 )
+from flowmcg.substitution import Substitution
 from flowmcg.words import SlidingBlockCode
 
 
@@ -82,3 +83,12 @@ def test_dot_export_mentions_every_class(tm):
     dot = classes_to_dot(classes)
     assert "cluster_0" in dot and "cluster_1" in dot
     assert dot.count("label=") >= 4
+
+
+def test_class_action_compares_the_whole_certified_tail():
+    # 0→1202, 1→2, 2→0: on 512 symbols σ's image of class 0 also matched
+    # class 0 at offset 157
+    sub = Substitution.from_rules({"0": "1202", "1": "2", "2": "0"})
+    perm = action_on_classes(sub, asymptotic_classes(sub))
+    assert perm == (1, 2, 0)
+    assert action_on_classes(sub, asymptotic_classes(sub, tail_check_length=4096)) == perm

@@ -64,17 +64,49 @@ def test_coinvariants_summary(capsys, tm_file):
     assert payload["trace_image"] == "Z[1/2]"
 
 
-def test_sigma4_coinvariants_and_aut_budget(capsys, tmp_path):
+def test_sigma4_coinvariants_and_aut(capsys, tmp_path):
     path = tmp_path / "sigma4.json"
     rules = {"0": "01", "1": "12", "2": "23", "3": "30"}
     path.write_text(json.dumps({"alphabet": list("0123"), "rules": rules}))
     payload = run_json(capsys, ["coinvariants", str(path)])
     assert payload["invariant_factors"][-3:] == [2, 4, 32]
-    # the radius-1 candidate list passes its budget before any is checked
+    payload = run_json(capsys, ["aut", str(path), "--radius", "1"])
+    assert payload["elements_mod_shift"] == 4
+    assert payload["quotient"]["name"] == "Z/4"
+    assert payload["quotient"]["element_orders"] == [1, 4, 4, 2]
+
+
+def test_aut_search_budget_exits_2(capsys, monkeypatch, tmp_path):
+    from flowmcg import automorphisms
+
+    monkeypatch.setattr(automorphisms, "CANDIDATE_BUDGET", 50)
+    path = tmp_path / "sigma4.json"
+    rules = {"0": "01", "1": "12", "2": "23", "3": "30"}
+    path.write_text(json.dumps({"alphabet": list("0123"), "rules": rules}))
     assert run(["aut", str(path), "--radius", "1"]) == 2
     err = capsys.readouterr().err
     assert "resource budget exhausted" in err
+    assert "more than 50 search nodes" in err
     assert "Traceback" not in err
+
+
+def test_pool06_aut_and_analyze(capsys, tmp_path):
+    # 0→21, 1→0210, 2→2011: the unpruned candidate list ran for about 29 s
+    path = tmp_path / "pool06.json"
+    rules = {"0": "21", "1": "0210", "2": "2011"}
+    path.write_text(json.dumps({"alphabet": list("012"), "rules": rules}))
+    payload = run_json(capsys, ["aut", str(path), "--radius", "1"])
+    assert payload["elements_mod_shift"] == 1
+    assert run(["analyze", str(path)]) == 0
+
+
+def test_pool03_analyze(capsys, tmp_path):
+    # 0→1202, 1→2, 2→0 used to exit 3: its class tails agree on 512 symbols
+    path = tmp_path / "pool03.json"
+    rules = {"0": "1202", "1": "2", "2": "0"}
+    path.write_text(json.dumps({"alphabet": list("012"), "rules": rules}))
+    payload = run_json(capsys, ["analyze", str(path)])
+    assert payload["finite_part"]["action_on_classes"] == [1, 2, 0]
 
 
 def test_asymptotics_json_and_dot(capsys, tm_file):
