@@ -80,24 +80,23 @@ class MeasureActionReport:
 
 
 def _equal_mod_shift(
-    a: SlidingBlockCode,
-    b: SlidingBlockCode,
-    sample: Sequence[int],
+    out_a: Sequence[int],
+    radius_a: int,
+    out_b: Sequence[int],
+    radius_b: int,
     max_offset: int,
 ) -> int | None:
-    """Offset k with a = shift^k b on the sample, or None.
+    """Offset k with a = shift^k b on the sample, or None, given each code's
+    output on the same sample and its radius.
 
     Two matching offsets on a long aperiodic sample would mean the window
     is periodic; that is reported rather than resolved silently.
     """
     # position t of the point has index t - r in each output array, so
-    # a = shift^k b reads out_a[i] == out_b[i + k + a.radius - b.radius]
-    delta = a.radius - b.radius
+    # a = shift^k b reads out_a[i] == out_b[i + k + radius_a - radius_b]
+    delta = radius_a - radius_b
     shifts = range(delta - max_offset, delta + max_offset + 1)
-    hits = [
-        j - delta
-        for j in shift_offsets(a.apply(sample), b.apply(sample), shifts, max_offset + 1)
-    ]
+    hits = [j - delta for j in shift_offsets(out_a, out_b, shifts, max_offset + 1)]
     if len(hits) > 1:
         raise InternalCheckError(
             f"shift identification ambiguous: offsets {hits} all match"
@@ -219,16 +218,19 @@ def search_automorphisms(
     )
     if ident_pos is None:
         raise InternalCheckError("identity code missing from the search result")
+    images = [code.apply(sample) for code in codes]
+
+    def shift_to(out: Sequence[int], radius: int, r: int) -> int | None:
+        return _equal_mod_shift(
+            out, radius, images[r], codes[r].radius, radius + codes[r].radius
+        )
+
     # identity leads its shift class so the quotient identity is the real one
     reps: list[int] = [ident_pos]
     for i, code in enumerate(codes):
         if i == ident_pos:
             continue
-        if not any(
-            _equal_mod_shift(code, codes[r], sample, code.radius + codes[r].radius)
-            is not None
-            for r in reps
-        ):
+        if all(shift_to(images[i], code.radius, r) is None for r in reps):
             reps.append(i)
     elements = tuple(codes[i] for i in reps)
     identity_index = 0
@@ -238,12 +240,10 @@ def search_automorphisms(
         row = []
         for j in reps:
             comp = compose_codes(codes[i], codes[j], lang)
+            comp_image = comp.apply(sample)
             hit = None
             for pos, r in enumerate(reps):
-                k = _equal_mod_shift(
-                    comp, codes[r], sample, comp.radius + codes[r].radius
-                )
-                if k is not None:
+                if shift_to(comp_image, comp.radius, r) is not None:
                     hit = pos
                     break
             if hit is None:

@@ -89,8 +89,9 @@ class AlgebraicNumber:
             if len(asc) < 2:
                 continue
             for (lo, hi), _mult in fac.intervals():
+                # rational endpoints around one simple irrational root: the
+                # signs there differ, and __post_init__ checks that they do
                 lo_f, hi_f = Fraction(int(lo.p), int(lo.q)), Fraction(int(hi.p), int(hi.q))
-                lo_f, hi_f = _nudge_open(asc, lo_f, hi_f)
                 out.append(cls(asc, lo_f, hi_f))
         out.sort(key=lambda a: a.approx(Fraction(1, 10**6)))
         return out
@@ -146,37 +147,6 @@ class AlgebraicNumber:
         if lo >= hi:
             return False
         return (eval_ascending(self.minpoly, lo) > 0) != (eval_ascending(self.minpoly, hi) > 0)
-
-
-def _nudge_open(asc: Sequence[int], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink a closed isolating interval so neither endpoint is a root and
-    the endpoint values have opposite signs."""
-    # endpoints of sympy isolating intervals can be the root itself only for
-    # rational roots, excluded here (irreducible degree >= 2); still the value
-    # at an endpoint can share sign issues if an endpoint equals a root of
-    # another factor, so bisect until signs differ.
-    slo = eval_ascending(asc, lo)
-    shi = eval_ascending(asc, hi)
-    while slo == 0 or shi == 0 or (slo > 0) == (shi > 0):
-        # move endpoints inward keeping exactly one root inside
-        third = (hi - lo) / 3
-        cand_lo, cand_hi = lo + third, hi - third
-        s_cl = eval_ascending(asc, cand_lo)
-        s_ch = eval_ascending(asc, cand_hi)
-        if s_cl != 0 and s_ch != 0 and (s_cl > 0) != (s_ch > 0):
-            lo, hi, slo, shi = cand_lo, cand_hi, s_cl, s_ch
-            break
-        if s_cl != 0 and slo != 0 and (s_cl > 0) != (slo > 0):
-            hi, shi = cand_lo, s_cl
-        elif s_ch != 0 and shi != 0 and (s_ch > 0) != (shi > 0):
-            lo, slo = cand_hi, s_ch
-        else:
-            # root sits in the middle third; widen the middle
-            lo = lo + third / 2 if slo == 0 else lo
-            hi = hi - third / 2 if shi == 0 else hi
-            slo = eval_ascending(asc, lo)
-            shi = eval_ascending(asc, hi)
-    return lo, hi
 
 
 class NumberField:
@@ -465,112 +435,51 @@ def _interval_eval(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction) -> tu
 # root location relative to the unit circle, exactly
 
 
-def _is_palindromic(asc: Sequence[int]) -> bool:
-    return list(asc) == list(reversed(asc))
-
-
-def _chebyshev_like(m: int) -> list[sympy.Poly]:
-    """p_k with p_k(x + 1/x) = x^k + x^-k: p_0 = 2, p_1 = t, recurrence
-    p_{k+1} = t p_k - p_{k-1}."""
-    t = sympy.Symbol("t")
-    ps = [sympy.Poly(2, t), sympy.Poly(t, t)]
-    for _ in range(2, m + 1):
-        ps.append(sympy.Poly(t, t) * ps[-1] - ps[-2])
-    return ps[: m + 1]
-
-
-def count_unit_circle_roots(asc: Sequence[int]) -> int:
-    """Number of roots (with multiplicity 1, the factor being irreducible) of
-    an irreducible integer polynomial lying on the unit circle."""
-    deg = len(asc) - 1
-    if deg == 1:
-        num, den = abs(asc[0]), abs(asc[1])
-        return 1 if num == den else 0
-    # an irreducible factor with a circle root z also has 1/z as a root, so it
-    # is self-reciprocal up to sign; odd-degree or anti-palindromic cases
-    # force a rational root (+-1), impossible for irreducible degree >= 2
-    if not _is_palindromic(asc):
-        return 0
-    if deg % 2 == 1:
-        return 0
-    m = deg // 2
-    ps = _chebyshev_like(m)
-    t = sympy.Symbol("t")
-    r = sympy.Poly(asc[m], t)
-    for k in range(1, m + 1):
-        r = r + int(asc[m + k]) * ps[k]
-    # roots of r in (-2, 2) correspond to conjugate circle pairs; endpoints
-    # would mean +-1 is a root of the original, excluded
-    cnt = r.count_roots(-2, 2)
-    return 2 * int(cnt)
-
-
 def classify_roots_vs_unit_circle(asc: Sequence[int]) -> tuple[int, int, int]:
     """(inside, on, outside) counts for the roots of an irreducible integer
-    polynomial relative to the unit circle. Exact."""
-    deg = len(asc) - 1
+    polynomial relative to the unit circle, exact and read off the
+    coefficients.
+
+    A self-reciprocal factor has its roots in pairs z, 1/z, so inside and
+    outside are equal; its circle roots are twice the real roots in (-2, 2)
+    of the polynomial r with z^(-d/2) p(z) = r(z + 1/z).  Any other
+    irreducible factor of degree d >= 2 is coprime to its reversal: sharing
+    a factor would make it anti-reciprocal, and then it would vanish at 1.
+    So it has no circle root (a circle root z is also a root 1/z-bar of the
+    reversal) and its Schur-Cohn form H is nonsingular (Krein-Naimark 1936).
+    The roots inside are the positive eigenvalues of H: the sign changes of
+    its characteristic polynomial, which Descartes' rule counts exactly
+    because H is symmetric, so that polynomial is real-rooted.
+    """
+    a = [int(c) for c in asc]
+    deg = len(a) - 1
     if deg == 1:
-        num, den = abs(asc[0]), abs(asc[1])
+        num, den = abs(a[0]), abs(a[1])
         if num == den:
             return (0, 1, 0)
         return (1, 0, 0) if num < den else (0, 0, 1)
-    on = count_unit_circle_roots(asc)
-    p = poly_from_ascending(asc)
-    roots = p.all_roots(radicals=False)
-    inside = outside = 0
-    undecided = []
-    for r in roots:
-        side = _root_side_of_circle(r, max_halvings=64 if on == 0 else 24)
-        if side == -1:
-            inside += 1
-        elif side == 1:
-            outside += 1
-        else:
-            undecided.append(r)
-    if len(undecided) != on:
-        # refine harder on the undecided ones; with the known on-circle count
-        # the loop below must converge
-        still = []
-        for r in undecided:
-            side = _root_side_of_circle(r, max_halvings=128)
-            if side == -1:
-                inside += 1
-            elif side == 1:
-                outside += 1
-            else:
-                still.append(r)
-        undecided = still
-    if len(undecided) != on:
-        raise InternalCheckError("circle classification did not converge")
-    return inside, on, outside
-
-
-def _root_side_of_circle(root, max_halvings: int) -> int:
-    """-1 inside, 1 outside, 0 undecided after the refinement budget.
-
-    sympy may present a root as c*CRootOf(q, i) with c rational, after
-    rescaling the polynomial; the root of q is then refined to eps/|c|.
-    """
-    scale, base = root.as_coeff_Mul()
-    factor = Fraction(int(scale.p), int(scale.q))
-    eps = sympy.Rational(1, 4)
-    for _ in range(max_halvings):
-        val = base.eval_rational(eps / abs(scale), eps / abs(scale))
-        re = factor * Fraction(int(sympy.re(val).p), int(sympy.re(val).q))
-        im = factor * Fraction(int(sympy.im(val).p), int(sympy.im(val).q))
-        e = Fraction(eps.p, eps.q)
-        lo_sq = _clip_nonneg(abs(re) - e) ** 2 + _clip_nonneg(abs(im) - e) ** 2
-        hi_sq = (abs(re) + e) ** 2 + (abs(im) + e) ** 2
-        if hi_sq < 1:
-            return -1
-        if lo_sq > 1:
-            return 1
-        eps = eps / 16
-    return 0
-
-
-def _clip_nonneg(q: Fraction) -> Fraction:
-    return q if q > 0 else Fraction(0)
+    if a == a[::-1]:
+        # odd degree would give the root -1, so deg = 2m; x^k + x^-k is
+        # p_k(x + 1/x) with p_0 = 2, p_1 = t, p_(k+1) = t p_k - p_(k-1)
+        m = deg // 2
+        t = sympy.Poly(_X, _X)
+        p_prev, p_k = sympy.Poly(2, _X), t
+        r = sympy.Poly(a[m], _X)
+        for k in range(1, m + 1):
+            r += a[m + k] * p_k
+            p_prev, p_k = p_k, t * p_k - p_prev
+        # +-2 would make +-1 a root, so the open interval loses nothing
+        on = 2 * int(r.count_roots(-2, 2))
+        return ((deg - on) // 2, on, (deg - on) // 2)
+    # H_jk = sum_(p=1)^min(j,k) (a_(d-j+p) a_(d-k+p) - a_(j-p) a_(k-p)),
+    # 1 <= j, k <= d, built here from 0-based j, k
+    h = sympy.Matrix(deg, deg, lambda j, k: sum(
+        a[deg - j - 1 + p] * a[deg - k - 1 + p] - a[j + 1 - p] * a[k + 1 - p]
+        for p in range(1, min(j, k) + 2)
+    ))
+    signs = [c > 0 for c in h.charpoly().all_coeffs() if c != 0]
+    inside = sum(x != y for x, y in zip(signs, signs[1:]))
+    return inside, 0, deg - inside
 
 
 def factor_charpoly(matrix: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], int]]:
@@ -614,9 +523,6 @@ def minimal_polynomial_of_element(field: NumberField, a: FieldElement) -> tuple[
             if f.LC() < 0:
                 f = -f
             return ascending_from_poly(f)
-        if len(live) == 0:
-            # interval missed every sign change; shrink and retry
-            pass
         eps = eps / 16
 
 

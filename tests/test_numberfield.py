@@ -1,11 +1,20 @@
+import json
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
+from flowmcg.cli import run
 from flowmcg.errors import ValidationError
-from flowmcg.numberfield import AlgebraicNumber, NumberField, classify_roots_vs_unit_circle
-from flowmcg.pf import cr_check
-from flowmcg.substitution import Substitution
+from flowmcg.numberfield import (
+    AlgebraicNumber,
+    NumberField,
+    classify_roots_vs_unit_circle,
+    factor_charpoly,
+)
+from flowmcg.pf import cr_check, is_pisot
+from flowmcg.substitution import Substitution, incidence_matrix
 
 
 def _field_of(asc, index=-1):
@@ -57,3 +66,178 @@ def test_balance_check_with_a_scaled_dominant_factor():
     verdict = cr_check(sub)
     assert verdict.verdict == "Inconclusive"
     assert verdict.factor_reports[0].outside == 2
+
+
+# ---------------------------------------------------------------------------
+# the unit-circle classifier against the root isolation it replaced
+
+# the ten primitive aperiodic inputs of test_criterion_09, then the first
+# twelve primitive aperiodic draws of its generator (seed 20260822)
+CORPUS = [
+    {"0": "01", "1": "0"},
+    {"0": "01", "1": "10"},
+    {"0": "01", "1": "02", "2": "0"},
+    {"0": "012230", "1": "123301", "2": "230012", "3": "301123"},
+    {"0": "01", "1": "00"},
+    {"0": "0111", "1": "0"},
+    {"0": "0012", "1": "12", "2": "012"},
+    {"0": "011", "1": "01"},
+    {"0": "01", "1": "12", "2": "23", "3": "30"},
+    {"0": "02", "1": "01", "2": "1"},
+    {"0": "01", "1": "010"},
+    {"0": "1100", "1": "100"},
+    {"0": "111", "1": "101"},
+    {"0": "1202", "1": "2", "2": "0"},
+    {"0": "221", "1": "001", "2": "21"},
+    {"0": "1111", "1": "010"},
+    {"0": "21", "1": "0210", "2": "2011"},
+    {"0": "1010", "1": "00"},
+    {"0": "021", "1": "02", "2": "21"},
+    {"0": "0010", "1": "101"},
+    {"0": "010", "1": "011"},
+    {"0": "1101", "1": "00"},
+]
+
+
+def _reference_on_circle(asc):
+    """Circle roots of an irreducible polynomial: none unless it is
+    palindromic of even degree, then twice the real roots in (-2, 2) of
+    its polynomial in t = x + 1/x."""
+    deg = len(asc) - 1
+    if deg == 1:
+        return 1 if abs(asc[0]) == abs(asc[1]) else 0
+    if list(asc) != list(reversed(asc)) or deg % 2 == 1:
+        return 0
+    m = deg // 2
+    t = sympy.Symbol("t")
+    ps = [sympy.Poly(2, t), sympy.Poly(t, t)]
+    for _ in range(2, m + 1):
+        ps.append(sympy.Poly(t, t) * ps[-1] - ps[-2])
+    r = sympy.Poly(asc[m], t)
+    for k in range(1, m + 1):
+        r = r + int(asc[m + k]) * ps[k]
+    return 2 * int(r.count_roots(-2, 2))
+
+
+def _reference_side(root, max_halvings):
+    """-1 inside, 1 outside, 0 undecided, from sympy's isolating boxes of a
+    root presented as c * CRootOf(q, i)."""
+    scale, base = root.as_coeff_Mul()
+    factor = Fraction(int(scale.p), int(scale.q))
+    eps = sympy.Rational(1, 4)
+    for _ in range(max_halvings):
+        val = base.eval_rational(eps / abs(scale), eps / abs(scale))
+        re = factor * Fraction(int(sympy.re(val).p), int(sympy.re(val).q))
+        im = factor * Fraction(int(sympy.im(val).p), int(sympy.im(val).q))
+        e = Fraction(eps.p, eps.q)
+        lo_sq = max(abs(re) - e, 0) ** 2 + max(abs(im) - e, 0) ** 2
+        hi_sq = (abs(re) + e) ** 2 + (abs(im) + e) ** 2
+        if hi_sq < 1:
+            return -1
+        if lo_sq > 1:
+            return 1
+        eps = eps / 16
+    return 0
+
+
+def reference_classify(asc):
+    """The earlier classifier: isolate every complex root and refine its box
+    until it clears the circle; the circle roots never do."""
+    deg = len(asc) - 1
+    if deg == 1:
+        num, den = abs(asc[0]), abs(asc[1])
+        if num == den:
+            return (0, 1, 0)
+        return (1, 0, 0) if num < den else (0, 0, 1)
+    on = _reference_on_circle(asc)
+    undecided = sympy.Poly(list(reversed(asc)), sympy.Symbol("x")).all_roots(radicals=False)
+    inside = outside = 0
+    # a second, longer pass only when the first leaves more than the circle
+    for halvings in (64 if on == 0 else 24, 128):
+        if len(undecided) == on:
+            break
+        sides = [(_reference_side(root, halvings), root) for root in undecided]
+        inside += sum(side == -1 for side, _ in sides)
+        outside += sum(side == 1 for side, _ in sides)
+        undecided = [root for side, root in sides if side == 0]
+    assert len(undecided) == on
+    return inside, on, outside
+
+
+def _corpus_factors():
+    factors = set()
+    for rules in CORPUS:
+        sub = Substitution.from_rules(rules)
+        for k in (1, 2, 3):
+            factors.update(f for f, _ in factor_charpoly(incidence_matrix(sub.power(k))))
+    return sorted(factors)
+
+
+def _random_factors(count, seed=20261018):
+    """Seeded irreducible integer polynomials of degree 2-5 that are not
+    self-reciprocal (the reference is slow on circle roots)."""
+    rng = random.Random(seed)
+    x = sympy.Symbol("x")
+    out = []
+    while len(out) < count:
+        asc = [rng.randint(-5, 5) for _ in range(rng.randint(2, 5) + 1)]
+        if asc[-1] <= 0 or asc == asc[::-1]:
+            continue
+        if sympy.Poly(list(reversed(asc)), x).is_irreducible:
+            out.append(tuple(asc))
+    return out
+
+
+def test_circle_classification_matches_the_reference_on_the_corpus():
+    factors = _corpus_factors()
+    assert len(factors) == 56
+    for asc in factors:
+        assert classify_roots_vs_unit_circle(asc) == reference_classify(asc), asc
+
+
+def test_circle_classification_matches_the_reference_on_random_factors():
+    for asc in _random_factors(30):
+        assert classify_roots_vs_unit_circle(asc) == reference_classify(asc), asc
+
+
+@pytest.mark.parametrize("n", range(1, 40))
+def test_cyclotomic_roots_lie_on_the_circle(n):
+    x = sympy.Symbol("x")
+    asc = tuple(int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()))
+    assert classify_roots_vs_unit_circle(asc) == (0, int(sympy.totient(n)), 0)
+
+
+@pytest.mark.parametrize(
+    "asc, counts",
+    [
+        ((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1), (1, 8, 1)),  # Lehmer's
+        ((1, -1, -1, -1, 1), (1, 2, 1)),  # Salem x^4 - x^3 - x^2 - x + 1
+        ((1, -3, 1), (1, 0, 1)),
+        # |a_0| = |a_d| without being reciprocal
+        ((-1, 3, 1), (1, 0, 1)),
+    ],
+)
+def test_known_circle_counts(asc, counts):
+    assert classify_roots_vs_unit_circle(asc) == counts
+
+
+def test_a_circle_factor_is_reported_and_blocks_balance():
+    # charpoly (x - 2)(x^2 + 1): +-i lie on the circle
+    sub = Substitution.from_rules({"0": "01", "1": "21", "2": "00"})
+    verdict = cr_check(sub)
+    report = next(r for r in verdict.factor_reports if r.poly == (1, 0, 1))
+    assert (report.inside, report.on, report.outside) == (0, 2, 0)
+    assert report.component_vanishes is False
+    assert verdict.verdict == "Inconclusive"
+    assert not is_pisot(sub)
+
+
+def test_cr_cli_on_a_circulant_with_a_cyclotomic_factor(tmp_path, capsys):
+    # charpoly (x - 6) * Phi_5: equal column sums, not Pisot
+    rules = {"0": "101234", "1": "201234", "2": "301234", "3": "401234", "4": "001234"}
+    path = tmp_path / "circulant.json"
+    path.write_text(json.dumps({"alphabet": list("01234"), "rules": rules}))
+    assert run(["cr", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "ExactCR"
+    assert payload["pisot"] is False

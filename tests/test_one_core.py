@@ -168,16 +168,17 @@ def test_equal_mod_shift_offsets(fib):
     sample = fixed_point(fib, 0, 200, 2)
     ident = SlidingBlockCode.shift_power(fib.alphabet, lang, 0)
     shift = SlidingBlockCode.shift_power(fib.alphabet, lang, 1)
-    assert _equal_mod_shift(ident, ident, sample, 0) == 0
-    assert _equal_mod_shift(shift, ident, sample, 1) == 1
-    assert _equal_mod_shift(ident, shift, sample, 1) == -1
+    ident_out, shift_out = ident.apply(sample), shift.apply(sample)
+    assert _equal_mod_shift(ident_out, 0, ident_out, 0, 0) == 0
+    assert _equal_mod_shift(shift_out, shift.radius, ident_out, 0, 1) == 1
+    assert _equal_mod_shift(ident_out, 0, shift_out, shift.radius, 1) == -1
 
 
 def test_equal_mod_shift_ambiguous_on_a_periodic_sample():
     alphabet = Alphabet.of("01")
     ident = SlidingBlockCode(alphabet, alphabet, 0, {(0,): 0, (1,): 1})
     with pytest.raises(InternalCheckError, match="ambiguous"):
-        _equal_mod_shift(ident, ident, (0, 1) * 20, 2)
+        _equal_mod_shift(ident.apply((0, 1) * 20), 0, ident.apply((0, 1) * 20), 0, 2)
 
 
 def test_decompose_into_returns_rejects_an_unknown_piece():
