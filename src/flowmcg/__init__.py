@@ -50,6 +50,7 @@ from .pf import cr_check, cylinder_measure, is_pisot, pf_data
 from .substitution import (
     Substitution,
     complexity,
+    complexity_profile,
     incidence_matrix,
     is_aperiodic,
     is_primitive,
@@ -77,6 +78,7 @@ __all__ = [
     "cocycle_slopes",
     "coinvariants_report",
     "complexity",
+    "complexity_profile",
     "compose_flow_codes",
     "cr_check",
     "cylinder_class",

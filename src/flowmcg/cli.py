@@ -53,7 +53,7 @@ from .mcg import (
 )
 from .numberfield import FieldElement
 from .pf import cr_check, is_pisot, pf_data
-from .substitution import Substitution, complexity, incidence_matrix
+from .substitution import Substitution, complexity_profile, incidence_matrix
 from .words import SlidingBlockCode
 
 
@@ -127,7 +127,8 @@ def _cmd_language(args) -> None:
 
 def _cmd_complexity(args) -> None:
     sub = _load_sub(args.file)
-    values = {str(n): complexity(sub, n) for n in range(1, args.n_max + 1)}
+    profile = complexity_profile(sub, args.n_max) if args.n_max >= 1 else ()
+    values = {str(n): p for n, p in enumerate(profile, start=1)}
     _emit({"n_max": args.n_max, "complexity": values}, args.out)
 
 

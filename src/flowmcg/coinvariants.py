@@ -242,7 +242,6 @@ class DirectLimitGroup:
         field: NumberField,
         u_n: tuple[FieldElement, ...],
         base_measure: FieldElement,
-        pf_n: PFData,
     ) -> None:
         self.derived = derived
         self.n_matrix = n_matrix
@@ -250,7 +249,6 @@ class DirectLimitGroup:
         self.field = field
         self.u_n = u_n
         self.base_measure = base_measure
-        self.pf_n = pf_n
         self.dimension = len(n_matrix)
         basis, _steps = eventual_kernel(n_matrix)
         self.eventual_kernel_basis = tuple(basis)
@@ -357,17 +355,14 @@ def build_coinvariants(sub: Substitution, base: int | str | None = None) -> Dire
         try:
             vec, total = positive_eigenvector(field, n_try, lam_d, transposed=True)
             u_n = tuple(x / total for x in vec)
-            pf_n = pf_data(n_try)
-            group = DirectLimitGroup(
+            return DirectLimitGroup(
                 derived=derived,
                 n_matrix=n_try,
                 orientation=orientation,
                 field=field,
                 u_n=u_n,
                 base_measure=base_measure,
-                pf_n=pf_n,
             )
-            return group
         except InternalCheckError as exc:
             last_error = exc
     raise InternalCheckError(

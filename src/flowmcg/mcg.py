@@ -26,7 +26,7 @@ from .errors import InternalCheckError, ValidationError
 from .flows import lambda_relation_search, r_mu, substitution_code
 from .numberfield import AlgebraicNumber, same_real_algebraic
 from .pf import BalanceVerdict, cr_check, is_pisot, pf_data
-from .substitution import Substitution, is_aperiodic, is_primitive
+from .substitution import Substitution, complexity_profile, is_aperiodic, is_primitive
 
 
 def algebraic_to_json(a: AlgebraicNumber) -> dict:
@@ -489,10 +489,10 @@ def virtually_abelian_report(obj, n_max: int = 24) -> VirtuallyAbelianReport:
     """
     notes: list[str] = []
     if isinstance(obj, Substitution):
-        lang = obj.language(n_max)
+        profile = complexity_profile(obj, n_max)
         # tail of the window only: small n understate the growth rate
         lo = max(1, n_max // 2)
-        ratios = [Fraction(lang.complexity(n), n) for n in range(lo, n_max + 1)]
+        ratios = [Fraction(profile[n - 1], n) for n in range(lo, n_max + 1)]
         min_ratio = min(ratios)
         k = _ceil_fraction(min_ratio)
         classes = asymptotic_classes(obj)

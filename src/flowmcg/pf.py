@@ -229,7 +229,6 @@ class BalanceVerdict:
     verdict: str
     alpha: FieldElement | None
     factor_reports: tuple[FactorReport, ...]
-    residual_norms: tuple[float, ...]
     reasons: tuple[str, ...]
 
     @property
@@ -272,7 +271,6 @@ def cr_check(obj) -> BalanceVerdict:
             verdict="ExactCR",
             alpha=field.rational(n),
             factor_reports=(),
-            residual_norms=(),
             reasons=("all incidence column sums equal",),
         )
 
@@ -333,7 +331,6 @@ def cr_check(obj) -> BalanceVerdict:
             verdict="Inconclusive",
             alpha=None,
             factor_reports=tuple(reports),
-            residual_norms=(),
             reasons=tuple(reasons),
         )
 
@@ -375,18 +372,10 @@ def cr_check(obj) -> BalanceVerdict:
     if alpha.sign() <= 0:
         raise InternalCheckError("dominant coefficient of the constant row "
                                  "is not positive")
-
-    resid = [1.0 - float(alpha * u) for u in data.left]
-    norms = [max(abs(v) for v in resid)]
-    cur = resid
-    for _ in range(12):
-        cur = [sum(cur[i] * m[i][j] for i in range(n)) for j in range(n)]
-        norms.append(max(abs(v) for v in cur))
     return BalanceVerdict(
         verdict="ProvedCR",
         alpha=alpha,
         factor_reports=tuple(reports),
-        residual_norms=tuple(norms),
         reasons=("all non-contracting components of the constant vector vanish",),
     )
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Hashable, Mapping, Sequence, TypeVar
 
 from .errors import ResourceLimitError, ValidationError
@@ -243,6 +244,29 @@ def complexity(sub: Substitution, n: int) -> int:
     return sub.language(n).complexity(n)
 
 
+def complexity_profile(sub: Substitution, n_max: int) -> tuple[int, ...]:
+    """p(1), ..., p(n_max), memoised, from the one build of L_{n_max}.
+
+    Every block of the language extends to the right, so L_n is the set of
+    length-n prefixes of L_{n_max}.  In sorted order, a block sharing exactly
+    l leading symbols with its predecessor starts a new length-n prefix for
+    every n > l.  Without primitivity the windows built need not extend, so
+    the profile is refused."""
+    return sub.cached(("complexity_profile", n_max), lambda: _prefix_counts(sub, n_max))
+
+
+def _prefix_counts(sub: Substitution, n_max: int) -> tuple[int, ...]:
+    if not is_primitive(sub):
+        raise ValidationError("complexity profile expects a primitive substitution")
+    blocks = sorted(sub.language(n_max).blocks_of(n_max))
+    # starts[l]: neighbours whose longest common prefix has length l; the
+    # first block, if any, starts a prefix of every length
+    starts = [0] * n_max
+    for u, v in zip(blocks, blocks[1:]):
+        starts[next(i for i, (a, b) in enumerate(zip(u, v)) if a != b)] += 1
+    return tuple(accumulate(starts, initial=min(1, len(blocks))))[1:]
+
+
 @dataclass(frozen=True)
 class PeriodicityVerdict:
     periodic: bool
@@ -253,16 +277,21 @@ class PeriodicityVerdict:
 
 def is_aperiodic(sub: Substitution, n_check: int = 50) -> PeriodicityVerdict:
     """Complexity screen: p(n) <= n for some n <= n_check forces periodicity.
+    The counts p(1..n_check) are read off the sorted L_{n_check}.
 
     A periodic verdict exhibits a word w with the subshift equal to the orbit
     closure of w repeated. An aperiodic verdict is certified to the window.
     """
     if not is_primitive(sub):
         raise ValidationError("aperiodicity check expects a primitive substitution")
-    lang = sub.language(max(2, n_check))
-    for n in range(1, n_check + 1):
-        if lang.complexity(n) <= n:
-            q = lang.complexity(n)
+    if sub.size == 1:
+        # the single point 0^oo; 0 -> 0 has no 2-block to build a language from
+        return PeriodicityVerdict(
+            periodic=True, window=n_check, period=1, periodic_word=Word(sub.alphabet, (0,))
+        )
+    profile = complexity_profile(sub, n_check) if n_check >= 1 else ()
+    for n, q in enumerate(profile, start=1):
+        if q <= n:
             # p is nondecreasing and p(q) = p(q+1) = q here; period is q
             lang_q = sub.language(2 * q)
             for w in sorted(lang_q.blocks_of(q)):

@@ -184,3 +184,19 @@ def test_validation_failures_exit_one(tmp_path):
     periodic = tmp_path / "periodic.json"
     periodic.write_text(json.dumps({"alphabet": ["0", "1"], "rules": {"0": "0", "1": "1"}}))
     assert run(["analyze", str(periodic)]) == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "coinvariants", "asymptotics"])
+def test_one_letter_identity_exits_one_as_periodic(capsys, tmp_path, command):
+    # 0 -> 0 is primitive but its images hold no 2-block, so L_2 is empty
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps({"alphabet": ["0"], "rules": {"0": "0"}}))
+    assert run([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "periodic" in captured.err
+
+
+def test_complexity_below_length_one_is_an_empty_table(capsys, tm_file):
+    payload = run_json(capsys, ["complexity", tm_file, "--n-max", "0"])
+    assert payload == {"n_max": 0, "complexity": {}}
