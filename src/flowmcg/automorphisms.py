@@ -13,19 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .asymptotics import stabilize_power
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
 from .flows import INVERSE_RADIUS_BUDGET, _check_roundtrip, _search_inverse
 from .substitution import Substitution, cycle_lengths, fixed_point, is_primitive
-from .words import (
-    LanguageTable,
-    SlidingBlockCode,
-    code_preserves_language,
-    compose_codes,
-    shift_offsets,
-)
+from .words import LanguageTable, SlidingBlockCode, shift_offsets
 
 DEFAULT_RADIUS = 2
 DEFAULT_CHECK_DEPTH = 12
@@ -135,13 +130,14 @@ def _enumerate_candidates(
                 pos[i] = len(order)
                 order.append(i)
                 stack.extend(reversed(succ[i]))
-    # each block is checked at the position of its last window in the order
-    closing: list[list[tuple[tuple[int, ...], frozenset]]] = [[] for _ in blocks]
+    # each block is checked at the position of its last window in the order;
+    # n >= 2, so each getter reads a tuple of outputs
+    closing: list[list[tuple[itemgetter, frozenset]]] = [[] for _ in blocks]
     for n in range(2, n_check + 1):
         images = lang.blocks_of(n)
         for w in lang.blocks_of(n + 2 * radius):
-            wins = tuple(index[w[i : i + width]] for i in range(n))
-            closing[max(pos[i] for i in wins)].append((wins, images))
+            wins = [index[w[i : i + width]] for i in range(n)]
+            closing[max(pos[i] for i in wins)].append((itemgetter(*wins), images))
 
     out = [0] * len(blocks)
     found: list[tuple[int, ...]] = []
@@ -161,14 +157,25 @@ def _enumerate_candidates(
                     f"search nodes at radius {radius}"
                 )
             out[i] = letter
-            if all(
-                tuple(out[j] for j in wins) in images for wins, images in closing[p]
-            ):
+            if all(get(out) in images for get, images in closing[p]):
                 walk(p + 1)
 
     walk(0)
     found.sort()
     return blocks, found
+
+
+def _window_indices(
+    seq: Sequence[int], width: int, index: Mapping[tuple[int, ...], int]
+) -> list[int]:
+    """The index of each length-`width` window of seq, in order."""
+    t = tuple(seq)
+    try:
+        return list(map(index.__getitem__, zip(*(t[k:] for k in range(width)))))
+    except KeyError as exc:
+        raise InternalCheckError(
+            f"sample window {exc.args[0]} is not an admissible window"
+        ) from None
 
 
 def search_automorphisms(
@@ -180,8 +187,10 @@ def search_automorphisms(
 
     Searches the output assignments on admissible windows, pruned by the
     language to depth n_check (at most CANDIDATE_BUDGET search nodes), keeps
-    the survivors that pass the full language check and admit a verified
-    two-sided inverse code, then groups them modulo shift powers.
+    the assignments that admit a verified two-sided inverse code, then groups
+    them modulo shift powers.  Shift identification and the composition
+    table read the codes' outputs at the window indices of a fixed-point
+    sample and of its images.
     """
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
@@ -195,12 +204,11 @@ def search_automorphisms(
 
     codes: list[SlidingBlockCode] = []
     inverses: list[SlidingBlockCode] = []
+    kept: list[tuple[int, ...]] = []  # each code's outputs, in window order
     blocks, candidates = _enumerate_candidates(lang, radius, d, n_check)
     for outputs in candidates:
         rule = dict(zip(blocks, outputs))
         code = SlidingBlockCode(sub.alphabet, sub.alphabet, radius, rule)
-        if not code_preserves_language(code, lang, lang, n_check):
-            continue
         try:
             inv = _search_inverse(code, lang, lang)
             _check_roundtrip(code, inv, lang)
@@ -209,41 +217,45 @@ def search_automorphisms(
             continue
         codes.append(code)
         inverses.append(inv)
+        kept.append(outputs)
 
+    ident = tuple(w[radius] for w in blocks)
+    if ident not in kept:
+        raise InternalCheckError("identity code missing from the search result")
+    ident_pos = kept.index(ident)
+    # all codes read the same windows: index the sample's once, and read each
+    # code's image of it off the code's outputs
+    width = 2 * radius + 1
+    index = {w: i for i, w in enumerate(blocks)}
     seed = min(cycle_lengths(sub.first_letter_map()))
     sample = fixed_point(sub, seed, SHIFT_ID_WINDOW, stabilize_power(sub))
-    ident_rule = {w: w[radius] for w in lang.blocks_of(2 * radius + 1)}
-    ident_pos = next(
-        (i for i, c in enumerate(codes) if dict(c.rule) == ident_rule), None
-    )
-    if ident_pos is None:
-        raise InternalCheckError("identity code missing from the search result")
-    images = [code.apply(sample) for code in codes]
+    at_sample = _window_indices(sample, width, index)
+    images = [tuple(map(outputs.__getitem__, at_sample)) for outputs in kept]
 
-    def shift_to(out: Sequence[int], radius: int, r: int) -> int | None:
-        return _equal_mod_shift(
-            out, radius, images[r], codes[r].radius, radius + codes[r].radius
-        )
+    def shift_to(out: Sequence[int], out_radius: int, r: int) -> int | None:
+        return _equal_mod_shift(out, out_radius, images[r], radius, out_radius + radius)
 
     # identity leads its shift class so the quotient identity is the real one
     reps: list[int] = [ident_pos]
-    for i, code in enumerate(codes):
+    for i in range(len(codes)):
         if i == ident_pos:
             continue
-        if all(shift_to(images[i], code.radius, r) is None for r in reps):
+        if all(shift_to(images[i], radius, r) is None for r in reps):
             reps.append(i)
     elements = tuple(codes[i] for i in reps)
     identity_index = 0
 
+    # codes[i] after codes[j] is a code of radius 2r whose image of the
+    # sample is codes[i]'s outputs read at the windows of images[j]
+    at_image = {j: _window_indices(images[j], width, index) for j in reps}
     table = []
     for i in reps:
         row = []
         for j in reps:
-            comp = compose_codes(codes[i], codes[j], lang)
-            comp_image = comp.apply(sample)
+            comp_image = tuple(map(kept[i].__getitem__, at_image[j]))
             hit = None
             for pos, r in enumerate(reps):
-                if shift_to(comp_image, comp.radius, r) is not None:
+                if shift_to(comp_image, 2 * radius, r) is not None:
                     hit = pos
                     break
             if hit is None:

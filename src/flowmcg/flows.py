@@ -24,6 +24,7 @@ from .words import (
     SlidingBlockCode,
     Word,
     compose_codes,
+    language_violation,
 )
 
 DEFAULT_DEPTH = 12
@@ -425,7 +426,7 @@ def make_flow_code(
     n_fwd = min(depth, dom.n_max - 2 * code.radius, cod.n_max)
     if n_fwd < 1:
         raise ValidationError("source language too shallow for the code radius")
-    bad = _preserves(code, dom, cod, n_fwd)
+    bad = language_violation(code, dom, cod, n_fwd)
     if bad is not None:
         raise ValidationError(
             f"code image leaves the target language within depth {n_fwd}; "
@@ -434,7 +435,7 @@ def make_flow_code(
     inverse = _search_inverse(code, dom, cod)
     n_bwd = min(depth, cod.n_max - 2 * inverse.radius, dom.n_max)
     if n_bwd >= 1:
-        bad = _preserves(inverse, cod, dom, n_bwd)
+        bad = language_violation(inverse, cod, dom, n_bwd)
         if bad is not None:
             raise ValidationError(
                 f"inverse image leaves the source language within depth "
@@ -451,22 +452,6 @@ def make_flow_code(
         inverse=inverse,
         verified_depth=min(n_fwd, n_bwd if n_bwd >= 1 else n_fwd),
     )
-
-
-def _preserves(
-    code: SlidingBlockCode, dom: LanguageTable, cod: LanguageTable, n_max: int
-) -> tuple[int, ...] | None:
-    """None when every image block stays admissible, else a witness block."""
-    r = code.radius
-    for n in range(1, n_max + 1):
-        for w in dom.blocks_of(n + 2 * r):
-            try:
-                img = code.apply(w)
-            except ValidationError:
-                return w
-            if len(img) and not cod.admissible(img):
-                return w
-    return None
 
 
 def identity_code(sub: Substitution, depth: int = DEFAULT_DEPTH) -> FlowCode:

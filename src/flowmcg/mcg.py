@@ -124,7 +124,8 @@ def assemble_mcg(
     canonical self-similarity code, cross-checked exactly.  The finite part
     bounds the leaf-permutation group by (class count)! and, when the
     balance check certifies the embedding, identifies it with the
-    automorphism quotient found at the given radius.
+    automorphism quotient found at the given radius, whose order is checked
+    against the class count.
     """
     if not is_primitive(sub):
         raise ValidationError("substitution must be primitive")
@@ -175,9 +176,11 @@ def assemble_mcg(
     if cr.is_balanced:
         aut_report = search_automorphisms(sub, aut_radius, aut_depth)
         group = shift_quotient(aut_report)
-        if group.order > bound:
+        # Aut/<S> acts freely on the asymptotic classes
+        # (Donoso-Durand-Maass-Petite 2016), so its order is at most their count
+        if group.order > count:
             raise InternalCheckError(
-                f"quotient order {group.order} exceeds the class bound {bound}"
+                f"quotient order {group.order} exceeds the class count {count}"
             )
         if group.order == 1:
             description = "Z"

@@ -307,24 +307,19 @@ class SlidingBlockCode:
 def compose_codes(
     outer: SlidingBlockCode,
     inner: SlidingBlockCode,
-    domain_language: LanguageTable | None = None,
+    domain_language: LanguageTable,
 ) -> SlidingBlockCode:
-    """Code computing outer(inner(x)); radius is the sum of radii.
+    """Code computing outer(inner(x)) on the windows of domain_language;
+    radius is the sum of radii.
 
-    Windows come from domain_language when given, else from local consistency
-    of the inner rule. A window whose inner image is not covered by the outer
-    rule is a language mismatch and raises.
+    A window whose inner image is not covered by the outer rule is a
+    language mismatch and raises.
     """
     if inner.out_alphabet != outer.in_alphabet:
         raise ValidationError("codes not composable: alphabet mismatch")
     r = outer.radius + inner.radius
-    width = 2 * r + 1
-    if domain_language is not None:
-        domain_windows: Iterable[tuple[int, ...]] = domain_language.blocks_of(width)
-    else:
-        domain_windows = _locally_admissible(inner, width)
     rule: dict[tuple[int, ...], int] = {}
-    for win in domain_windows:
+    for win in domain_language.blocks_of(2 * r + 1):
         mid = inner.apply(win)  # length 2*outer.radius + 1
         try:
             rule[win] = outer.rule[tuple(mid)]
@@ -335,31 +330,24 @@ def compose_codes(
     return SlidingBlockCode(inner.in_alphabet, outer.out_alphabet, r, rule)
 
 
-def _locally_admissible(code: SlidingBlockCode, width: int) -> Iterator[tuple[int, ...]]:
-    """Words of the given width all of whose rule-width windows are rule keys."""
-    w = 2 * code.radius + 1
-    keys = set(code.rule.keys())
-    if width <= w:
-        # every key restricted to centered sub-windows; enumerate from keys
-        seen = set()
-        off = (w - width) // 2
-        for k in keys:
-            sub = k[off : off + width]
-            if sub not in seen:
-                seen.add(sub)
-                yield sub
-        return
-    # extend keys to the right by overlap
-    frontier: set[tuple[int, ...]] = set(keys)
-    while frontier and len(next(iter(frontier))) < width:
-        nxt: set[tuple[int, ...]] = set()
-        for word in frontier:
-            tail = word[-(w - 1):] if w > 1 else ()
-            for k in keys:
-                if k[: w - 1] == tail:
-                    nxt.add(word + k[-1:])
-        frontier = nxt
-    yield from frontier
+def language_violation(
+    code: SlidingBlockCode,
+    domain: LanguageTable,
+    codomain: LanguageTable,
+    n_max: int,
+) -> tuple[int, ...] | None:
+    """The first admissible block whose image, of length 1..n_max, is not
+    admissible (or not covered by the rule), else None."""
+    r = code.radius
+    for n in range(1, n_max + 1):
+        for w in domain.blocks_of(n + 2 * r):
+            try:
+                img = code.apply(w)
+            except ValidationError:
+                return w
+            if not codomain.admissible(img):
+                return w
+    return None
 
 
 def code_preserves_language(
@@ -369,17 +357,10 @@ def code_preserves_language(
     n_max: int,
 ) -> bool:
     """Images of admissible blocks are admissible, for outputs up to n_max."""
-    r = code.radius
-    for n in range(1, n_max + 1):
-        if n + 2 * r > domain.n_max:
-            raise ValidationError(
-                f"domain language too short: need blocks of length {n + 2 * r}"
-            )
-        for w in domain.blocks_of(n + 2 * r):
-            try:
-                img = code.apply(w)
-            except ValidationError:
-                return False
-            if not codomain.admissible(img):
-                return False
+    usable = max(0, min(n_max, domain.n_max - 2 * code.radius))
+    if language_violation(code, domain, codomain, usable) is not None:
+        return False
+    if usable < n_max:
+        need = usable + 1 + 2 * code.radius
+        raise ValidationError(f"domain language too short: need blocks of length {need}")
     return True

@@ -1,18 +1,30 @@
 """The pruned automorphism search against the unpruned one it replaced.
 
 `reference_candidates` lists every assignment of outputs to the windows
-that passes the 2-block check across overlaps; `search_automorphisms`
-then filters each one through the full language, inverse and round-trip
-checks.  Swapping it in gives the reference report.
+that passes the 2-block check across overlaps, and
+`reference_preserving_candidates` keeps those that pass the full language
+check; `search_automorphisms` then filters each one through the inverse and
+round-trip checks.  Swapping it in gives the reference report.
 """
+
+import dataclasses
 
 import pytest
 
-from flowmcg import automorphisms
-from flowmcg.automorphisms import _enumerate_candidates, search_automorphisms
-from flowmcg.errors import ResourceLimitError
-from flowmcg.substitution import Substitution
-from flowmcg.words import SlidingBlockCode, code_preserves_language
+from flowmcg import automorphisms, mcg, words
+from flowmcg.asymptotics import stabilize_power
+from flowmcg.automorphisms import (
+    _enumerate_candidates,
+    _equal_mod_shift,
+    _window_indices,
+    search_automorphisms,
+)
+from flowmcg.errors import InternalCheckError, ResourceLimitError
+from flowmcg.flows import INVERSE_RADIUS_BUDGET
+from flowmcg.mcg import assemble_mcg
+from flowmcg.pf import cr_check
+from flowmcg.substitution import Substitution, cycle_lengths, fixed_point
+from flowmcg.words import SlidingBlockCode, code_preserves_language, compose_codes
 
 # the ten primitive aperiodic substitutions of test_criterion_09
 FIXED = {
@@ -97,6 +109,25 @@ def reference_candidates(lang, radius, d, n_check):
     return blocks, found
 
 
+def reference_preserving_candidates(lang, radius, d, n_check):
+    """The reference candidates whose code preserves the language to depth
+    n_check, checked in full on each one."""
+    blocks, found = reference_candidates(lang, radius, d, n_check)
+    kept = [
+        outputs
+        for outputs in found
+        if code_preserves_language(
+            SlidingBlockCode(
+                lang.alphabet, lang.alphabet, radius, dict(zip(blocks, outputs))
+            ),
+            lang,
+            lang,
+            n_check,
+        )
+    ]
+    return blocks, kept
+
+
 def rules(codes):
     return [dict(c.rule) for c in codes]
 
@@ -105,7 +136,9 @@ def rules(codes):
 def test_search_matches_reference(monkeypatch, name, radius):
     sub = Substitution.from_rules(INPUTS[name])
     pruned = search_automorphisms(sub, radius=radius)
-    monkeypatch.setattr(automorphisms, "_enumerate_candidates", reference_candidates)
+    monkeypatch.setattr(
+        automorphisms, "_enumerate_candidates", reference_preserving_candidates
+    )
     reference = search_automorphisms(Substitution.from_rules(INPUTS[name]), radius=radius)
     assert rules(pruned.codes) == rules(reference.codes)
     assert rules(pruned.inverses) == rules(reference.inverses)
@@ -150,3 +183,124 @@ def test_candidates_are_the_language_preserving_assignments(name, radius, extra)
     ]
     assert found == expected
 
+
+
+@pytest.mark.parametrize("name,radius", CASES, ids=[f"{n}-r{r}" for n, r in CASES])
+def test_codes_preserve_the_language(name, radius):
+    sub = Substitution.from_rules(INPUTS[name])
+    report = search_automorphisms(sub, radius=radius)
+    lang = sub.language(report.n_check + 2 * radius)
+    assert report.codes
+    for code in report.codes:
+        assert code_preserves_language(code, lang, lang, report.n_check)
+
+
+def reference_table(report):
+    """The composition table built as before: each composite is a code over
+    every admissible window of its radius, applied to the shift sample."""
+    sub = report.sub
+    seed = min(cycle_lengths(sub.first_letter_map()))
+    sample = fixed_point(sub, seed, report.window, stabilize_power(sub))
+    lang = sub.language(4 * report.radius + 1)
+    images = [e.apply(sample) for e in report.elements]
+    table = []
+    for outer in report.elements:
+        row = []
+        for inner in report.elements:
+            comp = compose_codes(outer, inner, lang)
+            comp_image = comp.apply(sample)
+            hits = [
+                pos
+                for pos, e in enumerate(report.elements)
+                if _equal_mod_shift(
+                    comp_image,
+                    comp.radius,
+                    images[pos],
+                    e.radius,
+                    comp.radius + e.radius,
+                )
+                is not None
+            ]
+            assert len(hits) == 1
+            row.append(hits[0])
+        table.append(tuple(row))
+    return tuple(table)
+
+
+@pytest.mark.parametrize("name,radius", CASES, ids=[f"{n}-r{r}" for n, r in CASES])
+def test_table_matches_composed_codes(name, radius):
+    report = search_automorphisms(Substitution.from_rules(INPUTS[name]), radius=radius)
+    assert report.table == reference_table(report)
+
+
+def test_window_indices():
+    index = {(0, 1): 0, (1, 0): 1, (1, 1): 2}
+    assert _window_indices((0, 1, 1, 0, 1), 2, index) == [0, 2, 1, 0]
+    assert _window_indices((1,), 2, index) == []
+    with pytest.raises(InternalCheckError, match=r"\(0, 0\)"):
+        _window_indices((1, 0, 0, 1), 2, index)
+
+
+@pytest.mark.parametrize("name", ["tm", "cyclic4"])
+def test_search_makes_no_language_check_and_no_long_apply(monkeypatch, name):
+    radius = 1
+    checks = []
+
+    def counted(*args):
+        checks.append(args)
+        return code_preserves_language(*args)
+
+    monkeypatch.setattr(words, "code_preserves_language", counted)
+    monkeypatch.setattr(automorphisms, "code_preserves_language", counted, raising=False)
+    lengths = []
+    apply = SlidingBlockCode.apply
+
+    def recorded(self, seq):
+        lengths.append(len(seq))
+        return apply(self, seq)
+
+    monkeypatch.setattr(SlidingBlockCode, "apply", recorded)
+    report = search_automorphisms(Substitution.from_rules(INPUTS[name]), radius=radius)
+    # the language the search builds: its check depth, or the inverse budget
+    depth = max(report.n_check + 2 * radius, 2 * (radius + INVERSE_RADIUS_BUDGET) + 1)
+    assert len(report.elements) > 1
+    assert checks == []
+    assert lengths and max(lengths) <= depth
+
+
+# the inputs whose balance check certifies the embedding, so that
+# assemble_mcg identifies the finite part with the automorphism quotient
+BALANCED = (
+    "fib", "tm", "tribonacci", "cyclic4", "sigma4",
+    "pool00", "pool03", "pool06", "pool08", "pool10", "pool11",
+)
+# balanced too, but asymptotic_classes finds no class on them yet
+BALANCED_NO_CLASS = ("s0012_12_012", "s011_01", "s02_01_1", "pool01", "pool04")
+
+
+def test_balanced_inputs():
+    found = [
+        name
+        for name in INPUTS
+        if cr_check(Substitution.from_rules(INPUTS[name])).is_balanced
+    ]
+    assert sorted(found) == sorted(BALANCED + BALANCED_NO_CLASS)
+
+
+@pytest.mark.parametrize("name", BALANCED)
+def test_quotient_order_at_most_class_count(name):
+    finite = assemble_mcg(Substitution.from_rules(INPUTS[name])).finite_part
+    assert 1 <= finite.group.order <= finite.class_count
+
+
+def test_quotient_larger_than_class_count_is_refused(monkeypatch):
+    quotient = automorphisms.shift_quotient
+
+    def enlarged(report):
+        group = quotient(report)
+        return dataclasses.replace(group, order=len(group.table) + 1)
+
+    monkeypatch.setattr(mcg, "shift_quotient", enlarged)
+    # cyclic4: four classes, quotient Z/4; order 5 is within 4! but not 4
+    with pytest.raises(InternalCheckError, match="exceeds the class count 4"):
+        assemble_mcg(Substitution.from_rules(INPUTS["cyclic4"]))
