@@ -353,8 +353,7 @@ def build_coinvariants(sub: Substitution, base: int | str | None = None) -> Dire
     last_error: Exception | None = None
     for orientation, n_try in (("standard", n0), ("transposed", transpose(n0))):
         try:
-            vec, total = positive_eigenvector(field, n_try, lam_d, transposed=True)
-            u_n = tuple(x / total for x in vec)
+            u_n = positive_eigenvector(field, n_try, lam_d, transposed=True)
             return DirectLimitGroup(
                 derived=derived,
                 n_matrix=n_try,

@@ -2,8 +2,8 @@
 
 Matrices are tuples of row tuples. Kernels are saturated (computed through a
 Smith decomposition with unimodular transforms), lattices are canonicalized by
-row Hermite normal form over a common denominator. Elimination over a field
-(Q or a number field) is one Gauss–Jordan routine, `row_reduce`.
+row Hermite normal form over a common denominator. Elimination over Q is one
+Gauss–Jordan routine, `row_reduce`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import smith_normal_decomp
 
 from .errors import InternalCheckError, ValidationError
-from .numberfield import FieldElement
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -68,39 +67,29 @@ def smith_with_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]
     return u, d, v
 
 
-def row_reduce(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form of a matrix over a field, with its pivot
+def row_reduce(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of a rational matrix, with its pivot
     columns in order.
 
-    Entries are Fractions or elements of one NumberField.  Deterministic:
-    the pivot of each column is the first nonzero entry at or below the
-    current row.  Each pivot is inverted once, since field inversion is the
-    costly step.
+    Deterministic: the pivot of each column is the first nonzero entry at or
+    below the current row.  Each pivot is inverted once.
     """
     a = [list(r) for r in rows]
     pivots: list[int] = []
     for col in range(len(a[0]) if a else 0):
         rank = len(pivots)
-        piv = next((r for r in range(rank, len(a)) if not _is_zero(a[r][col])), None)
+        piv = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
-        inv = _inverse(a[rank][col])
+        inv = 1 / a[rank][col]
         a[rank] = [x * inv for x in a[rank]]
         for r in range(len(a)):
-            if r != rank and not _is_zero(a[r][col]):
+            if r != rank and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
         pivots.append(col)
     return a, pivots
-
-
-def _is_zero(x) -> bool:
-    return x.is_zero() if isinstance(x, FieldElement) else x == 0
-
-
-def _inverse(x):
-    return x.field.inv(x) if isinstance(x, FieldElement) else 1 / x
 
 
 def invert(rows: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:

@@ -15,6 +15,8 @@ from fractions import Fraction
 from typing import Sequence
 
 import sympy
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from .errors import InternalCheckError, ValidationError
 
@@ -74,27 +76,27 @@ class AlgebraicNumber:
 
     @classmethod
     def real_roots_of(cls, coeffs_asc: Sequence[int]) -> list["AlgebraicNumber"]:
-        """All real roots of an integer polynomial, each exactly isolated."""
-        p = poly_from_ascending(coeffs_asc)
-        out: list[AlgebraicNumber] = []
-        for fac, _mult in p.factor_list()[1]:
+        """All real roots of an integer polynomial, each exactly isolated,
+        in increasing order."""
+        roots = []
+        for fac, _mult in poly_from_ascending(coeffs_asc).factor_list()[1]:
             fac = fac.primitive()[1]
-            if fac.LC() < 0:
-                fac = -fac
-            asc = ascending_from_poly(fac)
-            if len(asc) == 2:
-                q = Fraction(-asc[0], asc[1])
-                out.append(cls((-q.numerator, q.denominator), q, q))
-                continue
-            if len(asc) < 2:
-                continue
-            for (lo, hi), _mult in fac.intervals():
-                # rational endpoints around one simple irrational root: the
-                # signs there differ, and __post_init__ checks that they do
-                lo_f, hi_f = Fraction(int(lo.p), int(lo.q)), Fraction(int(hi.p), int(hi.q))
-                out.append(cls(asc, lo_f, hi_f))
-        out.sort(key=lambda a: a.approx(Fraction(1, 10**6)))
-        return out
+            roots += cls.roots_of_irreducible(ascending_from_poly(fac if fac.LC() > 0 else -fac))
+        return sorted(roots)
+
+    @classmethod
+    def roots_of_irreducible(cls, asc: Sequence[int]) -> list["AlgebraicNumber"]:
+        """The real roots of an irreducible integer polynomial (ascending,
+        primitive, positive leading coefficient), each exactly isolated."""
+        if len(asc) == 2:
+            q = Fraction(-asc[0], asc[1])
+            return [cls((-q.numerator, q.denominator), q, q)]
+        # rational endpoints around one simple irrational root: the signs
+        # there differ, and __post_init__ checks that they do
+        return [
+            cls(tuple(asc), Fraction(int(lo.p), int(lo.q)), Fraction(int(hi.p), int(hi.q)))
+            for (lo, hi), _mult in poly_from_ascending(asc).intervals()
+        ]
 
     def refined(self, width: Fraction) -> "AlgebraicNumber":
         if self.is_rational:
@@ -134,6 +136,18 @@ class AlgebraicNumber:
         while cur.lo <= q <= cur.hi:
             cur = cur.refined((cur.hi - cur.lo) / 4)
         return 1 if cur.lo > q else -1
+
+    def __lt__(self, other: "AlgebraicNumber") -> bool:
+        """Exact order.  An irrational number lies strictly inside its
+        interval and a rational one is its own, so intervals that do not
+        overlap (they may share an endpoint) order their numbers; copies of
+        overlapping intervals are halved until they do not."""
+        a, b = self, other
+        while not a.equals(b):
+            if a.hi <= b.lo or b.hi <= a.lo:
+                return a.hi <= b.lo
+            a, b = a.refined((a.hi - a.lo) / 2), b.refined((b.hi - b.lo) / 2)
+        return False
 
     def equals(self, other: "AlgebraicNumber") -> bool:
         """Same minimal polynomial and the same root of it.  Each interval
@@ -482,17 +496,21 @@ def classify_roots_vs_unit_circle(asc: Sequence[int]) -> tuple[int, int, int]:
     return inside, 0, deg - inside
 
 
-def factor_charpoly(matrix: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], int]]:
-    """Irreducible factors (ascending integer coefficients, positive leading)
-    of the characteristic polynomial, with multiplicities."""
-    m = sympy.Matrix([[int(x) for x in row] for row in matrix])
-    p = m.charpoly(_X)
+def integer_charpoly(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """det(x·I - m) of a square integer matrix, ascending and monic, computed
+    over ZZ without leaving the integers."""
+    n = len(matrix)
+    dm = DomainMatrix([[ZZ(int(x)) for x in row] for row in matrix], (n, n), ZZ)
+    return tuple(int(c) for c in reversed(dm.charpoly()))
+
+
+def factor_charpoly(charpoly: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+    """Irreducible factors (ascending integer coefficients, primitive,
+    positive leading) of a monic integer polynomial, with multiplicities."""
     out = []
-    for fac, mult in sympy.Poly(p, _X).factor_list()[1]:
+    for fac, mult in poly_from_ascending(charpoly).factor_list()[1]:
         fac = fac.primitive()[1]
-        if fac.LC() < 0:
-            fac = -fac
-        out.append((ascending_from_poly(fac), int(mult)))
+        out.append((ascending_from_poly(fac if fac.LC() > 0 else -fac), int(mult)))
     out.sort()
     return out
 

@@ -2,7 +2,9 @@
 block frequencies, balance verdicts for the constant function.
 
 All eigenvector arithmetic happens in the number field generated by the
-dominant eigenvalue, so every reported frequency is exact.
+dominant eigenvalue, so every reported frequency is exact.  Eigenvectors are
+read off the integer characteristic polynomial, with no elimination over
+that field (`positive_eigenvector`).
 """
 
 from __future__ import annotations
@@ -16,39 +18,19 @@ from typing import Sequence
 import sympy
 
 from .errors import InternalCheckError, ValidationError
-from .intlat import row_reduce
 from .numberfield import (
     AlgebraicNumber,
     FieldElement,
     NumberField,
     classify_roots_vs_unit_circle,
     factor_charpoly,
+    integer_charpoly,
     poly_from_ascending,
 )
 from .substitution import Substitution, incidence_matrix, is_primitive
 from .words import Word
 
 IntMatrix = tuple[tuple[int, ...], ...]
-
-
-def field_kernel(
-    field: NumberField, rows: Sequence[Sequence[FieldElement]]
-) -> list[tuple[FieldElement, ...]]:
-    """Basis of the right kernel of a square matrix over the field.
-
-    Deterministic: the pivots are those of `row_reduce`, and free variables
-    are set to 1 one at a time.
-    """
-    reduced, pivots = row_reduce(rows)
-    n = len(rows)
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        vec = [field.zero()] * n
-        vec[fc] = field.one()
-        for r, c in enumerate(pivots):
-            vec[c] = -reduced[r][fc]
-        basis.append(tuple(vec))
-    return basis
 
 
 @dataclass(frozen=True)
@@ -93,34 +75,74 @@ def pf_data(obj) -> PFData:
 
 
 def positive_eigenvector(
-    field: NumberField, m: IntMatrix, eigenvalue: FieldElement, transposed: bool
-) -> tuple[tuple[FieldElement, ...], FieldElement]:
+    field: NumberField,
+    m: IntMatrix,
+    eigenvalue: FieldElement,
+    transposed: bool,
+    charpoly: Sequence[int] | None = None,
+) -> tuple[FieldElement, ...]:
     """The eigenvector of m (of its transpose when `transposed`, i.e. the
-    left eigenvector) for a simple eigenvalue, signed positive, with its
-    coordinate sum."""
+    left eigenvector) for an eigenvalue mu with a one-dimensional
+    eigenspace, strictly positive and normalised to coordinate sum 1.
+
+    With chi = det(x - m) (`charpoly` when the caller has it) and
+    q(x) = chi(x) / (x - mu), (A - mu)·q(A) = chi(A) = 0, so every column
+    of q(A) lies in the eigenspace.  If mu has algebraic multiplicity k,
+    q = (x - mu)^(k-1)·r with r(mu) != 0, and q(A) = 0 exactly when every
+    Jordan block of mu is shorter than k, i.e. when there are at least two.
+    So a nonzero column of q(A) spans the eigenspace if and only if it is
+    one-dimensional.  The q_j come from synthetic division in Q(lambda);
+    column k of q(A) is the sum of q_j·A^j e_k, added up over the integer
+    Krylov vectors A^j e_k with one common denominator.
+    """
     n = len(m)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            el = field.rational(m[j][i] if transposed else m[i][j])
-            if i == j:
-                el = el - eigenvalue
-            row.append(el)
-        rows.append(row)
-    kernel = field_kernel(field, rows)
-    if len(kernel) != 1:
+    a = tuple(zip(*m)) if transposed else m
+    chi = integer_charpoly(m) if charpoly is None else charpoly
+    den, times_mu = _multiplier(field, eigenvalue)
+    # synthetic division: q_(n-1) = 1, q_(j-1) = chi_j + mu·q_j, remainder
+    # chi_0 + mu·q_0; q_j is kept as the integer vector den^(n-1-j)·q_j
+    q = [[0] * field.degree for _ in range(n)]
+    carry = [1] + [0] * (field.degree - 1)
+    for j in range(n - 1, -1, -1):
+        q[j] = [x * den**j for x in carry]
+        carry = times_mu(carry)
+        carry[0] += chi[j] * den ** (n - j)
+    if any(carry):
         raise InternalCheckError("dominant eigenspace dimension != 1")
-    vec = list(kernel[0])
-    signs = {x.sign() for x in vec}
-    if signs == {-1}:
-        vec = [-x for x in vec]
-    elif signs != {1}:
+    for k in range(n):
+        column = [[0] * field.degree for _ in range(n)]
+        krylov = [int(i == k) for i in range(n)]
+        for qj in q:
+            for i, x in enumerate(krylov):
+                if x:
+                    column[i] = [s + x * c for s, c in zip(column[i], qj)]
+            krylov = [sum(r * x for r, x in zip(row, krylov)) for row in a]
+        if any(any(cs) for cs in column):
+            break
+    else:
+        raise InternalCheckError("dominant eigenspace dimension != 1")
+    for row, cs in zip(a, column):
+        image = [sum(r * vs[t] for r, vs in zip(row, column)) for t in range(field.degree)]
+        if [den * x for x in image] != times_mu(cs):
+            raise InternalCheckError("eigenvector check failed")
+    if {field.element(cs).sign() for cs in column} not in ({1}, {-1}):
         raise InternalCheckError("dominant eigenvector not strictly positive")
-    total = vec[0]
-    for x in vec[1:]:
-        total = total + x
-    return tuple(vec), total
+    total = field.element([sum(t) for t in zip(*column)])
+    scale_den, times_scale = _multiplier(field, field.inv(total))
+    return tuple(field.element([Fraction(x, scale_den) for x in times_scale(cs)]) for cs in column)
+
+
+def _multiplier(field: NumberField, c: FieldElement):
+    """(den, f) with f(s) = den·c·s for s an integer coefficient vector of
+    an element of the field: multiplication by c over the integers."""
+    rows = [field.element([0] * t + list(c.coeffs)).coeffs for t in range(field.degree)]
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    int_rows = [[int(x * den) for x in row] for row in rows]
+
+    def times(s: Sequence[int]) -> list[int]:
+        return [sum(st * row[j] for st, row in zip(s, int_rows)) for j in range(field.degree)]
+
+    return den, times
 
 
 def _solve_pf(obj) -> PFData:
@@ -128,40 +150,24 @@ def _solve_pf(obj) -> PFData:
     if not is_primitive(m):
         kind = "substitution" if isinstance(obj, Substitution) else "matrix"
         raise ValidationError(f"{kind} is not primitive")
-    factors = tuple(factor_charpoly(m))
-    best: AlgebraicNumber | None = None
-    best_factor: tuple[int, ...] | None = None
-    best_mult = 0
-    for asc, mult in factors:
-        for root in AlgebraicNumber.real_roots_of(asc):
-            if best is None or _gt(root, best):
-                best, best_factor, best_mult = root, tuple(asc), mult
-    if best is None or best_factor is None:
+    chi = integer_charpoly(m)
+    factors = tuple(factor_charpoly(chi))
+    roots = [r for asc, _mult in factors for r in AlgebraicNumber.roots_of_irreducible(asc)]
+    if not roots:
         raise InternalCheckError("primitive matrix with no real eigenvalue")
-    if best_mult != 1:
+    best = max(roots)
+    if dict(factors)[best.minpoly] != 1:
         raise InternalCheckError("dominant eigenvalue is not simple")
     if best.compare_fraction(1) < 0:
         raise InternalCheckError("dominant eigenvalue below 1")
     field = NumberField(best)
     lam_el = field.generator()
-    n = len(m)
-
-    left_raw, left_sum = positive_eigenvector(field, m, lam_el, transposed=True)
-    right_raw, right_sum = positive_eigenvector(field, m, lam_el, transposed=False)
-    left = tuple(x / left_sum for x in left_raw)
-    right = tuple(x / right_sum for x in right_raw)
-    for j in range(n):
-        acc = field.zero()
-        for i in range(n):
-            acc = acc + left[i] * field.rational(m[i][j])
-        if acc != left[j] * lam_el:
-            raise InternalCheckError("left eigenvector check failed")
-    for i in range(n):
-        acc = field.zero()
-        for j in range(n):
-            acc = acc + field.rational(m[i][j]) * right[j]
-        if acc != lam_el * right[i]:
-            raise InternalCheckError("right eigenvector check failed")
+    left = positive_eigenvector(field, m, lam_el, transposed=True, charpoly=chi)
+    right = positive_eigenvector(field, m, lam_el, transposed=False, charpoly=chi)
+    for side, vec, rows in (("left", left, tuple(zip(*m))), ("right", right, m)):
+        for row, x in zip(rows, vec):
+            if sum(map(field.scal, row, vec), field.zero()) != lam_el * x:
+                raise InternalCheckError(f"{side} eigenvector check failed")
     return PFData(
         matrix=m,
         lam=best,
@@ -169,22 +175,9 @@ def _solve_pf(obj) -> PFData:
         left=left,
         right=right,
         charpoly_factors=factors,
-        pf_factor=best_factor,
+        pf_factor=best.minpoly,
         labels=labels,
     )
-
-
-def _gt(a: AlgebraicNumber, b: AlgebraicNumber) -> bool:
-    if a.equals(b):
-        return False
-    eps = Fraction(1, 2)
-    while True:
-        qa, qb = a.approx(eps), b.approx(eps)
-        if qa - qb > 2 * eps:
-            return True
-        if qb - qa > 2 * eps:
-            return False
-        eps /= 16
 
 
 def is_pisot(obj) -> bool:
@@ -391,10 +384,8 @@ def _two_block_measures(sub: Substitution) -> dict[tuple[int, ...], FieldElement
     for i, (image, cut) in enumerate(sub.two_block_images(1)):
         for pos in range(cut):
             counts[i][index[image[pos : pos + 2]]] += 1
-    vec, total = positive_eigenvector(
-        data.field, counts, data.field.generator(), transposed=True
-    )
-    return {ab: x / total for ab, x in zip(pairs, vec)}
+    vec = positive_eigenvector(data.field, counts, data.field.generator(), transposed=True)
+    return dict(zip(pairs, vec))
 
 
 def block_frequencies(sub: Substitution, n: int):

@@ -12,6 +12,7 @@ from flowmcg.numberfield import (
     NumberField,
     classify_roots_vs_unit_circle,
     factor_charpoly,
+    integer_charpoly,
 )
 from flowmcg.pf import cr_check, is_pisot
 from flowmcg.substitution import Substitution, incidence_matrix
@@ -169,7 +170,8 @@ def _corpus_factors():
     for rules in CORPUS:
         sub = Substitution.from_rules(rules)
         for k in (1, 2, 3):
-            factors.update(f for f, _ in factor_charpoly(incidence_matrix(sub.power(k))))
+            chi = integer_charpoly(incidence_matrix(sub.power(k)))
+            factors.update(f for f, _ in factor_charpoly(chi))
     return sorted(factors)
 
 
@@ -241,3 +243,67 @@ def test_cr_cli_on_a_circulant_with_a_cyclotomic_factor(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "ExactCR"
     assert payload["pisot"] is False
+
+
+# ---------------------------------------------------------------------------
+# the integer characteristic polynomial and its factors
+
+
+def test_integer_charpoly_matches_sympy_on_random_matrices():
+    rng = random.Random(20261018)
+    x = sympy.Symbol("x")
+    for n in range(1, 17):
+        for _ in range(3):
+            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            expected = tuple(int(c) for c in reversed(sympy.Matrix(m).charpoly(x).all_coeffs()))
+            assert integer_charpoly(m) == expected
+    assert integer_charpoly([[0] * 5] * 5) == (0, 0, 0, 0, 0, 1)
+
+
+def _reference_factor_charpoly(matrix):
+    """Factors of the characteristic polynomial through sympy's Matrix and
+    expression layer, as computed before the integer path."""
+    x = sympy.Symbol("x")
+    out = []
+    for fac, mult in sympy.Poly(sympy.Matrix(matrix).charpoly(x), x).factor_list()[1]:
+        fac = fac.primitive()[1]
+        if fac.LC() < 0:
+            fac = -fac
+        out.append((tuple(int(c) for c in reversed(fac.all_coeffs())), int(mult)))
+    return sorted(out)
+
+
+def test_factor_charpoly_is_unchanged_on_the_corpus():
+    for rules in CORPUS:
+        sub = Substitution.from_rules(rules)
+        for k in (1, 2, 3):
+            m = incidence_matrix(sub.power(k))
+            assert factor_charpoly(integer_charpoly(m)) == _reference_factor_charpoly(m)
+
+
+@pytest.mark.parametrize(
+    "rational, index",
+    [
+        (Fraction(1767767, 1250000), 2),
+        (Fraction(141421357, 10**8), 2),
+        (Fraction(141421356, 10**8), 1),
+    ],
+)
+def test_real_roots_closer_than_the_old_sort_key_are_ordered(rational, index):
+    # (x^2 - 2)(den x - num): the rational root is within 10^-6 of sqrt 2
+    x = sympy.Symbol("x")
+    poly = sympy.Poly((x**2 - 2) * (rational.denominator * x - rational.numerator), x)
+    roots = AlgebraicNumber.real_roots_of(tuple(int(c) for c in reversed(poly.all_coeffs())))
+    expected = [(-2, 0, 1), (-2, 0, 1)]
+    expected.insert(index, (-rational.numerator, rational.denominator))
+    assert [r.minpoly for r in roots] == expected
+    assert all(a < b and not b < a for a, b in zip(roots, roots[1:]))
+
+
+def test_order_of_numbers_on_a_shared_interval_endpoint():
+    sqrt2 = AlgebraicNumber((-2, 0, 1), Fraction(1), Fraction(3, 2))
+    one, three_halves = AlgebraicNumber.from_rational(1), AlgebraicNumber.from_rational(Fraction(3, 2))
+    assert one < sqrt2 < three_halves
+    assert not sqrt2 < one and not three_halves < sqrt2
+    assert not sqrt2 < sqrt2.refined(Fraction(1, 10**6)) and not one < one
+    assert sorted([three_halves, sqrt2, one]) == [one, sqrt2, three_halves]
