@@ -257,12 +257,6 @@ def _cmd_induce(args) -> None:
     sub = _load_sub(args.file)
     section = args.word if args.word else None
     system = induce(sub, section, depth=args.depth)
-    kac = sum(
-        (w * system.field.rational(t) for w, t in zip(system.weights, system.return_times)),
-        system.field.zero(),
-    )
-    if kac != system.field.one():
-        raise InternalCheckError("return time identity failed: total mass != 1")
     _emit(
         {
             "section": "" if system.base_word is None else _join(sub, system.base_word),

@@ -5,7 +5,9 @@ The group is presented as a stationary direct limit over the incidence
 matrix of a left-proper derived substitution (return words of a well-chosen
 letter).  Cylinder indicator classes, the exact trace, its image lattice,
 infinitesimals, restrictions to cross sections, and the automorphisms
-induced by flow codes are all computed in this presentation.
+induced by flow codes are all computed in this presentation.  The
+invariant factors are those of one Smith form, of the transition matrix
+beside its eventual-kernel basis.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Sequence
+
+from sympy import primefactors
 
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
 from .flows import decompose_into_returns, return_words
@@ -24,11 +28,8 @@ from .intlat import (
     hnf_rows,
     identity,
     invariant_factors,
-    invert,
-    mat_from,
     mat_vec,
     row_reduce,
-    smith_with_transform,
     transpose,
 )
 from .numberfield import FieldElement, NumberField
@@ -294,42 +295,18 @@ class DirectLimitGroup:
     def free_rank(self) -> int:
         return self.dimension - len(self.eventual_kernel_basis)
 
-    def stabilized_quotient_matrix(self) -> IntMatrix:
-        """The transition induced on Z^d modulo the eventual kernel."""
-        kb = self.eventual_kernel_basis
-        if not kb:
-            return self.n_matrix
-        d = self.dimension
-        k = len(kb)
-        e_cols = tuple(tuple(kb[j][i] for j in range(k)) for i in range(d))
-        u, dmat, _v = smith_with_transform(e_cols)
-        for i in range(k):
-            if dmat[i][i] != 1:
-                raise InternalCheckError("eventual kernel basis is not saturated")
-        # columns of U^{-1} adapt Z^d so the first k coordinates span the
-        # kernel; quotient coordinates of w are the last d-k entries of U w
-        p_inv = u
-        p = _int_inverse(u)
-        out_rows = []
-        for r in range(k, d):
-            row = []
-            for j in range(k, d):
-                col = tuple(p[i][j] for i in range(d))
-                w = mat_vec(self.n_matrix, col)
-                c = sum(p_inv[r][i] * w[i] for i in range(d))
-                row.append(c)
-            out_rows.append(tuple(row))
-        return tuple(out_rows)
-
     def invariant_factors(self) -> tuple[int, ...]:
-        return tuple(invariant_factors(self.stabilized_quotient_matrix()))
-
-
-def _int_inverse(u: IntMatrix) -> IntMatrix:
-    inv = invert(u)
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise InternalCheckError("transform matrix is not unimodular")
-    return mat_from(inv)
+        """Invariant factors of the cokernel of the map N induces on Z^d/K,
+        K the eventual kernel.  That cokernel is Z^d/(N·Z^d + K), so they
+        are the Smith factors of [N | E], E the kernel basis as columns,
+        with the k = rank K leading 1s dropped."""
+        kb = self.eventual_kernel_basis
+        k = len(kb)
+        stacked = tuple(row + tuple(v[i] for v in kb) for i, row in enumerate(self.n_matrix))
+        factors = invariant_factors(stacked)
+        if len(factors) != self.dimension or any(x != 1 for x in factors[:k]):
+            raise InternalCheckError("eventual kernel basis is not saturated")
+        return tuple(factors[k:])
 
 
 def build_coinvariants(sub: Substitution, base: int | str | None = None) -> DirectLimitGroup:
@@ -621,7 +598,7 @@ def _describe_trace_image(data: PFData, lattice: Lattice, s_term: int) -> str:
         g = lattice.rows[0][0]
         den = lattice.den
         # absorb prime factors of lam into the scalar front factor
-        for prime in _prime_factors(n):
+        for prime in primefactors(n):
             while g % prime == 0:
                 g //= prime
             while den % prime == 0:
@@ -638,21 +615,6 @@ def _describe_trace_image(data: PFData, lattice: Lattice, s_term: int) -> str:
         f"rank-{lattice.rank} Z[1/lam]-module in Q(lam), lam of degree {deg}; "
         f"Z-basis rows in the power basis: {gens}"
     )
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    n = abs(n)
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def infinitesimal_rank(sub: Substitution) -> int:

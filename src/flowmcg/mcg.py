@@ -106,15 +106,6 @@ class McgReport:
         return out
 
 
-def _is_proper_power(n: int) -> bool:
-    for j in range(2, n.bit_length() + 1):
-        m = round(n ** (1.0 / j))
-        for c in (m - 1, m, m + 1):
-            if c >= 2 and c**j == n:
-                return True
-    return False
-
-
 def assemble_mcg(
     sub: Substitution, aut_radius: int = 1, aut_depth: int = 12
 ) -> McgReport:
@@ -149,7 +140,7 @@ def assemble_mcg(
     relation = lambda_relation_search(value)
     if data.lam.is_rational:
         lam_int = int(data.lam.as_fraction())
-        proper = _is_proper_power(lam_int)
+        proper = sympy.perfect_power(lam_int) is not False
         note = (
             "expansion factor is a proper power; the scaling image may have "
             "a smaller generator"

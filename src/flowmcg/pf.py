@@ -4,7 +4,9 @@ block frequencies, balance verdicts for the constant function.
 All eigenvector arithmetic happens in the number field generated by the
 dominant eigenvalue, so every reported frequency is exact.  Eigenvectors are
 read off the integer characteristic polynomial, with no elimination over
-that field (`positive_eigenvector`).
+that field (`positive_eigenvector`).  The balance verdict (`cr_check`) is
+read off integer rows and those eigenvectors, with no primary
+decomposition.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import sympy
-
 from .errors import InternalCheckError, ValidationError
 from .numberfield import (
     AlgebraicNumber,
@@ -25,7 +25,6 @@ from .numberfield import (
     classify_roots_vs_unit_circle,
     factor_charpoly,
     integer_charpoly,
-    poly_from_ascending,
 )
 from .substitution import Substitution, incidence_matrix, is_primitive
 from .words import Word
@@ -229,15 +228,11 @@ class BalanceVerdict:
         return self.verdict in ("ExactCR", "ProvedCR")
 
 
-def _ones_row_powers(m: IntMatrix, count: int) -> list[tuple[Fraction, ...]]:
-    n = len(m)
-    row = tuple(Fraction(1) for _ in range(n))
-    out = [row]
-    for _ in range(count - 1):
-        row = tuple(
-            sum(row[i] * m[i][j] for i in range(n)) for j in range(n)
-        )
-        out.append(row)
+def _row_times_poly(row: Sequence[int], m: IntMatrix, asc: Sequence[int]) -> list[int]:
+    """row·f(m) for f with ascending integer coefficients, by Horner steps."""
+    out = [0] * len(row)
+    for c in reversed(asc):
+        out = [sum(o * mrow[j] for o, mrow in zip(out, m)) + c * r for j, r in enumerate(row)]
     return out
 
 
@@ -246,10 +241,15 @@ def cr_check(obj) -> BalanceVerdict:
     frequencies.
 
     Strategy: equal column sums give the exact verdict at once.  Otherwise
-    split the constant row vector into primary components along the
+    the constant row vector splits into primary components along the
     characteristic factors; a component living on a factor with any root on
     or outside the unit circle must vanish identically, except the dominant
     factor, all of whose non-dominant roots must be strictly contracting.
+    The component on q's primary part vanishes exactly when 1·g(M) = 0, g
+    the product of the other primary factors: g(M) kills every other
+    primary part and is invertible on q's.  The lambda-component of the
+    constant row is ((1·r)/(l·r))·l for the left and right eigenvectors l
+    and r, and 1·r = 1, so alpha = 1/(l·r).
     """
     data = obj if isinstance(obj, PFData) else pf_data(obj)
     m = data.matrix
@@ -267,59 +267,31 @@ def cr_check(obj) -> BalanceVerdict:
             reasons=("all incidence column sums equal",),
         )
 
-    x = sympy.Symbol("x")
-    charpoly = sympy.Poly(1, x, domain="QQ")
-    primaries = []
-    for asc, mult in data.charpoly_factors:
-        q = poly_from_ascending(asc)
-        primaries.append((tuple(asc), mult, q ** mult))
-        charpoly = charpoly * q ** mult
-    deg = charpoly.degree()
-    powers = _ones_row_powers(m, deg)
-
-    def row_of_poly(p: sympy.Poly) -> tuple[Fraction, ...]:
-        coeffs = [Fraction(c.p, c.q) for c in reversed(p.all_coeffs())]
-        out = [Fraction(0)] * n
-        for c, prow in zip(coeffs, powers):
-            if c:
-                out = [o + c * r for o, r in zip(out, prow)]
-        return tuple(out)
-
     reports: list[FactorReport] = []
     reasons: list[str] = []
-    ok = True
-    component_rows: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
-    total = [Fraction(0)] * n
-    for asc, mult, q_full in primaries:
-        g = charpoly.div(q_full)[0]
-        h = sympy.Poly(sympy.invert(g.as_expr(), q_full.as_expr(), x), x, domain="QQ")
-        e_poly = (g * h).rem(charpoly)
-        row = row_of_poly(e_poly)
-        component_rows[asc] = row
-        total = [t + r for t, r in zip(total, row)]
+    for asc, mult in data.charpoly_factors:
         inside, on, outside = classify_roots_vs_unit_circle(asc)
         fdeg = len(asc) - 1
+        vanish = None
         if asc == data.pf_factor:
-            vanish = None
             if (inside, on, outside) != (fdeg - 1, 0, 1):
-                ok = False
                 reasons.append(
                     "a conjugate of the dominant eigenvalue is not contracting"
                 )
-        elif on + outside == 0:
-            vanish = None
-        else:
-            vanish = all(v == 0 for v in row)
+        elif on + outside:
+            row = [1] * n
+            for other, other_mult in data.charpoly_factors:
+                if other != asc:
+                    for _ in range(other_mult):
+                        row = _row_times_poly(row, m, other)
+            vanish = not any(row)
             if not vanish:
-                ok = False
                 reasons.append(
                     "constant vector has a nonzero component on a "
                     "non-contracting factor"
                 )
         reports.append(FactorReport(asc, mult, inside, on, outside, vanish))
-    if any(t != 1 for t in total):
-        raise InternalCheckError("primary decomposition of the constant row failed")
-    if not ok:
+    if reasons:
         return BalanceVerdict(
             verdict="Inconclusive",
             alpha=None,
@@ -327,41 +299,7 @@ def cr_check(obj) -> BalanceVerdict:
             reasons=tuple(reasons),
         )
 
-    # extract the dominant-eigenvalue component of the constant row and
-    # express it as alpha times the frequency vector
-    pf_asc = data.pf_factor
-    y_p = component_rows[pf_asc]
-    # s(t) = pf_factor(t) / (t - lam), coefficients in the field
-    d = len(pf_asc) - 1
-    s_coeffs = [field.zero()] * d
-    carry = field.rational(pf_asc[d])
-    for k in range(d - 1, -1, -1):
-        s_coeffs[k] = carry
-        carry = field.rational(pf_asc[k]) + carry * field.generator()
-    if not carry.is_zero():
-        raise InternalCheckError("synthetic division by (t - lam) has remainder")
-    yp_powers = [y_p]
-    for _ in range(d - 1):
-        prev = yp_powers[-1]
-        yp_powers.append(
-            tuple(sum(prev[i] * m[i][j] for i in range(n)) for j in range(n))
-        )
-    z = [field.zero() for _ in range(n)]
-    for coef, prow in zip(s_coeffs, yp_powers):
-        for j in range(n):
-            z[j] = z[j] + field.scal(prow[j], coef)
-    s_at_lam = field.zero()
-    for k in range(d - 1, -1, -1):
-        s_at_lam = s_at_lam * field.generator() + s_coeffs[k]
-    alpha = None
-    for j in range(n):
-        cand = z[j] / (s_at_lam * data.left[j])
-        if alpha is None:
-            alpha = cand
-        elif alpha != cand:
-            raise InternalCheckError("dominant component is not a multiple of "
-                                     "the frequency vector")
-    assert alpha is not None
+    alpha = field.inv(sum(map(field.mul, data.left, data.right), field.zero()))
     if alpha.sign() <= 0:
         raise InternalCheckError("dominant coefficient of the constant row "
                                  "is not positive")
