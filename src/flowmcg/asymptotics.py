@@ -18,6 +18,7 @@ from .substitution import (
     Substitution,
     cycle_lengths,
     fixed_point,
+    image_prefix,
     is_aperiodic,
     is_primitive,
 )
@@ -154,17 +155,16 @@ def asymptotic_classes(
     # on at least half of it)
     shifts = range(-max_shift, max_shift + 1)
     for leaves in raw:
-        kept: list[Leaf] = []
+        kept: list[tuple[Leaf, tuple[int, ...]]] = []
         for leaf in leaves:
             w = leaf.window(check)
             dup = any(
-                next(shift_offsets(w, other.window(check), shifts, len(w) // 2), None)
-                is not None
-                for other in kept
+                next(shift_offsets(w, seen, shifts, len(w) // 2), None) is not None
+                for _, seen in kept
             )
             if not dup:
-                kept.append(leaf)
-        leaves[:] = kept
+                kept.append((leaf, w))
+        leaves[:] = [leaf for leaf, _ in kept]
     raw = [leaves for leaves in raw if len(leaves) >= 2]
 
     # merge classes whose right tails agree up to a shift
@@ -212,9 +212,9 @@ def action_on_classes(op, classes: AsymptoticClassSet) -> tuple[int, ...]:
     if isinstance(op, Substitution):
         if op.alphabet != sub.alphabet:
             raise ValidationError("map alphabet does not match the shift")
-        for cls in classes.classes:
-            img = op.apply_idx(cls[0].right.expand(check))[:check]
-            images.append(img)
+        step = [op.image_idx(c) for c in range(op.size)]
+        for tail in tails:
+            images.append(tuple(image_prefix(step, tail, check)[:check]))
         max_shift = max(max_shift, max(len(w) for w in op.images))
     elif isinstance(op, SlidingBlockCode):
         r = op.radius

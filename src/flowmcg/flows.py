@@ -182,7 +182,7 @@ def _recoded_language(
     index = {r: i for i, r in enumerate(returns)}
     k = len(w)
     max_t = max(len(r) for r in returns)
-    bags: dict[int, set[tuple[int, ...]]] = {n: set() for n in range(1, n_target + 1)}
+    distinct: set[tuple[int, ...]] = set()
     for image, cut, occ in _base_occurrences(sub, w, n_target * max_t + k):
         seq = []
         for a, b in zip(occ, occ[1:]):
@@ -196,9 +196,9 @@ def _recoded_language(
             visits = tuple(seq[start : start + n_target])
             if len(visits) < n_target:
                 raise InternalCheckError("image too short for the recoded length")
-            for n in range(1, n_target + 1):
-                bags[n].add(visits[:n])
-    return LanguageTable(alphabet, {n: frozenset(b) for n, b in bags.items()}, n_target)
+            distinct.add(visits)
+    blocks = {n: frozenset(v[:n] for v in distinct) for n in range(1, n_target + 1)}
+    return LanguageTable(alphabet, blocks, n_target)
 
 
 def induce(

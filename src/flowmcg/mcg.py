@@ -481,6 +481,8 @@ def virtually_abelian_report(obj, n_max: int = 24) -> VirtuallyAbelianReport:
     needs vanishing infinitesimals; nonzero rank reroutes to the
     finite-extension description instead.
     """
+    if n_max < 1:
+        raise ValidationError("n_max must be >= 1")
     notes: list[str] = []
     if isinstance(obj, Substitution):
         profile = complexity_profile(obj, n_max)

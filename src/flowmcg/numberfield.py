@@ -172,6 +172,8 @@ class NumberField:
 
     def __init__(self, root: AlgebraicNumber) -> None:
         self.root = root
+        # the tightest interval of lambda that has decided a sign so far
+        self._sign_root = root
         lead = root.minpoly[-1]
         self.degree = root.degree
         # monic minimal polynomial of lambda over Q
@@ -308,19 +310,19 @@ class NumberField:
     # sign and approximation ----------------------------------------------
 
     def sign(self, a: "FieldElement") -> int:
-        """Exact sign via interval refinement of lambda."""
+        """Exact sign via interval refinement of lambda, resumed from the
+        tightest interval an earlier call refined to."""
         if all(c == 0 for c in a.coeffs):
             return 0
         if all(c == 0 for c in a.coeffs[1:]):
             c = a.coeffs[0]
             return (c > 0) - (c < 0)
-        root = self.root
+        root = self._sign_root
         while True:
             lo, hi = _interval_eval(a.coeffs, root.lo, root.hi)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
+            if lo > 0 or hi < 0:
+                self._sign_root = root
+                return 1 if lo > 0 else -1
             root = root.refined((root.hi - root.lo) / 4)
 
     def approx(self, a: "FieldElement", eps: Fraction) -> Fraction:

@@ -311,20 +311,44 @@ def fixed_point(
 ) -> tuple[int, ...]:
     """The first `length` symbols of the one-sided fixed point of sigma^power
     grown from `seed`; with `left`, the last `length` symbols of the left
-    fixed point, which ends in the seed.  Read off the memoised iterates
-    sigma^(power*j)(seed)."""
-    w = sub.iterate_idx(seed, power)
-    if (w[-1] if left else w[0]) != seed:
-        end = "end" if left else "start"
-        raise ValidationError(f"seed letter does not {end} its own image")
-    j = 1
-    while len(w) < length:
-        j += 1
-        nxt = sub.iterate_idx(seed, power * j)
-        if len(nxt) == len(w):
+    fixed point, which ends in the seed.  Grown by u -> sigma^power(u), read
+    only as far as `length` needs; the longest prefix built (with `left`,
+    the longest suffix, reversed) is kept on the substitution."""
+
+    def first() -> list[tuple[int, ...]]:
+        w = sub.iterate_idx(seed, power)
+        if (w[-1] if left else w[0]) != seed:
+            end = "end" if left else "start"
+            raise ValidationError(f"seed letter does not {end} its own image")
+        return [w[::-1] if left else w]
+
+    # a one-element list, so that a longer prefix replaces the kept one
+    kept = sub.cached(("fixed_point", seed, power, left), first)
+    u = kept[0]
+    if len(u) < length:
+        # sigma^power(seed) starts with the seed, so each pass grows u
+        # unless that image is the seed alone
+        if len(u) == 1:
             raise ValidationError("seed does not grow; substitution not expanding here")
-        w = nxt
-    return w[len(w) - length :] if left else w[:length]
+        step = [sub.iterate_idx(a, power)[:: -1 if left else 1] for a in range(sub.size)]
+        while len(u) < length:
+            u = tuple(image_prefix(step, u, length))
+        kept[0] = u
+    return u[:length][::-1] if left else u[:length]
+
+
+def image_prefix(
+    images: Sequence[tuple[int, ...]], seq: Sequence[int], length: int
+) -> list[int]:
+    """The images of the letters of `seq`, concatenated, up to the first
+    image that brings the total to `length` symbols (all of them if the
+    whole image is shorter)."""
+    out: list[int] = []
+    for a in seq:
+        if len(out) >= length:
+            break
+        out += images[a]
+    return out
 
 
 def cycle_lengths(f: tuple[int, ...]) -> dict[int, int]:

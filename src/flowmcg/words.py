@@ -12,6 +12,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
 
+# symbols of each overlap that shift_offsets compares before copying the rest
+_HEAD = 16
+
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -112,11 +115,18 @@ def shift_offsets(
     x: tuple[int, ...], y: tuple[int, ...], shifts: Iterable[int], min_overlap: int
 ) -> Iterator[int]:
     """Every offset j in `shifts`, in order, with x[i] == y[i + j] wherever
-    both sides are defined and at least `min_overlap` such positions."""
+    both sides are defined and at least `min_overlap` such positions.  The
+    first _HEAD positions of an overlap are compared before the rest is
+    copied, since most offsets fail there."""
     for j in shifts:
         start = max(0, -j)
         stop = min(len(x), len(y) - j)
-        if stop - start >= min_overlap and x[start:stop] == y[start + j : stop + j]:
+        head = min(stop, start + _HEAD)
+        if (
+            stop - start >= min_overlap
+            and x[start:head] == y[start + j : head + j]
+            and x[head:stop] == y[head + j : stop + j]
+        ):
             yield j
 
 

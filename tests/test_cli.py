@@ -200,3 +200,12 @@ def test_one_letter_identity_exits_one_as_periodic(capsys, tmp_path, command):
 def test_complexity_below_length_one_is_an_empty_table(capsys, tm_file):
     payload = run_json(capsys, ["complexity", tm_file, "--n-max", "0"])
     assert payload == {"n_max": 0, "complexity": {}}
+
+
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+def test_checklist_window_below_one_exits_one(capsys, tm_file, n_max):
+    for source in (["--hierarchical", "2"], [tm_file]):
+        assert run(["checklist", *source, "--n-max", n_max]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: n_max must be >= 1" in captured.err
