@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 from .asymptotics import stabilize_power
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
 from .flows import INVERSE_RADIUS_BUDGET, _check_roundtrip, _search_inverse
-from .substitution import Substitution, cycle_lengths, fixed_point, is_primitive
+from .substitution import Substitution, cycle_lengths, fixed_point, is_aperiodic, is_primitive
 from .words import LanguageTable, SlidingBlockCode, shift_offsets
 
 DEFAULT_RADIUS = 2
@@ -198,6 +198,8 @@ def search_automorphisms(
         raise ValidationError("n_check must be at least the window width")
     if not is_primitive(sub):
         raise ValidationError("substitution must be primitive")
+    if is_aperiodic(sub).periodic:
+        raise ValidationError("shift is periodic; no automorphism search")
     d = sub.size
     depth = max(n_check + 2 * radius, 2 * (radius + INVERSE_RADIUS_BUDGET) + 1)
     lang = sub.language(depth)

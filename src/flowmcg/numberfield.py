@@ -2,14 +2,16 @@
 
 An algebraic number is an integer minimal polynomial (ascending coefficients,
 primitive, irreducible, positive leading coefficient) plus an isolating
-rational interval. Field elements of Q(lambda) are polynomials in lambda with
-Fraction coefficients, reduced mod the monic minimal polynomial. Signs are
-decided exactly by interval refinement, which terminates because a nonzero
-element of the field has nonzero value.
+rational interval. Field elements of Q(lambda) are polynomials in lambda of
+degree below that of lambda, stored as integer coefficients over one
+positive denominator and reduced mod the minimal polynomial in integers.
+Signs are decided exactly by interval refinement, which terminates because
+a nonzero element of the field has nonzero value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -166,8 +168,8 @@ class AlgebraicNumber:
 class NumberField:
     """Q(lambda) for a fixed real algebraic lambda, with exact operations.
 
-    Elements are coefficient tuples (Fractions, ascending in powers of
-    lambda) of length equal to the degree.
+    Elements are integer coefficient tuples (ascending in powers of lambda)
+    of length equal to the degree, over one positive denominator.
     """
 
     def __init__(self, root: AlgebraicNumber) -> None:
@@ -201,10 +203,26 @@ class NumberField:
 
     def element(self, coeffs: Sequence[Fraction | int]) -> "FieldElement":
         cs = [Fraction(c) for c in coeffs]
-        if len(cs) > self.degree:
-            cs = self._reduce_div(cs)
-        cs += [Fraction(0)] * (self.degree - len(cs))
-        return FieldElement(self, tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        return self.element_over([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def element_over(self, nums: Sequence[int], den: int) -> "FieldElement":
+        """(sum of nums[k]·lambda^k) / den for integers nums, of any length,
+        and den != 0.  Powers lambda^k with k >= degree are reduced by the
+        minimal polynomial p, scaled by its leading coefficient when p is
+        not monic."""
+        p = self.root.minpoly
+        d, lead = self.degree, p[-1]
+        work = list(nums)
+        for k in range(len(work) - 1, d - 1, -1):
+            c = work.pop()
+            if c:
+                if lead != 1:
+                    work = [x * lead for x in work]
+                    den *= lead
+                for i in range(d):
+                    work[k - d + i] -= p[i] * c
+        return _canonical(self, work + [0] * (d - len(work)), den)
 
     def zero(self) -> "FieldElement":
         return self.element([])
@@ -220,52 +238,39 @@ class NumberField:
             return self.element([-self.monic[0]])
         return self.element([0, 1])
 
-    def _reduce_div(self, cs: list[Fraction]) -> list[Fraction]:
-        d = self.degree
-        work = list(cs)
-        for k in range(len(work) - 1, d - 1, -1):
-            c = work[k]
-            if c == 0:
-                continue
-            work[k] = Fraction(0)
-            for i in range(d):
-                work[k - d + i] += -self.monic[i] * c
-        return work[:d] + [Fraction(0)] * max(0, d - len(work))
-
     # arithmetic -----------------------------------------------------------
 
     def add(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
         if a.field is not self or b.field is not self:
             self._check(a, b)
-        return FieldElement(self, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        da, db = a.den, b.den
+        return _canonical(self, [x * db + y * da for x, y in zip(a.nums, b.nums)], da * db)
 
     def sub(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
         if a.field is not self or b.field is not self:
             self._check(a, b)
-        return FieldElement(self, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        da, db = a.den, b.den
+        return _canonical(self, [x * db - y * da for x, y in zip(a.nums, b.nums)], da * db)
 
     def neg(self, a: "FieldElement") -> "FieldElement":
-        return FieldElement(self, tuple(-x for x in a.coeffs))
+        return _canonical(self, [-x for x in a.nums], a.den)
 
     def mul(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
         if a.field is not self or b.field is not self:
             self._check(a, b)
-        d = self.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(a.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y == 0:
-                    continue
-                prod[i + j] += x * y
-        return FieldElement(self, tuple(self._reduce_div(prod)))
+        prod = [0] * (2 * self.degree - 1)
+        for i, x in enumerate(a.nums):
+            if x:
+                for j, y in enumerate(b.nums):
+                    prod[i + j] += x * y
+        return self.element_over(prod, a.den * b.den)
 
     def scal(self, q: Fraction | int, a: "FieldElement") -> "FieldElement":
         if a.field is not self:
             self._check(a)
-        q = Fraction(q)
-        return FieldElement(self, tuple(q * x for x in a.coeffs))
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        return _canonical(self, [q.numerator * x for x in a.nums], q.denominator * a.den)
 
     def inv(self, a: "FieldElement") -> "FieldElement":
         if a.field is not self:
@@ -311,15 +316,24 @@ class NumberField:
 
     def sign(self, a: "FieldElement") -> int:
         """Exact sign via interval refinement of lambda, resumed from the
-        tightest interval an earlier call refined to."""
-        if all(c == 0 for c in a.coeffs):
-            return 0
-        if all(c == 0 for c in a.coeffs[1:]):
-            c = a.coeffs[0]
-            return (c > 0) - (c < 0)
-        root = self._sign_root
+        tightest interval an earlier call refined to.  On [lo, hi] with
+        lo >= 0, t^k lies in [lo^k, hi^k], so the element is at least the sum
+        of c·lo^k over c > 0 and c·hi^k over c < 0, and at most the reverse;
+        with lo = p/q and hi = r/s both bounds are taken in integers, times
+        (q·s)^(d-1)."""
+        nums = a.nums
+        if not any(nums[1:]):
+            return (nums[0] > 0) - (nums[0] < 0)
+        root, top = self._sign_root, self.degree - 1
         while True:
-            lo, hi = _interval_eval(a.coeffs, root.lo, root.hi)
+            if root.lo >= 0:
+                (p, q), (r, s) = root.lo.as_integer_ratio(), root.hi.as_integer_ratio()
+                los = [p**k * q ** (top - k) * s**top for k in range(top + 1)]
+                his = [r**k * s ** (top - k) * q**top for k in range(top + 1)]
+                lo = sum(c * (x if c > 0 else y) for c, x, y in zip(nums, los, his))
+                hi = sum(c * (y if c > 0 else x) for c, x, y in zip(nums, los, his))
+            else:
+                lo, hi = _interval_eval(a.coeffs, root.lo, root.hi)
             if lo > 0 or hi < 0:
                 self._sign_root = root
                 return 1 if lo > 0 else -1
@@ -337,13 +351,26 @@ class NumberField:
         return float(self.approx(a, Fraction(1, 10**17)))
 
 
-@dataclass(frozen=True)
 class FieldElement:
-    field: NumberField
-    coeffs: tuple[Fraction, ...]
+    """(sum of nums[k]·lambda^k) / den in a number field, with integer
+    numerators and den > 0 sharing no common factor, so that equal elements
+    have equal representations.  `coeffs` are the same coefficients as
+    reduced Fractions."""
+
+    __slots__ = ("field", "nums", "den", "_coeffs")
+
+    def __init__(self, field: NumberField, coeffs: Sequence[Fraction | int]) -> None:
+        el = field.element(coeffs)
+        self.field, self.nums, self.den, self._coeffs = field, el.nums, el.den, None
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(x, self.den) for x in self.nums)
+        return self._coeffs
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         return self.field.add(self, other)
@@ -357,7 +384,7 @@ class FieldElement:
     def __mul__(self, other):
         if isinstance(other, FieldElement):
             return self.field.mul(self, other)
-        return self.field.scal(Fraction(other), self)
+        return self.field.scal(other, self)
 
     __rmul__ = __mul__
 
@@ -371,10 +398,10 @@ class FieldElement:
             return NotImplemented
         if other.field is not self.field:
             self.field._check(other)
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def sign(self) -> int:
         return self.field.sign(self)
@@ -384,6 +411,17 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"FieldElement{self.coeffs}"
+
+
+def _canonical(field: NumberField, nums: list[int], den: int) -> FieldElement:
+    """The element nums / den, with the common factor removed and den > 0."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    el = object.__new__(FieldElement)
+    el.field, el.den, el._coeffs = field, den // g, None
+    el.nums = tuple(x // g for x in nums) if g != 1 else tuple(nums)
+    return el
 
 
 def _trim(p: list[Fraction]) -> list[Fraction]:
@@ -515,6 +553,17 @@ def factor_charpoly(charpoly: Sequence[int]) -> list[tuple[tuple[int, ...], int]
         out.append((ascending_from_poly(fac if fac.LC() > 0 else -fac), int(mult)))
     out.sort()
     return out
+
+
+def dominant_root(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple, AlgebraicNumber]:
+    """The characteristic polynomial of a square integer matrix, its
+    irreducible factors with multiplicities, and its largest real root."""
+    chi = integer_charpoly(matrix)
+    factors = tuple(factor_charpoly(chi))
+    roots = [r for asc, _mult in factors for r in AlgebraicNumber.roots_of_irreducible(asc)]
+    if not roots:
+        raise InternalCheckError("primitive matrix with no real eigenvalue")
+    return chi, factors, max(roots)
 
 
 def minimal_polynomial_of_element(field: NumberField, a: FieldElement) -> tuple[int, ...]:

@@ -23,10 +23,10 @@ from .numberfield import (
     FieldElement,
     NumberField,
     classify_roots_vs_unit_circle,
-    factor_charpoly,
+    dominant_root,
     integer_charpoly,
 )
-from .substitution import Substitution, incidence_matrix, is_primitive
+from .substitution import Substitution, dominant_eigenvalue, incidence_matrix, is_primitive
 from .words import Word
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -124,19 +124,19 @@ def positive_eigenvector(
         image = [sum(r * vs[t] for r, vs in zip(row, column)) for t in range(field.degree)]
         if [den * x for x in image] != times_mu(cs):
             raise InternalCheckError("eigenvector check failed")
-    if {field.element(cs).sign() for cs in column} not in ({1}, {-1}):
+    if {field.element_over(cs, 1).sign() for cs in column} not in ({1}, {-1}):
         raise InternalCheckError("dominant eigenvector not strictly positive")
-    total = field.element([sum(t) for t in zip(*column)])
+    total = field.element_over([sum(t) for t in zip(*column)], 1)
     scale_den, times_scale = _multiplier(field, field.inv(total))
-    return tuple(field.element([Fraction(x, scale_den) for x in times_scale(cs)]) for cs in column)
+    return tuple(field.element_over(times_scale(cs), scale_den) for cs in column)
 
 
 def _multiplier(field: NumberField, c: FieldElement):
     """(den, f) with f(s) = den·c·s for s an integer coefficient vector of
     an element of the field: multiplication by c over the integers."""
-    rows = [field.element([0] * t + list(c.coeffs)).coeffs for t in range(field.degree)]
-    den = math.lcm(*(x.denominator for row in rows for x in row))
-    int_rows = [[int(x * den) for x in row] for row in rows]
+    rows = [field.element_over([0] * t + list(c.nums), c.den) for t in range(field.degree)]
+    den = math.lcm(*(row.den for row in rows))
+    int_rows = [[x * (den // row.den) for x in row.nums] for row in rows]
 
     def times(s: Sequence[int]) -> list[int]:
         return [sum(st * row[j] for st, row in zip(s, int_rows)) for j in range(field.degree)]
@@ -149,12 +149,9 @@ def _solve_pf(obj) -> PFData:
     if not is_primitive(m):
         kind = "substitution" if isinstance(obj, Substitution) else "matrix"
         raise ValidationError(f"{kind} is not primitive")
-    chi = integer_charpoly(m)
-    factors = tuple(factor_charpoly(chi))
-    roots = [r for asc, _mult in factors for r in AlgebraicNumber.roots_of_irreducible(asc)]
-    if not roots:
-        raise InternalCheckError("primitive matrix with no real eigenvalue")
-    best = max(roots)
+    chi, factors, best = (
+        dominant_eigenvalue(obj) if isinstance(obj, Substitution) else dominant_root(m)
+    )
     if dict(factors)[best.minpoly] != 1:
         raise InternalCheckError("dominant eigenvalue is not simple")
     if best.compare_fraction(1) < 0:
@@ -351,16 +348,16 @@ def _measure_windows(sub: Substitution, n: int) -> dict[tuple[int, ...], FieldEl
     k = sub.growth_power(n - 1)
     scale = field.power(field.generator(), -k)
     # lam^-k mu(ab) as integer coefficients over one common denominator
-    scaled = {ab: (mu * scale).coeffs for ab, mu in mu2.items()}
-    den = math.lcm(*(c.denominator for cs in scaled.values() for c in cs))
+    scaled = {ab: mu * scale for ab, mu in mu2.items()}
+    den = math.lcm(*(x.den for x in scaled.values()))
     sums: dict[tuple[int, ...], list[int]] = {}
     for ab, (image, cut) in zip(sub.two_blocks(), sub.two_block_images(k)):
-        nums = [c.numerator * (den // c.denominator) for c in scaled[ab]]
+        nums = [c * (den // scaled[ab].den) for c in scaled[ab].nums]
         for w, hits in Counter(image[i : i + n] for i in range(cut)).items():
             acc = sums.setdefault(w, [0] * field.degree)
             for j, c in enumerate(nums):
                 acc[j] += hits * c
-    return {w: field.element([Fraction(x, den) for x in sums[w]]) for w in sorted(sums)}
+    return {w: field.element_over(sums[w], den) for w in sorted(sums)}
 
 
 def cylinder_measure(sub: Substitution, word) -> FieldElement:

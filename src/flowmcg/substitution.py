@@ -7,6 +7,7 @@ from itertools import accumulate
 from typing import Callable, Hashable, Mapping, Sequence, TypeVar
 
 from .errors import ResourceLimitError, ValidationError
+from .numberfield import AlgebraicNumber, dominant_root
 from .words import Alphabet, LanguageTable, Word, windows
 
 # total symbols the images sigma^k(ab) built for one power may hold
@@ -230,6 +231,13 @@ def is_primitive(obj: Substitution | Sequence[Sequence[int]]) -> bool:
     return all(all(row) for row in acc)
 
 
+def dominant_eigenvalue(sub: Substitution) -> tuple[tuple[int, ...], tuple, AlgebraicNumber]:
+    """`numberfield.dominant_root` of the incidence matrix, memoised: the
+    characteristic polynomial, its factors and lambda, which `pf.pf_data`
+    and `is_aperiodic` share."""
+    return sub.cached("dominant_root", lambda: dominant_root(incidence_matrix(sub)))
+
+
 def generate_language(sub: Substitution, n: int) -> frozenset[tuple[int, ...]]:
     """L_n: the length-n windows of sigma^k(ab) that start inside
     sigma^k(a), over ab in L_2, with the least k making min |sigma^k| >= n - 1.
@@ -276,11 +284,19 @@ class PeriodicityVerdict:
 
 
 def is_aperiodic(sub: Substitution, n_check: int = 50) -> PeriodicityVerdict:
-    """Complexity screen: p(n) <= n for some n <= n_check forces periodicity.
-    The counts p(1..n_check) are read off the sorted L_{n_check}.
+    """Aperiodicity of the subshift.
+
+    An irrational dominant eigenvalue lambda certifies it, with no language
+    built: a periodic minimal shift has rational letter frequencies
+    (Queffelec, LNM 1294, ch. 5), and a rational positive eigenvector of an
+    integer matrix has a rational eigenvalue.  For rational lambda a
+    complexity screen decides: p(n) <= n for some n <= n_check forces
+    periodicity.  The counts p(1..n_check) are read off the sorted
+    L_{n_check}.
 
     A periodic verdict exhibits a word w with the subshift equal to the orbit
-    closure of w repeated. An aperiodic verdict is certified to the window.
+    closure of w repeated. An aperiodic verdict of the screen is certified
+    to the window.
     """
     if not is_primitive(sub):
         raise ValidationError("aperiodicity check expects a primitive substitution")
@@ -289,6 +305,9 @@ def is_aperiodic(sub: Substitution, n_check: int = 50) -> PeriodicityVerdict:
         return PeriodicityVerdict(
             periodic=True, window=n_check, period=1, periodic_word=Word(sub.alphabet, (0,))
         )
+    _chi, _factors, lam = dominant_eigenvalue(sub)
+    if not lam.is_rational:
+        return PeriodicityVerdict(periodic=False, window=n_check)
     profile = complexity_profile(sub, n_check) if n_check >= 1 else ()
     for n, q in enumerate(profile, start=1):
         if q <= n:

@@ -209,3 +209,14 @@ def test_checklist_window_below_one_exits_one(capsys, tm_file, n_max):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: n_max must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("rules", [{"0": "0101", "1": "01"}, {"0": "00"}], ids=["0101,01", "00"])
+def test_aut_on_a_periodic_shift_exits_one(capsys, tmp_path, rules):
+    # both used to exit 3: shift identification found several offsets
+    path = tmp_path / "periodic.json"
+    path.write_text(json.dumps({"alphabet": sorted(rules), "rules": rules}))
+    assert run(["aut", str(path), "--radius", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "periodic" in captured.err

@@ -117,9 +117,12 @@ def test_profile_is_memoised_and_refuses_nonprimitive():
 
 @pytest.mark.parametrize("rules", [{"0": "01", "1": "10"}, {"0": "01", "1": "0"}])
 def test_screen_builds_one_language_length(rules):
+    """Thue-Morse (lambda = 2) is screened on L_50 alone; Fibonacci's
+    irrational lambda certifies aperiodicity with no language built."""
     sub = Substitution.from_rules(rules)
     assert not is_aperiodic(sub).periodic
-    assert set(sub.language(1).blocks) == {N_CHECK}
+    built = {"01,10": {N_CHECK}, "01,0": set()}[",".join(rules.values())]
+    assert set(sub.language(1).blocks) == built
 
 
 def test_one_letter_identity_is_periodic_without_a_language():
@@ -140,3 +143,36 @@ def test_coinvariants_solve_pf_data_once(monkeypatch):
     monkeypatch.setattr(pf, "_solve_pf", counting)
     coinvariants_report(Substitution.from_rules({"0": "01", "1": "10"}))
     assert len(solves) == 1
+
+
+# the three invalid inputs of the benchmark's cli workload
+CLI_INVALID = [
+    {"0": "01", "1": "11"},
+    {"0": "0101", "1": "01"},
+    {"0": "0", "1": "1"},
+]
+
+
+@pytest.mark.parametrize(
+    "rules", INPUTS + [r for r in CLI_INVALID if r not in INPUTS], ids=lambda r: ",".join(r.values())
+)
+def test_language_is_built_only_for_rational_lambda(rules):
+    """The verdict is the screen's, and the screen's language is built only
+    when lambda is rational; an input that is not primitive is refused."""
+    sub = Substitution.from_rules(rules)
+    if not is_primitive(sub):
+        with pytest.raises(ValidationError, match="expects a primitive substitution"):
+            is_aperiodic(sub)
+        return
+    irrational = not pf.pf_data(sub).lam.is_rational
+    assert is_aperiodic(sub) == per_length_is_aperiodic(Substitution.from_rules(rules))
+    assert (not sub.language(1).blocks) == irrational
+
+
+def test_certificate_decides_most_report_inputs():
+    # the eight with rational lambda: tm, cyclic4, 0→01,1→00, 0→0012,1→12,2→012,
+    # sigma4, pool02, pool10 and pool11
+    irrational = [
+        r for r in FIXED + POOL if not pf.pf_data(Substitution.from_rules(r)).lam.is_rational
+    ]
+    assert len(irrational) == 14
