@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .errors import InternalCheckError, ValidationError
+from .errors import InternalCheckError, ResourceLimitError, ValidationError
 from .substitution import (
     Substitution,
     cycle_lengths,
@@ -118,7 +118,11 @@ def asymptotic_classes(
     Classes group candidates sharing the right tail; classes whose tails
     agree up to a bounded shift are merged, and presentations of the same
     point are deduplicated, both verified to `tail_check_length` symbols.
+    A length too short to tell the leaves of any class apart exhausts the
+    budget.
     """
+    if tail_check_length < 1:
+        raise ValidationError("tail check length must be positive")
     if not is_primitive(sub):
         raise ValidationError("substitution must be primitive")
     if is_aperiodic(sub).periodic:
@@ -166,6 +170,10 @@ def asymptotic_classes(
                 kept.append((leaf, w))
         leaves[:] = [leaf for leaf, _ in kept]
     raw = [leaves for leaves in raw if len(leaves) >= 2]
+    if not raw:
+        raise ResourceLimitError(
+            f"tail check of {check} symbols leaves no class with two leaves"
+        )
 
     # merge classes whose right tails agree up to a shift
     merged: list[list[Leaf]] = []

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 from sympy import primefactors
 
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
-from .flows import decompose_into_returns, return_words
+from .flows import _section_word, derived_substitution, return_words
 from .intlat import (
     IntMatrix,
     Lattice,
@@ -41,7 +41,7 @@ from .substitution import (
     is_aperiodic,
     is_primitive,
 )
-from .words import Alphabet, Cylinder, CylinderSet, Word
+from .words import Cylinder, CylinderSet, LanguageTable, word_idx
 
 @dataclass(frozen=True)
 class DerivedData:
@@ -119,14 +119,7 @@ def derived_proper(sub: Substitution, base: int | str | None = None) -> DerivedD
     found = [(return_words(sub, (b,), seed=b), b) for b in candidates]
     returns, b = min(found, key=lambda rb: len(rb[0]))
     c_b = cycles[b]
-    powered = sub.power(c_b)
-    index = {r: i for i, r in enumerate(returns)}
-    labels = Alphabet.labels(len(returns))
-    images = []
-    for r in returns:
-        code = decompose_into_returns(powered.apply_idx(r), b, index)
-        images.append(Word(labels, code))
-    zeta = Substitution(labels, tuple(images))
+    zeta = derived_substitution(sub, b, returns)
 
     e = 1
     current = zeta
@@ -377,14 +370,6 @@ def trace(group: DirectLimitGroup, g: GroupElement) -> TraceValue:
 # -- cylinder classes -----------------------------------------------------
 
 
-def _normalize_word(sub: Substitution, item) -> tuple[int, ...]:
-    if isinstance(item, Word):
-        return item.idx
-    if isinstance(item, str):
-        return Word.parse(sub.alphabet, item).idx
-    return tuple(int(a) for a in item)
-
-
 def cylinder_class(group: DirectLimitGroup, item) -> GroupElement:
     """The class of the indicator of a cylinder (or a disjoint finite union)
     in the presentation.
@@ -407,7 +392,7 @@ def cylinder_class(group: DirectLimitGroup, item) -> GroupElement:
         return total
     if isinstance(item, Cylinder):
         return _single_cylinder_class(group, item.word.idx)
-    return _single_cylinder_class(group, _normalize_word(sub, item))
+    return _single_cylinder_class(group, word_idx(sub.alphabet, item))
 
 
 def _single_cylinder_class(group: DirectLimitGroup, word: tuple[int, ...]) -> GroupElement:
@@ -695,12 +680,7 @@ class RestrictedClass:
 def _normalize_gamma(
     sub: Substitution, gamma: Mapping
 ) -> list[tuple[tuple[int, ...], int]]:
-    out = []
-    for key, coeff in gamma.items():
-        word = _normalize_word(sub, key)
-        if any(a < 0 or a >= sub.size for a in word):
-            raise ValidationError("weight keyed by a word outside the alphabet")
-        out.append((word, int(coeff)))
+    out = [(word_idx(sub.alphabet, key), int(coeff)) for key, coeff in gamma.items()]
     out.sort(key=lambda t: (len(t[0]), t[0]))
     return out
 
@@ -711,119 +691,78 @@ def restrict_class(sub: Substitution, gamma: Mapping, section) -> RestrictedClas
 
     `gamma` maps words (cylinders at offset 0) to integer coefficients; the
     weight of a return word is the gamma-weight summed along it.  Occurrence
-    counts that straddle the end of a return word are resolved by
-    enumerating all admissible continuations compatible with returning to
-    the section; disagreement between continuations is an error.  Supported
-    sections: the whole space and single-letter cylinders.
+    counts that straddle the end of a return word are resolved by reading
+    every admissible continuation compatible with returning to the section
+    off the language; disagreement between continuations is an error.
+    Supported sections: the whole space and one-letter cylinders on a cycle
+    of the first-letter map.
     """
     terms = _normalize_gamma(sub, gamma)
     max_len = max((len(w) for w, _ in terms), default=0)
 
-    base_letter: int | None
-    if section is None:
+    word = _section_word(sub, section)
+    if word is None:
         base_letter = None
-    elif isinstance(section, CylinderSet):
-        if section.is_whole_space:
-            base_letter = None
-        elif len(section.cylinders) == 1 and len(section.cylinders[0].word) == 1:
-            base_letter = section.cylinders[0].word.idx[0]
-        else:
-            raise ValidationError(
-                "supported cross sections: whole space or a one-letter cylinder"
-            )
-    elif isinstance(section, str):
-        if section == "":
-            base_letter = None
-        else:
-            w = Word.parse(sub.alphabet, section)
-            if len(w) != 1:
-                raise ValidationError(
-                    "supported cross sections: whole space or a one-letter cylinder"
-                )
-            base_letter = w.idx[0]
-    else:
-        base_letter = int(section)
-
-    if base_letter is None:
         returns: tuple[tuple[int, ...], ...] = tuple((a,) for a in range(sub.size))
+    elif len(word) == 1:
+        base_letter = word[0]
+        returns = return_words(sub, word, seed=base_letter)
     else:
-        if base_letter not in cycle_lengths(sub.first_letter_map()):
-            raise ValidationError(
-                "cross-section letter must begin its own image under some power"
-            )
-        returns = return_words(sub, (base_letter,), seed=base_letter)
+        raise ValidationError(
+            "supported cross sections: whole space or a one-letter cylinder"
+        )
 
     language = sub.language(max(2, max_len + max(len(r) for r in returns)))
-    weights = []
-    for r in returns:
-        weights.append(
-            _return_word_weight(sub, language, terms, r, returns, base_letter, max_len)
-        )
+    weights = tuple(
+        _return_word_weight(language, terms, r, base_letter, max_len) for r in returns
+    )
     return RestrictedClass(
         base_letter=base_letter,
         return_words=returns,
-        weights=tuple(weights),
+        weights=weights,
         lengths=tuple(len(r) for r in returns),
     )
 
 
 def _return_word_weight(
-    sub: Substitution,
-    language,
+    language: LanguageTable,
     terms: list[tuple[tuple[int, ...], int]],
     r: tuple[int, ...],
-    returns: tuple[tuple[int, ...], ...],
     base_letter: int | None,
     max_len: int,
 ) -> int:
-    ext = max(0, max_len - 1)
-    if ext == 0:
-        continuations: list[tuple[int, ...]] = [()]
-    else:
-        continuations = sorted(
-            set(_return_continuations(returns, ext))
-        )
-        continuations = [
-            z for z in continuations if language.admissible(r + z)
-        ]
-        if not continuations:
-            raise InternalCheckError("no admissible continuation for a return word")
-    value: int | None = None
-    for z in continuations:
-        window = r + z
+    """The gamma-weight of the occurrences starting inside r, the same for
+    every continuation.  The continuations are the admissible blocks
+    r + z with |z| = max_len - 1; back at a letter section, z starts with
+    the letter.  Those are exactly the prefixes of concatenated return words
+    that may follow r: an admissible word starting at the letter splits at
+    its occurrences into return words and a prefix of one."""
+    k = len(r)
+    windows = [
+        block
+        for block in language.blocks_of(k + max(0, max_len - 1))
+        if block[:k] == r
+        and (base_letter is None or len(block) == k or block[k] == base_letter)
+    ]
+    if not windows:
+        raise InternalCheckError("no admissible continuation for a return word")
+    values = set()
+    for window in windows:
         total = 0
         for word, coeff in terms:
             if len(word) == 0:
-                total += coeff * len(r)
+                total += coeff * k
                 continue
-            for p in range(len(r)):
+            for p in range(k):
                 if p + len(word) <= len(window) and window[p : p + len(word)] == word:
                     total += coeff
-        if value is None:
-            value = total
-        elif value != total:
-            raise ValidationError(
-                "weight of a return word depends on the continuation; "
-                "the class does not restrict to this basis"
-            )
-    assert value is not None
-    return value
-
-
-def _return_continuations(
-    returns: tuple[tuple[int, ...], ...], length: int
-) -> list[tuple[int, ...]]:
-    out = []
-
-    def grow(prefix: tuple[int, ...]):
-        if len(prefix) >= length:
-            out.append(prefix[:length])
-            return
-        for r in returns:
-            grow(prefix + r)
-
-    grow(())
-    return out
+        values.add(total)
+    if len(values) != 1:
+        raise ValidationError(
+            "weight of a return word depends on the continuation; "
+            "the class does not restrict to this basis"
+        )
+    return values.pop()
 
 
 # -- induced action of flow codes -----------------------------------------
@@ -962,10 +901,9 @@ def _letter_permutation(
         for window, out in code.rule.items():
             if len(window) != 1:
                 return None
-            o = out[0] if isinstance(out, tuple) else int(out)
-            if perm[o] is not None:
+            if perm[out] is not None:
                 return None
-            perm[o] = window[0]
+            perm[out] = window[0]
         if any(p is None for p in perm):
             return None
         return tuple(perm)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping, Sequence
 
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
@@ -25,6 +26,7 @@ from .words import (
     Word,
     compose_codes,
     language_violation,
+    word_idx,
 )
 
 DEFAULT_DEPTH = 12
@@ -42,7 +44,11 @@ class ReturnSystem:
     section of the substitution itself (the image of the space under one
     application, which is clopen but not presented as a cylinder here).
     `weights` are the exact measures of the entry cylinders, one per return
-    word, in the ambient invariant measure.
+    word, in the ambient invariant measure.  `recoded_sub` generates
+    `recoded_language`: the substitution itself on the whole space and the
+    supertile section, the derived substitution of sigma^c on the return
+    words of a one-letter section on a first-letter cycle of length c, and
+    None for longer words and for letters off every cycle.
     """
 
     sub: Substitution
@@ -138,6 +144,28 @@ def return_words(
         n *= 2
 
 
+def derived_substitution(
+    sub: Substitution, letter: int, returns: Sequence[tuple[int, ...]]
+) -> Substitution:
+    """Durand's derived substitution of sigma^c on the return words of
+    `letter`, c the length of the letter's cycle under the first-letter map:
+    sigma^c(r) splits into return words, and letter i of the result stands
+    for returns[i]."""
+    cycles = cycle_lengths(sub.first_letter_map())
+    if letter not in cycles:
+        raise ValidationError(
+            "letter does not begin its own image under any power"
+        )
+    c = cycles[letter]
+    index = {r: i for i, r in enumerate(returns)}
+    labels = Alphabet.labels(len(returns))
+    images = []
+    for r in returns:
+        image = tuple(chain.from_iterable(sub.iterate_idx(a, c) for a in r))
+        images.append(Word(labels, decompose_into_returns(image, letter, index)))
+    return Substitution(labels, tuple(images))
+
+
 def decompose_into_returns(
     word: Sequence[int], letter: int, index: Mapping[tuple[int, ...], int]
 ) -> tuple[int, ...]:
@@ -207,9 +235,12 @@ def induce(
     """The return system of a cross section: return words in order of first
     occurrence, exact entry measures, and the recoded language.
 
-    The section may be a CylinderSet (whole space or a single cylinder), a
-    word over the alphabet, or "" for the whole space.  The offset of a
-    cylinder does not change the recoded system and is ignored.
+    The section may be a CylinderSet (whole space or a single cylinder) or
+    a word in any form `words.word_idx` reads; the empty word is the whole
+    space.  The offset of a cylinder does not change the recoded system and
+    is ignored.  A one-letter section on a cycle of the first-letter map is
+    recoded by its derived substitution; other sections keep only the
+    recoded language.
     """
     if not is_primitive(sub):
         raise ValidationError("substitution must be primitive")
@@ -241,7 +272,9 @@ def induce(
         cylinder_measure(sub, r + word) for r in returns
     )
     base_measure = cylinder_measure(sub, word)
-    recoded_sub = _try_recoded_sub(sub, word, returns, alphabet)
+    recoded_sub = None
+    if len(word) == 1 and word[0] in cycle_lengths(sub.first_letter_map()):
+        recoded_sub = derived_substitution(sub, word[0], returns)
     recoded_language = _recoded_language(sub, word, returns, alphabet, max(depth, 8))
     return ReturnSystem(
         sub=sub,
@@ -267,34 +300,7 @@ def _section_word(sub: Substitution, section) -> tuple[int, ...] | None:
         if len(section.cylinders) != 1:
             raise ValidationError("sections must be the whole space or one cylinder")
         return section.cylinders[0].word.idx
-    if isinstance(section, Word):
-        return section.idx
-    if isinstance(section, str):
-        if section == "":
-            return None
-        return Word.parse(sub.alphabet, section).idx
-    return tuple(int(a) for a in section)
-
-
-def _try_recoded_sub(
-    sub: Substitution,
-    word: tuple[int, ...],
-    returns: Sequence[tuple[int, ...]],
-    alphabet: Alphabet,
-) -> Substitution | None:
-    """The induced system of a one-letter section fixed by the first-letter
-    map is itself substitutive; other sections keep only a language table."""
-    if len(word) != 1:
-        return None
-    letter = word[0]
-    if sub.first_letter_map()[letter] != letter:
-        return None
-    index = {r: i for i, r in enumerate(returns)}
-    images = tuple(
-        Word(alphabet, decompose_into_returns(sub.apply_idx(r), letter, index))
-        for r in returns
-    )
-    return Substitution(alphabet, images)
+    return word_idx(sub.alphabet, section) or None
 
 
 def supertile_section(sub: Substitution) -> ReturnSystem:
@@ -704,7 +710,7 @@ def cocycle_slopes(fc: FlowCode, x0=None, k_range=range(0, 24)) -> CocycleProfil
     t_src = fc.source.return_times
     t_tgt = fc.target.return_times
     if x0 is not None:
-        seq = _as_recoded_sequence(fc.source, x0)
+        seq = word_idx(fc.source.alphabet, x0)
         if ks[0] < 0:
             raise ValidationError("explicit presentations support k >= 0 only")
         if ks[-1] >= len(seq):
@@ -721,16 +727,6 @@ def cocycle_slopes(fc: FlowCode, x0=None, k_range=range(0, 24)) -> CocycleProfil
         slope = Fraction(t_tgt[rule[a]], t_src[a])
         out.append((k, slope))
     return CocycleProfile(tuple(out))
-
-
-def _as_recoded_sequence(system: ReturnSystem, x0) -> tuple[int, ...]:
-    if isinstance(x0, Word):
-        if x0.alphabet != system.alphabet:
-            raise ValidationError("presentation is over the wrong alphabet")
-        return x0.idx
-    if isinstance(x0, str):
-        return Word.parse(system.alphabet, x0).idx
-    return tuple(int(a) for a in x0)
 
 
 def _two_sided_point(sub: Substitution, k_lo: int, k_hi: int):

@@ -14,7 +14,7 @@ from math import factorial, gcd, isqrt
 
 import sympy
 
-from .asymptotics import AsymptoticClassSet, action_on_classes, asymptotic_classes
+from .asymptotics import action_on_classes, asymptotic_classes
 from .automorphisms import (
     AutGroupReport,
     QuotientGroup,

@@ -27,7 +27,7 @@ from .numberfield import (
     integer_charpoly,
 )
 from .substitution import Substitution, dominant_eigenvalue, incidence_matrix, is_primitive
-from .words import Word
+from .words import word_idx
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -363,17 +363,9 @@ def _measure_windows(sub: Substitution, n: int) -> dict[tuple[int, ...], FieldEl
 def cylinder_measure(sub: Substitution, word) -> FieldElement:
     """Exact measure of the cylinder of a word in the unique shift-invariant
     probability measure."""
-    if isinstance(word, Word):
-        idx = word.idx
-    elif isinstance(word, str):
-        idx = Word.parse(sub.alphabet, word).idx
-    else:
-        idx = tuple(int(a) for a in word)
-    data = pf_data(sub)
+    idx = word_idx(sub.alphabet, word)
     if len(idx) == 0:
-        return data.field.one()
-    if any(a < 0 or a >= sub.size for a in idx):
-        raise ValidationError("letter index out of range")
+        return pf_data(sub).field.one()
     measure = _block_measures(sub, len(idx)).get(idx)
     if measure is None:
         raise ValidationError("word is not admissible")

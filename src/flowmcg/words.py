@@ -7,7 +7,8 @@ single character, and as comma-joined lists otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
@@ -102,6 +103,22 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({self.text!r})"
+
+
+def word_idx(alphabet: Alphabet, item) -> tuple[int, ...]:
+    """Letter indices of a word given as a Word over `alphabet`, a string
+    (read by Word.parse) or a sequence of letter indices."""
+    if isinstance(item, Word):
+        if item.alphabet != alphabet:
+            raise ValidationError("word is over a different alphabet")
+        return item.idx
+    if isinstance(item, str):
+        return Word.parse(alphabet, item).idx
+    try:
+        idx = tuple(operator.index(a) for a in item)
+    except TypeError:
+        raise ValidationError(f"not a word: {item!r}")
+    return Word(alphabet, idx).idx
 
 
 def windows(seq: Sequence[int], n: int) -> Iterator[tuple[int, ...]]:

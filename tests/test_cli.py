@@ -220,3 +220,26 @@ def test_aut_on_a_periodic_shift_exits_one(capsys, tmp_path, rules):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "periodic" in captured.err
+
+
+@pytest.mark.parametrize("length", ["0", "-5"])
+def test_nonpositive_tail_check_exits_one(capsys, tm_file, length):
+    assert run(["asymptotics", tm_file, "--tail-check", length]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tail check length must be positive" in captured.err
+
+
+@pytest.mark.parametrize(
+    "rules,length",
+    [({"0": "01", "1": "10"}, "4"), ({"0": "01", "1": "010"}, "15")],
+    ids=["tm", "01,010"],
+)
+def test_too_short_tail_check_exits_two(capsys, tmp_path, rules, length):
+    # both printed "count": 0 and exited 0; Thue-Morse has 2 classes
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps({"alphabet": sorted(rules), "rules": rules}))
+    assert run(["asymptotics", str(path), "--tail-check", length]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"tail check of {length} symbols" in captured.err

@@ -1,0 +1,180 @@
+"""The cross-section core: one derived substitution, return-word
+continuations read off the language, and one reader of word arguments."""
+
+import pytest
+
+from flowmcg.coinvariants import (
+    build_coinvariants,
+    cylinder_class,
+    derived_proper,
+    restrict_class,
+)
+from flowmcg.errors import ValidationError
+from flowmcg.flows import (
+    cocycle_slopes,
+    derived_substitution,
+    induce,
+    restrict_flow_code,
+    substitution_code,
+)
+from flowmcg.pf import cylinder_measure
+from flowmcg.substitution import Substitution, cycle_lengths, is_primitive
+from flowmcg.words import Alphabet, Word, word_idx
+
+from test_one_core import RULES
+
+# circle-factor inputs: every letter of the first lies on a 5-cycle of the
+# first-letter map
+CIRCLE = [
+    {"0": "101234", "1": "201234", "2": "301234", "3": "401234", "4": "001234"},
+    {"0": "01", "1": "21", "2": "00"},
+]
+ON_CYCLE = [
+    (rules, a)
+    for rules in RULES + CIRCLE
+    for a in sorted(cycle_lengths(Substitution.from_rules(rules).first_letter_map()))
+]
+
+
+def _id(rules):
+    return ",".join(f"{b}>{w}" for b, w in sorted(rules.items()))
+
+
+# the 14 pairs whose first-letter cycle is longer than 1
+LONG_CYCLE = {
+    *(("0>1202,1>2,2>0", a) for a in range(3)),
+    *((r, a) for r in ("0>1111,1>010", "0>1010,1>00", "0>1101,1>00") for a in range(2)),
+    *((_id(CIRCLE[0]), a) for a in range(5)),
+}
+
+
+@pytest.mark.parametrize(
+    "rules,a", ON_CYCLE, ids=[f"{_id(r)}@{a}" for r, a in ON_CYCLE]
+)
+def test_derived_substitution_recodes_every_letter_on_a_cycle(rules, a):
+    sub = Substitution.from_rules(rules)
+    system = induce(sub, (a,))
+    rec = system.recoded_sub
+    assert rec is not None and is_primitive(rec)
+    table = system.recoded_language
+    assert rec.alphabet == table.alphabet
+    for n in range(1, table.n_max + 1):
+        assert rec.language(n).blocks_of(n) == table.blocks_of(n), n
+    # the coinvariants' zeta is the same substitution, up to the order of
+    # the return words
+    derived = derived_proper(sub, base=a)
+    position = {r: j for j, r in enumerate(derived.return_words)}
+    relabel = [position[w.idx] for w in system.return_words]
+    assert sorted(relabel) == list(range(rec.size))
+    for i in range(rec.size):
+        assert derived.zeta.image_idx(relabel[i]) == tuple(
+            relabel[x] for x in rec.image_idx(i)
+        )
+
+
+def test_the_long_cycles_are_covered():
+    found = {
+        (_id(r), a)
+        for r, a in ON_CYCLE
+        if cycle_lengths(Substitution.from_rules(r).first_letter_map())[a] > 1
+    }
+    assert found == LONG_CYCLE
+
+
+def test_letters_off_every_cycle_have_no_recoded_substitution(fib):
+    pool10 = Substitution.from_rules({"0": "010", "1": "011"})
+    for sub in (fib, pool10):
+        assert 1 not in cycle_lengths(sub.first_letter_map())
+        assert induce(sub, "1").recoded_sub is None
+        with pytest.raises(ValidationError):
+            derived_substitution(sub, 1, ((1, 0), (1,)))
+    assert induce(fib, "01").recoded_sub is None
+
+
+def test_restriction_reads_continuations_off_the_language(fib):
+    # every 40-block has weight 1: each return word starts one 40-block per
+    # symbol, whatever follows it
+    blocks = fib.language(40).blocks_of(40)
+    rc = restrict_class(fib, {b: 1 for b in blocks}, "0")
+    assert rc.return_words == ((0, 1), (0,))
+    assert rc.weights == (2, 1)
+
+
+def test_restriction_keeps_the_one_letter_rule(fib):
+    with pytest.raises(ValidationError):
+        restrict_class(fib, {"0": 1}, "01")
+    with pytest.raises(ValidationError):
+        restrict_class(fib, {"0": 1}, 0)
+    assert restrict_class(fib, {"0": 1}, (0,)) == restrict_class(fib, {"0": 1}, "0")
+
+
+@pytest.mark.parametrize("empty", ["", (), ",,", []])
+def test_an_empty_word_is_the_whole_space(fib, empty):
+    assert induce(fib, empty).is_whole_space
+    assert restrict_class(fib, {"0": 1}, empty).base_letter is None
+    code = substitution_code(fib)
+    assert restrict_flow_code(code, empty) is code
+
+
+def _system(s):
+    return (s.base_word, s.return_words, s.weights, s.base_measure)
+
+
+def _word_calls(fib):
+    """Per function: the index form of a word it takes, and the call."""
+    group = build_coinvariants(fib)
+    code = substitution_code(fib)
+
+    def class_of(w):
+        g = cylinder_class(group, w)
+        return g.level, g.vector
+
+    def restricted_code(w):
+        fc = restrict_flow_code(code, w)
+        return _system(fc.source), _system(fc.target)
+
+    return {
+        "induce": ((0, 1), lambda w: _system(induce(fib, w))),
+        "cylinder_measure": ((0, 1), lambda w: cylinder_measure(fib, w)),
+        "cylinder_class": ((0, 1), class_of),
+        "restrict_class": ((0,), lambda w: restrict_class(fib, {"00": 1}, w)),
+        "restrict_flow_code": ((0, 1), restricted_code),
+        "cocycle_slopes": (
+            (0, 1, 0, 0, 1, 0, 1, 0),
+            lambda w: cocycle_slopes(code, x0=w, k_range=range(8)),
+        ),
+    }
+
+
+CALLS = [
+    "induce",
+    "cylinder_measure",
+    "cylinder_class",
+    "restrict_class",
+    "restrict_flow_code",
+    "cocycle_slopes",
+]
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_word_arguments_are_read_alike(fib, name):
+    idx, call = _word_calls(fib)[name]
+    text = "".join(fib.alphabet.symbols[a] for a in idx)
+    expected = call(idx)
+    assert call(text) == expected
+    assert call(Word(fib.alphabet, idx)) == expected
+    assert call(list(idx)) == expected
+
+    foreign = Word(Alphabet.of("ab"), idx)
+    for bad in (foreign, idx[:-1] + (2,), 3.5):
+        with pytest.raises(ValidationError):
+            call(bad)
+
+
+def test_word_idx_forms(fib):
+    assert word_idx(fib.alphabet, "010") == (0, 1, 0)
+    assert word_idx(fib.alphabet, Word.parse(fib.alphabet, "10")) == (1, 0)
+    assert word_idx(fib.alphabet, [1, 1]) == (1, 1)
+    for bad in (3.5, None, (0, -1), ("0", "1"), (0.0,)):
+        with pytest.raises(ValidationError):
+            word_idx(fib.alphabet, bad)
