@@ -107,7 +107,10 @@ def derived_proper(sub: Substitution, base: int | str | None = None) -> DerivedD
     fl = sub.first_letter_map()
     cycles = cycle_lengths(fl)
     if base is not None:
-        base_idx = sub.alphabet.index(base) if isinstance(base, str) else int(base)
+        if isinstance(base, str):
+            base_idx = sub.alphabet.index(base)
+        else:
+            (base_idx,) = word_idx(sub.alphabet, (base,))
         if base_idx not in cycles:
             raise ValidationError(
                 "base letter does not begin its own image under any power"
@@ -380,6 +383,7 @@ def cylinder_class(group: DirectLimitGroup, item) -> GroupElement:
     """
     sub = group.derived.source
     if isinstance(item, CylinderSet):
+        words = [word_idx(sub.alphabet, c.word) for c in item.cylinders]
         lang_depth = max(
             (abs(c.offset) + len(c.word) for c in item.cylinders), default=2
         )
@@ -387,11 +391,11 @@ def cylinder_class(group: DirectLimitGroup, item) -> GroupElement:
         item.check_admissible(language)
         item.check_disjoint(language)
         total = group.zero()
-        for c in item.cylinders:
-            total = total + _single_cylinder_class(group, c.word.idx)
+        for word in words:
+            total = total + _single_cylinder_class(group, word)
         return total
     if isinstance(item, Cylinder):
-        return _single_cylinder_class(group, item.word.idx)
+        item = item.word
     return _single_cylinder_class(group, word_idx(sub.alphabet, item))
 
 

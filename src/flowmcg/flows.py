@@ -295,6 +295,8 @@ def _section_word(sub: Substitution, section) -> tuple[int, ...] | None:
     if section is None:
         return None
     if isinstance(section, CylinderSet):
+        if section.alphabet != sub.alphabet:
+            raise ValidationError("section is over a different alphabet")
         if section.is_whole_space:
             return None
         if len(section.cylinders) != 1:

@@ -1,9 +1,10 @@
 """Exact integer and rational lattice linear algebra.
 
 Matrices are tuples of row tuples. Kernels are saturated (computed through a
-Smith decomposition with unimodular transforms), lattices are canonicalized by
-row Hermite normal form over a common denominator. Elimination over Q is one
-Gauss–Jordan routine, `row_reduce`.
+Smith decomposition with unimodular transforms, by local extended-gcd steps on
+plain ints), lattices are canonicalized by row Hermite normal form over a
+common denominator. Elimination over Q is one Gauss–Jordan routine,
+`row_reduce`.
 """
 
 from __future__ import annotations
@@ -12,10 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
-
-from sympy import ZZ
-from sympy.polys.matrices import DomainMatrix
-from sympy.polys.matrices.normalforms import smith_normal_decomp
 
 from .errors import InternalCheckError, ValidationError
 
@@ -45,17 +42,73 @@ def mat_vec(a: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
+def _xgcd(p: int, q: int) -> tuple[int, int, int]:
+    """(g, s, t) with s·p + t·q = g = gcd(p, q) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while q:
+        k, r = divmod(p, q)
+        p, q, s0, s1, t0, t1 = q, r, s1, s0 - k * s1, t1, t0 - k * t1
+    return (p, s0, t0) if p >= 0 else (-p, -s0, -t0)
+
+
+def _clearing_step(p: int, q: int) -> tuple[int, int, int, int]:
+    """A unimodular [[s, t], [y, z]] taking (p, q) to (g, 0), p != 0.  A plain
+    subtraction when p divides q: an extended-gcd step there may return
+    s = -1 and flip the pivot's sign, dirtying what it had cleared."""
+    if q % p == 0:
+        return 1, 0, -(q // p), 1
+    g, s, t = _xgcd(p, q)
+    return s, t, -(q // g), p // g
+
+
 def smith_with_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """(U, D, V) with U·m·V = D diagonal, U and V unimodular, diagonal
     entries nonnegative with each dividing the next.
 
-    The decomposition is sympy's: its extended-gcd row and column steps
-    finish on inputs where Euclidean pivot steps let entries grow without
-    bound.  The identity and the shape of D are checked here.
+    Kannan–Bachem style: pivot on the smallest nonzero |entry| of the
+    remaining block, clear its column, then its row, by 2x2 steps until both
+    are clear; if the pivot fails to divide an entry, add that entry's row
+    to the pivot row and repeat.  Each extended-gcd step shrinks the pivot,
+    so this ends.  The identity and the shape of D are checked here.
     """
     rows, cols = len(m), len(m[0]) if m else 0
-    dm = DomainMatrix([[ZZ(x) for x in r] for r in m], (rows, cols), ZZ)
-    d, u, v = (mat_from(x.to_list()) for x in smith_normal_decomp(dm))
+    a = [list(r) for r in m]
+    u = [list(r) for r in identity(rows)]
+    v = [list(r) for r in identity(cols)]
+    for k in range(min(rows, cols)):
+        while True:
+            block = [(abs(x), i, j) for i in range(k, rows) for j, x in enumerate(a[i][k:], k) if x]
+            if not block:
+                break
+            _, i, j = min(block)
+            a[k], a[i], u[k], u[i] = a[i], a[k], u[i], u[k]
+            for row in a + v:
+                row[k], row[j] = row[j], row[k]
+            while any(a[i][k] for i in range(k + 1, rows)) or any(a[k][k + 1 :]):
+                for i in range(k + 1, rows):
+                    if a[i][k]:
+                        s, t, y, z = _clearing_step(a[k][k], a[i][k])
+                        for w in (a, u):
+                            r0, r1 = w[k], w[i]
+                            w[k] = [s * x0 + t * x1 for x0, x1 in zip(r0, r1)]
+                            w[i] = [y * x0 + z * x1 for x0, x1 in zip(r0, r1)]
+                for j in range(k + 1, cols):
+                    if a[k][j]:
+                        s, t, y, z = _clearing_step(a[k][k], a[k][j])
+                        for row in a + v:
+                            x0, x1 = row[k], row[j]
+                            row[k], row[j] = s * x0 + t * x1, y * x0 + z * x1
+            p = a[k][k]
+            bad = next((i for i in range(k + 1, rows) if any(x % p for x in a[i][k + 1 :])), None)
+            if bad is None:
+                break
+            a[k] = [x + y for x, y in zip(a[k], a[bad])]
+            u[k] = [x + y for x, y in zip(u[k], u[bad])]
+        if not block:
+            break
+        if a[k][k] < 0:
+            a[k], u[k] = [-x for x in a[k]], [-x for x in u[k]]
+    u, d, v = mat_from(u), mat_from(a), mat_from(v)
     diag = [d[i][i] for i in range(min(rows, cols))]
     if (
         mat_mul(mat_mul(u, m), v) != d

@@ -7,6 +7,9 @@ degree below that of lambda, stored as integer coefficients over one
 positive denominator and reduced mod the minimal polynomial in integers.
 Signs are decided exactly by interval refinement, which terminates because
 a nonzero element of the field has nonzero value.
+Characteristic polynomials come from one division-free Berkowitz core, which
+also gives inverses (by Cayley–Hamilton) and minimal polynomials of elements;
+sympy only factors polynomials and isolates and counts their real roots.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import sympy
-from sympy import ZZ
-from sympy.polys.matrices import DomainMatrix
 
 from .errors import InternalCheckError, ValidationError
 
@@ -176,12 +177,7 @@ class NumberField:
         self.root = root
         # the tightest interval of lambda that has decided a sign so far
         self._sign_root = root
-        lead = root.minpoly[-1]
         self.degree = root.degree
-        # monic minimal polynomial of lambda over Q
-        self.monic: tuple[Fraction, ...] = tuple(
-            Fraction(c, lead) for c in root.minpoly
-        )
 
     def __eq__(self, other: object) -> bool:
         """Fields are equal when their generators are the same root of the
@@ -235,7 +231,7 @@ class NumberField:
 
     def generator(self) -> "FieldElement":
         if self.degree == 1:
-            return self.element([-self.monic[0]])
+            return self.element([self.root.as_fraction()])
         return self.element([0, 1])
 
     # arithmetic -----------------------------------------------------------
@@ -272,30 +268,31 @@ class NumberField:
             q = Fraction(q)
         return _canonical(self, [q.numerator * x for x in a.nums], q.denominator * a.den)
 
+    def multiplication_rows(self, a: "FieldElement") -> tuple[int, list[list[int]]]:
+        """(s, rows) with rows[t] the integer coefficients of s·a·lambda^t,
+        s > 0 the least such multiplier: the integer matrix of
+        multiplication by s·a, acting on coefficient rows from the right."""
+        rows = [self.element_over([0] * t + list(a.nums), a.den) for t in range(self.degree)]
+        s = math.lcm(*(row.den for row in rows))
+        return s, [[x * (s // row.den) for x in row.nums] for row in rows]
+
     def inv(self, a: "FieldElement") -> "FieldElement":
+        """Cayley–Hamilton on b = s·a of `multiplication_rows`: chi(b) = 0 for
+        chi = sum of e_j·x^j, so b^-1 = -(e_1 + e_2·b + ... + b^(d-1))/e_0,
+        by Horner steps on integer rows; e_0 = ±det != 0 as b != 0."""
         if a.field is not self:
             self._check(a)
         if a.is_zero():
             raise ZeroDivisionError("field element is zero")
-        if self.degree == 1:
-            return self.rational(1 / a.coeffs[0])
-        # extended Euclid in Q[x]: s*a + t*monic = gcd = const
-        r0 = list(self.monic)
-        r1 = list(a.coeffs)
-        s0: list[Fraction] = [Fraction(0)]
-        s1: list[Fraction] = [Fraction(1)]
-        while True:
-            r1 = _trim(r1)
-            if len(r1) == 1:
-                break
-            q, rem = _polydivmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _polysub(s0, _polymul(q, s1))
-            if not _trim(r1) or _trim(r1) == [Fraction(0)]:
-                raise InternalCheckError("element shares a factor with the minimal polynomial")
-        c = r1[0]
-        inv_cs = [x / c for x in s1]
-        return self.element(inv_cs)
+        s, rows = self.multiplication_rows(a)
+        chi = _berkowitz(rows)
+        if not chi[0]:
+            raise InternalCheckError("element shares a factor with the minimal polynomial")
+        acc = [1] + [0] * (self.degree - 1)
+        for e in reversed(chi[1:-1]):
+            acc = [sum(x * row[j] for x, row in zip(acc, rows)) for j in range(self.degree)]
+            acc[0] += e
+        return _canonical(self, [-s * x for x in acc], chi[0])
 
     def div(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
         return self.mul(a, self.inv(b))
@@ -424,49 +421,6 @@ def _canonical(field: NumberField, nums: list[int], den: int) -> FieldElement:
     return el
 
 
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _polydivmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    num = _trim(list(num))
-    den = _trim(list(den))
-    if len(den) == 1 and den[0] == 0:
-        raise ZeroDivisionError
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    r = list(num)
-    dlead = den[-1]
-    while len(_trim(r)) >= len(den) and _trim(r) != [Fraction(0)]:
-        r = _trim(r)
-        shift = len(r) - len(den)
-        coef = r[-1] / dlead
-        q[shift] += coef
-        for i, dc in enumerate(den):
-            r[shift + i] -= coef * dc
-        r = r[:-1] if r[-1] == 0 else r
-    return q, _trim(r)
-
-
-def _polymul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _polysub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return out
-
-
 def _interval_eval(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     """Interval extension of a polynomial over [lo, hi] via monomial bounds."""
     out_lo = Fraction(0)
@@ -527,21 +481,47 @@ def classify_roots_vs_unit_circle(asc: Sequence[int]) -> tuple[int, int, int]:
         return ((deg - on) // 2, on, (deg - on) // 2)
     # H_jk = sum_(p=1)^min(j,k) (a_(d-j+p) a_(d-k+p) - a_(j-p) a_(k-p)),
     # 1 <= j, k <= d, built here from 0-based j, k
-    h = sympy.Matrix(deg, deg, lambda j, k: sum(
-        a[deg - j - 1 + p] * a[deg - k - 1 + p] - a[j + 1 - p] * a[k + 1 - p]
-        for p in range(1, min(j, k) + 2)
-    ))
-    signs = [c > 0 for c in h.charpoly().all_coeffs() if c != 0]
+    h = [[sum(a[deg - j - 1 + p] * a[deg - k - 1 + p] - a[j + 1 - p] * a[k + 1 - p]
+              for p in range(1, min(j, k) + 2)) for k in range(deg)] for j in range(deg)]
+    signs = [c > 0 for c in _berkowitz(h) if c != 0]
     inside = sum(x != y for x, y in zip(signs, signs[1:]))
     return inside, 0, deg - inside
 
 
+def _berkowitz(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """det(x·I - m) of a square integer matrix, ascending and monic, without
+    division (Berkowitz, IPL 18, 1984).  With m_k the leading k x k block,
+    r, c and a the rest of row k, column k and m[k][k], and chi_k = sum of
+    p_j·x^(k-j): chi_(k+1) = (x - a)·chi_k - sum over i < k of
+    x^(k-1-i)·sum over j <= i of p_j·(r·m_k^(i-j)·c).  Zero entries are skipped."""
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in matrix]
+    chi = [1]
+    for k in range(len(matrix)):
+        w, q = list(matrix[k][:k]), []
+        for i in range(k):
+            q.append(sum(x * matrix[j][k] for j, x in enumerate(w) if x))
+            if i < k - 1:
+                nxt = [0] * k
+                for j, x in enumerate(w):
+                    if x:
+                        for col, y in nonzero[j]:
+                            if col >= k:
+                                break
+                            nxt[col] += x * y
+                w = nxt
+        a = matrix[k][k]
+        nxt_chi = chi + [0]
+        for i, p in enumerate(chi):
+            nxt_chi[i + 1] -= a * p
+        for i in range(k):
+            nxt_chi[i + 2] -= sum(chi[j] * q[i - j] for j in range(i + 1))
+        chi = nxt_chi
+    return tuple(reversed(chi))
+
+
 def integer_charpoly(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """det(x·I - m) of a square integer matrix, ascending and monic, computed
-    over ZZ without leaving the integers."""
-    n = len(matrix)
-    dm = DomainMatrix([[ZZ(int(x)) for x in row] for row in matrix], (n, n), ZZ)
-    return tuple(int(c) for c in reversed(dm.charpoly()))
+    """det(x·I - m) of a square integer matrix, ascending and monic."""
+    return _berkowitz(matrix)
 
 
 def factor_charpoly(charpoly: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
@@ -568,30 +548,26 @@ def dominant_root(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tup
 
 def minimal_polynomial_of_element(field: NumberField, a: FieldElement) -> tuple[int, ...]:
     """Integer minimal polynomial (ascending, primitive, positive leading) of
-    a field element, certified by sign change around a refined interval."""
-    y = sympy.Symbol("y")
-    lam_min = poly_from_ascending(field.root.minpoly).as_expr().subs(_X, y)
-    g = sum(
-        sympy.Rational(c.numerator, c.denominator) * y**k for k, c in enumerate(a.coeffs)
-    )
-    res = sympy.resultant(lam_min, _X - g, y)
-    p = sympy.Poly(sympy.expand(res), _X)
-    candidates = [f.primitive()[1] for f, _ in p.factor_list()[1]]
+    a field element, certified by sign change around a refined interval.  chi
+    of `multiplication_rows` is a power of the minimal polynomial f of s·a
+    (Q(lambda) is a vector space over Q(s·a)), and a is a root of f(s·x)."""
+    s, rows = field.multiplication_rows(a)
+    candidates = []
+    for f, _mult in factor_charpoly(_berkowitz(rows)):
+        scaled = [c * s**k for k, c in enumerate(f)]
+        g = math.gcd(*scaled)
+        candidates.append(tuple(c // g for c in scaled))
     eps = Fraction(1, 16)
     while True:
         mid = field.approx(a, eps)
         live = []
-        for f in candidates:
-            asc = ascending_from_poly(f if f.LC() > 0 else -f)
+        for asc in candidates:
             slo = eval_ascending(asc, mid - eps)
             shi = eval_ascending(asc, mid + eps)
             if slo == 0 or shi == 0 or (slo > 0) != (shi > 0):
-                live.append(f)
+                live.append(asc)
         if len(live) == 1:
-            f = live[0]
-            if f.LC() < 0:
-                f = -f
-            return ascending_from_poly(f)
+            return live[0]
         eps = eps / 16
 
 

@@ -134,9 +134,7 @@ def positive_eigenvector(
 def _multiplier(field: NumberField, c: FieldElement):
     """(den, f) with f(s) = den·c·s for s an integer coefficient vector of
     an element of the field: multiplication by c over the integers."""
-    rows = [field.element_over([0] * t + list(c.nums), c.den) for t in range(field.degree)]
-    den = math.lcm(*(row.den for row in rows))
-    int_rows = [[x * (den // row.den) for x in row.nums] for row in rows]
+    den, int_rows = field.multiplication_rows(c)
 
     def times(s: Sequence[int]) -> list[int]:
         return [sum(st * row[j] for st, row in zip(s, int_rows)) for j in range(field.degree)]

@@ -19,7 +19,7 @@ from flowmcg.flows import (
 )
 from flowmcg.pf import cylinder_measure
 from flowmcg.substitution import Substitution, cycle_lengths, is_primitive
-from flowmcg.words import Alphabet, Word, word_idx
+from flowmcg.words import Alphabet, Cylinder, CylinderSet, Word, word_idx
 
 from test_one_core import RULES
 
@@ -166,9 +166,16 @@ def test_word_arguments_are_read_alike(fib, name):
     assert call(list(idx)) == expected
 
     foreign = Word(Alphabet.of("ab"), idx)
-    for bad in (foreign, idx[:-1] + (2,), 3.5):
+    for bad in (foreign, CylinderSet.single(foreign), Cylinder(foreign), idx[:-1] + (2,), 3.5):
         with pytest.raises(ValidationError):
             call(bad)
+
+
+def test_derived_proper_reads_its_letter_like_a_word(fib):
+    assert derived_proper(fib, base=0).return_words == derived_proper(fib, base="0").return_words
+    for bad in (0.7, 2, -1, "2", "01"):
+        with pytest.raises(ValidationError):
+            derived_proper(fib, base=bad)
 
 
 def test_word_idx_forms(fib):

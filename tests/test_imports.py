@@ -36,3 +36,22 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_roots(source: str) -> set[str]:
+    """Top-level package names a module imports."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_only_the_polynomial_layers_import_sympy():
+    """Factoring, root counting and a few number-theory helpers come from
+    sympy; the integer kernels (Smith form, characteristic polynomials,
+    inverses in Q(lambda)) are local, with sympy's kept as test oracles."""
+    users = sorted(p.name for p in SRC.glob("*.py") if "sympy" in imported_roots(p.read_text()))
+    assert users == ["coinvariants.py", "mcg.py", "numberfield.py"]

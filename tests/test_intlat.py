@@ -1,6 +1,7 @@
-"""Oracle tests for the exact linear-algebra layer: Smith form, the shared
-Gauss-Jordan elimination over Q, the primitivity test, and the
-Perron-Frobenius eigenvectors that replaced elimination over Q(lambda)."""
+"""Oracle tests for the exact linear-algebra layer: Smith form (against
+sympy's), the shared Gauss-Jordan elimination over Q, the primitivity test,
+and the Perron-Frobenius eigenvectors that replaced elimination over
+Q(lambda)."""
 
 import random
 from fractions import Fraction
@@ -9,7 +10,12 @@ from math import gcd
 
 import pytest
 import sympy
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import smith_normal_form
 
+from flowmcg import intlat
+from flowmcg.coinvariants import coinvariants_report
 from flowmcg.errors import ValidationError
 from flowmcg.intlat import (
     identity,
@@ -77,6 +83,46 @@ def test_smith_transforms_are_unimodular():
         assert mat_mul(mat_mul(u, m), v) == d
         assert abs(_det([list(r) for r in u])) == 1
         assert abs(_det([list(r) for r in v])) == 1
+
+
+def _domain(m):
+    return DomainMatrix([[ZZ(x) for x in row] for row in m], (len(m), len(m[0])), ZZ)
+
+
+def test_smith_form_matches_sympy_on_random_matrices():
+    """Up to 8x8, entries in [-9, 9] with about 30% zeros, every fifth
+    matrix of rank at most 2: D is sympy's, U and V are unimodular."""
+    rng = random.Random(20261018)
+    for count in range(2000):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        if count % 5:
+            m = [[rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(cols)]
+                 for _ in range(rows)]
+        else:
+            basis = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(2)]
+            m = [[rng.randint(-3, 3) * x + rng.randint(-3, 3) * y for x, y in zip(*basis)]
+                 for _ in range(rows)]
+        m = tuple(tuple(r) for r in m)
+        u, d, v = smith_with_transform(m)
+        assert d == tuple(tuple(int(x) for x in r) for r in smith_normal_form(_domain(m)).to_list())
+        assert mat_mul(mat_mul(u, m), v) == d
+        assert abs(_domain(u).det()) == 1 and abs(_domain(v).det()) == 1
+
+
+def test_smith_transforms_of_sigma4_coinvariants_stay_small(monkeypatch):
+    """A Euclidean pivot loop grew these past 100,000 bits; sympy's
+    transforms reach 763 bits."""
+    widest = []
+
+    def recorded(m):
+        out = smith(m)
+        widest.append(max(abs(x).bit_length() for t in (out[0], out[2]) for r in t for x in r))
+        return out
+
+    smith = intlat.smith_with_transform
+    monkeypatch.setattr(intlat, "smith_with_transform", recorded)
+    coinvariants_report(Substitution.from_rules({"0": "01", "1": "12", "2": "23", "3": "30"}))
+    assert widest and max(widest) <= 64
 
 
 def test_smith_form_of_zero_and_empty_matrices():

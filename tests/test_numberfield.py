@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from flowmcg.cli import run
 from flowmcg.errors import ValidationError
@@ -13,6 +15,7 @@ from flowmcg.numberfield import (
     classify_roots_vs_unit_circle,
     factor_charpoly,
     integer_charpoly,
+    minimal_polynomial_of_element,
 )
 from flowmcg.pf import cr_check, is_pisot
 from flowmcg.substitution import Substitution, incidence_matrix
@@ -258,6 +261,77 @@ def test_integer_charpoly_matches_sympy_on_random_matrices():
             expected = tuple(int(c) for c in reversed(sympy.Matrix(m).charpoly(x).all_coeffs()))
             assert integer_charpoly(m) == expected
     assert integer_charpoly([[0] * 5] * 5) == (0, 0, 0, 0, 0, 1)
+
+
+def _two_block_matrix(rules):
+    """The substitution acting on 2-blocks: ab -> the 2-blocks of sigma(ab)
+    that start inside sigma(a)."""
+    sub = Substitution.from_rules(rules)
+    pairs = sub.two_blocks()
+    counts = [[0] * len(pairs) for _ in pairs]
+    for i, (image, cut) in enumerate(sub.two_block_images(1)):
+        for pos in range(cut):
+            counts[i][pairs.index(image[pos : pos + 2])] += 1
+    return counts
+
+
+def test_integer_charpoly_matches_domain_matrix():
+    """Berkowitz against sympy's DomainMatrix over ZZ, up to 9x9 with about
+    half the entries zero, and on the 16x16 2-block matrix of sigma4."""
+    rng = random.Random(14)
+    matrices = [
+        [[rng.randint(-20, 20) if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(n)]
+        for n in range(1, 10)
+        for _ in range(20)
+    ]
+    matrices.append(_two_block_matrix({"0": "01", "1": "12", "2": "23", "3": "30"}))
+    assert len(matrices[-1]) == 16
+    for m in matrices:
+        dm = DomainMatrix([[ZZ(x) for x in row] for row in m], (len(m), len(m)), ZZ)
+        assert integer_charpoly(m) == tuple(int(c) for c in reversed(dm.charpoly()))
+
+
+# irreducible minimal polynomials of degree 1 to 5, ascending; the field is
+# that of the largest real root.  3/2, sqrt(3/2) and the cube root of 2/3
+# have minimal polynomials that are not monic.
+KERNEL_FIELDS = [
+    (-3, 2),
+    (-1, -1, 1),
+    (-3, 0, 2),
+    (-1, -1, 0, 1),
+    (-2, 0, 0, 3),
+    (1, 0, -10, 0, 1),
+    (-1, -1, 0, 0, 0, 1),
+]
+
+
+def _random_elements(field, rng, count):
+    for _ in range(count):
+        cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(field.degree)]
+        if any(cs):
+            yield field.element(cs)
+
+
+@pytest.mark.parametrize("asc", KERNEL_FIELDS, ids=str)
+def test_inverse_by_cayley_hamilton(asc):
+    field = _field_of(asc)
+    rng = random.Random(str(asc))
+    for a in _random_elements(field, rng, 40):
+        assert a * field.inv(a) == field.one()
+    with pytest.raises(ZeroDivisionError):
+        field.inv(field.zero())
+
+
+@pytest.mark.parametrize("asc", [f for f in KERNEL_FIELDS if len(f) <= 5], ids=str)
+def test_minimal_polynomial_of_element_matches_sympy(asc):
+    x = sympy.Symbol("x")
+    field = _field_of(asc)
+    lam = sympy.Poly(list(reversed(asc)), x).real_roots()[-1]
+    rng = random.Random(str(asc))
+    for a in _random_elements(field, rng, 6):
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * lam**k for k, c in enumerate(a.coeffs))
+        want = sympy.Poly(sympy.minimal_polynomial(expr, x), x)
+        assert minimal_polynomial_of_element(field, a) == tuple(int(c) for c in reversed(want.all_coeffs()))
 
 
 def _reference_factor_charpoly(matrix):
