@@ -5,25 +5,27 @@ The group is presented as a stationary direct limit over the incidence
 matrix of a left-proper derived substitution (return words of a well-chosen
 letter).  Cylinder indicator classes, the exact trace, its image lattice,
 infinitesimals, restrictions to cross sections, and the automorphisms
-induced by flow codes are all computed in this presentation.  The
-invariant factors are those of one Smith form, of the transition matrix
-beside its eventual-kernel basis.
+induced by flow codes are all computed in this presentation.  Elements
+are kept reduced modulo the eventual kernel K = ker N^d, so two are equal
+when their difference reduces to 0.  The invariant factors are those of one
+Smith form, of the transition matrix beside its eventual-kernel basis.
+Membership in the trace image is a bounded orbit of multiplication by lam
+on a finite quotient of Z^d, d the degree of lam.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 from typing import Mapping, Sequence
 
-from sympy import primefactors
-
-from .errors import InternalCheckError, ResourceLimitError, ValidationError
+from .errors import InternalCheckError, ValidationError
 from .flows import _section_word, derived_substitution, return_words
 from .intlat import (
     IntMatrix,
     Lattice,
+    echelon_reduce,
     eventual_kernel,
     hnf_rows,
     identity,
@@ -235,44 +237,31 @@ class DirectLimitGroup:
         self,
         derived: DerivedData,
         n_matrix: IntMatrix,
-        orientation: str,
         field: NumberField,
         u_n: tuple[FieldElement, ...],
         base_measure: FieldElement,
     ) -> None:
         self.derived = derived
         self.n_matrix = n_matrix
-        self.orientation = orientation
         self.field = field
         self.u_n = u_n
         self.base_measure = base_measure
         self.dimension = len(n_matrix)
-        basis, _steps = eventual_kernel(n_matrix)
-        self.eventual_kernel_basis = tuple(basis)
-        self._kernel_hnf = hnf_rows(basis) if basis else ()
+        self.eventual_kernel_basis = tuple(eventual_kernel(n_matrix))
+        self._kernel_hnf = hnf_rows(self.eventual_kernel_basis)
         self.order_unit = self.element(0, derived.lengths)
         unit_trace = trace(self, self.order_unit)
         if unit_trace.exact() != field.one():
-            raise InternalCheckError("order unit trace is not 1 after orientation fix")
+            raise InternalCheckError("order unit trace is not 1")
 
     # -- element plumbing -------------------------------------------------
-
-    def _reduce_mod_kernel(self, vector: Sequence[int]) -> tuple[int, ...]:
-        v = list(int(x) for x in vector)
-        for row in self._kernel_hnf:
-            p = next(k for k, x in enumerate(row) if x != 0)
-            q = v[p] // row[p]
-            if q:
-                for k in range(len(v)):
-                    v[k] -= q * row[k]
-        return tuple(v)
 
     def element(self, level: int, vector: Sequence[int]) -> GroupElement:
         if level < 0:
             raise ValidationError("level must be nonnegative")
         if len(vector) != self.dimension:
             raise ValidationError("vector length does not match the presentation")
-        return GroupElement(self, level, self._reduce_mod_kernel(vector))
+        return GroupElement(self, level, echelon_reduce(self._kernel_hnf, vector))
 
     def zero(self) -> GroupElement:
         return self.element(0, (0,) * self.dimension)
@@ -307,11 +296,13 @@ class DirectLimitGroup:
 
 def build_coinvariants(sub: Substitution, base: int | str | None = None) -> DirectLimitGroup:
     """Present the coinvariants group of the shift of `sub` as a stationary
-    direct limit over the derived incidence matrix.
+    direct limit over the derived incidence matrix N.
 
-    The matrix orientation is the one for which the order unit (the class of
-    the constant function 1, i.e. the length vector of the return words) has
-    trace exactly 1; if neither orientation passes, the build aborts.
+    The trace weighs a class by the left PF eigenvector u_N of N, normalised
+    to sum 1: the frequencies of the return words.  The order unit (the class of
+    the constant function 1, the length vector of the return words) then has
+    trace mu(base)·sum of freq(r)·|r|, which is 1 by Kac's lemma; the
+    constructor checks that it is.
     """
     derived = derived_proper(sub, base=base)
     data = pf_data(sub)
@@ -320,40 +311,24 @@ def build_coinvariants(sub: Substitution, base: int | str | None = None) -> Dire
         base_measure = field.one()
     else:
         base_measure = data.left[derived.base_letter]
-    n0 = incidence_matrix(derived.eta)
+    n_matrix = incidence_matrix(derived.eta)
     lam_d = field.power(field.generator(), derived.kappa)
-
-    last_error: Exception | None = None
-    for orientation, n_try in (("standard", n0), ("transposed", transpose(n0))):
-        try:
-            u_n = positive_eigenvector(field, n_try, lam_d, transposed=True)
-            return DirectLimitGroup(
-                derived=derived,
-                n_matrix=n_try,
-                orientation=orientation,
-                field=field,
-                u_n=u_n,
-                base_measure=base_measure,
-            )
-        except InternalCheckError as exc:
-            last_error = exc
-    raise InternalCheckError(
-        f"no orientation gives trace(order unit) = 1: {last_error}"
+    return DirectLimitGroup(
+        derived=derived,
+        n_matrix=n_matrix,
+        field=field,
+        u_n=positive_eigenvector(field, n_matrix, lam_d, transposed=True),
+        base_measure=base_measure,
     )
 
 
 def element_equal(group: DirectLimitGroup, g: GroupElement, h: GroupElement) -> bool:
-    """Equality in the limit: level both elements up, then ask whether the
-    difference dies under d' more applications of the matrix."""
+    """Equality in the limit: g and h are equal when N^d kills their
+    difference at a common level, i.e. when it lies in K = ker N^d.  Elements
+    are kept reduced modulo K, so that is when the reduced g - h is 0."""
     if g.group is not group or h.group is not group:
         raise ValidationError("elements belong to a different presentation")
-    a, b = group.common_level(g, h)
-    diff = tuple(x - y for x, y in zip(a.vector, b.vector))
-    for _ in range(group.dimension):
-        if all(x == 0 for x in diff):
-            return True
-        diff = mat_vec(group.n_matrix, diff)
-    return all(x == 0 for x in diff)
+    return not any((g - h).vector)
 
 
 def trace(group: DirectLimitGroup, g: GroupElement) -> TraceValue:
@@ -482,60 +457,42 @@ def _combine_block_weights(
 
 @dataclass(frozen=True)
 class TraceImage:
-    """The Z[1/lam]-module generated by the letter frequencies, presented as
-    an ascending-chain plateau inside a denominator-bounded lattice."""
+    """The Z[1/lam]-module generated by the letter frequencies: the union of
+    lam^-k·L over k >= 0, with L the lattice spanned by the u·lam^j, u a
+    frequency and j below the degree.  L has full rank, and lam, an
+    algebraic integer, maps L into itself."""
 
     field: NumberField
     degree: int
     base_lattice: Lattice
-    constant_term: int
     description: str
 
-    def _chain_plateau(self, theta_den: int) -> Lattice:
-        theta = Lattice.from_fraction_rows(
-            [
-                [Fraction(int(i == j), theta_den) for j in range(self.degree)]
-                for i in range(self.degree)
-            ],
-            self.degree,
-        )
-        lam_inv = self.field.inv(self.field.generator())
-        cur = self.base_lattice
-        gamma = cur.intersect(theta)
-        for _ in range(256):
-            nxt_rows = []
-            for row in cur.rows:
-                el = self.field.element(
-                    [Fraction(x, cur.den) for x in row]
-                )
-                scaled = el * lam_inv
-                nxt_rows.append(list(scaled.coeffs))
-            cur = Lattice.from_fraction_rows(nxt_rows, self.degree)
-            gamma_next = cur.intersect(theta)
-            if gamma_next == gamma:
-                return gamma
-            gamma = gamma_next
-        raise ResourceLimitError("trace-image chain failed to plateau")
-
     def contains(self, target) -> bool:
-        """Exact membership of a rational or field element in the module."""
+        """Exact membership of a rational or field element in the module.
+
+        Over one denominator D, t lies in the module when lam^k·D·t lies in
+        D·L for some k.  Multiplication by lam is an endomorphism of the
+        finite group Z^d/D·L, and the kernels of its powers stop growing
+        within log2 of the group's order steps (each growth at least doubles
+        them), so the orbit of D·t, reduced modulo D·L, reaches 0 within
+        that many steps or never."""
         coeffs = self._coeff_row(target)
-        den = 1
-        for x in coeffs:
-            den = den * x.denominator // gcd(den, x.denominator)
-        allowed = self.constant_term * self.base_lattice.den
-        probe = den
-        for _ in range(64):
-            g = gcd(probe, allowed)
-            if g == 1:
-                break
-            while probe % g == 0 and g > 1:
-                probe //= g
-        if probe != 1:
-            return False
-        theta_den = (self.base_lattice.den * den) // gcd(self.base_lattice.den, den)
-        plateau = self._chain_plateau(theta_den)
-        return plateau.contains(coeffs)
+        lattice = self.base_lattice
+        if lattice.rank != self.degree:
+            raise InternalCheckError("trace-image lattice is not of full rank")
+        s, lam_rows = self.field.multiplication_rows(self.field.generator())
+        if s != 1:
+            raise InternalCheckError("lam is not an algebraic integer")
+        den = lcm(lattice.den, *(x.denominator for x in coeffs))
+        rows = [[x * (den // lattice.den) for x in row] for row in lattice.rows]
+        index = prod(row[k] for k, row in enumerate(rows))
+        lam_cols = transpose(lam_rows)
+        v = echelon_reduce(rows, [x.numerator * (den // x.denominator) for x in coeffs])
+        for _ in range(index.bit_length()):
+            if not any(v):
+                return True
+            v = echelon_reduce(rows, mat_vec(lam_cols, v))
+        return not any(v)
 
     def _coeff_row(self, target) -> list[Fraction]:
         if isinstance(target, FieldElement):
@@ -567,18 +524,15 @@ def trace_image(sub: Substitution) -> TraceImage:
             rows.append(list(el.coeffs))
             el = el * field.generator()
     lattice = Lattice.from_fraction_rows(rows, deg)
-    s_term = abs(data.lam.minpoly[0])
-    description = _describe_trace_image(data, lattice, s_term)
     return TraceImage(
         field=field,
         degree=deg,
         base_lattice=lattice,
-        constant_term=s_term,
-        description=description,
+        description=_describe_trace_image(data, lattice),
     )
 
 
-def _describe_trace_image(data: PFData, lattice: Lattice, s_term: int) -> str:
+def _describe_trace_image(data: PFData, lattice: Lattice) -> str:
     deg = data.lam.degree
     if deg == 1:
         lam_int = data.lam.as_fraction()
@@ -587,11 +541,10 @@ def _describe_trace_image(data: PFData, lattice: Lattice, s_term: int) -> str:
         g = lattice.rows[0][0]
         den = lattice.den
         # absorb prime factors of lam into the scalar front factor
-        for prime in primefactors(n):
-            while g % prime == 0:
-                g //= prime
-            while den % prime == 0:
-                den //= prime
+        while (p := gcd(g, n)) > 1:
+            g //= p
+        while (p := gcd(den, n)) > 1:
+            den //= p
         front = Fraction(g, den)
         if front == 1:
             return f"Z[1/{n}]"

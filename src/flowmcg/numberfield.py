@@ -81,19 +81,16 @@ class AlgebraicNumber:
     def real_roots_of(cls, coeffs_asc: Sequence[int]) -> list["AlgebraicNumber"]:
         """All real roots of an integer polynomial, each exactly isolated,
         in increasing order."""
-        roots = []
-        for fac, _mult in poly_from_ascending(coeffs_asc).factor_list()[1]:
-            fac = fac.primitive()[1]
-            roots += cls.roots_of_irreducible(ascending_from_poly(fac if fac.LC() > 0 else -fac))
-        return sorted(roots)
+        return sorted(
+            r for asc, _mult in factor_charpoly(coeffs_asc) for r in cls.roots_of_irreducible(asc)
+        )
 
     @classmethod
     def roots_of_irreducible(cls, asc: Sequence[int]) -> list["AlgebraicNumber"]:
         """The real roots of an irreducible integer polynomial (ascending,
         primitive, positive leading coefficient), each exactly isolated."""
         if len(asc) == 2:
-            q = Fraction(-asc[0], asc[1])
-            return [cls((-q.numerator, q.denominator), q, q)]
+            return [cls.from_rational(Fraction(-asc[0], asc[1]))]
         # rational endpoints around one simple irrational root: the signs
         # there differ, and __post_init__ checks that they do
         return [
@@ -178,6 +175,10 @@ class NumberField:
         # the tightest interval of lambda that has decided a sign so far
         self._sign_root = root
         self.degree = root.degree
+        # constants of the field, built once: elements are immutable
+        self._zero = self.element([])
+        self._one = self.element([1])
+        self._generator = self.element([root.as_fraction()] if self.degree == 1 else [0, 1])
 
     def __eq__(self, other: object) -> bool:
         """Fields are equal when their generators are the same root of the
@@ -221,18 +222,16 @@ class NumberField:
         return _canonical(self, work + [0] * (d - len(work)), den)
 
     def zero(self) -> "FieldElement":
-        return self.element([])
+        return self._zero
 
     def one(self) -> "FieldElement":
-        return self.element([1])
+        return self._one
 
     def rational(self, q: Fraction | int) -> "FieldElement":
         return self.element([Fraction(q)])
 
     def generator(self) -> "FieldElement":
-        if self.degree == 1:
-            return self.element([self.root.as_fraction()])
-        return self.element([0, 1])
+        return self._generator
 
     # arithmetic -----------------------------------------------------------
 
@@ -526,7 +525,8 @@ def integer_charpoly(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 def factor_charpoly(charpoly: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
     """Irreducible factors (ascending integer coefficients, primitive,
-    positive leading) of a monic integer polynomial, with multiplicities."""
+    positive leading) of an integer polynomial, with multiplicities, in
+    sorted order."""
     out = []
     for fac, mult in poly_from_ascending(charpoly).factor_list()[1]:
         fac = fac.primitive()[1]

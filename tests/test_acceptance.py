@@ -30,7 +30,14 @@ from flowmcg.flows import (
     r_mu,
     substitution_code,
 )
-from flowmcg.intlat import eventual_kernel, identity
+from flowmcg.intlat import (
+    eventual_kernel,
+    identity,
+    invariant_factors,
+    mat_mul,
+    mat_vec,
+    row_reduce,
+)
 from flowmcg.mcg import (
     Surd,
     assemble_mcg,
@@ -239,14 +246,21 @@ def test_criterion_09_property_suite(tm, fib, cyclic4, tribonacci):
         )
         assert lhs == expected
 
-    # iterated kernels stop growing within the dimension
+    # iterated kernels stop growing within the dimension: the eventual
+    # kernel is a saturated basis of ker N^(d+1), killed by N^d
     for _ in range(20):
         size = rng.choice((2, 3, 4))
         matrix = tuple(
             tuple(rng.randint(0, 2) for _ in range(size)) for _ in range(size)
         )
-        _basis, steps = eventual_kernel(matrix)
-        assert steps <= size
+        basis = eventual_kernel(matrix)
+        power = identity(size)
+        for _ in range(size):
+            power = mat_mul(power, matrix)
+        assert all(not any(mat_vec(power, v)) for v in basis)
+        beyond = mat_mul(power, matrix)
+        assert len(basis) == size - len(row_reduce(beyond)[1])
+        assert invariant_factors(tuple(basis)) == [1] * len(basis)
 
     # the trace does not see the level at which an element is written
     groups = [build_coinvariants(fib), build_coinvariants(tm)]

@@ -1,5 +1,6 @@
+import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 import sympy
@@ -16,7 +17,12 @@ from flowmcg.coinvariants import (
     trace_image,
 )
 from flowmcg.errors import ValidationError
-from flowmcg.substitution import Substitution
+from flowmcg.intlat import mat_vec
+from flowmcg.pf import pf_data
+from flowmcg.substitution import Substitution, incidence_matrix
+
+from test_cross_sections import CIRCLE
+from test_one_core import IDS, RULES
 
 
 def test_derived_return_words(tm, fib):
@@ -98,6 +104,82 @@ def test_trace_image_membership(tm):
     assert image.description == "Z[1/2]"
     assert image.contains(Fraction(3, 8))
     assert not image.contains(Fraction(1, 3))
+
+
+@pytest.mark.parametrize("rules", RULES, ids=IDS)
+def test_trace_image_membership_against_its_construction(rules):
+    """Z-combinations of lam^-k·u, u a letter frequency, some scaled by
+    lam^j, are members.  lam^-k·L lies in Z^d/(c^k·den), c the constant
+    term of lam's minimal polynomial and den the denominator of L, so 1/q
+    with q > 1 prime to c·den is not, nor is any member plus 1/q."""
+    sub = Substitution.from_rules(rules)
+    data = pf_data(sub)
+    field = data.field
+    lam = field.generator()
+    lam_inv = field.inv(lam)
+    image = trace_image(sub)
+    rng = random.Random(str(sorted(rules.items())))
+    members = []
+    for _ in range(12):
+        member = field.zero()
+        for u in data.left:
+            term = field.power(lam_inv, rng.randint(0, 4)) * u * rng.randint(-6, 6)
+            if rng.random() < 0.3:
+                term = term * field.power(lam, rng.randint(1, 3))
+            member = member + term
+        members.append(member)
+        assert image.contains(member)
+    bad = abs(data.lam.minpoly[0]) * image.base_lattice.den
+    strangers = [q for q in range(2, 200) if gcd(q, bad) == 1][:6]
+    assert strangers
+    for q in strangers:
+        assert not image.contains(Fraction(1, q))
+        assert not image.contains(rng.choice(members) + field.rational(Fraction(1, q)))
+
+
+@pytest.mark.parametrize("name", ["fib", "tm", "cyclic4"])
+def test_element_equality_is_death_under_the_dth_power(name, request):
+    """g = h exactly when N^d·(g - h) = 0 with both written at a common
+    level, checked on the unreduced vectors the elements were made from."""
+    g = build_coinvariants(request.getfixturevalue(name))
+    n, d = g.n_matrix, g.dimension
+    rng = random.Random(name)
+
+    def lifted(level, vec, top):
+        for _ in range(top - level):
+            vec = mat_vec(n, vec)
+        return vec
+
+    def dies(a, b):
+        top = max(a[0], b[0])
+        diff = tuple(x - y for x, y in zip(lifted(*a, top), lifted(*b, top)))
+        return not any(lifted(0, diff, d))
+
+    seen = set()
+    for _ in range(200):
+        a = (rng.randint(0, 2), tuple(rng.randint(-4, 4) for _ in range(d)))
+        if rng.random() < 0.5:
+            k = rng.randint(0, 2)
+            vec = list(lifted(a[0], a[1], a[0] + k))
+            for v in g.eventual_kernel_basis:
+                c = rng.randint(-3, 3)
+                vec = [x + c * y for x, y in zip(vec, v)]
+            b = (a[0] + k, tuple(vec))
+        else:
+            b = (rng.randint(0, 2), tuple(rng.randint(-4, 4) for _ in range(d)))
+        expected = dies(a, b)
+        seen.add(expected)
+        assert element_equal(g, g.element(*a), g.element(*b)) is expected
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("rules", RULES + CIRCLE, ids=IDS + ["circle5", "circle3"])
+def test_the_standard_orientation_has_unit_trace(rules):
+    """The transition matrix is the derived incidence matrix itself, and the
+    order unit has trace 1 (Kac's lemma)."""
+    g = build_coinvariants(Substitution.from_rules(rules))
+    assert g.n_matrix == incidence_matrix(g.derived.eta)
+    assert trace(g, g.order_unit).exact() == g.field.one()
 
 
 def test_infinitesimal_ranks(tm, fib, cyclic4):

@@ -1,7 +1,8 @@
-"""Every name a flowmcg module imports is used in that module.
+"""Every name a flowmcg module imports is used in that module, and every
+private helper it defines has a caller.
 
 `__init__.py` only re-exports, and `from __future__` imports are
-directives, so both are exempt."""
+directives, so both are exempt from the import check."""
 
 import ast
 from pathlib import Path
@@ -38,6 +39,47 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def orphan_helpers(sources: dict[str, str]) -> list[str]:
+    """`_`-prefixed functions and methods (dunders aside) named nowhere in
+    the sources outside their own definitions."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    references = [
+        node
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    orphans = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
+                continue
+            own = {id(inner) for inner in ast.walk(node)}
+            if not any(
+                id(ref) not in own and (ref.id if isinstance(ref, ast.Name) else ref.attr) == name
+                for ref in references
+            ):
+                orphans.append(f"{module}:{name} (line {node.lineno})")
+    return sorted(orphans)
+
+
+def test_the_check_finds_an_orphan_helper():
+    sources = {
+        "a.py": "def _used(): pass\ndef _alone(n): return _alone(n - 1)\nclass C:\n"
+        "    def __init__(self): self._step()\n    def _step(self): pass\n    def _idle(self): pass\n",
+        "b.py": "from a import _used\n_used()\n",
+    }
+    assert orphan_helpers(sources) == ["a.py:_alone (line 2)", "a.py:_idle (line 6)"]
+
+
+def test_every_private_helper_has_a_caller():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert orphan_helpers(sources) == []
+
+
 def imported_roots(source: str) -> set[str]:
     """Top-level package names a module imports."""
     roots = set()
@@ -54,4 +96,4 @@ def test_only_the_polynomial_layers_import_sympy():
     sympy; the integer kernels (Smith form, characteristic polynomials,
     inverses in Q(lambda)) are local, with sympy's kept as test oracles."""
     users = sorted(p.name for p in SRC.glob("*.py") if "sympy" in imported_roots(p.read_text()))
-    assert users == ["coinvariants.py", "mcg.py", "numberfield.py"]
+    assert users == ["mcg.py", "numberfield.py"]
