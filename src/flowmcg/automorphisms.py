@@ -18,9 +18,14 @@ from typing import Mapping, Sequence
 
 from .asymptotics import stabilize_power
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
-from .flows import INVERSE_RADIUS_BUDGET, _check_roundtrip, _search_inverse
 from .substitution import Substitution, cycle_lengths, fixed_point, is_aperiodic, is_primitive
-from .words import LanguageTable, SlidingBlockCode, shift_offsets
+from .words import (
+    INVERSE_RADIUS_BUDGET,
+    LanguageTable,
+    SlidingBlockCode,
+    inverse_code,
+    shift_offsets,
+)
 
 DEFAULT_RADIUS = 2
 DEFAULT_CHECK_DEPTH = 12
@@ -29,6 +34,8 @@ SHIFT_ID_WINDOW = 4096
 # inputs need at most 10,500 (0→01, 1→12, 2→23, 3→30 at radius 2)
 CANDIDATE_BUDGET = 1_000_000
 GROUP_NAME_BOUND = 12
+# least total-variation gap between the best and the runner-up measure match
+MEASURE_MATCH_THRESHOLD = Fraction(1, 10)
 
 
 @dataclass(frozen=True)
@@ -212,9 +219,7 @@ def search_automorphisms(
         rule = dict(zip(blocks, outputs))
         code = SlidingBlockCode(sub.alphabet, sub.alphabet, radius, rule)
         try:
-            inv = _search_inverse(code, lang, lang)
-            _check_roundtrip(code, inv, lang)
-            _check_roundtrip(inv, code, lang)
+            inv = inverse_code(code, lang, lang)
         except (ValidationError, InternalCheckError):
             continue
         codes.append(code)
@@ -386,14 +391,14 @@ def _total_variation(
 def action_on_measures(
     code: SlidingBlockCode,
     freq_tables: Sequence[Mapping[tuple[int, ...], Fraction]],
-    threshold: Fraction = Fraction(1, 10),
 ) -> MeasureActionReport:
     """Match each pushed-forward frequency table to its nearest input table.
 
     Tables assign frequencies to n-blocks for one common n and must each
     sum to 1.  The pushforward of an n-block table lives on (n-2r)-blocks,
     so the inputs are marginalized to that length before comparison.  A
-    best match closer than `threshold` to the runner-up is refused.
+    best match closer than MEASURE_MATCH_THRESHOLD to the runner-up is
+    refused.
     """
     if not freq_tables:
         raise ValidationError("need at least one frequency table")
@@ -427,10 +432,10 @@ def action_on_measures(
         if len(row) > 1:
             runner = min(row[j] for j in range(len(row)) if j != best)
             gap = runner - row[best]
-            if gap < threshold:
+            if gap < MEASURE_MATCH_THRESHOLD:
                 raise InternalCheckError(
                     f"measure match for table {i} ambiguous: margin {gap} "
-                    f"below threshold {threshold}"
+                    f"below threshold {MEASURE_MATCH_THRESHOLD}"
                 )
             margin = gap if margin is None else min(margin, gap)
         perm.append(best)

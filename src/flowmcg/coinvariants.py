@@ -21,7 +21,7 @@ from math import gcd, lcm, prod
 from typing import Mapping, Sequence
 
 from .errors import InternalCheckError, ValidationError
-from .flows import _section_word, derived_substitution, return_words
+from .flows import derived_substitution, return_words
 from .intlat import (
     IntMatrix,
     Lattice,
@@ -43,7 +43,7 @@ from .substitution import (
     is_aperiodic,
     is_primitive,
 )
-from .words import Cylinder, CylinderSet, LanguageTable, word_idx
+from .words import Cylinder, CylinderSet, LanguageTable, section_word, word_idx
 
 @dataclass(frozen=True)
 class DerivedData:
@@ -496,6 +496,7 @@ class TraceImage:
 
     def _coeff_row(self, target) -> list[Fraction]:
         if isinstance(target, FieldElement):
+            self.field._check(target)
             coeffs = list(target.coeffs)
         elif isinstance(target, (int, Fraction)):
             coeffs = [Fraction(target)]
@@ -657,7 +658,7 @@ def restrict_class(sub: Substitution, gamma: Mapping, section) -> RestrictedClas
     terms = _normalize_gamma(sub, gamma)
     max_len = max((len(w) for w, _ in terms), default=0)
 
-    word = _section_word(sub, section)
+    word = section_word(sub.alphabet, section)
     if word is None:
         base_letter = None
         returns: tuple[tuple[int, ...], ...] = tuple((a,) for a in range(sub.size))

@@ -3,13 +3,16 @@ exact measure-scaling invariant.
 
 A cross section of the shift is recoded on its return words; a flow code is
 a conjugacy between two such recodings, carried as a sliding block code with
-a verified inverse.  Everything downstream (restriction, composition, slope
-profiles, the scaling factor mu(C)/mu(D)) works on that presentation.
+an inverse found and checked by `words.inverse_code`.  The substitution's
+own code, on the whole space or on a cylinder, maps a section to its
+substituted copy: return words sigma(r), measures scaled by 1/lambda.
+Everything downstream (restriction, composition, slope profiles, the
+scaling factor mu(C)/mu(D)) works on that presentation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from typing import Mapping, Sequence
@@ -25,12 +28,16 @@ from .words import (
     SlidingBlockCode,
     Word,
     compose_codes,
+    inverse_code,
     language_violation,
+    section_word,
     word_idx,
 )
 
 DEFAULT_DEPTH = 12
-INVERSE_RADIUS_BUDGET = 6
+# exponent bounds of the relations alpha^p = lam^q that lambda_relation_search tries
+RELATION_P_MAX = 6
+RELATION_Q_MAX = 12
 _REPETITIVITY_CAP = 4096
 # longest fixed-point prefix scanned to order the return words
 _ORDER_SCAN_CAP = 200_000
@@ -40,15 +47,14 @@ _ORDER_SCAN_CAP = 200_000
 class ReturnSystem:
     """A cross section recoded on its return words.
 
-    `base` is the cylinder defining the section, or None for the supertile
-    section of the substitution itself (the image of the space under one
-    application, which is clopen but not presented as a cylinder here).
-    `weights` are the exact measures of the entry cylinders, one per return
-    word, in the ambient invariant measure.  `recoded_sub` generates
-    `recoded_language`: the substitution itself on the whole space and the
-    supertile section, the derived substitution of sigma^c on the return
-    words of a one-letter section on a first-letter cycle of length c, and
-    None for longer words and for letters off every cycle.
+    `base` is the cylinder defining the section, or None for the target of
+    a substitution code (the substituted copy of a section, which is clopen
+    but not presented as a cylinder here).  `weights` are the exact measures
+    of the entry cylinders, one per return word, in the ambient invariant
+    measure.  `recoded_sub` generates `recoded_language`: the substitution
+    itself on the whole space, the derived substitution of sigma^c on the
+    return words of a one-letter section on a first-letter cycle of length
+    c, and None for longer words and for letters off every cycle.
     """
 
     sub: Substitution
@@ -247,7 +253,7 @@ def induce(
     data = pf_data(sub)
     field = data.field
 
-    word = _section_word(sub, section)
+    word = section_word(sub.alphabet, section)
     if word is None:
         letters = tuple(Word(sub.alphabet, (a,)) for a in range(sub.size))
         return ReturnSystem(
@@ -291,48 +297,6 @@ def induce(
     )
 
 
-def _section_word(sub: Substitution, section) -> tuple[int, ...] | None:
-    if section is None:
-        return None
-    if isinstance(section, CylinderSet):
-        if section.alphabet != sub.alphabet:
-            raise ValidationError("section is over a different alphabet")
-        if section.is_whole_space:
-            return None
-        if len(section.cylinders) != 1:
-            raise ValidationError("sections must be the whole space or one cylinder")
-        return section.cylinders[0].word.idx
-    return word_idx(sub.alphabet, section) or None
-
-
-def supertile_section(sub: Substitution) -> ReturnSystem:
-    """The image of the space under one application of the substitution,
-    as an abstract cross section: one return word per letter, namely its
-    image, with return time its length."""
-    if not is_primitive(sub):
-        raise ValidationError("substitution must be primitive")
-    data = pf_data(sub)
-    field = data.field
-    lam_inv = field.inv(field.generator())
-    weights = tuple(u * lam_inv for u in data.left)
-    base_measure = field.zero()
-    for w in weights:
-        base_measure = base_measure + w
-    return ReturnSystem(
-        sub=sub,
-        base=None,
-        base_word=None,
-        return_words=tuple(sub.images),
-        return_times=tuple(len(sub.images[a]) for a in range(sub.size)),
-        alphabet=sub.alphabet,
-        weights=weights,
-        base_measure=base_measure,
-        field=field,
-        recoded_sub=sub,
-        recoded_language=sub.language(8),
-    )
-
-
 @dataclass(frozen=True)
 class FlowCode:
     """A conjugacy between two recoded cross sections, with verified
@@ -347,83 +311,21 @@ class FlowCode:
     inverse: SlidingBlockCode
     verified_depth: int
 
-    @property
-    def code(self) -> SlidingBlockCode:
-        return self.conjugacy
-
-
-def _search_inverse(
-    code: SlidingBlockCode,
-    domain: LanguageTable,
-    codomain: LanguageTable,
-    budget: int = INVERSE_RADIUS_BUDGET,
-) -> SlidingBlockCode:
-    r = code.radius
-    witness = None
-    for rho in range(budget + 1):
-        width = 2 * rho + 1 + 2 * r
-        if width > domain.n_max:
-            break
-        rule: dict[tuple[int, ...], int] = {}
-        ok = True
-        for u in domain.blocks_of(width):
-            v = code.apply(u)
-            c = u[r + rho]
-            prev = rule.get(v)
-            if prev is None:
-                rule[v] = c
-            elif prev != c:
-                witness = v
-                ok = False
-                break
-        if not ok:
-            continue
-        if 2 * rho + 1 <= codomain.n_max:
-            missing = [
-                v for v in codomain.blocks_of(2 * rho + 1) if v not in rule
-            ]
-            if missing:
-                raise ValidationError(
-                    f"code misses the target block {missing[0]}; not onto"
-                )
-        return SlidingBlockCode(code.out_alphabet, code.in_alphabet, rho, rule)
-    raise ValidationError(
-        f"no inverse code within radius {budget}; ambiguous block {witness}"
-    )
-
-
-def _check_roundtrip(
-    fwd: SlidingBlockCode,
-    inv: SlidingBlockCode,
-    domain: LanguageTable,
-) -> None:
-    width = 2 * (fwd.radius + inv.radius) + 1
-    if width > domain.n_max:
-        raise ValidationError(
-            f"roundtrip check needs language depth {width}; rebuild the "
-            "section with a larger depth"
-        )
-    composite = compose_codes(inv, fwd, domain)
-    for win, out in composite.rule.items():
-        if out != win[composite.radius]:
-            raise InternalCheckError(
-                f"inverse does not undo the code on window {win}"
-            )
-
 
 def make_flow_code(
     code: SlidingBlockCode,
     source: ReturnSystem,
     target: ReturnSystem,
     depth: int = DEFAULT_DEPTH,
-    kind: str = "generic",
+    *,
+    kind: str,
 ) -> FlowCode:
     """Validate a sliding block code as a conjugacy of recoded sections.
 
     Checks, to the given depth: the code maps the source language into the
-    target language, an inverse code exists within the radius budget, the
-    inverse maps back, and both roundtrips are the identity on admissible
-    windows.  Failures carry a witness block.
+    target language, an inverse code exists within the radius budget with
+    both roundtrips the identity on admissible windows (`inverse_code`), and
+    the inverse maps back.  Failures carry a witness block.
     """
     if code.in_alphabet != source.alphabet:
         raise ValidationError("code input alphabet differs from the source section")
@@ -440,7 +342,7 @@ def make_flow_code(
             f"code image leaves the target language within depth {n_fwd}; "
             f"witness block {bad}"
         )
-    inverse = _search_inverse(code, dom, cod)
+    inverse = inverse_code(code, dom, cod)
     n_bwd = min(depth, cod.n_max - 2 * inverse.radius, dom.n_max)
     if n_bwd >= 1:
         bad = language_violation(inverse, cod, dom, n_bwd)
@@ -449,8 +351,6 @@ def make_flow_code(
                 f"inverse image leaves the source language within depth "
                 f"{n_bwd}; witness block {bad}"
             )
-    _check_roundtrip(code, inverse, dom)
-    _check_roundtrip(inverse, code, cod)
     return FlowCode(
         kind=kind,
         sub=source.sub,
@@ -481,17 +381,36 @@ def automorphism_code(
 
 def substitution_code(sub: Substitution) -> FlowCode:
     """The canonical flow code of the substitution itself: the space,
-    recoded on letters, against its supertile section, recoded on image
-    tiles.  The conjugacy is the letter-to-tile relabeling, exact by
-    construction."""
-    source = induce(sub, None)
-    target = supertile_section(sub)
+    recoded on letters, against its image under one application, recoded
+    on image tiles."""
+    return _substitution_code(induce(sub, None))
+
+
+def _substitution_code(source: ReturnSystem) -> FlowCode:
+    """The substitution's flow code from a section to its substituted copy.
+    The target has return words sigma(r), entry and base measures scaled by
+    1/lambda, and the source's alphabet and recoded data; the conjugacy
+    relabels each return word as its image, exact by construction."""
+    lam_inv = source.field.inv(source.field.generator())
+    images = tuple(
+        Word(source.sub.alphabet, source.sub.apply_idx(r.idx))
+        for r in source.return_words
+    )
+    target = replace(
+        source,
+        base=None,
+        base_word=None,
+        return_words=images,
+        return_times=tuple(len(r) for r in images),
+        weights=tuple(w * lam_inv for w in source.weights),
+        base_measure=source.base_measure * lam_inv,
+    )
     relabel = SlidingBlockCode(
-        sub.alphabet, sub.alphabet, 0, {(a,): a for a in range(sub.size)}
+        source.alphabet, source.alphabet, 0, {(i,): i for i in range(source.size)}
     )
     return FlowCode(
         kind="substitution",
-        sub=sub,
+        sub=source.sub,
         source=source,
         target=target,
         conjugacy=relabel,
@@ -513,7 +432,7 @@ def restrict_flow_code(fc: FlowCode, section) -> FlowCode:
     visits to the small section correspond letterwise, so each new return
     word maps to a single return word on the image side.
     """
-    word = _section_word(fc.sub, section)
+    word = section_word(fc.sub.alphabet, section)
     if word == fc.source.base_word or (word is None and fc.source.base_word is None):
         return fc
     if word is None:
@@ -524,7 +443,7 @@ def restrict_flow_code(fc: FlowCode, section) -> FlowCode:
             raise ValidationError("section does not sit inside the source base")
 
     if fc.kind == "substitution":
-        return _restrict_substitution_code(fc, word)
+        return _substitution_code(induce(fc.sub, word))
     if fc.conjugacy.radius != 0:
         raise ValidationError(
             "restriction implemented for radius-0 conjugacies only"
@@ -576,75 +495,38 @@ def _restrict_radius0(fc: FlowCode, word: tuple[int, ...]) -> FlowCode:
     return make_flow_code(code, sys_e, sys_f, kind=fc.kind)
 
 
-def _restrict_substitution_code(fc: FlowCode, word: tuple[int, ...]) -> FlowCode:
-    """Restricting the canonical substitution code to a cylinder [w]: the
-    image section is the substituted copy of [w] inside the supertile
-    section; return words map to their images and measures scale by the
-    expansion."""
-    sub = fc.sub
-    sys_e = induce(sub, word)
-    field = sys_e.field
-    lam_inv = field.inv(field.generator())
-    image_returns = tuple(
-        Word(sub.alphabet, sub.apply_idx(r.idx)) for r in sys_e.return_words
-    )
-    weights = tuple(w * lam_inv for w in sys_e.weights)
-    base_measure = sys_e.base_measure * lam_inv
-    target = ReturnSystem(
-        sub=sub,
-        base=None,
-        base_word=None,
-        return_words=image_returns,
-        return_times=tuple(len(r) for r in image_returns),
-        alphabet=sys_e.alphabet,
-        weights=weights,
-        base_measure=base_measure,
-        field=field,
-        recoded_sub=sys_e.recoded_sub,
-        recoded_language=sys_e.recoded_language,
-    )
-    relabel = SlidingBlockCode(
-        sys_e.alphabet, sys_e.alphabet, 0, {(i,): i for i in range(sys_e.size)}
-    )
-    return FlowCode(
-        kind="substitution",
-        sub=sub,
-        source=sys_e,
-        target=target,
-        conjugacy=relabel,
-        inverse=relabel,
-        verified_depth=0,
-    )
-
-
 def compose_flow_codes(fc1: FlowCode, fc2: FlowCode, depth: int = DEFAULT_DEPTH) -> FlowCode:
     """The flow code applying fc1 and then fc2.
 
-    Supported: matching middle sections (spliced block codes), two canonical
-    substitution codes (their composite substitution), and radius-0
-    automorphisms against substitution codes (absorbed into the rules).
+    Supported: an identity code on the other code's middle section (fc1's
+    target, fc2's source), two automorphism codes with matching middle
+    sections (spliced block codes), and, on whole-space sources, two
+    canonical substitution codes (their composite substitution) and a
+    radius-0 automorphism against a substitution code (absorbed into the
+    rules).  Anything else raises ValidationError.
     """
-    if fc1.kind == "identity":
-        return fc2
-    if fc2.kind == "identity":
-        return fc1
-    if fc1.kind == "substitution" and fc2.kind == "substitution":
+    middle_ok = (
+        fc1.target.base_word == fc2.source.base_word
+        and fc1.target.alphabet == fc2.source.alphabet
+    )
+    whole = fc1.source.is_whole_space and fc2.source.is_whole_space
+    kinds = {fc1.kind, fc2.kind}
+    if "identity" in kinds:
+        if not middle_ok:
+            raise ValidationError("identity code off the middle section")
+        return fc2 if fc1.kind == "identity" else fc1
+    if kinds == {"substitution"} and whole:
         if fc1.sub.alphabet != fc2.sub.alphabet:
             raise ValidationError("substitution codes over different alphabets")
         return substitution_code(fc2.sub.compose(fc1.sub))
-    if fc1.kind == "automorphism" and fc2.kind == "automorphism":
-        middle_ok = (
-            fc1.target.base_word == fc2.source.base_word
-            and fc1.target.alphabet == fc2.source.alphabet
-        )
+    if kinds == {"automorphism"}:
         if not middle_ok:
             raise ValidationError("automorphism codes with mismatched sections")
         composite = compose_codes(fc2.conjugacy, fc1.conjugacy, fc1.source.recoded_language)
         return make_flow_code(
             composite, fc1.source, fc2.target, depth, kind="automorphism"
         )
-    pair = {fc1.kind, fc2.kind}
-    if pair == {"automorphism", "substitution"}:
+    if kinds == {"automorphism", "substitution"} and whole:
         aut, tilde = (fc1, fc2) if fc1.kind == "automorphism" else (fc2, fc1)
         if aut.conjugacy.radius != 0:
             raise ValidationError(
@@ -666,16 +548,6 @@ def compose_flow_codes(fc1: FlowCode, fc2: FlowCode, depth: int = DEFAULT_DEPTH)
                 Word(sub.alphabet, sub.images[perm[a]].idx) for a in range(sub.size)
             )
         return substitution_code(Substitution(sub.alphabet, images))
-    if (
-        fc1.target.base_word == fc2.source.base_word
-        and fc1.target.alphabet == fc2.source.alphabet
-        and fc1.target.base is not None
-        and fc2.source.base is not None
-    ):
-        composite = compose_codes(
-            fc2.conjugacy, fc1.conjugacy, fc1.source.recoded_language
-        )
-        return make_flow_code(composite, fc1.source, fc2.target, depth, kind="generic")
     raise ValidationError(
         f"composition of kinds {fc1.kind!r} and {fc2.kind!r} with these "
         "sections is not supported"
@@ -754,19 +626,18 @@ def _two_sided_point(sub: Substitution, k_lo: int, k_hi: int):
     return get
 
 
-def lambda_relation_search(
-    alpha: FieldElement, p_max: int = 6, q_max: int = 12
-) -> tuple[int, int] | None:
-    """Smallest exact relation alpha^p = lam^q with p >= 1 and |q| <= q_max
-    (q may be negative for contracting factors), or None."""
+def lambda_relation_search(alpha: FieldElement) -> tuple[int, int] | None:
+    """Smallest exact relation alpha^p = lam^q with 1 <= p <= RELATION_P_MAX
+    and |q| <= RELATION_Q_MAX (q may be negative for contracting factors),
+    or None."""
     field = alpha.field
     if alpha.sign() <= 0:
         raise ValidationError("relation search needs a positive element")
     lam = field.generator()
     lam_inv = field.inv(lam)
-    for p in range(1, p_max + 1):
+    for p in range(1, RELATION_P_MAX + 1):
         ap = field.power(alpha, p)
-        for q_abs in range(0, q_max + 1):
+        for q_abs in range(0, RELATION_Q_MAX + 1):
             for q in ((q_abs,) if q_abs == 0 else (q_abs, -q_abs)):
                 base = lam if q >= 0 else lam_inv
                 if ap == field.power(base, abs(q)):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .errors import InternalCheckError, ValidationError
+from .errors import InternalCheckError
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -156,19 +156,6 @@ def row_reduce(rows: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[Frac
     reduced = [[Fraction(x, row[c]) for x in row] for row, c in zip(a, pivots)]
     reduced += [[Fraction(0)] * len(row) for row in a[len(pivots) :]]
     return reduced, pivots
-
-
-def invert(rows: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
-    """Inverse over Q of a square matrix with rational entries."""
-    n = len(rows)
-    augmented = [
-        [Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
-        for i, r in enumerate(rows)
-    ]
-    reduced, pivots = row_reduce(augmented)
-    if pivots[:n] != list(range(n)):
-        raise ValidationError("singular matrix")
-    return [row[n:] for row in reduced]
 
 
 def invariant_factors(m: IntMatrix) -> list[int]:

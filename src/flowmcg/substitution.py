@@ -14,6 +14,8 @@ from .words import Alphabet, LanguageTable, Word, windows
 SYMBOL_BUDGET = 2_000_000
 # highest power of the substitution taken to make images long enough
 _MAX_POWER = 64
+# longest block length of the complexity screen for rational lambda
+APERIODICITY_WINDOW = 50
 
 T = TypeVar("T")
 
@@ -283,16 +285,16 @@ class PeriodicityVerdict:
     periodic_word: Word | None = None
 
 
-def is_aperiodic(sub: Substitution, n_check: int = 50) -> PeriodicityVerdict:
+def is_aperiodic(sub: Substitution) -> PeriodicityVerdict:
     """Aperiodicity of the subshift.
 
     An irrational dominant eigenvalue lambda certifies it, with no language
     built: a periodic minimal shift has rational letter frequencies
     (Queffelec, LNM 1294, ch. 5), and a rational positive eigenvector of an
     integer matrix has a rational eigenvalue.  For rational lambda a
-    complexity screen decides: p(n) <= n for some n <= n_check forces
-    periodicity.  The counts p(1..n_check) are read off the sorted
-    L_{n_check}.
+    complexity screen decides: p(n) <= n for some n <= APERIODICITY_WINDOW
+    forces periodicity.  The counts p(1..APERIODICITY_WINDOW) are read off
+    the sorted L_{APERIODICITY_WINDOW}.
 
     A periodic verdict exhibits a word w with the subshift equal to the orbit
     closure of w repeated. An aperiodic verdict of the screen is certified
@@ -303,13 +305,15 @@ def is_aperiodic(sub: Substitution, n_check: int = 50) -> PeriodicityVerdict:
     if sub.size == 1:
         # the single point 0^oo; 0 -> 0 has no 2-block to build a language from
         return PeriodicityVerdict(
-            periodic=True, window=n_check, period=1, periodic_word=Word(sub.alphabet, (0,))
+            periodic=True,
+            window=APERIODICITY_WINDOW,
+            period=1,
+            periodic_word=Word(sub.alphabet, (0,)),
         )
     _chi, _factors, lam = dominant_eigenvalue(sub)
     if not lam.is_rational:
-        return PeriodicityVerdict(periodic=False, window=n_check)
-    profile = complexity_profile(sub, n_check) if n_check >= 1 else ()
-    for n, q in enumerate(profile, start=1):
+        return PeriodicityVerdict(periodic=False, window=APERIODICITY_WINDOW)
+    for n, q in enumerate(complexity_profile(sub, APERIODICITY_WINDOW), start=1):
         if q <= n:
             # p is nondecreasing and p(q) = p(q+1) = q here; period is q
             lang_q = sub.language(2 * q)
@@ -317,12 +321,12 @@ def is_aperiodic(sub: Substitution, n_check: int = 50) -> PeriodicityVerdict:
                 if lang_q.admissible(w + w):
                     return PeriodicityVerdict(
                         periodic=True,
-                        window=n_check,
+                        window=APERIODICITY_WINDOW,
                         period=q,
                         periodic_word=Word(sub.alphabet, w),
                     )
             raise ValidationError("complexity bound hit but no periodic word found")
-    return PeriodicityVerdict(periodic=False, window=n_check)
+    return PeriodicityVerdict(periodic=False, window=APERIODICITY_WINDOW)
 
 
 def fixed_point(

@@ -3,6 +3,10 @@
 Symbols are arbitrary strings; internally every word is a tuple of integer
 indices into an Alphabet. Words render as plain strings when every symbol is a
 single character, and as comma-joined lists otherwise.
+
+Block codes compose (`compose_codes`), are checked against a language
+(`language_violation`) and are inverted with both round trips verified
+(`inverse_code`); flow codes and the automorphism search share these.
 """
 
 from __future__ import annotations
@@ -11,10 +15,12 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import ValidationError
+from .errors import InternalCheckError, ValidationError
 
 # symbols of each overlap that shift_offsets compares before copying the rest
 _HEAD = 16
+# largest radius tried for the inverse of a block code
+INVERSE_RADIUS_BUDGET = 6
 
 
 @dataclass(frozen=True)
@@ -119,6 +125,23 @@ def word_idx(alphabet: Alphabet, item) -> tuple[int, ...]:
     except TypeError:
         raise ValidationError(f"not a word: {item!r}")
     return Word(alphabet, idx).idx
+
+
+def section_word(alphabet: Alphabet, section) -> tuple[int, ...] | None:
+    """The word of a cross section given as None, a CylinderSet (the whole
+    space or one cylinder) or a word `word_idx` reads; None stands for the
+    whole space, and so does the empty word."""
+    if section is None:
+        return None
+    if isinstance(section, CylinderSet):
+        if section.alphabet != alphabet:
+            raise ValidationError("section is over a different alphabet")
+        if section.is_whole_space:
+            return None
+        if len(section.cylinders) != 1:
+            raise ValidationError("sections must be the whole space or one cylinder")
+        return section.cylinders[0].word.idx
+    return word_idx(alphabet, section) or None
 
 
 def windows(seq: Sequence[int], n: int) -> Iterator[tuple[int, ...]]:
@@ -375,6 +398,73 @@ def language_violation(
             if not codomain.admissible(img):
                 return w
     return None
+
+
+def inverse_code(
+    code: SlidingBlockCode, domain: LanguageTable, codomain: LanguageTable
+) -> SlidingBlockCode:
+    """The inverse block code of least radius (at most INVERSE_RADIUS_BUDGET)
+    on the domain's windows, checked onto the codomain's blocks, with both
+    round trips checked to be the identity on admissible windows.
+
+    Raises ValidationError when no inverse exists within the budget, the
+    code is not onto, or a language is too shallow for a round trip, and
+    InternalCheckError when a round trip fails.
+    """
+    r = code.radius
+    witness = None
+    for rho in range(INVERSE_RADIUS_BUDGET + 1):
+        width = 2 * rho + 1 + 2 * r
+        if width > domain.n_max:
+            break
+        rule: dict[tuple[int, ...], int] = {}
+        ok = True
+        for u in domain.blocks_of(width):
+            v = code.apply(u)
+            c = u[r + rho]
+            prev = rule.get(v)
+            if prev is None:
+                rule[v] = c
+            elif prev != c:
+                witness = v
+                ok = False
+                break
+        if not ok:
+            continue
+        if 2 * rho + 1 <= codomain.n_max:
+            missing = [
+                v for v in codomain.blocks_of(2 * rho + 1) if v not in rule
+            ]
+            if missing:
+                raise ValidationError(
+                    f"code misses the target block {missing[0]}; not onto"
+                )
+        inverse = SlidingBlockCode(code.out_alphabet, code.in_alphabet, rho, rule)
+        _check_roundtrip(code, inverse, domain)
+        _check_roundtrip(inverse, code, codomain)
+        return inverse
+    raise ValidationError(
+        f"no inverse code within radius {INVERSE_RADIUS_BUDGET}; ambiguous block {witness}"
+    )
+
+
+def _check_roundtrip(
+    fwd: SlidingBlockCode,
+    inv: SlidingBlockCode,
+    domain: LanguageTable,
+) -> None:
+    width = 2 * (fwd.radius + inv.radius) + 1
+    if width > domain.n_max:
+        raise ValidationError(
+            f"roundtrip check needs language depth {width}; rebuild the "
+            "section with a larger depth"
+        )
+    composite = compose_codes(inv, fwd, domain)
+    for win, out in composite.rule.items():
+        if out != win[composite.radius]:
+            raise InternalCheckError(
+                f"inverse does not undo the code on window {win}"
+            )
 
 
 def code_preserves_language(

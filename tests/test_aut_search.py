@@ -20,11 +20,15 @@ from flowmcg.automorphisms import (
     search_automorphisms,
 )
 from flowmcg.errors import InternalCheckError, ResourceLimitError
-from flowmcg.flows import INVERSE_RADIUS_BUDGET
 from flowmcg.mcg import assemble_mcg
 from flowmcg.pf import cr_check
 from flowmcg.substitution import Substitution, cycle_lengths, fixed_point
-from flowmcg.words import SlidingBlockCode, code_preserves_language, compose_codes
+from flowmcg.words import (
+    INVERSE_RADIUS_BUDGET,
+    SlidingBlockCode,
+    code_preserves_language,
+    compose_codes,
+)
 
 # the ten primitive aperiodic substitutions of test_criterion_09
 FIXED = {

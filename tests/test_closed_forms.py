@@ -11,7 +11,7 @@ import sympy
 
 from flowmcg.coinvariants import build_coinvariants
 from flowmcg.errors import InternalCheckError
-from flowmcg.intlat import invariant_factors, invert, mat_from, mat_vec, smith_with_transform
+from flowmcg.intlat import invariant_factors, mat_from, mat_vec, smith_with_transform
 from flowmcg.numberfield import classify_roots_vs_unit_circle, integer_charpoly, poly_from_ascending
 from flowmcg.pf import BalanceVerdict, FactorReport, cr_check, pf_data
 from flowmcg.substitution import Substitution, is_aperiodic, is_primitive
@@ -202,10 +202,10 @@ def reference_invariant_factors(group) -> tuple[int, ...]:
     u, dmat, _v = smith_with_transform(e_cols)
     if any(dmat[i][i] != 1 for i in range(k)):
         raise InternalCheckError("eventual kernel basis is not saturated")
-    inv = invert(u)
-    if any(x.denominator != 1 for row in inv for x in row):
+    inv = sympy.Matrix(u).inv()
+    if not all(x.is_integer for x in inv):
         raise InternalCheckError("transform matrix is not unimodular")
-    p = mat_from(inv)
+    p = mat_from(inv.tolist())
     quotient = []
     for r in range(k, d):
         row = []

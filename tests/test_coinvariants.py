@@ -106,6 +106,13 @@ def test_trace_image_membership(tm):
     assert not image.contains(Fraction(1, 3))
 
 
+def test_trace_image_refuses_an_element_of_another_field(fib):
+    # the generator of Q(sqrt 13), (1 + sqrt 13)/2, is not in Q(sqrt 5)
+    other = pf_data(Substitution.from_rules({"0": "0111", "1": "0"})).field
+    with pytest.raises(ValidationError):
+        trace_image(fib).contains(other.generator())
+
+
 @pytest.mark.parametrize("rules", RULES, ids=IDS)
 def test_trace_image_membership_against_its_construction(rules):
     """Z-combinations of lam^-k·u, u a letter frequency, some scaled by

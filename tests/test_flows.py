@@ -88,6 +88,33 @@ def test_restriction_preserves_scaling(fib):
     assert small.source.base_word == (0,)
 
 
+def test_composition_of_restricted_substitution_codes_is_refused(tm):
+    r = restrict_flow_code(substitution_code(tm), "0")
+    with pytest.raises(ValidationError):
+        compose_flow_codes(r, r)
+
+
+def test_restricted_automorphism_does_not_absorb_into_a_substitution(tm):
+    swap = restrict_flow_code(automorphism_code(tm, _swap(tm)), "0")
+    with pytest.raises(ValidationError):
+        compose_flow_codes(swap, substitution_code(tm))
+
+
+def test_identity_off_the_middle_section_is_refused(fib):
+    small = restrict_flow_code(identity_code(fib), "0")
+    with pytest.raises(ValidationError):
+        compose_flow_codes(small, substitution_code(fib))
+
+
+def test_identity_on_the_middle_section_composes(fib, tm):
+    tilde = substitution_code(fib)
+    assert compose_flow_codes(identity_code(fib), tilde) is tilde
+    assert compose_flow_codes(tilde, identity_code(fib)) is tilde
+    swap = restrict_flow_code(automorphism_code(tm, _swap(tm)), "0")
+    small = restrict_flow_code(identity_code(tm), "0")
+    assert compose_flow_codes(small, swap) is swap
+
+
 def test_relation_search_finds_powers(fib):
     field = pf_data(fib).field
     lam = field.generator()

@@ -1,5 +1,6 @@
-"""Every name a flowmcg module imports is used in that module, and every
-private helper it defines has a caller.
+"""Every name a flowmcg module imports is used in that module, no module
+imports another's private name, and every private helper it defines has a
+caller.
 
 `__init__.py` only re-exports, and `from __future__` imports are
 directives, so both are exempt from the import check."""
@@ -37,6 +38,35 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(sources: dict[str, str]) -> list[str]:
+    """`_`-prefixed names a module imports from another flowmcg module."""
+    found = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.ImportFrom) or node.module == "__future__":
+                continue
+            if not (node.level or (node.module or "").split(".")[0] == "flowmcg"):
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(f"{module}:{alias.name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_the_check_finds_a_private_import():
+    sources = {
+        "a.py": "from __future__ import annotations\nfrom .b import _hidden, shown\n"
+        "from os import _exit\n",
+        "b.py": "from flowmcg.a import _other\nfrom . import words\n",
+    }
+    assert private_imports(sources) == ["a.py:_hidden (line 2)", "b.py:_other (line 1)"]
+
+
+def test_no_module_imports_a_private_name():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert private_imports(sources) == []
 
 
 def orphan_helpers(sources: dict[str, str]) -> list[str]:
