@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, isqrt
 
-import sympy
-
 from .asymptotics import action_on_classes, asymptotic_classes
 from .automorphisms import (
     AutGroupReport,
@@ -24,6 +22,7 @@ from .automorphisms import (
 from .coinvariants import infinitesimal_rank
 from .errors import InternalCheckError, ValidationError
 from .flows import lambda_relation_search, r_mu, substitution_code
+from .intpoly import is_perfect_power, is_prime
 from .numberfield import AlgebraicNumber, same_real_algebraic
 from .pf import BalanceVerdict, cr_check, is_pisot, pf_data
 from .substitution import Substitution, complexity_profile, is_aperiodic, is_primitive
@@ -140,7 +139,7 @@ def assemble_mcg(
     relation = lambda_relation_search(value)
     if data.lam.is_rational:
         lam_int = int(data.lam.as_fraction())
-        proper = sympy.perfect_power(lam_int) is not False
+        proper = is_perfect_power(lam_int)
         note = (
             "expansion factor is a proper power; the scaling image may have "
             "a smaller generator"
@@ -336,7 +335,7 @@ def odometer_mcg(preperiod, period) -> OdometerReport:
     if not per:
         raise ValidationError("period must be nonempty")
     for p in pre + per:
-        if not sympy.isprime(p):
+        if not is_prime(p):
             raise ValidationError(f"{p} is not prime")
     period_set = sorted(set(per))
     rank = len(period_set)

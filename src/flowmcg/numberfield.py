@@ -8,8 +8,9 @@ positive denominator and reduced mod the minimal polynomial in integers.
 Signs are decided exactly by interval refinement, which terminates because
 a nonzero element of the field has nonzero value.
 Characteristic polynomials come from one division-free Berkowitz core, which
-also gives inverses (by Cayley–Hamilton) and minimal polynomials of elements;
-sympy only factors polynomials and isolates and counts their real roots.
+also gives inverses (by Cayley–Hamilton) and minimal polynomials of elements.
+Factoring over Z and the isolation and counting of real roots come from
+`intpoly`, so the module runs on the standard library alone.
 """
 
 from __future__ import annotations
@@ -17,22 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
-import sympy
-
 from .errors import InternalCheckError, ValidationError
-
-_X = sympy.Symbol("x")
-
-
-def poly_from_ascending(coeffs: Sequence[int | Fraction]) -> sympy.Poly:
-    rs = [sympy.Rational(c.numerator, c.denominator) if isinstance(c, Fraction) else int(c)
-          for c in coeffs]
-    return sympy.Poly(list(reversed(rs)), _X)
-
-def ascending_from_poly(p: sympy.Poly) -> tuple[int, ...]:
-    return tuple(int(c) for c in reversed(p.all_coeffs()))
+from .intpoly import count_real_roots, factor, real_root_intervals
 
 
 def eval_ascending(coeffs: Sequence, t: Fraction) -> Fraction:
@@ -93,10 +83,7 @@ class AlgebraicNumber:
             return [cls.from_rational(Fraction(-asc[0], asc[1]))]
         # rational endpoints around one simple irrational root: the signs
         # there differ, and __post_init__ checks that they do
-        return [
-            cls(tuple(asc), Fraction(int(lo.p), int(lo.q)), Fraction(int(hi.p), int(hi.q)))
-            for (lo, hi), _mult in poly_from_ascending(asc).intervals()
-        ]
+        return [cls(tuple(asc), lo, hi) for lo, hi in real_root_intervals(asc)]
 
     def refined(self, width: Fraction) -> "AlgebraicNumber":
         if self.is_rational:
@@ -469,14 +456,13 @@ def classify_roots_vs_unit_circle(asc: Sequence[int]) -> tuple[int, int, int]:
         # odd degree would give the root -1, so deg = 2m; x^k + x^-k is
         # p_k(x + 1/x) with p_0 = 2, p_1 = t, p_(k+1) = t p_k - p_(k-1)
         m = deg // 2
-        t = sympy.Poly(_X, _X)
-        p_prev, p_k = sympy.Poly(2, _X), t
-        r = sympy.Poly(a[m], _X)
+        p_prev, p_k, r = [2], [0, 1], [a[m]]
         for k in range(1, m + 1):
-            r += a[m + k] * p_k
-            p_prev, p_k = p_k, t * p_k - p_prev
-        # +-2 would make +-1 a root, so the open interval loses nothing
-        on = 2 * int(r.count_roots(-2, 2))
+            r = [x + a[m + k] * y for x, y in zip_longest(r, p_k, fillvalue=0)]
+            p_prev, p_k = p_k, [x - y for x, y in zip_longest([0] + p_k, p_prev, fillvalue=0)]
+        # r is irreducible as p is, so square-free; +-2 would make +-1 a
+        # root, so the open interval loses nothing
+        on = 2 * count_real_roots(r, -2, 2)
         return ((deg - on) // 2, on, (deg - on) // 2)
     # H_jk = sum_(p=1)^min(j,k) (a_(d-j+p) a_(d-k+p) - a_(j-p) a_(k-p)),
     # 1 <= j, k <= d, built here from 0-based j, k
@@ -527,12 +513,7 @@ def factor_charpoly(charpoly: Sequence[int]) -> list[tuple[tuple[int, ...], int]
     """Irreducible factors (ascending integer coefficients, primitive,
     positive leading) of an integer polynomial, with multiplicities, in
     sorted order."""
-    out = []
-    for fac, mult in poly_from_ascending(charpoly).factor_list()[1]:
-        fac = fac.primitive()[1]
-        out.append((ascending_from_poly(fac if fac.LC() > 0 else -fac), int(mult)))
-    out.sort()
-    return out
+    return factor(charpoly)[1]
 
 
 def dominant_root(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple, AlgebraicNumber]:

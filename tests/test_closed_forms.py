@@ -12,7 +12,7 @@ import sympy
 from flowmcg.coinvariants import build_coinvariants
 from flowmcg.errors import InternalCheckError
 from flowmcg.intlat import invariant_factors, mat_from, mat_vec, smith_with_transform
-from flowmcg.numberfield import classify_roots_vs_unit_circle, integer_charpoly, poly_from_ascending
+from flowmcg.numberfield import classify_roots_vs_unit_circle, integer_charpoly
 from flowmcg.pf import BalanceVerdict, FactorReport, cr_check, pf_data
 from flowmcg.substitution import Substitution, is_aperiodic, is_primitive
 
@@ -107,7 +107,7 @@ def reference_cr_check(data) -> BalanceVerdict:
     charpoly = sympy.Poly(1, x, domain="QQ")
     primaries = []
     for asc, mult in data.charpoly_factors:
-        q = poly_from_ascending(asc)
+        q = sympy.Poly(list(reversed(asc)), x)
         primaries.append((tuple(asc), mult, q ** mult))
         charpoly = charpoly * q ** mult
     powers = _ones_row_powers(m, charpoly.degree())

@@ -1,11 +1,15 @@
 """Every name a flowmcg module imports is used in that module, no module
-imports another's private name, and every private helper it defines has a
-caller.
+imports another's private name, every private helper it defines has a
+caller, and nothing the package runs loads sympy.
 
 `__init__.py` only re-exports, and `from __future__` imports are
 directives, so both are exempt from the import check."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -122,8 +126,28 @@ def imported_roots(source: str) -> set[str]:
 
 
 def test_only_the_polynomial_layers_import_sympy():
-    """Factoring, root counting and a few number-theory helpers come from
-    sympy; the integer kernels (Smith form, characteristic polynomials,
-    inverses in Q(lambda)) are local, with sympy's kept as test oracles."""
+    """No layer imports sympy, the polynomial ones included: factoring,
+    real-root isolation and counting, the number-theory predicates and the
+    integer kernels are all local, and sympy is a test oracle only."""
     users = sorted(p.name for p in SRC.glob("*.py") if "sympy" in imported_roots(p.read_text()))
-    assert users == ["mcg.py", "numberfield.py"]
+    assert users == []
+
+
+def test_the_cli_runs_without_loading_sympy(tmp_path):
+    """In a fresh interpreter, importing the CLI and running `pf` (which
+    factors and isolates roots) and `odometer` (which tests primality)
+    loads no sympy module, directly or through a dependency."""
+    fib = tmp_path / "fib.json"
+    fib.write_text(json.dumps({"alphabet": ["0", "1"], "rules": {"0": "01", "1": "0"}}))
+    code = (
+        "import contextlib, io, sys\n"
+        "from flowmcg import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.run(['pf', sys.argv[1]]), cli.run(['odometer', '--period', '2,3'])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(fib)], capture_output=True, text=True, env=env, timeout=120, check=True
+    )
+    assert out.stdout.strip() == "[0, 0] []"
