@@ -15,6 +15,7 @@ on a finite quotient of Z^d, d the degree of lam.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -49,14 +50,15 @@ from .words import Cylinder, CylinderSet, LanguageTable, section_word, word_idx
 class DerivedData:
     """Left-proper presentation extracted from a substitution.
 
-    ``eta`` is the left-proper power of the one-step derived substitution
-    ``zeta``; return words realize eta's letters inside the original shift.
-    For a substitution that is already proper on both sides the recoding is
-    the identity: return words are the letters themselves.
+    ``section`` is the word of the cross section whose return words present
+    the shift, None for the whole space (as in ``ReturnSystem.base_word``).
+    ``zeta`` is the one-step derived substitution on those return words (the
+    substitution itself on the whole space), ``eta`` its left-proper power;
+    return words realize eta's letters inside the original shift.
     """
 
     source: Substitution
-    base_letter: int
+    section: tuple[int, ...] | None
     cycle_length: int
     zeta: Substitution
     eta: Substitution
@@ -64,7 +66,6 @@ class DerivedData:
     kappa: int
     return_words: tuple[tuple[int, ...], ...]
     lengths: tuple[int, ...]
-    identity_recoding: bool
 
     @property
     def dimension(self) -> int:
@@ -83,7 +84,8 @@ def derived_proper(sub: Substitution, base: int | str | None = None) -> DerivedD
     The base letter must begin its own image under a power of the
     substitution (it lies on a cycle of the first-letter map); by default the
     candidate with the fewest return words wins, ties to the earliest letter.
-    A substitution already proper on both sides is returned unchanged.
+    By default a substitution already proper on both sides is presented on
+    the whole space: its return words are its letters and zeta is itself.
     """
     if not is_primitive(sub):
         raise ValidationError("substitution must be primitive")
@@ -91,40 +93,27 @@ def derived_proper(sub: Substitution, base: int | str | None = None) -> DerivedD
     if verdict.periodic:
         raise ValidationError("substitution generates a periodic shift")
 
-    if sub.is_left_proper() and sub.is_right_proper() and base is None:
-        letters = tuple((a,) for a in range(sub.size))
-        return DerivedData(
-            source=sub,
-            base_letter=sub.first_letter_map()[0],
-            cycle_length=1,
-            zeta=sub,
-            eta=sub,
-            proper_power=1,
-            kappa=1,
-            return_words=letters,
-            lengths=tuple(1 for _ in letters),
-            identity_recoding=True,
-        )
-
-    fl = sub.first_letter_map()
-    cycles = cycle_lengths(fl)
-    if base is not None:
-        if isinstance(base, str):
-            base_idx = sub.alphabet.index(base)
-        else:
-            (base_idx,) = word_idx(sub.alphabet, (base,))
-        if base_idx not in cycles:
-            raise ValidationError(
-                "base letter does not begin its own image under any power"
-            )
-        candidates = [base_idx]
+    cycles = cycle_lengths(sub.first_letter_map())
+    if base is None and sub.is_left_proper() and sub.is_right_proper():
+        section, c_b, zeta = None, 1, sub
+        returns = tuple((a,) for a in range(sub.size))
     else:
-        candidates = sorted(cycles)
-
-    found = [(return_words(sub, (b,), seed=b), b) for b in candidates]
-    returns, b = min(found, key=lambda rb: len(rb[0]))
-    c_b = cycles[b]
-    zeta = derived_substitution(sub, b, returns)
+        if base is not None:
+            if isinstance(base, str):
+                base_idx = sub.alphabet.index(base)
+            else:
+                (base_idx,) = word_idx(sub.alphabet, (base,))
+            if base_idx not in cycles:
+                raise ValidationError(
+                    "base letter does not begin its own image under any power"
+                )
+            candidates = [base_idx]
+        else:
+            candidates = sorted(cycles)
+        found = [(return_words(sub, (b,)), b) for b in candidates]
+        returns, b = min(found, key=lambda rb: len(rb[0]))
+        section, c_b = (b,), cycles[b]
+        zeta = derived_substitution(sub, b, returns)
 
     e = 1
     current = zeta
@@ -138,7 +127,7 @@ def derived_proper(sub: Substitution, base: int | str | None = None) -> DerivedD
     eta = current
     return DerivedData(
         source=sub,
-        base_letter=b,
+        section=section,
         cycle_length=c_b,
         zeta=zeta,
         eta=eta,
@@ -146,7 +135,6 @@ def derived_proper(sub: Substitution, base: int | str | None = None) -> DerivedD
         kappa=c_b * e,
         return_words=returns,
         lengths=tuple(len(r) for r in returns),
-        identity_recoding=False,
     )
 
 
@@ -307,10 +295,8 @@ def build_coinvariants(sub: Substitution, base: int | str | None = None) -> Dire
     derived = derived_proper(sub, base=base)
     data = pf_data(sub)
     field = data.field
-    if derived.identity_recoding:
-        base_measure = field.one()
-    else:
-        base_measure = data.left[derived.base_letter]
+    # the measure of the section: a letter's frequency, or 1
+    base_measure = data.left[derived.section[0]] if derived.section else field.one()
     n_matrix = incidence_matrix(derived.eta)
     lam_d = field.power(field.generator(), derived.kappa)
     return DirectLimitGroup(
@@ -359,10 +345,11 @@ def cylinder_class(group: DirectLimitGroup, item) -> GroupElement:
     sub = group.derived.source
     if isinstance(item, CylinderSet):
         words = [word_idx(sub.alphabet, c.word) for c in item.cylinders]
-        lang_depth = max(
-            (abs(c.offset) + len(c.word) for c in item.cylinders), default=2
+        # the disjointness check reads blocks across the whole span
+        span = max(c.offset + len(c.word) for c in item.cylinders) - min(
+            c.offset for c in item.cylinders
         )
-        language = sub.language(max(2, lang_depth) + 1)
+        language = sub.language(max(2, span))
         item.check_admissible(language)
         item.check_disjoint(language)
         total = group.zero()
@@ -389,24 +376,18 @@ def _block_weights(
 ) -> tuple[int, dict[tuple[int, ...], int]]:
     """Weights h(v) over admissible derived s-blocks v: the number of
     occurrences of `word` that start inside the first tile of the window
-    spelled by v (with the head letter appended to close the last tile)."""
+    spelled by v.  The s - 1 tiles after the first are at least |word| - 1
+    long together, so the window holds each such occurrence whole."""
     derived = group.derived
     min_len = min(derived.lengths)
     c = word
     s = 1 + max(0, -((1 - len(c)) // min_len))  # 1 + ceil((|c|-1)/min_len)
     blocks = sorted(derived.eta.language(s).blocks_of(s))
     out: dict[tuple[int, ...], int] = {}
-    base = derived.base_letter if not derived.identity_recoding else derived.head_letter
-    closer = (
-        derived.return_words[derived.head_letter]
-        if derived.identity_recoding
-        else (base,)
-    )
     for v in blocks:
         window: list[int] = []
         for letter in v:
             window.extend(derived.return_words[letter])
-        window.extend(closer)
         first_len = derived.lengths[v[0]]
         count = 0
         for p in range(first_len):
@@ -437,18 +418,13 @@ def _combine_block_weights(
         total = sum(h.get(joined[p : p + s], 0) for p in range(cut))
         if total:
             b_weight[ij] = total
-    head = derived.head_letter
+    # the 2-blocks of eta(l) in a point: its consecutive pairs, the last
+    # closed by the head letter that begins the next image
+    head = (derived.head_letter,)
     vec = [0] * d
-    for (i, j), wt in b_weight.items():
-        for l in range(d):
-            img = eta.image_idx(l)
-            adj = sum(
-                1 for t in range(len(img) - 1) if img[t] == i and img[t + 1] == j
-            )
-            boundary = 1 if (img[-1] == i and j == head) else 0
-            coeff = adj + boundary
-            if coeff:
-                vec[l] += wt * coeff
+    for l in range(d):
+        img = eta.image_idx(l)
+        vec[l] = sum(b_weight.get(ij, 0) for ij in zip(img, img[1:] + head))
     return group.element(m + 1, vec)
 
 
@@ -613,24 +589,18 @@ def coinvariants_report(sub: Substitution) -> CoinvariantsReport:
 
 @dataclass(frozen=True)
 class RestrictedClass:
-    """A class expressed on the return-word basis of a cross section."""
+    """A class expressed on the return-word basis of a cross section, whose
+    word is `section` (None for the whole space)."""
 
-    base_letter: int | None
+    section: tuple[int, ...] | None
     return_words: tuple[tuple[int, ...], ...]
     weights: tuple[int, ...]
     lengths: tuple[int, ...]
 
     def as_group_element(self, group: DirectLimitGroup) -> GroupElement:
-        derived = group.derived
-        if derived.identity_recoding:
-            if self.base_letter is not None:
-                raise ValidationError(
-                    "presentation is on letters; restrict to the whole space"
-                )
-            return group.element(0, self.weights)
-        if self.base_letter != derived.base_letter:
+        if self.section != group.derived.section:
             raise ValidationError("cross section differs from the presentation base")
-        if self.return_words != derived.return_words:
+        if self.return_words != group.derived.return_words:
             raise InternalCheckError("return-word bases disagree")
         return group.element(0, self.weights)
 
@@ -638,7 +608,13 @@ class RestrictedClass:
 def _normalize_gamma(
     sub: Substitution, gamma: Mapping
 ) -> list[tuple[tuple[int, ...], int]]:
-    out = [(word_idx(sub.alphabet, key), int(coeff)) for key, coeff in gamma.items()]
+    out = []
+    for key, coeff in gamma.items():
+        try:
+            value = operator.index(coeff)
+        except TypeError:
+            raise ValidationError(f"weight {coeff!r} is not an integer") from None
+        out.append((word_idx(sub.alphabet, key), value))
     out.sort(key=lambda t: (len(t[0]), t[0]))
     return out
 
@@ -660,22 +636,24 @@ def restrict_class(sub: Substitution, gamma: Mapping, section) -> RestrictedClas
 
     word = section_word(sub.alphabet, section)
     if word is None:
-        base_letter = None
         returns: tuple[tuple[int, ...], ...] = tuple((a,) for a in range(sub.size))
-    elif len(word) == 1:
-        base_letter = word[0]
-        returns = return_words(sub, word, seed=base_letter)
-    else:
+    elif len(word) != 1:
         raise ValidationError(
             "supported cross sections: whole space or a one-letter cylinder"
         )
+    elif word[0] not in cycle_lengths(sub.first_letter_map()):
+        raise ValidationError(
+            "section letter does not begin its own image under any power"
+        )
+    else:
+        returns = return_words(sub, word)
 
     language = sub.language(max(2, max_len + max(len(r) for r in returns)))
     weights = tuple(
-        _return_word_weight(language, terms, r, base_letter, max_len) for r in returns
+        _return_word_weight(language, terms, r, word or (), max_len) for r in returns
     )
     return RestrictedClass(
-        base_letter=base_letter,
+        section=word,
         return_words=returns,
         weights=weights,
         lengths=tuple(len(r) for r in returns),
@@ -686,21 +664,21 @@ def _return_word_weight(
     language: LanguageTable,
     terms: list[tuple[tuple[int, ...], int]],
     r: tuple[int, ...],
-    base_letter: int | None,
+    section: tuple[int, ...],
     max_len: int,
 ) -> int:
     """The gamma-weight of the occurrences starting inside r, the same for
     every continuation.  The continuations are the admissible blocks
-    r + z with |z| = max_len - 1; back at a letter section, z starts with
-    the letter.  Those are exactly the prefixes of concatenated return words
-    that may follow r: an admissible word starting at the letter splits at
-    its occurrences into return words and a prefix of one."""
+    r + z with |z| = max_len - 1 that go on with the section word, as far
+    as z reaches (the whole space has the empty word).  Those are exactly
+    the prefixes of concatenated return words that may follow r: an
+    admissible word starting at the letter splits at its occurrences into
+    return words and a prefix of one."""
     k = len(r)
     windows = [
         block
         for block in language.blocks_of(k + max(0, max_len - 1))
-        if block[:k] == r
-        and (base_letter is None or len(block) == k or block[k] == base_letter)
+        if block[:k] == r and block[k : k + len(section)] == section[: len(block) - k]
     ]
     if not windows:
         raise InternalCheckError("no admissible continuation for a return word")
@@ -813,13 +791,11 @@ def _automorphism_action(flow_code, group: DirectLimitGroup) -> ActionReport:
         raise ValidationError("automorphism flow code carries no inverse block code")
     derived = group.derived
     d = group.dimension
-    images = []
-    for i in range(d):
-        if derived.identity_recoding:
-            word = derived.return_words[i]
-        else:
-            word = derived.return_words[i] + (derived.base_letter,)
-        images.append(_pushforward_class(group, code, word))
+    # basis class i: the cylinder of return word i followed by the section
+    images = [
+        _pushforward_class(group, code, r + (derived.section or ()))
+        for r in derived.return_words
+    ]
     m_level = max(g.level for g in images)
     lifted = [g.raised(m_level - g.level) for g in images]
     matrix = tuple(

@@ -92,13 +92,10 @@ class ReturnSystem:
         return self.base is not None and self.base.is_whole_space
 
 
-def return_words(
-    sub: Substitution, w: tuple[int, ...], seed: int | None = None
-) -> tuple[tuple[int, ...], ...]:
+def return_words(sub: Substitution, w: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """All return words of the cylinder [w], complete by construction, in
-    order of first occurrence along the one-sided fixed point grown from
-    `seed` (a letter on a cycle of the first-letter map; by default the
-    least such letter).
+    order of first occurrence along the one-sided fixed point grown from the
+    least letter on a cycle of the first-letter map.
 
     First a repetitivity bound R with every admissible R-block containing w
     is found; the gaps that follow the occurrences of w starting inside
@@ -106,12 +103,7 @@ def return_words(
     then the full return-word set.
     """
     cycles = cycle_lengths(sub.first_letter_map())
-    if seed is None:
-        seed = min(cycles)
-    elif seed not in cycles:
-        raise ValidationError(
-            "seed letter does not begin its own image under any power"
-        )
+    seed = min(cycles)
     k = len(w)
     r_bound = None
     n = max(2 * k, 2)

@@ -529,27 +529,22 @@ def dominant_root(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tup
 
 def minimal_polynomial_of_element(field: NumberField, a: FieldElement) -> tuple[int, ...]:
     """Integer minimal polynomial (ascending, primitive, positive leading) of
-    a field element, certified by sign change around a refined interval.  chi
-    of `multiplication_rows` is a power of the minimal polynomial f of s·a
-    (Q(lambda) is a vector space over Q(s·a)), and a is a root of f(s·x)."""
+    a field element.  chi of `multiplication_rows` is a power of the minimal
+    polynomial f of s·a (Q(lambda) is a vector space over Q(s·a)), so it has
+    one irreducible factor, and a is a root of f(s·x), checked exactly."""
     s, rows = field.multiplication_rows(a)
-    candidates = []
-    for f, _mult in factor_charpoly(_berkowitz(rows)):
-        scaled = [c * s**k for k, c in enumerate(f)]
-        g = math.gcd(*scaled)
-        candidates.append(tuple(c // g for c in scaled))
-    eps = Fraction(1, 16)
-    while True:
-        mid = field.approx(a, eps)
-        live = []
-        for asc in candidates:
-            slo = eval_ascending(asc, mid - eps)
-            shi = eval_ascending(asc, mid + eps)
-            if slo == 0 or shi == 0 or (slo > 0) != (shi > 0):
-                live.append(asc)
-        if len(live) == 1:
-            return live[0]
-        eps = eps / 16
+    factors = factor_charpoly(_berkowitz(rows))
+    if len(factors) != 1:
+        raise InternalCheckError("element's characteristic polynomial has two irreducible factors")
+    scaled = [c * s**k for k, c in enumerate(factors[0][0])]
+    g = math.gcd(*scaled)
+    f = tuple(c // g for c in scaled)
+    value = field.zero()
+    for c in reversed(f):
+        value = value * a + field.rational(c)
+    if not value.is_zero():
+        raise InternalCheckError("element is not a root of its minimal polynomial")
+    return f
 
 
 def same_real_algebraic(a: "FieldElement", b: "FieldElement") -> bool:
@@ -567,16 +562,11 @@ def same_real_algebraic(a: "FieldElement", b: "FieldElement") -> bool:
 
 
 def _locate_root(x: "FieldElement", roots: list[AlgebraicNumber]) -> int:
-    eps = Fraction(1, 16)
-    for _ in range(300):
-        mid = x.field.approx(x, eps)
-        lo, hi = mid - eps, mid + eps
-        live = []
-        for i, r in enumerate(roots):
-            rr = r.refined(eps)
-            if not (rr.hi < lo or rr.lo > hi):
-                live.append(i)
-        if len(live) == 1:
-            return live[0]
-        eps = eps / 16
-    raise InternalCheckError("root isolation failed to converge")
+    """The index of the root x is, x a root of their minimal polynomial: the
+    one with lo <= x <= hi, by exact signs.  An irrational x lies strictly
+    inside exactly one isolating interval; a rational one is its own."""
+    field = x.field
+    for i, r in enumerate(roots):
+        if (x - field.rational(r.lo)).sign() >= 0 >= (x - field.rational(r.hi)).sign():
+            return i
+    raise InternalCheckError("element lies in no isolating interval of its roots")

@@ -279,7 +279,7 @@ def test_criterion_09_property_suite(tm, fib, cyclic4, tribonacci):
     for sub in (fib, tm):
         group = build_coinvariants(sub)
         derived = group.derived
-        base = sub.alphabet.symbols[derived.base_letter]
+        base = "".join(sub.alphabet.symbols[a] for a in derived.section)
         generator_words = [
             "".join(sub.alphabet.symbols[a] for a in word) + base
             for word in derived.return_words

@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 from flowmcg.coinvariants import (
+    _infinitesimal_rank_of,
     build_coinvariants,
     coinvariants_report,
     cylinder_class,
@@ -13,13 +14,15 @@ from flowmcg.coinvariants import (
     element_equal,
     infinitesimal_rank,
     restrict_class,
+    TraceImage,
     trace,
     trace_image,
 )
 from flowmcg.errors import ValidationError
-from flowmcg.intlat import mat_vec
+from flowmcg.intlat import Lattice, mat_vec
 from flowmcg.pf import pf_data
-from flowmcg.substitution import Substitution, incidence_matrix
+from flowmcg.substitution import Substitution, cycle_lengths, incidence_matrix
+from flowmcg.words import Cylinder, CylinderSet, Word
 
 from test_cross_sections import CIRCLE
 from test_one_core import IDS, RULES
@@ -207,8 +210,63 @@ def test_restricting_a_cylinder_weight(fib):
 
 def test_restriction_to_whole_space_is_letterwise(fib):
     rc = restrict_class(fib, {"0": 1}, None)
-    assert rc.base_letter is None
+    assert rc.section is None
     assert rc.weights == (1, 0)
+
+
+def test_restriction_refuses_non_integer_weights(fib):
+    for coeff in (1.5, 2.0, Fraction(1, 2), "1"):
+        with pytest.raises(ValidationError):
+            restrict_class(fib, {"0": coeff}, None)
+
+
+def test_restriction_refuses_a_letter_off_every_cycle(fib):
+    # 1 never begins an image of the Fibonacci substitution
+    with pytest.raises(ValidationError):
+        restrict_class(fib, {"0": 1}, "1")
+
+
+def test_a_union_straddling_the_origin_reads_its_whole_span(fib):
+    # [1] at offset -6 and [00] at offset 1 span 9 symbols
+    one, zero_zero = (Word.parse(fib.alphabet, w) for w in ("1", "00"))
+    union = CylinderSet((Cylinder(one, -6), Cylinder(zero_zero, 1)))
+    g = build_coinvariants(fib)
+    expected = cylinder_class(g, "1") + cylinder_class(g, "00")
+    assert element_equal(g, cylinder_class(g, union), expected)
+
+
+def _basis_traces(g):
+    return [
+        trace(g, g.element(0, tuple(int(i == j) for j in range(g.dimension)))).exact()
+        for i in range(g.dimension)
+    ]
+
+
+def _trace_module(g):
+    """The Z[1/lam]-module generated by the traces of the basis classes."""
+    field, deg = g.field, g.field.degree
+    rows = []
+    for t in _basis_traces(g):
+        for _ in range(deg):
+            rows.append(list(t.coeffs))
+            t = t * field.generator()
+    return TraceImage(field, deg, Lattice.from_fraction_rows(rows, deg), "")
+
+
+@pytest.mark.parametrize("rules", RULES, ids=IDS)
+def test_every_base_gives_the_same_ranks_and_trace_image(rules):
+    """Free rank, infinitesimal rank and the module the traces generate do
+    not depend on the base letter.  Invariant factors are not compared: on
+    0>1010,1>00 base 0 gives (4, 4) and base 1 gives (2, 8)."""
+    sub = Substitution.from_rules(rules)
+    default = build_coinvariants(sub)
+    module = _trace_module(default)
+    for b in sorted(cycle_lengths(sub.first_letter_map())):
+        g = build_coinvariants(sub, base=b)
+        assert g.free_rank == default.free_rank
+        assert _infinitesimal_rank_of(g) == _infinitesimal_rank_of(default)
+        assert all(module.contains(t) for t in _basis_traces(g))
+        assert all(_trace_module(g).contains(t) for t in _basis_traces(default))
 
 
 def test_restriction_base_mismatch_is_rejected(fib):
@@ -216,3 +274,95 @@ def test_restriction_base_mismatch_is_rejected(fib):
     g = build_coinvariants(fib)
     with pytest.raises(ValidationError):
         rc.as_group_element(g)
+
+
+# -- reference copy of the cylinder-class weights -------------------------
+
+
+def reference_block_weights(group, word):
+    """h over eta's s-blocks as first written: the window of each block is
+    closed by the head letter's return word on the whole space and by the
+    base letter otherwise."""
+    derived = group.derived
+    min_len = min(derived.lengths)
+    c = word
+    s = 1 + max(0, -((1 - len(c)) // min_len))  # 1 + ceil((|c|-1)/min_len)
+    blocks = sorted(derived.eta.language(s).blocks_of(s))
+    out = {}
+    closer = (
+        derived.return_words[derived.head_letter]
+        if derived.section is None
+        else derived.section
+    )
+    for v in blocks:
+        window = []
+        for letter in v:
+            window.extend(derived.return_words[letter])
+        window.extend(closer)
+        first_len = derived.lengths[v[0]]
+        count = 0
+        for p in range(first_len):
+            assert p + len(c) <= len(window)
+            if tuple(window[p : p + len(c)]) == c:
+                count += 1
+        if count:
+            out[v] = count
+    return s, out
+
+
+def reference_combine_block_weights(group, weights):
+    """The level-(m+1) vector as first written: a scan over every (2-block,
+    letter) adjacency."""
+    s, h = weights
+    derived = group.derived
+    d = group.dimension
+    if s == 1:
+        vec = [0] * d
+        for v, cnt in h.items():
+            vec[v[0]] += cnt
+        return group.element(0, vec)
+    eta = derived.eta
+    m = eta.growth_power(s)
+    b_weight = {}
+    for ij, (joined, cut) in zip(eta.two_blocks(), eta.two_block_images(m)):
+        total = sum(h.get(joined[p : p + s], 0) for p in range(cut))
+        if total:
+            b_weight[ij] = total
+    head = derived.head_letter
+    vec = [0] * d
+    for (i, j), wt in b_weight.items():
+        for l in range(d):
+            img = eta.image_idx(l)
+            adj = sum(
+                1 for t in range(len(img) - 1) if img[t] == i and img[t + 1] == j
+            )
+            boundary = 1 if (img[-1] == i and j == head) else 0
+            coeff = adj + boundary
+            if coeff:
+                vec[l] += wt * coeff
+    return group.element(m + 1, vec)
+
+
+# word lengths short enough for the test to stay within a few seconds:
+# sigma4's and circle5's classes cost tens of milliseconds each
+SHORT_LENGTHS = {"0>01,1>12,2>23,3>30": 3, "circle5": 2}
+
+
+CASES = list(zip(IDS + ["circle5", "circle3"], RULES + CIRCLE))
+
+
+@pytest.mark.parametrize("name,rules", CASES, ids=[name for name, _ in CASES])
+def test_cylinder_classes_match_the_reference_copy(name, rules):
+    """Every admissible word up to a length: the same (level, vector) as the
+    reference copy."""
+    sub = Substitution.from_rules(rules)
+    group = build_coinvariants(sub)
+    n_max = SHORT_LENGTHS.get(name, 6)
+    language = sub.language(n_max)
+    for n in range(1, n_max + 1):
+        for word in sorted(language.blocks_of(n)):
+            expected = reference_combine_block_weights(
+                group, reference_block_weights(group, word)
+            )
+            got = cylinder_class(group, word)
+            assert (got.level, got.vector) == (expected.level, expected.vector), word

@@ -16,6 +16,7 @@ from flowmcg.numberfield import (
     factor_charpoly,
     integer_charpoly,
     minimal_polynomial_of_element,
+    same_real_algebraic,
 )
 from flowmcg.pf import cr_check, is_pisot
 from flowmcg.substitution import Substitution, incidence_matrix
@@ -332,6 +333,22 @@ def test_minimal_polynomial_of_element_matches_sympy(asc):
         expr = sum(sympy.Rational(c.numerator, c.denominator) * lam**k for k, c in enumerate(a.coeffs))
         want = sympy.Poly(sympy.minimal_polynomial(expr, x), x)
         assert minimal_polynomial_of_element(field, a) == tuple(int(c) for c in reversed(want.all_coeffs()))
+
+
+@pytest.mark.parametrize("asc", [(-1, -1, 1), (1, -3, 0, 1)], ids=str)
+def test_same_real_algebraic_tells_conjugates_apart(asc):
+    """p(lam) agrees across two field objects on the same root of lam's
+    polynomial; on two different roots the values are conjugates: the same
+    minimal polynomial, another number."""
+    roots = AlgebraicNumber.real_roots_of(asc)
+    rng = random.Random(str(asc))
+    for _ in range(8):
+        coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in asc[:-1]]
+        coeffs[1] = coeffs[1] or Fraction(1)
+        for i, r in enumerate(roots):
+            a = NumberField(r).element(coeffs)
+            for j, t in enumerate(roots):
+                assert same_real_algebraic(a, NumberField(t).element(coeffs)) == (i == j)
 
 
 def _reference_factor_charpoly(matrix):
