@@ -1,11 +1,9 @@
 """Asymptotic pairs of a substitution shift: one-sided fixed points glued
-at admissible junctions, grouped by shared forward tails.
+at admissible junctions, one class per right seed.
 
 Only forward-asymptotic structure is computed.  A point here is presented
 as a left fixed point (read to minus infinity) joined to a right fixed
-point at the origin; two presentations are merged when their expansions
-agree up to a bounded shift, and that comparison length is reported as a
-certificate, not a proof.
+point at the origin; the leaves of a class share that right point.
 """
 
 from __future__ import annotations
@@ -13,18 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .errors import InternalCheckError, ResourceLimitError, ValidationError
+from .errors import InternalCheckError, ValidationError
 from .substitution import (
     Substitution,
     cycle_lengths,
     fixed_point,
-    image_prefix,
     is_aperiodic,
     is_primitive,
 )
 from .words import SlidingBlockCode, shift_offsets
 
-DEFAULT_TAIL_CHECK = 2048
+# symbols of each tail compared when a block code's image is matched
+TAIL_CHECK = 2048
 
 
 @dataclass(frozen=True)
@@ -63,10 +61,6 @@ class Leaf:
     def junction(self) -> tuple[int, int]:
         return (self.left.seed, self.right.seed)
 
-    def window(self, half: int) -> tuple[int, ...]:
-        """Symbols on [-half, half); the origin sits at index `half`."""
-        return self.left.expand(half) + self.right.expand(half)
-
 
 @dataclass(frozen=True)
 class AsymptoticClassSet:
@@ -76,14 +70,10 @@ class AsymptoticClassSet:
     sub: Substitution
     power: int
     classes: tuple[tuple[Leaf, ...], ...]
-    tail_certificate: int
 
     @property
     def count(self) -> int:
         return len(self.classes)
-
-    def leaves(self) -> tuple[Leaf, ...]:
-        return tuple(leaf for cls in self.classes for leaf in cls)
 
 
 def stabilize_power(sub: Substitution) -> int:
@@ -108,138 +98,91 @@ def _tails_agree(
     return next(shift_offsets(x, y, shifts, max_shift + 1), None) is not None
 
 
-def asymptotic_classes(
-    sub: Substitution, tail_check_length: int = DEFAULT_TAIL_CHECK
-) -> AsymptoticClassSet:
+def asymptotic_classes(sub: Substitution) -> AsymptoticClassSet:
     """Enumerate the asymptotic classes of the shift.
 
-    Candidates are junction blocks (b, a): a left fixed point ending in b
-    glued to a right fixed point starting with a, with ba admissible.
-    Classes group candidates sharing the right tail; classes whose tails
-    agree up to a bounded shift are merged, and presentations of the same
-    point are deduplicated, both verified to `tail_check_length` symbols.
-    A length too short to tell the leaves of any class apart exhausts the
-    budget.
+    With k = `stabilize_power(sub)`, a right seed is a letter a on a cycle
+    of the first-letter map, and u^(a) is the σ^k-fixed right point that
+    starts with a; left seeds b and their points are the same on the
+    last-letter map.  There is one class per right seed a, in letter order:
+    the leaves (b, a) with b a left seed and ba admissible, kept when there
+    are at least two.
+
+    No tail is compared, because no two of these points are one point up
+    to a shift.  If u^(a) = p·u^(a′) with p nonempty, applying σ^k gives
+    σ^k(p)·u^(a′) = p·u^(a′).  Where |σ^k(p)| ≠ |p|, one side is the other
+    with a nonempty word in front, so u^(a′) is periodic; otherwise
+    σ^k(p) = p and σ^k fixes a letter.  A primitive aperiodic substitution
+    allows neither.  Two leaves (b, a) ≠ (b′, a) that were one point up to
+    a nonzero shift would make their common tail u^(a) periodic.
     """
-    if tail_check_length < 1:
-        raise ValidationError("tail check length must be positive")
     if not is_primitive(sub):
         raise ValidationError("substitution must be primitive")
     if is_aperiodic(sub).periodic:
         raise ValidationError("periodic shifts have no asymptotic structure here")
     k = stabilize_power(sub)
-    powered = sub.power(k)
-    d = sub.size
-    right_seeds = [a for a in range(d) if powered.first_letter_map()[a] == a]
-    left_seeds = [b for b in range(d) if powered.last_letter_map()[b] == b]
+    right_seeds = sorted(cycle_lengths(sub.first_letter_map()))
+    left_seeds = sorted(cycle_lengths(sub.last_letter_map()))
     lang2 = sub.language(2)
-
-    raw: list[list[Leaf]] = []
-    for a in sorted(right_seeds):
-        bs = [b for b in sorted(left_seeds) if lang2.admissible((b, a))]
-        if len(bs) < 2:
-            continue
-        leaves = [
-            Leaf(
-                OneSidedFixedPoint(sub, "left", b, k),
-                OneSidedFixedPoint(sub, "right", a, k),
+    classes = []
+    for a in right_seeds:
+        bs = [b for b in left_seeds if lang2.admissible((b, a))]
+        if len(bs) >= 2:
+            right = OneSidedFixedPoint(sub, "right", a, k)
+            classes.append(
+                tuple(Leaf(OneSidedFixedPoint(sub, "left", b, k), right) for b in bs)
             )
-            for b in bs
-        ]
-        raw.append(leaves)
-    if not raw:
+    if not classes:
         raise InternalCheckError(
             "no asymptotic class found; enumeration should be nonempty"
         )
-
-    check = tail_check_length
-    max_shift = max(len(powered.image_idx(c)) for c in range(d))
-
-    # drop duplicate presentations of one point (same window up to shift,
-    # on at least half of it)
-    shifts = range(-max_shift, max_shift + 1)
-    for leaves in raw:
-        kept: list[tuple[Leaf, tuple[int, ...]]] = []
-        for leaf in leaves:
-            w = leaf.window(check)
-            dup = any(
-                next(shift_offsets(w, seen, shifts, len(w) // 2), None) is not None
-                for _, seen in kept
-            )
-            if not dup:
-                kept.append((leaf, w))
-        leaves[:] = [leaf for leaf, _ in kept]
-    raw = [leaves for leaves in raw if len(leaves) >= 2]
-    if not raw:
-        raise ResourceLimitError(
-            f"tail check of {check} symbols leaves no class with two leaves"
-        )
-
-    # merge classes whose right tails agree up to a shift
-    merged: list[list[Leaf]] = []
-    tails: list[tuple[int, ...]] = []
-    for leaves in raw:
-        tail = leaves[0].right.expand(check)
-        for i, seen in enumerate(tails):
-            if _tails_agree(tail, seen, max_shift):
-                merged[i].extend(leaves)
-                break
-        else:
-            merged.append(list(leaves))
-            tails.append(tail)
-
-    classes = []
-    for leaves in merged:
-        leaves.sort(key=lambda l: l.junction)
-        for l1 in leaves:
-            for l2 in leaves:
-                if l1 is not l2 and l1.junction == l2.junction:
-                    raise InternalCheckError("repeated junction inside a class")
-        classes.append(tuple(leaves))
-    return AsymptoticClassSet(
-        sub=sub, power=k, classes=tuple(classes), tail_certificate=check
-    )
+    return AsymptoticClassSet(sub=sub, power=k, classes=tuple(classes))
 
 
 def action_on_classes(op, classes: AsymptoticClassSet) -> tuple[int, ...]:
     """The permutation the map induces on asymptotic classes.
 
-    `op` is a substitution over the same alphabet (acting by application)
-    or a sliding block code (a verified automorphism).  Position i of the
-    result is the index of the image class of class i.  Re-identification
-    compares image tails against class tails up to a bounded shift; failure
-    raises instead of guessing.
+    Position i of the result is the index of the image class of class i.
+    `op` is either of:
+
+    - a substitution over the same alphabet that commutes with σ on
+      letters, op(σ(c)) = σ(op(c)).  Then op(σ^k(w)) = σ^k(op(w)) for every
+      word w, so op maps u^(a) to the σ^k-fixed point that starts with the
+      first letter of op(a), and the action is read off first letters.
+      Any other substitution, or one that does not permute the classes,
+      raises `ValidationError`;
+    - a sliding block code (a verified automorphism).  Its image of each
+      class tail is matched against the class tails up to a bounded shift
+      on `TAIL_CHECK` symbols; failure raises instead of guessing.
     """
     sub = classes.sub
-    check = classes.tail_certificate
-    powered = sub.power(classes.power)
-    max_shift = max(len(powered.image_idx(c)) for c in range(sub.size))
-    tails = [cls[0].right.expand(check) for cls in classes.classes]
-
-    images: list[tuple[int, ...]] = []
+    seeds = [cls[0].right.seed for cls in classes.classes]
     if isinstance(op, Substitution):
         if op.alphabet != sub.alphabet:
             raise ValidationError("map alphabet does not match the shift")
-        step = [op.image_idx(c) for c in range(op.size)]
-        for tail in tails:
-            images.append(tuple(image_prefix(step, tail, check)[:check]))
-        max_shift = max(max_shift, max(len(w) for w in op.images))
-    elif isinstance(op, SlidingBlockCode):
-        r = op.radius
-        for cls in classes.classes:
-            ext = cls[0].right.expand(check + 2 * r)
-            pad = cls[0].left.expand(r) if r else ()
-            img = op.apply(pad + ext)
-            images.append(img[:check])
-    else:
+        if any(
+            op.apply_idx(sub.image_idx(c)) != sub.apply_idx(op.image_idx(c))
+            for c in range(sub.size)
+        ):
+            raise ValidationError("map does not commute with the substitution")
+        targets = [op.image_idx(a)[0] for a in seeds]
+        if sorted(targets) != seeds:
+            raise ValidationError("map does not permute the asymptotic classes")
+        return tuple(seeds.index(t) for t in targets)
+    if not isinstance(op, SlidingBlockCode):
         raise ValidationError("map must be a substitution or a block code")
 
+    powered = sub.power(classes.power)
+    max_shift = max(len(powered.image_idx(c)) for c in range(sub.size))
+    tails = [cls[0].right.expand(TAIL_CHECK) for cls in classes.classes]
+    r = op.radius
     perm = []
-    for i, img in enumerate(images):
+    for i, cls in enumerate(classes.classes):
+        ext = cls[0].right.expand(TAIL_CHECK + 2 * r)
+        pad = cls[0].left.expand(r) if r else ()
+        img = op.apply(pad + ext)[:TAIL_CHECK]
         hits = [
-            t
-            for t, tail in enumerate(tails)
-            if _tails_agree(img, tail, max_shift)
+            t for t, tail in enumerate(tails) if _tails_agree(img, tail, max_shift)
         ]
         if len(hits) != 1:
             raise InternalCheckError(

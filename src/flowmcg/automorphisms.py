@@ -20,6 +20,7 @@ from .asymptotics import stabilize_power
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
 from .substitution import Substitution, cycle_lengths, fixed_point, is_aperiodic, is_primitive
 from .words import (
+    CHECK_DEPTH,
     INVERSE_RADIUS_BUDGET,
     LanguageTable,
     SlidingBlockCode,
@@ -28,7 +29,6 @@ from .words import (
 )
 
 DEFAULT_RADIUS = 2
-DEFAULT_CHECK_DEPTH = 12
 SHIFT_ID_WINDOW = 4096
 # search nodes (window outputs tried) of the candidate search: the known
 # inputs need at most 10,500 (0→01, 1→12, 2→23, 3→30 at radius 2)
@@ -49,7 +49,6 @@ class AutGroupReport:
 
     sub: Substitution
     radius: int
-    n_check: int
     window: int
     codes: tuple[SlidingBlockCode, ...]
     inverses: tuple[SlidingBlockCode, ...]
@@ -185,15 +184,11 @@ def _window_indices(
         ) from None
 
 
-def search_automorphisms(
-    sub: Substitution,
-    radius: int = DEFAULT_RADIUS,
-    n_check: int = DEFAULT_CHECK_DEPTH,
-) -> AutGroupReport:
+def search_automorphisms(sub: Substitution, radius: int = DEFAULT_RADIUS) -> AutGroupReport:
     """Every automorphism realizable at the given radius.
 
     Searches the output assignments on admissible windows, pruned by the
-    language to depth n_check (at most CANDIDATE_BUDGET search nodes), keeps
+    language to `CHECK_DEPTH` (at most CANDIDATE_BUDGET search nodes), keeps
     the assignments that admit a verified two-sided inverse code, then groups
     them modulo shift powers.  Shift identification and the composition
     table read the codes' outputs at the window indices of a fixed-point
@@ -201,20 +196,22 @@ def search_automorphisms(
     """
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
-    if n_check < 2 * radius + 1:
-        raise ValidationError("n_check must be at least the window width")
+    if CHECK_DEPTH < 2 * radius + 1:
+        raise ValidationError(
+            f"window width {2 * radius + 1} exceeds the check depth {CHECK_DEPTH}"
+        )
     if not is_primitive(sub):
         raise ValidationError("substitution must be primitive")
     if is_aperiodic(sub).periodic:
         raise ValidationError("shift is periodic; no automorphism search")
     d = sub.size
-    depth = max(n_check + 2 * radius, 2 * (radius + INVERSE_RADIUS_BUDGET) + 1)
+    depth = max(CHECK_DEPTH + 2 * radius, 2 * (radius + INVERSE_RADIUS_BUDGET) + 1)
     lang = sub.language(depth)
 
     codes: list[SlidingBlockCode] = []
     inverses: list[SlidingBlockCode] = []
     kept: list[tuple[int, ...]] = []  # each code's outputs, in window order
-    blocks, candidates = _enumerate_candidates(lang, radius, d, n_check)
+    blocks, candidates = _enumerate_candidates(lang, radius, d, CHECK_DEPTH)
     for outputs in candidates:
         rule = dict(zip(blocks, outputs))
         code = SlidingBlockCode(sub.alphabet, sub.alphabet, radius, rule)
@@ -273,13 +270,12 @@ def search_automorphisms(
         table.append(tuple(row))
 
     certificate = (
-        f"complete at radius {radius}; language checked to depth {n_check}; "
+        f"complete at radius {radius}; language checked to depth {CHECK_DEPTH}; "
         f"shift identification window {SHIFT_ID_WINDOW}"
     )
     return AutGroupReport(
         sub=sub,
         radius=radius,
-        n_check=n_check,
         window=SHIFT_ID_WINDOW,
         codes=tuple(codes),
         inverses=tuple(inverses),

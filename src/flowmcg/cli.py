@@ -54,7 +54,7 @@ from .mcg import (
 from .numberfield import FieldElement
 from .pf import cr_check, is_pisot, pf_data
 from .substitution import Substitution, complexity_profile, incidence_matrix
-from .words import SlidingBlockCode
+from .words import CHECK_DEPTH, SlidingBlockCode
 
 
 def _field_element_json(x: FieldElement) -> dict:
@@ -102,9 +102,9 @@ def _join(sub: Substitution, idx: tuple[int, ...]) -> str:
 
 def _cmd_analyze(args) -> None:
     sub = _load_sub(args.file)
-    report = assemble_mcg(sub, aut_radius=args.aut_radius, aut_depth=args.aut_depth)
+    report = assemble_mcg(sub, aut_radius=args.aut_radius)
     payload = report.to_json_dict()
-    payload["options"] = {"aut_radius": args.aut_radius, "aut_depth": args.aut_depth}
+    payload["options"] = {"aut_radius": args.aut_radius, "aut_depth": CHECK_DEPTH}
     _emit(payload, args.out)
 
 
@@ -126,6 +126,8 @@ def _cmd_language(args) -> None:
 
 
 def _cmd_complexity(args) -> None:
+    if args.n_max < 0:
+        raise ValidationError("n_max must be >= 0")
     sub = _load_sub(args.file)
     profile = complexity_profile(sub, args.n_max) if args.n_max >= 1 else ()
     values = {str(n): p for n, p in enumerate(profile, start=1)}
@@ -191,14 +193,13 @@ def _cmd_coinvariants(args) -> None:
 
 def _cmd_asymptotics(args) -> None:
     sub = _load_sub(args.file)
-    classes = asymptotic_classes(sub, tail_check_length=args.tail_check)
+    classes = asymptotic_classes(sub)
     if args.dot:
         _emit(classes_to_dot(classes), args.out)
         return
     payload = {
         "power": classes.power,
         "count": classes.count,
-        "tail_certificate": classes.tail_certificate,
         "classes": [
             [
                 {
@@ -225,7 +226,7 @@ def _code_rule_json(sub: Substitution, code: SlidingBlockCode) -> dict:
 
 def _cmd_aut(args) -> None:
     sub = _load_sub(args.file)
-    report = search_automorphisms(sub, radius=args.radius, n_check=args.n_check)
+    report = search_automorphisms(sub, radius=args.radius)
     quotient = shift_quotient(report)
     _emit(
         {
@@ -256,7 +257,7 @@ def _cmd_aut(args) -> None:
 def _cmd_induce(args) -> None:
     sub = _load_sub(args.file)
     section = args.word if args.word else None
-    system = induce(sub, section, depth=args.depth)
+    system = induce(sub, section)
     _emit(
         {
             "section": "" if system.base_word is None else _join(sub, system.base_word),
@@ -273,9 +274,9 @@ def _cmd_induce(args) -> None:
 # -- flow codes --------------------------------------------------------------
 
 
-def _build_flow_code(sub: Substitution, kind: str, map_json: str | None, depth: int) -> FlowCode:
+def _build_flow_code(sub: Substitution, kind: str, map_json: str | None) -> FlowCode:
     if kind == "identity":
-        return identity_code(sub, depth)
+        return identity_code(sub)
     if kind == "tilde":
         return substitution_code(sub)
     if kind == "automorphism":
@@ -288,7 +289,7 @@ def _build_flow_code(sub: Substitution, kind: str, map_json: str | None, depth: 
         if not isinstance(mapping, dict):
             raise ValidationError("--map must be a JSON object of symbol pairs")
         code = SlidingBlockCode.from_symbol_map(sub.alphabet, sub.alphabet, mapping)
-        return automorphism_code(sub, code, depth)
+        return automorphism_code(sub, code)
     raise ValidationError(f"unknown flow code kind {kind!r}")
 
 
@@ -308,15 +309,15 @@ def _flow_code_json(fc: FlowCode) -> dict:
 
 def _cmd_flowcode_make(args) -> None:
     sub = _load_sub(args.file)
-    fc = _build_flow_code(sub, args.kind, args.map, args.depth)
+    fc = _build_flow_code(sub, args.kind, args.map)
     _emit(_flow_code_json(fc), args.out)
 
 
 def _cmd_flowcode_compose(args) -> None:
     sub = _load_sub(args.file)
-    first = _build_flow_code(sub, args.first, args.first_map, args.depth)
-    second = _build_flow_code(sub, args.second, args.second_map, args.depth)
-    fc = compose_flow_codes(first, second, args.depth)
+    first = _build_flow_code(sub, args.first, args.first_map)
+    second = _build_flow_code(sub, args.second, args.second_map)
+    fc = compose_flow_codes(first, second)
     payload = _flow_code_json(fc)
     payload["factors"] = [args.first, args.second]
     _emit(payload, args.out)
@@ -324,7 +325,7 @@ def _cmd_flowcode_compose(args) -> None:
 
 def _cmd_flowcode_restrict(args) -> None:
     sub = _load_sub(args.file)
-    fc = _build_flow_code(sub, args.kind, args.map, args.depth)
+    fc = _build_flow_code(sub, args.kind, args.map)
     restricted = restrict_flow_code(fc, args.word)
     payload = _flow_code_json(restricted)
     payload["restricted_to"] = args.word
@@ -333,7 +334,7 @@ def _cmd_flowcode_restrict(args) -> None:
 
 def _cmd_flowcode_slopes(args) -> None:
     sub = _load_sub(args.file)
-    fc = _build_flow_code(sub, args.kind, args.map, args.depth)
+    fc = _build_flow_code(sub, args.kind, args.map)
     profile = cocycle_slopes(fc, k_range=range(0, args.k_max))
     slopes = list(profile.slopes)
     mean = sum((s for _, s in slopes), Fraction(0)) / len(slopes)
@@ -350,7 +351,7 @@ def _cmd_flowcode_slopes(args) -> None:
 
 def _cmd_flowcode_rmu(args) -> None:
     sub = _load_sub(args.file)
-    fc = _build_flow_code(sub, args.kind, args.map, args.depth)
+    fc = _build_flow_code(sub, args.kind, args.map)
     value = r_mu(fc)
     relation = lambda_relation_search(value)
     _emit(
@@ -486,6 +487,14 @@ def _cmd_checklist(args) -> None:
 # -- parser ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as invalid input (exit 1), not with argparse's
+    exit 2, which the exit-code contract reserves for exhausted budgets."""
+
+    def error(self, message: str):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _add_sub_file(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("file", help="substitution JSON file")
 
@@ -502,11 +511,10 @@ def _add_flow_code_args(parser: argparse.ArgumentParser) -> None:
         help="which flow code to build (tilde is the substitution's own code)",
     )
     parser.add_argument("--map", default=None, help="symbol map JSON for --kind automorphism")
-    parser.add_argument("--depth", type=int, default=12, help="language check depth")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flowmcg",
         description="Exact flow invariants of minimal substitution subshifts.",
     )
@@ -515,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("analyze", help="full report: expansion constant, balance, symmetry structure")
     _add_sub_file(p)
     p.add_argument("--aut-radius", type=int, default=1, help="search radius for shift symmetries")
-    p.add_argument("--aut-depth", type=int, default=12, help="language check depth for the search")
     _add_out(p)
     p.set_defaults(run=_cmd_analyze)
 
@@ -548,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("asymptotics", help="paired one-sided orbits and their classes")
     _add_sub_file(p)
-    p.add_argument("--tail-check", type=int, default=2048, help="tail agreement length")
     p.add_argument("--dot", action="store_true", help="emit a Graphviz view instead of JSON")
     _add_out(p)
     p.set_defaults(run=_cmd_asymptotics)
@@ -556,14 +562,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("aut", help="exhaustive radius-bounded symmetry search")
     _add_sub_file(p)
     p.add_argument("--radius", type=int, default=2)
-    p.add_argument("--n-check", type=int, default=12, help="language check depth")
     _add_out(p)
     p.set_defaults(run=_cmd_aut)
 
     p = commands.add_parser("induce", help="return words and exact entry measures of a section")
     _add_sub_file(p)
     p.add_argument("--word", default="", help="cylinder word; empty for the whole space")
-    p.add_argument("--depth", type=int, default=12)
     _add_out(p)
     p.set_defaults(run=_cmd_induce)
 
@@ -582,7 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--second", choices=("identity", "tilde", "automorphism"), default="tilde")
     q.add_argument("--first-map", default=None)
     q.add_argument("--second-map", default=None)
-    q.add_argument("--depth", type=int, default=12)
     _add_out(q)
     q.set_defaults(run=_cmd_flowcode_compose)
 
@@ -636,9 +639,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         args.run(args)
+    except SystemExit as exc:  # --help
+        return exc.code
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -174,12 +174,6 @@ class GroupElement:
     def scaled(self, k: int) -> "GroupElement":
         return self.group.element(self.level, tuple(k * x for x in self.vector))
 
-    def equals(self, other: "GroupElement") -> bool:
-        return element_equal(self.group, self, other)
-
-    def trace(self) -> "TraceValue":
-        return trace(self.group, self)
-
     def __repr__(self) -> str:
         return f"GroupElement(level={self.level}, vector={self.vector})"
 

@@ -22,6 +22,7 @@ from .numberfield import FieldElement, NumberField
 from .pf import cylinder_measure, pf_data
 from .substitution import Substitution, cycle_lengths, fixed_point, is_primitive
 from .words import (
+    CHECK_DEPTH,
     Alphabet,
     CylinderSet,
     LanguageTable,
@@ -34,7 +35,6 @@ from .words import (
     word_idx,
 )
 
-DEFAULT_DEPTH = 12
 # exponent bounds of the relations alpha^p = lam^q that lambda_relation_search tries
 RELATION_P_MAX = 6
 RELATION_Q_MAX = 12
@@ -227,9 +227,7 @@ def _recoded_language(
     return LanguageTable(alphabet, blocks, n_target)
 
 
-def induce(
-    sub: Substitution, section, depth: int = DEFAULT_DEPTH
-) -> ReturnSystem:
+def induce(sub: Substitution, section) -> ReturnSystem:
     """The return system of a cross section: return words in order of first
     occurrence, exact entry measures, and the recoded language.
 
@@ -259,7 +257,7 @@ def induce(
             base_measure=field.one(),
             field=field,
             recoded_sub=sub,
-            recoded_language=sub.language(max(2 * depth, 8)),
+            recoded_language=sub.language(2 * CHECK_DEPTH),
         )
 
     if not sub.language(len(word)).admissible(word):
@@ -273,7 +271,7 @@ def induce(
     recoded_sub = None
     if len(word) == 1 and word[0] in cycle_lengths(sub.first_letter_map()):
         recoded_sub = derived_substitution(sub, word[0], returns)
-    recoded_language = _recoded_language(sub, word, returns, alphabet, max(depth, 8))
+    recoded_language = _recoded_language(sub, word, returns, alphabet, CHECK_DEPTH)
     return ReturnSystem(
         sub=sub,
         base=CylinderSet.single(Word(sub.alphabet, word)),
@@ -308,13 +306,12 @@ def make_flow_code(
     code: SlidingBlockCode,
     source: ReturnSystem,
     target: ReturnSystem,
-    depth: int = DEFAULT_DEPTH,
     *,
     kind: str,
 ) -> FlowCode:
     """Validate a sliding block code as a conjugacy of recoded sections.
 
-    Checks, to the given depth: the code maps the source language into the
+    Checks, to `CHECK_DEPTH`: the code maps the source language into the
     target language, an inverse code exists within the radius budget with
     both roundtrips the identity on admissible windows (`inverse_code`), and
     the inverse maps back.  Failures carry a witness block.
@@ -325,7 +322,7 @@ def make_flow_code(
         raise ValidationError("code output alphabet differs from the target section")
     dom = source.recoded_language
     cod = target.recoded_language
-    n_fwd = min(depth, dom.n_max - 2 * code.radius, cod.n_max)
+    n_fwd = min(CHECK_DEPTH, dom.n_max - 2 * code.radius, cod.n_max)
     if n_fwd < 1:
         raise ValidationError("source language too shallow for the code radius")
     bad = language_violation(code, dom, cod, n_fwd)
@@ -335,7 +332,7 @@ def make_flow_code(
             f"witness block {bad}"
         )
     inverse = inverse_code(code, dom, cod)
-    n_bwd = min(depth, cod.n_max - 2 * inverse.radius, dom.n_max)
+    n_bwd = min(CHECK_DEPTH, cod.n_max - 2 * inverse.radius, dom.n_max)
     if n_bwd >= 1:
         bad = language_violation(inverse, cod, dom, n_bwd)
         if bad is not None:
@@ -354,21 +351,19 @@ def make_flow_code(
     )
 
 
-def identity_code(sub: Substitution, depth: int = DEFAULT_DEPTH) -> FlowCode:
-    sys0 = induce(sub, None, depth)
+def identity_code(sub: Substitution) -> FlowCode:
+    sys0 = induce(sub, None)
     code = SlidingBlockCode(
         sub.alphabet, sub.alphabet, 0, {(a,): a for a in range(sub.size)}
     )
-    return make_flow_code(code, sys0, sys0, depth, kind="identity")
+    return make_flow_code(code, sys0, sys0, kind="identity")
 
 
-def automorphism_code(
-    sub: Substitution, code: SlidingBlockCode, depth: int = DEFAULT_DEPTH
-) -> FlowCode:
+def automorphism_code(sub: Substitution, code: SlidingBlockCode) -> FlowCode:
     """Wrap a shift automorphism (given as a block code on letters) as a
     flow code from the space to itself."""
-    sys0 = induce(sub, None, depth)
-    return make_flow_code(code, sys0, sys0, depth, kind="automorphism")
+    sys0 = induce(sub, None)
+    return make_flow_code(code, sys0, sys0, kind="automorphism")
 
 
 def substitution_code(sub: Substitution) -> FlowCode:
@@ -487,7 +482,7 @@ def _restrict_radius0(fc: FlowCode, word: tuple[int, ...]) -> FlowCode:
     return make_flow_code(code, sys_e, sys_f, kind=fc.kind)
 
 
-def compose_flow_codes(fc1: FlowCode, fc2: FlowCode, depth: int = DEFAULT_DEPTH) -> FlowCode:
+def compose_flow_codes(fc1: FlowCode, fc2: FlowCode) -> FlowCode:
     """The flow code applying fc1 and then fc2.
 
     Supported: an identity code on the other code's middle section (fc1's
@@ -515,9 +510,7 @@ def compose_flow_codes(fc1: FlowCode, fc2: FlowCode, depth: int = DEFAULT_DEPTH)
         if not middle_ok:
             raise ValidationError("automorphism codes with mismatched sections")
         composite = compose_codes(fc2.conjugacy, fc1.conjugacy, fc1.source.recoded_language)
-        return make_flow_code(
-            composite, fc1.source, fc2.target, depth, kind="automorphism"
-        )
+        return make_flow_code(composite, fc1.source, fc2.target, kind="automorphism")
     if kinds == {"automorphism", "substitution"} and whole:
         aut, tilde = (fc1, fc2) if fc1.kind == "automorphism" else (fc2, fc1)
         if aut.conjugacy.radius != 0:

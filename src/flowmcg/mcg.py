@@ -105,9 +105,7 @@ class McgReport:
         return out
 
 
-def assemble_mcg(
-    sub: Substitution, aut_radius: int = 1, aut_depth: int = 12
-) -> McgReport:
+def assemble_mcg(sub: Substitution, aut_radius: int = 1) -> McgReport:
     """Full structure report for the flow mapping group of the shift.
 
     The scaling part records the expansion factor as the value of the
@@ -164,7 +162,7 @@ def assemble_mcg(
     aut_report: AutGroupReport | None = None
     description: str | None = None
     if cr.is_balanced:
-        aut_report = search_automorphisms(sub, aut_radius, aut_depth)
+        aut_report = search_automorphisms(sub, aut_radius)
         group = shift_quotient(aut_report)
         # Aut/<S> acts freely on the asymptotic classes
         # (Donoso-Durand-Maass-Petite 2016), so its order is at most their count

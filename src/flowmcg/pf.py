@@ -48,10 +48,6 @@ class PFData:
     pf_factor: tuple[int, ...]
     labels: tuple[str, ...] | None = None
 
-    @property
-    def frequencies(self) -> tuple[FieldElement, ...]:
-        return self.left
-
 
 def _as_matrix(obj) -> tuple[IntMatrix, tuple[str, ...] | None]:
     if isinstance(obj, Substitution):

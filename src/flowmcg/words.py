@@ -21,6 +21,9 @@ from .errors import InternalCheckError, ValidationError
 _HEAD = 16
 # largest radius tried for the inverse of a block code
 INVERSE_RADIUS_BUDGET = 6
+# block length to which languages are checked: automorphism candidates,
+# flow codes and their inverses
+CHECK_DEPTH = 12
 
 
 @dataclass(frozen=True)
@@ -212,9 +215,6 @@ class Cylinder:
     word: Word
     offset: int = 0
 
-    def span(self) -> tuple[int, int]:
-        return (self.offset, self.offset + len(self.word))
-
     def matches_at(self, seq: Sequence[int], t: int) -> bool:
         """Does the configuration read off `seq` put T^t(x) in this cylinder?
         Positions outside seq make the test undefined; callers keep margins."""
@@ -252,12 +252,6 @@ class CylinderSet:
     @property
     def is_whole_space(self) -> bool:
         return any(len(c.word) == 0 for c in self.cylinders)
-
-    def margin(self) -> tuple[int, int]:
-        """(left, right) context needed to evaluate membership at a position."""
-        left = max(0, max(-c.offset for c in self.cylinders))
-        right = max(0, max(c.offset + len(c.word) for c in self.cylinders))
-        return left, right
 
     def matches_at(self, seq: Sequence[int], t: int) -> bool:
         return any(c.matches_at(seq, t) for c in self.cylinders)
@@ -456,8 +450,8 @@ def _check_roundtrip(
     width = 2 * (fwd.radius + inv.radius) + 1
     if width > domain.n_max:
         raise ValidationError(
-            f"roundtrip check needs language depth {width}; rebuild the "
-            "section with a larger depth"
+            f"roundtrip check needs language depth {width}; the language "
+            f"reaches {domain.n_max}"
         )
     composite = compose_codes(inv, fwd, domain)
     for win, out in composite.rule.items():

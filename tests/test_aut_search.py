@@ -24,6 +24,7 @@ from flowmcg.mcg import assemble_mcg
 from flowmcg.pf import cr_check
 from flowmcg.substitution import Substitution, cycle_lengths, fixed_point
 from flowmcg.words import (
+    CHECK_DEPTH,
     INVERSE_RADIUS_BUDGET,
     SlidingBlockCode,
     code_preserves_language,
@@ -193,10 +194,10 @@ def test_candidates_are_the_language_preserving_assignments(name, radius, extra)
 def test_codes_preserve_the_language(name, radius):
     sub = Substitution.from_rules(INPUTS[name])
     report = search_automorphisms(sub, radius=radius)
-    lang = sub.language(report.n_check + 2 * radius)
+    lang = sub.language(CHECK_DEPTH + 2 * radius)
     assert report.codes
     for code in report.codes:
-        assert code_preserves_language(code, lang, lang, report.n_check)
+        assert code_preserves_language(code, lang, lang, CHECK_DEPTH)
 
 
 def reference_table(report):
@@ -266,7 +267,7 @@ def test_search_makes_no_language_check_and_no_long_apply(monkeypatch, name):
     monkeypatch.setattr(SlidingBlockCode, "apply", recorded)
     report = search_automorphisms(Substitution.from_rules(INPUTS[name]), radius=radius)
     # the language the search builds: its check depth, or the inverse budget
-    depth = max(report.n_check + 2 * radius, 2 * (radius + INVERSE_RADIUS_BUDGET) + 1)
+    depth = max(CHECK_DEPTH + 2 * radius, 2 * (radius + INVERSE_RADIUS_BUDGET) + 1)
     assert len(report.elements) > 1
     assert checks == []
     assert lengths and max(lengths) <= depth

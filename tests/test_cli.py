@@ -30,6 +30,7 @@ def test_analyze_reports_the_full_structure(capsys, tm_file):
     assert payload["lambda"]["minpoly"] == [-2, 1]
     assert payload["cr"] == "ExactCR"
     assert payload["z_part"]["relation"] == [1, 1]
+    assert payload["options"] == {"aut_radius": 1, "aut_depth": 12}
 
 
 def test_language_lists_blocks(capsys, tm_file):
@@ -222,24 +223,42 @@ def test_aut_on_a_periodic_shift_exits_one(capsys, tmp_path, rules):
     assert "periodic" in captured.err
 
 
-@pytest.mark.parametrize("length", ["0", "-5"])
-def test_nonpositive_tail_check_exits_one(capsys, tm_file, length):
-    assert run(["asymptotics", tm_file, "--tail-check", length]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "tail check length must be positive" in captured.err
-
-
 @pytest.mark.parametrize(
-    "rules,length",
-    [({"0": "01", "1": "10"}, "4"), ({"0": "01", "1": "010"}, "15")],
-    ids=["tm", "01,010"],
+    "argv",
+    [
+        ["analyze", "{tm}", "--bogus", "3"],
+        ["asymptotics", "{tm}", "--tail-check", "4096"],
+        ["induce", "{tm}", "--word", "0", "--depth", "-3"],
+        ["analyze", "{tm}", "--aut-depth", "0"],
+        ["aut", "{tm}", "--n-check", "10"],
+        ["flowcode", "make", "{tm}", "--kind", "identity", "--depth", "1"],
+        ["language", "{tm}", "--n", "x"],
+        ["flowcode"],
+        [],
+    ],
+    ids=["bogus", "tail-check", "depth", "aut-depth", "n-check", "flowcode-depth", "not-int", "no-subcommand", "empty"],
 )
-def test_too_short_tail_check_exits_two(capsys, tmp_path, rules, length):
-    # both printed "count": 0 and exited 0; Thue-Morse has 2 classes
-    path = tmp_path / "sub.json"
-    path.write_text(json.dumps({"alphabet": sorted(rules), "rules": rules}))
-    assert run(["asymptotics", str(path), "--tail-check", length]) == 2
+def test_usage_errors_exit_one(capsys, tm_file, argv):
+    # argparse's own exit status 2 would read as an exhausted budget
+    assert run([a.replace("{tm}", tm_file) for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"tail check of {length} symbols" in captured.err
+    assert captured.err.startswith("error: flowmcg")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["asymptotics", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    assert run(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: flowmcg")
+
+
+def test_negative_complexity_window_exits_one(capsys, tm_file):
+    assert run(["complexity", tm_file, "--n-max", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: n_max must be >= 0" in captured.err
+
+
+def test_asymptotics_prints_no_tail_certificate(capsys, tm_file):
+    payload = run_json(capsys, ["asymptotics", tm_file])
+    assert sorted(payload) == ["classes", "count", "power"]

@@ -1,6 +1,7 @@
 """Every name a flowmcg module imports is used in that module, no module
 imports another's private name, every private helper it defines has a
-caller, and nothing the package runs loads sympy.
+caller, every public method or property is named in the package or its
+tests, and nothing the package runs loads sympy.
 
 `__init__.py` only re-exports, and `from __future__` imports are
 directives, so both are exempt from the import check."""
@@ -16,6 +17,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "flowmcg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -112,6 +114,49 @@ def test_the_check_finds_an_orphan_helper():
 def test_every_private_helper_has_a_caller():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert orphan_helpers(sources) == []
+
+
+def orphan_members(sources: dict[str, str], owners: set[str]) -> list[str]:
+    """Public methods and properties of the public classes in the `owners`
+    modules, named nowhere in the sources outside their own definitions.
+    Dunders are exempt, and so are the members of a private class, which
+    may override a base class's hooks."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    named = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                named.setdefault(node.id if isinstance(node, ast.Name) else node.attr, []).append(id(node))
+    orphans = []
+    for module in sorted(owners):
+        for cls in ast.walk(trees[module]):
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name.startswith("_"):
+                    continue
+                own = {id(inner) for inner in ast.walk(node)}
+                if all(ref in own for ref in named.get(node.name, [])):
+                    orphans.append(f"{module}:{cls.name}.{node.name} (line {node.lineno})")
+    return sorted(orphans)
+
+
+def test_the_check_finds_an_orphan_member():
+    sources = {
+        "a.py": "class C:\n    @property\n    def size(self): return 1\n"
+        "    def grow(self, n): return self.grow(n - 1)\n    def used(self): pass\n"
+        "    def __len__(self): return 0\n    def _hidden(self): pass\n"
+        "class _P(C):\n    def error(self): pass\n",
+        "test_a.py": "from a import C\nC().used()\n",
+    }
+    assert orphan_members(sources, {"a.py"}) == ["a.py:C.grow (line 4)", "a.py:C.size (line 3)"]
+
+
+def test_every_public_member_is_named():
+    sources = {f"src/{p.name}": p.read_text() for p in SRC.glob("*.py")}
+    owners = set(sources)
+    sources.update({f"tests/{p.name}": p.read_text() for p in TESTS.glob("*.py")})
+    assert orphan_members(sources, owners) == []
 
 
 def imported_roots(source: str) -> set[str]:

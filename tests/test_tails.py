@@ -1,19 +1,20 @@
 """The tail layer against its plain definitions, kept here as references:
 shift matching by full overlaps, one-sided fixed points by whole iterates,
-the action on classes by applying the map to the whole tail, and exact
-signs refined from the field's first isolating interval every time."""
+the action on classes by first letters for substitutions and by applying a
+block code to the whole tail, and exact signs refined from the field's
+first isolating interval every time."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from flowmcg.asymptotics import action_on_classes, asymptotic_classes
+from flowmcg.asymptotics import TAIL_CHECK, action_on_classes, asymptotic_classes
 from flowmcg.errors import InternalCheckError, ValidationError
 from flowmcg.numberfield import FieldElement, NumberField, _interval_eval
 from flowmcg.pf import pf_data
 from flowmcg.substitution import Substitution, fixed_point
-from flowmcg.words import shift_offsets
+from flowmcg.words import SlidingBlockCode, shift_offsets
 
 
 def reference_shift_offsets(x, y, shifts, min_overlap):
@@ -41,31 +42,40 @@ def reference_fixed_point(sub, seed, length, power, left):
 
 
 def reference_action(op, classes):
-    """The permutation, or the message of the error raised instead."""
+    """The permutation, or the type and message of the error raised
+    instead: a substitution commuting with sigma sends the class of seed a
+    to that of the first letter of op(a); a block code's image of each
+    whole tail is matched against the class tails on TAIL_CHECK symbols."""
     sub = classes.sub
-    check = classes.tail_certificate
+    seeds = [cls[0].right.seed for cls in classes.classes]
+    if isinstance(op, Substitution):
+        if any(op.apply(sub.images[c]) != sub.apply(op.images[c]) for c in range(sub.size)):
+            return ValidationError, "map does not commute with the substitution"
+        targets = [op.images[a].idx[0] for a in seeds]
+        if sorted(targets) != seeds:
+            return ValidationError, "map does not permute the asymptotic classes"
+        return tuple(seeds.index(t) for t in targets)
     powered = sub.power(classes.power)
-    max_shift = max(
-        max(len(powered.image_idx(c)) for c in range(sub.size)),
-        max(len(w) for w in op.images),
-    )
+    max_shift = max(len(powered.image_idx(c)) for c in range(sub.size))
     shifts = range(-max_shift, max_shift + 1)
-    tails = [cls[0].right.expand(check) for cls in classes.classes]
+    tails = [cls[0].right.expand(TAIL_CHECK) for cls in classes.classes]
+    r = op.radius
     perm = []
-    for i, tail in enumerate(tails):
-        img = op.apply_idx(tail)[:check]
+    for i, cls in enumerate(classes.classes):
+        whole = cls[0].left.expand(r) + cls[0].right.expand(TAIL_CHECK + r)
+        img = op.apply(whole)
         hits = [
             t for t, other in enumerate(tails)
             if reference_shift_offsets(img, other, shifts, max_shift + 1)
         ]
         if len(hits) != 1:
             return (
-                f"image of class {i} matched {len(hits)} classes within the "
-                "tail budget"
+                InternalCheckError,
+                f"image of class {i} matched {len(hits)} classes within the tail budget",
             )
         perm.append(hits[0])
     if sorted(perm) != list(range(len(tails))):
-        return "induced map on classes is not a bijection"
+        return InternalCheckError, "induced map on classes is not a bijection"
     return tuple(perm)
 
 
@@ -212,15 +222,16 @@ def test_action_on_classes_matches_the_whole_tail_image(name):
     swap = dict(zip(letters, letters))
     swap[letters[0]], swap[letters[1]] = letters[1], letters[0]
     rotation = dict(zip(letters, letters[1:] + letters[:1]))
-    ops = [sub, sub.power(2)] + [
-        Substitution.from_rules(rules, letters) for rules in (swap, rotation)
-    ]
+    ops = [sub, sub.power(2)]
+    for rules in (swap, rotation):
+        ops.append(Substitution.from_rules(rules, letters))
+        ops.append(SlidingBlockCode.from_symbol_map(sub.alphabet, sub.alphabet, rules))
     for op in ops:
         want = reference_action(op, classes)
         try:
             got = action_on_classes(op, classes)
-        except InternalCheckError as err:
-            got = str(err)
+        except (ValidationError, InternalCheckError) as err:
+            got = type(err), str(err)
         assert got == want
 
 
