@@ -11,6 +11,9 @@ clearly labeled ``approx`` fields).
 
 Exit codes: 0 on success, 1 for invalid input, 2 when a configured
 resource budget is exhausted, 3 when an internal cross-check fails.
+
+Each command imports the layers it runs inside its handler, so a cold
+process loads only those.
 """
 
 from __future__ import annotations
@@ -18,46 +21,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .asymptotics import asymptotic_classes, classes_to_dot
-from .automorphisms import (
-    action_on_measures,
-    search_automorphisms,
-    shift_quotient,
-)
-from .coinvariants import coinvariants_report
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
-from .flows import (
-    FlowCode,
-    automorphism_code,
-    cocycle_slopes,
-    compose_flow_codes,
-    identity_code,
-    induce,
-    lambda_relation_search,
-    r_mu,
-    restrict_flow_code,
-    substitution_code,
-)
-from .mcg import (
-    NON_QUADRATIC,
-    Surd,
-    algebraic_to_json,
-    assemble_mcg,
-    hierarchical_subshift,
-    odometer_mcg,
-    stage_measure_tables,
-    sturmian_classify,
-    virtually_abelian_report,
-)
-from .numberfield import FieldElement
-from .pf import cr_check, is_pisot, pf_data
-from .substitution import Substitution, complexity_profile, incidence_matrix
-from .words import CHECK_DEPTH, SlidingBlockCode
+
+if TYPE_CHECKING:
+    from .flows import FlowCode
+    from .mcg import Surd
+    from .numberfield import FieldElement
+    from .substitution import Substitution
+    from .words import SlidingBlockCode
 
 
 def _field_element_json(x: FieldElement) -> dict:
+    from fractions import Fraction
+
     approx = x.field.approx(x, Fraction(1, 10**12))
     return {
         "coeffs": [str(c) for c in x.coeffs],
@@ -66,6 +44,8 @@ def _field_element_json(x: FieldElement) -> dict:
 
 
 def _load_sub(path: str) -> Substitution:
+    from .substitution import Substitution
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -101,6 +81,9 @@ def _join(sub: Substitution, idx: tuple[int, ...]) -> str:
 
 
 def _cmd_analyze(args) -> None:
+    from .mcg import assemble_mcg
+    from .words import CHECK_DEPTH
+
     sub = _load_sub(args.file)
     report = assemble_mcg(sub, aut_radius=args.aut_radius)
     payload = report.to_json_dict()
@@ -112,6 +95,8 @@ def _cmd_analyze(args) -> None:
 
 
 def _cmd_language(args) -> None:
+    if args.n < 1:
+        raise ValidationError("flowmcg language: argument --n: must be >= 1")
     sub = _load_sub(args.file)
     table = sub.language(args.n)
     blocks = sorted(table.blocks_of(args.n))
@@ -126,6 +111,8 @@ def _cmd_language(args) -> None:
 
 
 def _cmd_complexity(args) -> None:
+    from .substitution import complexity_profile
+
     if args.n_max < 0:
         raise ValidationError("n_max must be >= 0")
     sub = _load_sub(args.file)
@@ -138,6 +125,10 @@ def _cmd_complexity(args) -> None:
 
 
 def _cmd_pf(args) -> None:
+    from .numberfield import algebraic_to_json
+    from .pf import pf_data
+    from .substitution import incidence_matrix
+
     sub = _load_sub(args.file)
     data = pf_data(sub)
     _emit(
@@ -159,6 +150,8 @@ def _cmd_pf(args) -> None:
 
 
 def _cmd_cr(args) -> None:
+    from .pf import cr_check, is_pisot
+
     sub = _load_sub(args.file)
     verdict = cr_check(sub)
     _emit(
@@ -174,6 +167,8 @@ def _cmd_cr(args) -> None:
 
 
 def _cmd_coinvariants(args) -> None:
+    from .coinvariants import coinvariants_report
+
     sub = _load_sub(args.file)
     report = coinvariants_report(sub)
     _emit(
@@ -192,6 +187,8 @@ def _cmd_coinvariants(args) -> None:
 
 
 def _cmd_asymptotics(args) -> None:
+    from .asymptotics import asymptotic_classes, classes_to_dot
+
     sub = _load_sub(args.file)
     classes = asymptotic_classes(sub)
     if args.dot:
@@ -225,6 +222,8 @@ def _code_rule_json(sub: Substitution, code: SlidingBlockCode) -> dict:
 
 
 def _cmd_aut(args) -> None:
+    from .automorphisms import search_automorphisms, shift_quotient
+
     sub = _load_sub(args.file)
     report = search_automorphisms(sub, radius=args.radius)
     quotient = shift_quotient(report)
@@ -255,6 +254,8 @@ def _cmd_aut(args) -> None:
 
 
 def _cmd_induce(args) -> None:
+    from .flows import induce
+
     sub = _load_sub(args.file)
     section = args.word if args.word else None
     system = induce(sub, section)
@@ -275,6 +276,9 @@ def _cmd_induce(args) -> None:
 
 
 def _build_flow_code(sub: Substitution, kind: str, map_json: str | None) -> FlowCode:
+    from .flows import automorphism_code, identity_code, substitution_code
+    from .words import SlidingBlockCode
+
     if kind == "identity":
         return identity_code(sub)
     if kind == "tilde":
@@ -293,17 +297,25 @@ def _build_flow_code(sub: Substitution, kind: str, map_json: str | None) -> Flow
     raise ValidationError(f"unknown flow code kind {kind!r}")
 
 
-def _flow_code_json(fc: FlowCode) -> dict:
+def _r_mu_json(fc: FlowCode) -> dict:
+    from .flows import lambda_relation_search, r_mu
+
     value = r_mu(fc)
     relation = lambda_relation_search(value)
+    return {
+        "r_mu": _field_element_json(value),
+        "lambda_relation": None if relation is None else {"p": relation[0], "q": relation[1]},
+    }
+
+
+def _flow_code_json(fc: FlowCode) -> dict:
     return {
         "kind": fc.kind,
         "radius": fc.conjugacy.radius,
         "verified_depth": fc.verified_depth,
         "source_section": "" if fc.source.base_word is None else _join(fc.sub, fc.source.base_word),
         "target_section": "" if fc.target.base_word is None else _join(fc.sub, fc.target.base_word),
-        "r_mu": _field_element_json(value),
-        "lambda_relation": None if relation is None else {"p": relation[0], "q": relation[1]},
+        **_r_mu_json(fc),
     }
 
 
@@ -314,6 +326,8 @@ def _cmd_flowcode_make(args) -> None:
 
 
 def _cmd_flowcode_compose(args) -> None:
+    from .flows import compose_flow_codes
+
     sub = _load_sub(args.file)
     first = _build_flow_code(sub, args.first, args.first_map)
     second = _build_flow_code(sub, args.second, args.second_map)
@@ -324,6 +338,8 @@ def _cmd_flowcode_compose(args) -> None:
 
 
 def _cmd_flowcode_restrict(args) -> None:
+    from .flows import restrict_flow_code
+
     sub = _load_sub(args.file)
     fc = _build_flow_code(sub, args.kind, args.map)
     restricted = restrict_flow_code(fc, args.word)
@@ -333,6 +349,10 @@ def _cmd_flowcode_restrict(args) -> None:
 
 
 def _cmd_flowcode_slopes(args) -> None:
+    from fractions import Fraction
+
+    from .flows import cocycle_slopes
+
     sub = _load_sub(args.file)
     fc = _build_flow_code(sub, args.kind, args.map)
     profile = cocycle_slopes(fc, k_range=range(0, args.k_max))
@@ -352,22 +372,15 @@ def _cmd_flowcode_slopes(args) -> None:
 def _cmd_flowcode_rmu(args) -> None:
     sub = _load_sub(args.file)
     fc = _build_flow_code(sub, args.kind, args.map)
-    value = r_mu(fc)
-    relation = lambda_relation_search(value)
-    _emit(
-        {
-            "kind": args.kind,
-            "r_mu": _field_element_json(value),
-            "lambda_relation": None if relation is None else {"p": relation[0], "q": relation[1]},
-        },
-        args.out,
-    )
+    _emit({"kind": args.kind, **_r_mu_json(fc)}, args.out)
 
 
 # -- classified families -----------------------------------------------------
 
 
 def _parse_surd(text: str) -> Surd:
+    from .mcg import Surd
+
     raw = text.strip()
     if raw.startswith("(") and raw.endswith(")"):
         raw = raw[1:-1]
@@ -382,6 +395,8 @@ def _parse_surd(text: str) -> Surd:
 
 
 def _cmd_sturmian(args) -> None:
+    from .mcg import NON_QUADRATIC, sturmian_classify
+
     if args.non_quadratic:
         beta = NON_QUADRATIC
         slope = None
@@ -414,6 +429,8 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _cmd_odometer(args) -> None:
+    from .mcg import odometer_mcg
+
     preperiod = _parse_int_list(args.preperiod, "--preperiod")
     period = _parse_int_list(args.period, "--period")
     report = odometer_mcg(preperiod, period)
@@ -430,6 +447,8 @@ def _cmd_odometer(args) -> None:
 
 
 def _cmd_hierarchical(args) -> None:
+    from .mcg import hierarchical_subshift, stage_measure_tables
+
     n_values = _parse_int_list(args.n, "--n")
     spec = hierarchical_subshift(n_values)
     payload = {
@@ -441,7 +460,8 @@ def _cmd_hierarchical(args) -> None:
     }
     if args.tables is not None:
         table0, table1 = stage_measure_tables(spec, args.tables)
-        from .words import Alphabet
+        from .automorphisms import action_on_measures
+        from .words import Alphabet, SlidingBlockCode
 
         alph = Alphabet.of(["0", "1"])
         swap = SlidingBlockCode.from_symbol_map(alph, alph, {"0": "1", "1": "0"})
@@ -463,6 +483,8 @@ def _cmd_hierarchical(args) -> None:
 
 
 def _cmd_checklist(args) -> None:
+    from .mcg import hierarchical_subshift, virtually_abelian_report
+
     if args.hierarchical is not None:
         target = hierarchical_subshift(_parse_int_list(args.hierarchical, "--hierarchical"))
     elif args.file is not None:

@@ -821,7 +821,8 @@ def _letter_permutation(
 
     A radius-0 code gives the permutation exactly at the level of sets;
     otherwise the image class of each letter cylinder is matched against the
-    letter classes, which can alias letters whose classes coincide.
+    letter classes.  Each image must match exactly one class, and no other
+    image that class: classes that coincide in the group name no letter.
     """
     d = sub.size
     if code.radius == 0:
@@ -839,13 +840,10 @@ def _letter_permutation(
     out_perm: list[int] = []
     for a in range(d):
         img = _pushforward_class(group, code, (a,))
-        match = next(
-            (t for t, cls in enumerate(letter_classes) if element_equal(group, img, cls)),
-            None,
-        )
-        if match is None:
+        matches = [t for t, cls in enumerate(letter_classes) if element_equal(group, img, cls)]
+        if len(matches) != 1 or matches[0] in out_perm:
             return None
-        out_perm.append(match)
+        out_perm.append(matches[0])
     return tuple(out_perm)
 
 

@@ -3,7 +3,9 @@ flow mapping group of a substitution shift, plus the closed-form families
 (Sturmian shifts, odometers, and the two-measure hierarchical words).
 
 Everything here orchestrates the computational modules; no new invariants
-are computed, only assembled, cross-checked, and serialized.
+are computed, only assembled, cross-checked, and serialized.  The closed
+forms need none of those modules, so each function imports the layers it
+runs only when called.
 """
 
 from __future__ import annotations
@@ -11,33 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, isqrt
+from typing import TYPE_CHECKING
 
-from .asymptotics import action_on_classes, asymptotic_classes
-from .automorphisms import (
-    AutGroupReport,
-    QuotientGroup,
-    search_automorphisms,
-    shift_quotient,
-)
-from .coinvariants import infinitesimal_rank
 from .errors import InternalCheckError, ValidationError
-from .flows import lambda_relation_search, r_mu, substitution_code
 from .intpoly import is_perfect_power, is_prime
-from .numberfield import AlgebraicNumber, same_real_algebraic
-from .pf import BalanceVerdict, cr_check, is_pisot, pf_data
-from .substitution import Substitution, complexity_profile, is_aperiodic, is_primitive
 
-
-def algebraic_to_json(a: AlgebraicNumber) -> dict:
-    """Exact serialization: ascending minimal polynomial, an isolating
-    interval as fraction strings, and a float approximation for display."""
-    narrow = a.refined(Fraction(1, 10**12))
-    mid = (narrow.lo + narrow.hi) / 2
-    return {
-        "minpoly": list(a.minpoly),
-        "interval": [str(narrow.lo), str(narrow.hi)],
-        "approx": f"{float(mid):.12g}",
-    }
+if TYPE_CHECKING:
+    from .automorphisms import AutGroupReport, QuotientGroup
+    from .numberfield import AlgebraicNumber
+    from .pf import BalanceVerdict
+    from .substitution import Substitution
 
 
 @dataclass(frozen=True)
@@ -73,6 +58,8 @@ class McgReport:
     caveats: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
+        from .numberfield import algebraic_to_json
+
         fp = self.finite_part
         out = {
             "lambda": algebraic_to_json(self.lam),
@@ -115,10 +102,18 @@ def assemble_mcg(sub: Substitution, aut_radius: int = 1) -> McgReport:
     automorphism quotient found at the given radius, whose order is checked
     against the class count.
     """
+    from .substitution import is_aperiodic, is_primitive
+
     if not is_primitive(sub):
         raise ValidationError("substitution must be primitive")
     if is_aperiodic(sub).periodic:
         raise ValidationError("shift is periodic; no report")
+    from .asymptotics import action_on_classes, asymptotic_classes
+    from .automorphisms import search_automorphisms, shift_quotient
+    from .flows import lambda_relation_search, r_mu, substitution_code
+    from .numberfield import same_real_algebraic
+    from .pf import cr_check, is_pisot, pf_data
+
     caveats: list[str] = []
 
     data = pf_data(sub)
@@ -481,35 +476,6 @@ def virtually_abelian_report(obj, n_max: int = 24) -> VirtuallyAbelianReport:
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
     notes: list[str] = []
-    if isinstance(obj, Substitution):
-        profile = complexity_profile(obj, n_max)
-        # tail of the window only: small n understate the growth rate
-        lo = max(1, n_max // 2)
-        ratios = [Fraction(profile[n - 1], n) for n in range(lo, n_max + 1)]
-        min_ratio = min(ratios)
-        k = _ceil_fraction(min_ratio)
-        classes = asymptotic_classes(obj)
-        inf_rank = infinitesimal_rank(obj)
-        if inf_rank == 0:
-            verdict = "hypotheses satisfied on the checked window"
-            notes.append(
-                f"complexity ratio stays near {min_ratio} on the window; "
-                "infinitesimal part vanishes"
-            )
-        else:
-            verdict = (
-                "infinitesimals nonzero; the finite-extension structure "
-                "applies instead of the abelian route"
-            )
-        return VirtuallyAbelianReport(
-            window=(lo, n_max),
-            min_ratio=min_ratio,
-            ergodic_measure_bound=k - 1,
-            asymptotic_class_count=classes.count,
-            infinitesimal_rank=inf_rank,
-            verdict=verdict,
-            notes=tuple(notes),
-        )
     if isinstance(obj, HierarchicalWordSpec):
         w0, w1 = obj.top0, obj.top1
         cap = min(n_max, len(w0))
@@ -537,4 +503,37 @@ def virtually_abelian_report(obj, n_max: int = 24) -> VirtuallyAbelianReport:
             verdict="insufficient data",
             notes=tuple(notes),
         )
-    raise ValidationError("input must be a substitution or a word spec")
+    from .asymptotics import asymptotic_classes
+    from .coinvariants import infinitesimal_rank
+    from .substitution import Substitution, complexity_profile
+
+    if not isinstance(obj, Substitution):
+        raise ValidationError("input must be a substitution or a word spec")
+    profile = complexity_profile(obj, n_max)
+    # tail of the window only: small n understate the growth rate
+    lo = max(1, n_max // 2)
+    ratios = [Fraction(profile[n - 1], n) for n in range(lo, n_max + 1)]
+    min_ratio = min(ratios)
+    k = _ceil_fraction(min_ratio)
+    classes = asymptotic_classes(obj)
+    inf_rank = infinitesimal_rank(obj)
+    if inf_rank == 0:
+        verdict = "hypotheses satisfied on the checked window"
+        notes.append(
+            f"complexity ratio stays near {min_ratio} on the window; "
+            "infinitesimal part vanishes"
+        )
+    else:
+        verdict = (
+            "infinitesimals nonzero; the finite-extension structure "
+            "applies instead of the abelian route"
+        )
+    return VirtuallyAbelianReport(
+        window=(lo, n_max),
+        min_ratio=min_ratio,
+        ergodic_measure_bound=k - 1,
+        asymptotic_class_count=classes.count,
+        infinitesimal_rank=inf_rank,
+        verdict=verdict,
+        notes=tuple(notes),
+    )

@@ -150,6 +150,18 @@ class AlgebraicNumber:
         return (eval_ascending(self.minpoly, lo) > 0) != (eval_ascending(self.minpoly, hi) > 0)
 
 
+def algebraic_to_json(a: AlgebraicNumber) -> dict:
+    """Exact serialization: ascending minimal polynomial, an isolating
+    interval as fraction strings, and a float approximation for display."""
+    narrow = a.refined(Fraction(1, 10**12))
+    mid = (narrow.lo + narrow.hi) / 2
+    return {
+        "minpoly": list(a.minpoly),
+        "interval": [str(narrow.lo), str(narrow.hi)],
+        "approx": f"{float(mid):.12g}",
+    }
+
+
 class NumberField:
     """Q(lambda) for a fixed real algebraic lambda, with exact operations.
 

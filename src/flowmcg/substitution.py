@@ -4,11 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Hashable, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Sequence, TypeVar
 
 from .errors import ResourceLimitError, ValidationError
-from .numberfield import AlgebraicNumber, dominant_root
 from .words import Alphabet, LanguageTable, Word, windows
+
+if TYPE_CHECKING:
+    from .numberfield import AlgebraicNumber
 
 # total symbols the images sigma^k(ab) built for one power may hold
 SYMBOL_BUDGET = 2_000_000
@@ -236,7 +238,10 @@ def is_primitive(obj: Substitution | Sequence[Sequence[int]]) -> bool:
 def dominant_eigenvalue(sub: Substitution) -> tuple[tuple[int, ...], tuple, AlgebraicNumber]:
     """`numberfield.dominant_root` of the incidence matrix, memoised: the
     characteristic polynomial, its factors and lambda, which `pf.pf_data`
-    and `is_aperiodic` share."""
+    and `is_aperiodic` share.  This is the module's only use of the
+    number-field layer, so languages and complexities never load it."""
+    from .numberfield import dominant_root
+
     return sub.cached("dominant_root", lambda: dominant_root(incidence_matrix(sub)))
 
 

@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from flowmcg import automorphisms, mcg, words
+from flowmcg import automorphisms, words
 from flowmcg.asymptotics import stabilize_power
 from flowmcg.automorphisms import (
     _enumerate_candidates,
@@ -305,7 +305,8 @@ def test_quotient_larger_than_class_count_is_refused(monkeypatch):
         group = quotient(report)
         return dataclasses.replace(group, order=len(group.table) + 1)
 
-    monkeypatch.setattr(mcg, "shift_quotient", enlarged)
+    # assemble_mcg imports the quotient from its home module when called
+    monkeypatch.setattr(automorphisms, "shift_quotient", enlarged)
     # cyclic4: four classes, quotient Z/4; order 5 is within 4! but not 4
     with pytest.raises(InternalCheckError, match="exceeds the class count 4"):
         assemble_mcg(Substitution.from_rules(INPUTS["cyclic4"]))

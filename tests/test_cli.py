@@ -233,10 +233,14 @@ def test_aut_on_a_periodic_shift_exits_one(capsys, tmp_path, rules):
         ["aut", "{tm}", "--n-check", "10"],
         ["flowcode", "make", "{tm}", "--kind", "identity", "--depth", "1"],
         ["language", "{tm}", "--n", "x"],
+        ["language", "{tm}", "--n", "0"],
         ["flowcode"],
         [],
     ],
-    ids=["bogus", "tail-check", "depth", "aut-depth", "n-check", "flowcode-depth", "not-int", "no-subcommand", "empty"],
+    ids=[
+        "bogus", "tail-check", "depth", "aut-depth", "n-check", "flowcode-depth", "not-int", "n-zero",
+        "no-subcommand", "empty",
+    ],
 )
 def test_usage_errors_exit_one(capsys, tm_file, argv):
     # argparse's own exit status 2 would read as an exhausted budget

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from flowmcg.coinvariants import build_coinvariants, element_equal, induced_action, trace
+from flowmcg.automorphisms import search_automorphisms
+from flowmcg.coinvariants import build_coinvariants, cylinder_class, element_equal, induced_action, trace
 from flowmcg.errors import ValidationError
 from flowmcg.flows import (
     automorphism_code,
@@ -167,3 +168,22 @@ def test_rotation_action_permutes_letter_classes(cyclic4):
     action = induced_action(fc)
     assert action.letter_permutation == (1, 2, 3, 0)
     assert action.fixes_order_unit is True
+
+
+def test_letter_permutation_needs_distinct_letter_classes(tm, cyclic4):
+    # [0] = [1] in Thue-Morse's coinvariants, so matching classes cannot tell
+    # which letter the radius-1 swap sends a letter to (it once gave (0, 0))
+    g = build_coinvariants(tm)
+    assert element_equal(g, cylinder_class(g, "0"), cylinder_class(g, "1"))
+    swaps = [
+        code
+        for code in search_automorphisms(tm, 1).elements
+        if any(out != window[code.radius] for window, out in code.rule.items())
+    ]
+    assert [code.radius for code in swaps] == [1]
+    assert induced_action(automorphism_code(tm, swaps[0]), g).letter_permutation is None
+    # a radius-0 code is read exactly, whatever the classes
+    rot = SlidingBlockCode.from_symbol_map(
+        cyclic4.alphabet, cyclic4.alphabet, {"0": "1", "1": "2", "2": "3", "3": "0"}
+    )
+    assert induced_action(automorphism_code(cyclic4, rot)).letter_permutation == (1, 2, 3, 0)

@@ -1,12 +1,15 @@
 """Every name a flowmcg module imports is used in that module, no module
 imports another's private name, every private helper it defines has a
 caller, every public method or property is named in the package or its
-tests, and nothing the package runs loads sympy.
+tests, and nothing the package runs loads sympy.  Importing the package
+loads none of its modules, the first name looked up on it loads every
+layer, and each CLI command loads only the modules it runs.
 
-`__init__.py` only re-exports, and `from __future__` imports are
-directives, so both are exempt from the import check."""
+`from __future__` imports are directives, so they are exempt from the
+import check."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -15,8 +18,10 @@ from pathlib import Path
 
 import pytest
 
+import flowmcg
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "flowmcg"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 TESTS = Path(__file__).resolve().parent
 
 
@@ -178,21 +183,146 @@ def test_only_the_polynomial_layers_import_sympy():
     assert users == []
 
 
+# Modules a command loads besides the package, `cli` and `errors`, and its
+# exit status.  `{name}` stands for the file of one of the INPUTS.
+INPUTS = {
+    "fib": {"0": "01", "1": "0"},
+    "not_primitive": {"0": "01", "1": "11"},
+    "periodic": {"0": "0101", "1": "01"},
+    "identity": {"0": "0", "1": "1"},
+}
+SUBSTITUTION = {"substitution", "words"}
+PERRON = SUBSTITUTION | {"intpoly", "numberfield", "pf"}
+CLOSED_FORM = {"intpoly", "mcg"}
+FOOTPRINTS = [
+    (["pf", "{fib}"], 0, PERRON),
+    (["cr", "{fib}"], 0, PERRON),
+    (["complexity", "{fib}"], 0, SUBSTITUTION),
+    (["language", "{fib}", "--n", "8"], 0, SUBSTITUTION),
+    (["sturmian", "--surd", "(1,-1,5,2)"], 0, CLOSED_FORM),
+    (["odometer", "--period", "2,3"], 0, CLOSED_FORM),
+    (["checklist", "--hierarchical", "2,2,2"], 0, CLOSED_FORM),
+    (["analyze", "{not_primitive}"], 1, CLOSED_FORM | SUBSTITUTION),
+    (["analyze", "{periodic}"], 1, CLOSED_FORM | SUBSTITUTION | {"numberfield"}),
+    (["analyze", "{identity}"], 1, CLOSED_FORM | SUBSTITUTION),
+]
+
+
 def test_the_cli_runs_without_loading_sympy(tmp_path):
-    """In a fresh interpreter, importing the CLI and running `pf` (which
-    factors and isolates roots) and `odometer` (which tests primality)
-    loads no sympy module, directly or through a dependency."""
-    fib = tmp_path / "fib.json"
-    fib.write_text(json.dumps({"alphabet": ["0", "1"], "rules": {"0": "01", "1": "0"}}))
+    """In a fresh interpreter per command, running it loads no sympy module,
+    directly or through a dependency, and exactly the flowmcg modules it
+    needs: `pf` and `cr` the Perron layers, `complexity` and `language`
+    only substitutions and words, the closed forms and the refused
+    `analyze` inputs no Aut search, coinvariants or flows.  Importing the
+    package alone loads none of its modules, and the first name looked up on
+    it loads every layer."""
+    files = {}
+    for name, rules in INPUTS.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps({"alphabet": sorted(rules), "rules": rules}))
     code = (
-        "import contextlib, io, sys\n"
-        "from flowmcg import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [cli.run(['pf', sys.argv[1]]), cli.run(['odometer', '--period', '2,3'])]\n"
-        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))\n"
+        "import contextlib, io, json, sys\n"
+        "import flowmcg\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "status = None\n"
+        "if isinstance(argv, str):\n"
+        "    status = getattr(flowmcg, argv).__name__\n"
+        "elif argv is not None:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        status = flowmcg.cli.run(argv)\n"
+        "print(json.dumps([status, sorted(m for m in sys.modules if m.split('.')[0] in ('flowmcg', 'sympy'))]))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", code, str(fib)], capture_output=True, text=True, env=env, timeout=120, check=True
+
+    def loaded(what):
+        out = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(what)],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        return json.loads(out.stdout)
+
+    assert loaded(None) == [None, ["flowmcg"]]
+    layers = sorted(f"flowmcg.{p.stem}" for p in MODULES if p.stem not in ("__init__", "cli"))
+    assert loaded("Substitution") == ["Substitution", ["flowmcg"] + layers]
+    for argv, status, modules in FOOTPRINTS:
+        argv = [a.format(**files) for a in argv]
+        expected = ["flowmcg"] + sorted(f"flowmcg.{m}" for m in modules | {"cli", "errors"})
+        assert loaded(argv) == [status, expected], argv
+
+
+# flowmcg modules each front module may import when it is loaded; the
+# layers it runs are imported where they are used
+MODULE_LEVEL_IMPORTS = {
+    "__init__.py": set(),
+    "cli.py": {"errors"},
+    "mcg.py": {"errors", "intpoly"},
+    "substitution.py": {"errors", "words"},
+}
+
+
+def module_level_imports(source: str) -> set[str]:
+    """flowmcg modules a source imports when it runs: function bodies and
+    `if TYPE_CHECKING:` blocks do not count."""
+    found = set()
+
+    def visit(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+                visit(node.orelse)
+                continue
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "flowmcg"):
+                module = (node.module or "") if node.level else node.module.partition(".")[2]
+                found.update([module.split(".")[0]] if module else [a.name for a in node.names])
+            elif isinstance(node, ast.Import):
+                found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("flowmcg."))
+            visit(ast.iter_child_nodes(node))
+
+    visit(ast.parse(source).body)
+    return found
+
+
+def test_the_check_finds_a_module_level_import():
+    source = (
+        "from typing import TYPE_CHECKING\nfrom .errors import E\nfrom . import words\n"
+        "import flowmcg.pf\nfrom flowmcg import intlat, intpoly\nif TYPE_CHECKING:\n    from .flows import F\n"
+        "class C:\n    from .mcg import M\ndef f():\n    from .coinvariants import g\n"
     )
-    assert out.stdout.strip() == "[0, 0] []"
+    assert module_level_imports(source) == {"errors", "words", "pf", "intlat", "intpoly", "mcg"}
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_LEVEL_IMPORTS))
+def test_front_modules_import_only_what_every_command_needs(name):
+    assert module_level_imports((SRC / name).read_text()) <= MODULE_LEVEL_IMPORTS[name]
+
+
+def test_every_export_is_the_object_of_its_home_module():
+    assert len(set(flowmcg.__all__)) == len(flowmcg.__all__)
+    for module, names in flowmcg._EXPORTS.items():
+        home = importlib.import_module(f"flowmcg.{module}")
+        for name in names:
+            value = getattr(flowmcg, name)
+            assert value is vars(home)[name]
+            assert getattr(value, "__module__", home.__name__) == home.__name__
+
+
+def test_submodules_resolve_as_attributes():
+    for name in ("errors", "words"):
+        assert flowmcg.__getattr__(name) is sys.modules[f"flowmcg.{name}"]
+    assert flowmcg.errors.ValidationError is flowmcg.ValidationError
+
+
+def test_dir_and_star_import_cover_the_exports():
+    assert set(flowmcg.__all__) <= set(dir(flowmcg))
+    namespace: dict = {}
+    exec("from flowmcg import *", namespace)
+    assert {name: namespace[name] for name in flowmcg.__all__} == {
+        name: getattr(flowmcg, name) for name in flowmcg.__all__
+    }
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        flowmcg.no_such_name
+    assert not hasattr(flowmcg, "no_such_name")
