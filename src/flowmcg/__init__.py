@@ -17,7 +17,7 @@ from importlib import import_module
 # each re-exported name, under the module that defines it
 _EXPORTS = {
     "asymptotics": ("action_on_classes", "asymptotic_classes", "stabilize_power"),
-    "automorphisms": ("action_on_measures", "search_automorphisms", "shift_quotient"),
+    "automorphisms": ("search_automorphisms", "shift_quotient"),
     "coinvariants": (
         "build_coinvariants", "coinvariants_report", "cylinder_class", "element_equal", "induced_action",
         "infinitesimal_rank", "restrict_class", "trace", "trace_image",
@@ -28,8 +28,8 @@ _EXPORTS = {
         "lambda_relation_search", "r_mu", "restrict_flow_code", "substitution_code",
     ),
     "mcg": (
-        "NON_QUADRATIC", "McgReport", "Surd", "assemble_mcg", "hierarchical_subshift", "odometer_mcg",
-        "sturmian_classify", "virtually_abelian_report",
+        "NON_QUADRATIC", "McgReport", "Surd", "action_on_measures", "assemble_mcg", "hierarchical_subshift",
+        "odometer_mcg", "sturmian_classify", "virtually_abelian_report",
     ),
     "pf": ("cr_check", "cylinder_measure", "is_pisot", "pf_data"),
     "substitution": (

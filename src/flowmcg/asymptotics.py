@@ -26,50 +26,15 @@ TAIL_CHECK = 2048
 
 
 @dataclass(frozen=True)
-class OneSidedFixedPoint:
-    """A one-sided sequence fixed by a power of the substitution.
-
-    Right points extend from their seed letter forward; left points extend
-    backward, and expansions are returned with the seed at the end.
-    """
-
-    sub: Substitution
-    direction: str
-    seed: int
-    power: int
-
-    def __post_init__(self) -> None:
-        if self.direction not in ("left", "right"):
-            raise ValidationError("direction must be 'left' or 'right'")
-        self.expand(1)
-
-    def expand(self, length: int) -> tuple[int, ...]:
-        return fixed_point(
-            self.sub, self.seed, length, self.power, left=self.direction == "left"
-        )
-
-
-@dataclass(frozen=True)
-class Leaf:
-    """One asymptotic point: left tail, right tail, and the junction
-    2-block (last left letter, first right letter) across the origin."""
-
-    left: OneSidedFixedPoint
-    right: OneSidedFixedPoint
-
-    @property
-    def junction(self) -> tuple[int, int]:
-        return (self.left.seed, self.right.seed)
-
-
-@dataclass(frozen=True)
 class AsymptoticClassSet:
     """Finitely many classes of asymptotic points, each sharing a forward
-    tail; every class carries at least two leaves."""
+    tail; every class carries at least two leaves.  A leaf is its junction
+    2-block (b, a) across the origin: the left fixed point ending in b
+    joined to the right fixed point starting with a."""
 
     sub: Substitution
     power: int
-    classes: tuple[tuple[Leaf, ...], ...]
+    classes: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def count(self) -> int:
@@ -128,10 +93,7 @@ def asymptotic_classes(sub: Substitution) -> AsymptoticClassSet:
     for a in right_seeds:
         bs = [b for b in left_seeds if lang2.admissible((b, a))]
         if len(bs) >= 2:
-            right = OneSidedFixedPoint(sub, "right", a, k)
-            classes.append(
-                tuple(Leaf(OneSidedFixedPoint(sub, "left", b, k), right) for b in bs)
-            )
+            classes.append(tuple((b, a) for b in bs))
     if not classes:
         raise InternalCheckError(
             "no asymptotic class found; enumeration should be nonempty"
@@ -156,7 +118,7 @@ def action_on_classes(op, classes: AsymptoticClassSet) -> tuple[int, ...]:
       on `TAIL_CHECK` symbols; failure raises instead of guessing.
     """
     sub = classes.sub
-    seeds = [cls[0].right.seed for cls in classes.classes]
+    seeds = [cls[0][1] for cls in classes.classes]
     if isinstance(op, Substitution):
         if op.alphabet != sub.alphabet:
             raise ValidationError("map alphabet does not match the shift")
@@ -172,14 +134,13 @@ def action_on_classes(op, classes: AsymptoticClassSet) -> tuple[int, ...]:
     if not isinstance(op, SlidingBlockCode):
         raise ValidationError("map must be a substitution or a block code")
 
-    powered = sub.power(classes.power)
-    max_shift = max(len(powered.image_idx(c)) for c in range(sub.size))
-    tails = [cls[0].right.expand(TAIL_CHECK) for cls in classes.classes]
+    max_shift = max(sub.image_lengths(classes.power))
+    tails = [fixed_point(sub, a, TAIL_CHECK) for a in seeds]
     r = op.radius
     perm = []
-    for i, cls in enumerate(classes.classes):
-        ext = cls[0].right.expand(TAIL_CHECK + 2 * r)
-        pad = cls[0].left.expand(r) if r else ()
+    for i, (b, a) in enumerate(cls[0] for cls in classes.classes):
+        ext = fixed_point(sub, a, TAIL_CHECK + 2 * r)
+        pad = fixed_point(sub, b, r, left=True)
         img = op.apply(pad + ext)[:TAIL_CHECK]
         hits = [
             t for t, tail in enumerate(tails) if _tails_agree(img, tail, max_shift)
@@ -201,8 +162,7 @@ def classes_to_dot(classes: AsymptoticClassSet) -> str:
     for i, cls in enumerate(classes.classes):
         lines.append(f"  subgraph cluster_{i} {{")
         lines.append(f'    label="class {i}";')
-        for leaf in cls:
-            b, a = leaf.junction
+        for b, a in cls:
             name = f"leaf_{i}_{b}_{a}"
             text = (
                 classes.sub.alphabet.symbols[b] + "." + classes.sub.alphabet.symbols[a]

@@ -1,6 +1,5 @@
 """Exhaustive bounded-radius search for self-conjugacies of a substitution
-shift, identification modulo shift powers, and the induced permutation of
-ergodic measures.
+shift and their identification modulo shift powers.
 
 Completeness is per radius only: a report certifies every block code of
 radius at most r that preserves the language to the checked depth and is
@@ -11,12 +10,10 @@ radii.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from operator import itemgetter
 from typing import Mapping, Sequence
 
-from .asymptotics import stabilize_power
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
 from .substitution import Substitution, cycle_lengths, fixed_point, is_aperiodic, is_primitive
 from .words import (
@@ -34,8 +31,6 @@ SHIFT_ID_WINDOW = 4096
 # inputs need at most 10,500 (0→01, 1→12, 2→23, 3→30 at radius 2)
 CANDIDATE_BUDGET = 1_000_000
 GROUP_NAME_BOUND = 12
-# least total-variation gap between the best and the runner-up measure match
-MEASURE_MATCH_THRESHOLD = Fraction(1, 10)
 
 
 @dataclass(frozen=True)
@@ -68,16 +63,6 @@ class QuotientGroup:
     element_orders: tuple[int, ...]
     name: str
     certificate: str
-
-
-@dataclass(frozen=True)
-class MeasureActionReport:
-    """Permutation of frequency tables under a code's pushforward."""
-
-    permutation: tuple[int, ...]
-    distances: tuple[tuple[Fraction, ...], ...]
-    margin: Fraction | None
-    block_length: int
 
 
 def _equal_mod_shift(
@@ -232,7 +217,7 @@ def search_automorphisms(sub: Substitution, radius: int = DEFAULT_RADIUS) -> Aut
     width = 2 * radius + 1
     index = {w: i for i, w in enumerate(blocks)}
     seed = min(cycle_lengths(sub.first_letter_map()))
-    sample = fixed_point(sub, seed, SHIFT_ID_WINDOW, stabilize_power(sub))
+    sample = fixed_point(sub, seed, SHIFT_ID_WINDOW)
     at_sample = _window_indices(sample, width, index)
     images = [tuple(map(outputs.__getitem__, at_sample)) for outputs in kept]
 
@@ -361,85 +346,4 @@ def shift_quotient(report: AutGroupReport) -> QuotientGroup:
         element_orders=orders,
         name=name,
         certificate=report.certificate,
-    )
-
-
-def _marginalize(
-    table: Mapping[tuple[int, ...], Fraction], m: int
-) -> dict[tuple[int, ...], Fraction]:
-    out: dict[tuple[int, ...], Fraction] = {}
-    for w, p in table.items():
-        key = w[:m]
-        out[key] = out.get(key, Fraction(0)) + p
-    return out
-
-
-def _total_variation(
-    p: Mapping[tuple[int, ...], Fraction], q: Mapping[tuple[int, ...], Fraction]
-) -> Fraction:
-    keys = set(p) | set(q)
-    return sum(
-        (abs(p.get(k, Fraction(0)) - q.get(k, Fraction(0))) for k in keys),
-        Fraction(0),
-    ) / 2
-
-
-def action_on_measures(
-    code: SlidingBlockCode,
-    freq_tables: Sequence[Mapping[tuple[int, ...], Fraction]],
-) -> MeasureActionReport:
-    """Match each pushed-forward frequency table to its nearest input table.
-
-    Tables assign frequencies to n-blocks for one common n and must each
-    sum to 1.  The pushforward of an n-block table lives on (n-2r)-blocks,
-    so the inputs are marginalized to that length before comparison.  A
-    best match closer than MEASURE_MATCH_THRESHOLD to the runner-up is
-    refused.
-    """
-    if not freq_tables:
-        raise ValidationError("need at least one frequency table")
-    lengths = {len(w) for t in freq_tables for w in t}
-    if len(lengths) != 1:
-        raise ValidationError("tables must share one block length")
-    n = lengths.pop()
-    for t in freq_tables:
-        if sum(t.values(), Fraction(0)) != 1:
-            raise ValidationError("each table must sum to 1")
-    m = n - 2 * code.radius
-    if m < 1:
-        raise ValidationError("block length too short for the code radius")
-
-    pushed = []
-    for t in freq_tables:
-        img: dict[tuple[int, ...], Fraction] = {}
-        for v, p in t.items():
-            w = code.apply(v)
-            img[w] = img.get(w, Fraction(0)) + p
-        pushed.append(img)
-    margins = [_marginalize(t, m) for t in freq_tables]
-
-    distances = tuple(
-        tuple(_total_variation(img, marg) for marg in margins) for img in pushed
-    )
-    perm = []
-    margin: Fraction | None = None
-    for i, row in enumerate(distances):
-        best = min(range(len(row)), key=lambda j: row[j])
-        if len(row) > 1:
-            runner = min(row[j] for j in range(len(row)) if j != best)
-            gap = runner - row[best]
-            if gap < MEASURE_MATCH_THRESHOLD:
-                raise InternalCheckError(
-                    f"measure match for table {i} ambiguous: margin {gap} "
-                    f"below threshold {MEASURE_MATCH_THRESHOLD}"
-                )
-            margin = gap if margin is None else min(margin, gap)
-        perm.append(best)
-    if sorted(perm) != list(range(len(freq_tables))):
-        raise InternalCheckError("pushforward did not permute the tables")
-    return MeasureActionReport(
-        permutation=tuple(perm),
-        distances=distances,
-        margin=margin,
-        block_length=n,
     )

@@ -198,13 +198,7 @@ def _cmd_asymptotics(args) -> None:
         "power": classes.power,
         "count": classes.count,
         "classes": [
-            [
-                {
-                    "left": sub.alphabet.symbols[leaf.junction[0]],
-                    "right": sub.alphabet.symbols[leaf.junction[1]],
-                }
-                for leaf in cls
-            ]
+            [{"left": sub.alphabet.symbols[b], "right": sub.alphabet.symbols[a]} for b, a in cls]
             for cls in classes.classes
         ],
     }
@@ -460,7 +454,7 @@ def _cmd_hierarchical(args) -> None:
     }
     if args.tables is not None:
         table0, table1 = stage_measure_tables(spec, args.tables)
-        from .automorphisms import action_on_measures
+        from .mcg import action_on_measures
         from .words import Alphabet, SlidingBlockCode
 
         alph = Alphabet.of(["0", "1"])

@@ -102,8 +102,7 @@ def return_words(sub: Substitution, w: tuple[int, ...]) -> tuple[tuple[int, ...]
     sigma^p(a) in sigma^p(ab), ab in L_2, with min |sigma^p| >= R + |w|, are
     then the full return-word set.
     """
-    cycles = cycle_lengths(sub.first_letter_map())
-    seed = min(cycles)
+    seed = min(cycle_lengths(sub.first_letter_map()))
     k = len(w)
     r_bound = None
     n = max(2 * k, 2)
@@ -128,7 +127,7 @@ def return_words(sub: Substitution, w: tuple[int, ...]) -> tuple[tuple[int, ...]
     # it, since the shift is minimal
     n = 2 * max(len(r) for r in found) + k
     while True:
-        prefix = fixed_point(sub, seed, n, cycles[seed])
+        prefix = fixed_point(sub, seed, n)
         occ = [i for i in range(n - k + 1) if prefix[i : i + k] == w]
         ordered = tuple(dict.fromkeys(prefix[a:b] for a, b in zip(occ, occ[1:])))
         if not found.issuperset(ordered):
@@ -599,9 +598,8 @@ def _two_sided_point(sub: Substitution, k_lo: int, k_hi: int):
     if seed is None:
         raise InternalCheckError("no admissible periodic seed pair")
     a, b = seed
-    k = fl_cycles[b] * ll_cycles[a]
-    right = fixed_point(sub, b, max(1, k_hi + 1), k)
-    left = fixed_point(sub, a, max(1, -k_lo + 1), k, left=True)
+    right = fixed_point(sub, b, max(1, k_hi + 1))
+    left = fixed_point(sub, a, max(1, -k_lo + 1), left=True)
 
     def get(k: int) -> int:
         if k >= 0:

@@ -1,6 +1,7 @@
 """Top-level structure reports: the scaling part and finite part of the
 flow mapping group of a substitution shift, plus the closed-form families
-(Sturmian shifts, odometers, and the two-measure hierarchical words).
+(Sturmian shifts, odometers, and the two-measure hierarchical words, with
+the permutation a block code induces on their measures).
 
 Everything here orchestrates the computational modules; no new invariants
 are computed, only assembled, cross-checked, and serialized.  The closed
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, isqrt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import InternalCheckError, ValidationError
 from .intpoly import is_perfect_power, is_prime
@@ -23,6 +24,7 @@ if TYPE_CHECKING:
     from .numberfield import AlgebraicNumber
     from .pf import BalanceVerdict
     from .substitution import Substitution
+    from .words import SlidingBlockCode
 
 
 @dataclass(frozen=True)
@@ -442,6 +444,101 @@ def stage_measure_tables(
     return (
         cyclic_block_table(spec.top0, n),
         cyclic_block_table(spec.top1, n),
+    )
+
+
+# least total-variation gap between the best and the runner-up measure match
+MEASURE_MATCH_THRESHOLD = Fraction(1, 10)
+
+
+@dataclass(frozen=True)
+class MeasureActionReport:
+    """Permutation of frequency tables under a code's pushforward."""
+
+    permutation: tuple[int, ...]
+    distances: tuple[tuple[Fraction, ...], ...]
+    margin: Fraction | None
+    block_length: int
+
+
+def _marginalize(
+    table: Mapping[tuple[int, ...], Fraction], m: int
+) -> dict[tuple[int, ...], Fraction]:
+    out: dict[tuple[int, ...], Fraction] = {}
+    for w, p in table.items():
+        key = w[:m]
+        out[key] = out.get(key, Fraction(0)) + p
+    return out
+
+
+def _total_variation(
+    p: Mapping[tuple[int, ...], Fraction], q: Mapping[tuple[int, ...], Fraction]
+) -> Fraction:
+    keys = set(p) | set(q)
+    return sum(
+        (abs(p.get(k, Fraction(0)) - q.get(k, Fraction(0))) for k in keys),
+        Fraction(0),
+    ) / 2
+
+
+def action_on_measures(
+    code: SlidingBlockCode,
+    freq_tables: Sequence[Mapping[tuple[int, ...], Fraction]],
+) -> MeasureActionReport:
+    """Match each pushed-forward frequency table to its nearest input table.
+
+    Tables assign frequencies to n-blocks for one common n and must each
+    sum to 1.  The pushforward of an n-block table lives on (n-2r)-blocks,
+    so the inputs are marginalized to that length before comparison.  A
+    best match closer than MEASURE_MATCH_THRESHOLD to the runner-up is
+    refused.
+    """
+    if not freq_tables:
+        raise ValidationError("need at least one frequency table")
+    lengths = {len(w) for t in freq_tables for w in t}
+    if len(lengths) != 1:
+        raise ValidationError("tables must share one block length")
+    n = lengths.pop()
+    for t in freq_tables:
+        if sum(t.values(), Fraction(0)) != 1:
+            raise ValidationError("each table must sum to 1")
+    m = n - 2 * code.radius
+    if m < 1:
+        raise ValidationError("block length too short for the code radius")
+
+    pushed = []
+    for t in freq_tables:
+        img: dict[tuple[int, ...], Fraction] = {}
+        for v, p in t.items():
+            w = code.apply(v)
+            img[w] = img.get(w, Fraction(0)) + p
+        pushed.append(img)
+    margins = [_marginalize(t, m) for t in freq_tables]
+
+    distances = tuple(
+        tuple(_total_variation(img, marg) for marg in margins) for img in pushed
+    )
+    perm = []
+    margin: Fraction | None = None
+    for i, row in enumerate(distances):
+        best = min(range(len(row)), key=lambda j: row[j])
+        if len(row) > 1:
+            runner = min(row[j] for j in range(len(row)) if j != best)
+            gap = runner - row[best]
+            if gap < MEASURE_MATCH_THRESHOLD:
+                raise InternalCheckError(
+                    f"measure match for table {i} ambiguous: margin {gap} "
+                    f"below threshold {MEASURE_MATCH_THRESHOLD}"
+                )
+            margin = gap if margin is None else min(margin, gap)
+        perm.append(best)
+    if sorted(perm) != list(range(len(freq_tables))):
+        raise InternalCheckError("pushforward did not permute the tables")
+    return MeasureActionReport(
+        permutation=tuple(perm),
+        distances=distances,
+        margin=margin,
+        block_length=n,
     )
 
 

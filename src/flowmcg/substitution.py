@@ -335,30 +335,34 @@ def is_aperiodic(sub: Substitution) -> PeriodicityVerdict:
 
 
 def fixed_point(
-    sub: Substitution, seed: int, length: int, power: int = 1, left: bool = False
+    sub: Substitution, seed: int, length: int, left: bool = False
 ) -> tuple[int, ...]:
-    """The first `length` symbols of the one-sided fixed point of sigma^power
-    grown from `seed`; with `left`, the last `length` symbols of the left
-    fixed point, which ends in the seed.  Grown by u -> sigma^power(u), read
-    only as far as `length` needs; the longest prefix built (with `left`,
-    the longest suffix, reversed) is kept on the substitution."""
+    """The first `length` symbols of the one-sided fixed point grown from
+    `seed`; with `left`, the last `length` symbols of the left fixed point,
+    which ends in the seed.  The seed lies on a cycle of length c of the
+    first-letter map (the last-letter map with `left`), and the point is
+    fixed by sigma^c and so by every power of sigma that c divides.  Grown
+    by u -> sigma^c(u), read only as far as `length` needs; the longest
+    prefix built (with `left`, the longest suffix, reversed) is kept on the
+    substitution, one per seed and side."""
 
-    def first() -> list[tuple[int, ...]]:
-        w = sub.iterate_idx(seed, power)
-        if (w[-1] if left else w[0]) != seed:
+    def first() -> list:
+        letter_map = sub.last_letter_map() if left else sub.first_letter_map()
+        c = cycle_lengths(letter_map).get(seed)
+        if c is None:
             end = "end" if left else "start"
             raise ValidationError(f"seed letter does not {end} its own image")
-        return [w[::-1] if left else w]
+        return [sub.iterate_idx(seed, c)[:: -1 if left else 1], c]
 
-    # a one-element list, so that a longer prefix replaces the kept one
-    kept = sub.cached(("fixed_point", seed, power, left), first)
-    u = kept[0]
+    # a list, so that a longer prefix replaces the kept one
+    kept = sub.cached(("fixed_point", seed, left), first)
+    u, c = kept
     if len(u) < length:
-        # sigma^power(seed) starts with the seed, so each pass grows u
-        # unless that image is the seed alone
+        # sigma^c(seed) starts with the seed, so each pass grows u unless
+        # that image is the seed alone
         if len(u) == 1:
             raise ValidationError("seed does not grow; substitution not expanding here")
-        step = [sub.iterate_idx(a, power)[:: -1 if left else 1] for a in range(sub.size)]
+        step = [sub.iterate_idx(a, c)[:: -1 if left else 1] for a in range(sub.size)]
         while len(u) < length:
             u = tuple(image_prefix(step, u, length))
         kept[0] = u

@@ -215,14 +215,6 @@ class Cylinder:
     word: Word
     offset: int = 0
 
-    def matches_at(self, seq: Sequence[int], t: int) -> bool:
-        """Does the configuration read off `seq` put T^t(x) in this cylinder?
-        Positions outside seq make the test undefined; callers keep margins."""
-        a, b = t + self.offset, t + self.offset + len(self.word)
-        if a < 0 or b > len(seq):
-            raise ValidationError("window outside supplied sequence; enlarge margin")
-        return tuple(seq[a:b]) == self.word.idx
-
 
 @dataclass(frozen=True)
 class CylinderSet:
@@ -252,9 +244,6 @@ class CylinderSet:
     @property
     def is_whole_space(self) -> bool:
         return any(len(c.word) == 0 for c in self.cylinders)
-
-    def matches_at(self, seq: Sequence[int], t: int) -> bool:
-        return any(c.matches_at(seq, t) for c in self.cylinders)
 
     def check_admissible(self, language: LanguageTable) -> None:
         for c in self.cylinders:

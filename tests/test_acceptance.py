@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 from flowmcg.asymptotics import asymptotic_classes
-from flowmcg.automorphisms import action_on_measures, search_automorphisms, shift_quotient
+from flowmcg.automorphisms import search_automorphisms, shift_quotient
 from flowmcg.coinvariants import (
     build_coinvariants,
     cylinder_class,
@@ -40,6 +40,7 @@ from flowmcg.intlat import (
 )
 from flowmcg.mcg import (
     Surd,
+    action_on_measures,
     assemble_mcg,
     hierarchical_subshift,
     odometer_mcg,

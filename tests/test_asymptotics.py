@@ -22,7 +22,7 @@ from test_one_core import RULES
 
 
 def junctions(classes):
-    return [tuple(leaf.junction for leaf in cls) for cls in classes.classes]
+    return list(classes.classes)
 
 
 def test_stabilizing_powers(tm, fib, cyclic4):
@@ -126,7 +126,7 @@ def oracle_classes(sub, check=2048):
     for leaves in raw:
         kept = []
         for b, a in leaves:
-            w = fixed_point(sub, b, check, k, left=True) + fixed_point(sub, a, check, k)
+            w = fixed_point(sub, b, check, left=True) + fixed_point(sub, a, check)
             if not any(
                 next(shift_offsets(w, seen, shifts, len(w) // 2), None) is not None
                 for _, seen in kept
@@ -138,7 +138,7 @@ def oracle_classes(sub, check=2048):
         return f"tail check of {check} symbols leaves no class with two leaves"
     merged, tails = [], []
     for leaves in raw:
-        tail = fixed_point(sub, leaves[0][1], check, k)
+        tail = fixed_point(sub, leaves[0][1], check)
         for i, seen in enumerate(tails):
             if _agree(tail, seen, max_shift):
                 merged[i].extend(leaves)
@@ -161,7 +161,7 @@ def oracle_action(op, sub, k, classes, check=2048):
         max(len(powered.image_idx(c)) for c in range(sub.size)),
         max(len(w) for w in op.images),
     )
-    tails = [fixed_point(sub, cls[0][1], check, k) for cls in classes]
+    tails = [fixed_point(sub, cls[0][1], check) for cls in classes]
     perm = []
     for i, tail in enumerate(tails):
         img = op.apply_idx(tail)[:check]
@@ -256,8 +256,8 @@ def test_seeds_one_and_two_of_a_false_merge_part_after_1974_symbols():
     # oracle's 2,048-symbol comparison takes u^(2) for a shift of u^(1)
     sub = Substitution.from_rules({"0": "2", "1": "0211", "2": "10"})
     classes = asymptotic_classes(sub)
-    assert [cls[0].right.seed for cls in classes.classes] == [0, 1, 2]
-    u1, u2 = (fixed_point(sub, a, 4096, classes.power) for a in (1, 2))
+    assert [cls[0][1] for cls in classes.classes] == [0, 1, 2]
+    u1, u2 = (fixed_point(sub, a, 4096) for a in (1, 2))
     assert list(shift_offsets(u2[:2048], u1[:2048], range(-521, 522), 522)) == [-233]
     agree = next(i for i in range(233, 4096) if u2[i] != u1[i - 233]) - 233
     assert agree == 1974
@@ -295,7 +295,7 @@ def test_sigma_permutes_the_classes_on_random_inputs(seed):
             assert str(err).startswith("no asymptotic class found")
             continue
         returned += 1
-        seeds = [cls[0].right.seed for cls in classes.classes]
+        seeds = [cls[0][1] for cls in classes.classes]
         for op in (sub, sub.power(2)):
             perm = action_on_classes(op, classes)
             assert sorted(perm) == list(range(classes.count))

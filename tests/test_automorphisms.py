@@ -2,12 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from flowmcg.automorphisms import (
-    action_on_measures,
-    search_automorphisms,
-    shift_quotient,
-)
+from flowmcg.automorphisms import search_automorphisms, shift_quotient
 from flowmcg.errors import InternalCheckError
+from flowmcg.mcg import action_on_measures
 from flowmcg.words import Alphabet, SlidingBlockCode
 
 

@@ -202,6 +202,7 @@ FOOTPRINTS = [
     (["sturmian", "--surd", "(1,-1,5,2)"], 0, CLOSED_FORM),
     (["odometer", "--period", "2,3"], 0, CLOSED_FORM),
     (["checklist", "--hierarchical", "2,2,2"], 0, CLOSED_FORM),
+    (["hierarchical", "--n", "2,2,2,2", "--tables", "12"], 0, CLOSED_FORM | {"words"}),
     (["analyze", "{not_primitive}"], 1, CLOSED_FORM | SUBSTITUTION),
     (["analyze", "{periodic}"], 1, CLOSED_FORM | SUBSTITUTION | {"numberfield"}),
     (["analyze", "{identity}"], 1, CLOSED_FORM | SUBSTITUTION),
@@ -213,7 +214,8 @@ def test_the_cli_runs_without_loading_sympy(tmp_path):
     directly or through a dependency, and exactly the flowmcg modules it
     needs: `pf` and `cr` the Perron layers, `complexity` and `language`
     only substitutions and words, the closed forms and the refused
-    `analyze` inputs no Aut search, coinvariants or flows.  Importing the
+    `analyze` inputs no Aut search, coinvariants or flows, and
+    `hierarchical --tables` only `words` besides the closed forms' modules.  Importing the
     package alone loads none of its modules, and the first name looked up on
     it loads every layer."""
     files = {}
@@ -254,6 +256,7 @@ def test_the_cli_runs_without_loading_sympy(tmp_path):
 # layers it runs are imported where they are used
 MODULE_LEVEL_IMPORTS = {
     "__init__.py": set(),
+    "automorphisms.py": {"errors", "substitution", "words"},
     "cli.py": {"errors"},
     "mcg.py": {"errors", "intpoly"},
     "substitution.py": {"errors", "words"},

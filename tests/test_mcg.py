@@ -6,6 +6,7 @@ from flowmcg.errors import ValidationError
 from flowmcg.mcg import (
     NON_QUADRATIC,
     Surd,
+    action_on_measures,
     assemble_mcg,
     hierarchical_subshift,
     odometer_mcg,
@@ -13,7 +14,6 @@ from flowmcg.mcg import (
     sturmian_classify,
     virtually_abelian_report,
 )
-from flowmcg.automorphisms import action_on_measures
 from flowmcg.words import Alphabet, SlidingBlockCode
 
 

@@ -8,8 +8,8 @@ from math import lcm
 
 import pytest
 
-from flowmcg.asymptotics import _tails_agree
-from flowmcg.automorphisms import _equal_mod_shift
+from flowmcg.asymptotics import _tails_agree, action_on_classes, asymptotic_classes
+from flowmcg.automorphisms import _equal_mod_shift, search_automorphisms
 from flowmcg.errors import InternalCheckError, ValidationError
 from flowmcg.flows import decompose_into_returns, return_words
 from flowmcg.substitution import Substitution, cycle_lengths, fixed_point
@@ -107,14 +107,28 @@ def test_fixed_point_matches_repeated_application(rules):
                 w = naive_fixed_point(sub, seed, power, 300)
                 for n in range(0, 301):
                     expected = w[len(w) - n :] if left else w[:n]
-                    got = fixed_point(sub, seed, n, power, left=left)
+                    got = fixed_point(sub, seed, n, left=left)
                     assert got == expected, (seed, power, left, n)
         for a in range(sub.size):
-            if a in cycles:
-                continue
-            for power in range(1, 2 * sub.size + 1):
+            if a not in cycles:
                 with pytest.raises(ValidationError):
-                    fixed_point(sub, a, 5, power, left=left)
+                    fixed_point(sub, a, 5, left=left)
+
+
+@pytest.mark.parametrize("rules", [{"0": "01", "1": "10"}, {"0": "01", "1": "0"}], ids=["tm", "fib"])
+def test_one_fixed_point_is_kept_per_seed_and_side(rules):
+    # return words grow the point of the least first-letter seed, the Aut
+    # search its shift-identification sample and the class action its tails
+    # and pads: each reads the one prefix kept for its seed and side
+    sub = Substitution.from_rules(rules)
+    for b in range(sub.size):
+        return_words(sub, (b,))
+    report = search_automorphisms(sub, 1)
+    classes = asymptotic_classes(sub)
+    for code in report.codes:
+        action_on_classes(code, classes)
+    kept = [(key[1], key[-1]) for key in sub._memo if isinstance(key, tuple) and key[0] == "fixed_point"]
+    assert len(kept) == len(set(kept)) > 0
 
 
 def test_fixed_point_rejects_a_seed_that_does_not_grow():
@@ -155,7 +169,7 @@ def test_shift_offsets_all_periodic_offsets():
 
 def test_equal_mod_shift_offsets(fib):
     lang = fib.language(8)
-    sample = fixed_point(fib, 0, 200, 2)
+    sample = fixed_point(fib, 0, 200)
     ident = SlidingBlockCode.shift_power(fib.alphabet, lang, 0)
     shift = SlidingBlockCode.shift_power(fib.alphabet, lang, 1)
     ident_out, shift_out = ident.apply(sample), shift.apply(sample)

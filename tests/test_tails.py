@@ -47,7 +47,7 @@ def reference_action(op, classes):
     to that of the first letter of op(a); a block code's image of each
     whole tail is matched against the class tails on TAIL_CHECK symbols."""
     sub = classes.sub
-    seeds = [cls[0].right.seed for cls in classes.classes]
+    seeds = [cls[0][1] for cls in classes.classes]
     if isinstance(op, Substitution):
         if any(op.apply(sub.images[c]) != sub.apply(op.images[c]) for c in range(sub.size)):
             return ValidationError, "map does not commute with the substitution"
@@ -55,14 +55,16 @@ def reference_action(op, classes):
         if sorted(targets) != seeds:
             return ValidationError, "map does not permute the asymptotic classes"
         return tuple(seeds.index(t) for t in targets)
-    powered = sub.power(classes.power)
+    k = classes.power
+    powered = sub.power(k)
     max_shift = max(len(powered.image_idx(c)) for c in range(sub.size))
     shifts = range(-max_shift, max_shift + 1)
-    tails = [cls[0].right.expand(TAIL_CHECK) for cls in classes.classes]
+    tails = [reference_fixed_point(sub, a, TAIL_CHECK, k, False) for a in seeds]
     r = op.radius
     perm = []
-    for i, cls in enumerate(classes.classes):
-        whole = cls[0].left.expand(r) + cls[0].right.expand(TAIL_CHECK + r)
+    for i, (b, a) in enumerate(cls[0] for cls in classes.classes):
+        pad = reference_fixed_point(sub, b, r, k, True)
+        whole = pad + reference_fixed_point(sub, a, TAIL_CHECK + r, k, False)
         img = op.apply(whole)
         hits = [
             t for t, other in enumerate(tails)
@@ -173,26 +175,43 @@ def _outcome(call):
         return str(err)
 
 
+def reference_cycle_length(letter_map, seed):
+    """Least m >= 1 with letter_map^m(seed) == seed, or 1 for a seed on no
+    cycle (which starts, or ends, no image of itself)."""
+    x = seed
+    for m in range(1, len(letter_map) + 1):
+        x = letter_map[x]
+        if x == seed:
+            return m
+    return 1
+
+
 @pytest.mark.parametrize("name", sorted(RULES))
-@pytest.mark.parametrize("power", [1, 2, 3])
+@pytest.mark.parametrize("multiple", [1, 2, 3])
 @pytest.mark.parametrize("left", [False, True])
-def test_fixed_point_matches_whole_iterates(name, power, left):
+def test_fixed_point_matches_whole_iterates(name, multiple, left):
+    # the point of a seed on a cycle of length c is fixed by sigma^c and by
+    # every multiple of it
     sub = Substitution.from_rules(RULES[name])
     reference = Substitution.from_rules(RULES[name])
+    letter_map = reference.last_letter_map() if left else reference.first_letter_map()
     for seed in range(sub.size):
+        power = multiple * reference_cycle_length(letter_map, seed)
         for length in LENGTHS:
-            got = _outcome(lambda: fixed_point(sub, seed, length, power, left))
+            got = _outcome(lambda: fixed_point(sub, seed, length, left=left))
             want = _outcome(lambda: reference_fixed_point(reference, seed, length, power, left))
             assert got == want, (name, seed, length)
 
 
 def test_fixed_point_serves_longer_then_shorter_lengths_from_one_substitution():
+    # sigma^3 fixes both tribonacci points of seed 0: the right one's cycle
+    # has length 1, the left one's length 3
     sub = Substitution.from_rules(RULES["tribonacci"])
     reference = Substitution.from_rules(RULES["tribonacci"])
     for left in (False, True):
         for length in (1, 5, 300, 4096, 2047, 12, 4096, 1, 0, 3000):
             want = reference_fixed_point(reference, 0, length, 3, left)
-            assert fixed_point(sub, 0, length, 3, left) == want
+            assert fixed_point(sub, 0, length, left=left) == want
 
 
 def test_fixed_point_errors_keep_their_messages():
@@ -203,12 +222,12 @@ def test_fixed_point_errors_keep_their_messages():
             fixed_point(slow, 0, 2)
     with pytest.raises(ValidationError, match="^seed letter does not end its own image$"):
         fixed_point(slow, 1, 5, left=True)
-    tm = Substitution.from_rules(RULES["tm"])
+    # 1 is on no cycle of 0 -> 0, 1 -> 0, and is refused before any length
     with pytest.raises(ValidationError, match="^seed letter does not start its own image$"):
-        fixed_point(Substitution.from_rules({"0": "10", "1": "01"}), 0, 0)
-    with pytest.raises(ValidationError, match="^seed letter does not end its own image$"):
-        fixed_point(tm, 0, 3, left=True)
-    assert fixed_point(tm, 0, 3, 2, left=True) == (1, 1, 0)
+        fixed_point(Substitution.from_rules(RULES["s0111_0"]), 1, 0)
+    # the last-letter map of Thue-Morse swaps 0 and 1, so seed 0 ends sigma^2(0)
+    tm = Substitution.from_rules(RULES["tm"])
+    assert fixed_point(tm, 0, 3, left=True) == (1, 1, 0)
 
 
 # action_on_classes --------------------------------------------------------

@@ -3,7 +3,6 @@ import pytest
 from flowmcg.errors import ValidationError
 from flowmcg.words import (
     Alphabet,
-    Cylinder,
     CylinderSet,
     SlidingBlockCode,
     Word,
@@ -102,10 +101,3 @@ def test_cylinder_set_validation(ab):
     assert whole.is_whole_space
     with pytest.raises(ValidationError):
         CylinderSet(())
-
-
-def test_cylinder_matches_at(ab):
-    c = Cylinder(Word.parse(ab, "10"), 0)
-    seq = (0, 1, 0, 0)
-    assert c.matches_at(seq, 1)
-    assert not c.matches_at(seq, 0)
