@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
 from .numberfield import FieldElement, NumberField
 from .pf import cylinder_measure, pf_data
-from .substitution import Substitution, cycle_lengths, fixed_point, is_primitive
+from .substitution import SYMBOL_BUDGET, Substitution, cycle_lengths, fixed_point, is_primitive
 from .words import (
     CHECK_DEPTH,
     Alphabet,
@@ -38,9 +38,6 @@ from .words import (
 # exponent bounds of the relations alpha^p = lam^q that lambda_relation_search tries
 RELATION_P_MAX = 6
 RELATION_Q_MAX = 12
-_REPETITIVITY_CAP = 4096
-# longest fixed-point prefix scanned to order the return words
-_ORDER_SCAN_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -93,52 +90,45 @@ class ReturnSystem:
 
 
 def return_words(sub: Substitution, w: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """All return words of the cylinder [w], complete by construction, in
-    order of first occurrence along the one-sided fixed point grown from the
-    least letter on a cycle of the first-letter map.
+    """All return words of the cylinder [w] of a primitive substitution, in
+    order of first occurrence along the one-sided fixed point u grown from
+    the least letter s on a cycle of the first-letter map; memoised.
 
-    First a repetitivity bound R with every admissible R-block containing w
-    is found; the gaps that follow the occurrences of w starting inside
-    sigma^p(a) in sigma^p(ab), ab in L_2, with min |sigma^p| >= R + |w|, are
-    then the full return-word set.
+    Let c be the cycle length of s and p the least multiple of c with w
+    inside every sigma^p(b).  Every point is a shift of some sigma^p(y), and
+    every sigma^p(b) holds a whole occurrence of w, so the gap after each
+    occurrence of w that starts inside sigma^p(a) ends inside sigma^p(ab),
+    ab in L_2; these gaps are the whole set.  As u = sigma^p(u), the 2-blocks
+    of u are the fixed point of ab -> the 2-blocks of sigma^p(ab) that start
+    inside sigma^p(a), and a 2-block first occurs inside the image of the
+    earliest 2-block whose image holds it.  Visiting the 2-blocks breadth
+    first from the first 2-block of u lists them in order of first
+    occurrence, and their gaps, each kept at its first appearance, are the
+    return words in order of first occurrence along u.
     """
-    seed = min(cycle_lengths(sub.first_letter_map()))
-    k = len(w)
-    r_bound = None
-    n = max(2 * k, 2)
-    while n <= _REPETITIVITY_CAP:
-        lang = sub.language(n)
-        if all(_contains(block, w) for block in lang.blocks_of(n)):
-            r_bound = n
-            break
-        n *= 2
-    if r_bound is None:
-        raise ResourceLimitError("no repetitivity bound found for the base word")
-    found: set[tuple[int, ...]] = set()
-    for image, cut, occ in _base_occurrences(sub, w, r_bound + k):
-        for a, b in zip(occ, occ[1:]):
-            if a >= cut:
-                break
-            found.add(image[a:b])
-    if not found:
-        raise InternalCheckError("base word never recurs in admissible blocks")
+    return sub.cached(("return_words", w), lambda: _first_returns(sub, w))
 
-    # first occurrences along the fixed point; every return word occurs in
-    # it, since the shift is minimal
-    n = 2 * max(len(r) for r in found) + k
+
+def _first_returns(sub: Substitution, w: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    cycles = cycle_lengths(sub.first_letter_map())
+    seed = min(cycles)
+    p = cycles[seed]
+    if len(sub.iterate_idx(seed, p)) == 1:
+        raise ValidationError("seed does not grow; substitution not expanding here")
     while True:
-        prefix = fixed_point(sub, seed, n)
-        occ = [i for i in range(n - k + 1) if prefix[i : i + k] == w]
-        ordered = tuple(dict.fromkeys(prefix[a:b] for a, b in zip(occ, occ[1:])))
-        if not found.issuperset(ordered):
-            raise InternalCheckError(
-                "fixed-point scan found a return word outside the certified set"
-            )
-        if len(ordered) == len(found):
-            return ordered
-        if n >= _ORDER_SCAN_CAP:
-            raise ResourceLimitError("fixed point did not exhibit every return word")
-        n *= 2
+        if sum(sub.image_lengths(p)) > SYMBOL_BUDGET:
+            raise ResourceLimitError("base word not inside every image within the symbol budget")
+        if all(_contains(sub.iterate_idx(b, p), w) for b in range(sub.size)):
+            break
+        p += cycles[seed]
+    spans = dict(zip(sub.two_blocks(), _base_occurrences(sub, w, p)))
+    order = [sub.iterate_idx(seed, p)[:2]]
+    gaps = []
+    for ab in order:
+        image, cut, occ = spans[ab]
+        order.extend(b for b in dict.fromkeys(zip(image[:cut], image[1:])) if b not in order)
+        gaps.extend(image[a:b] for a, b in zip(occ, occ[1:]) if a < cut)
+    return tuple(dict.fromkeys(gaps))
 
 
 def derived_substitution(
@@ -181,11 +171,11 @@ def decompose_into_returns(
     return tuple(out)
 
 
-def _base_occurrences(sub: Substitution, w: tuple[int, ...], reach: int):
-    """For every ab in L_2: sigma^p(ab), |sigma^p(a)| and the positions of
-    w in sigma^p(ab), for the least p with min |sigma^p| >= reach."""
+def _base_occurrences(sub: Substitution, w: tuple[int, ...], p: int):
+    """For every ab in L_2, in order: sigma^p(ab), |sigma^p(a)| and the
+    positions of w in sigma^p(ab)."""
     k = len(w)
-    for image, cut in sub.two_block_images(sub.growth_power(reach)):
+    for image, cut in sub.two_block_images(p):
         yield image, cut, [i for i in range(len(image) - k + 1) if image[i : i + k] == w]
 
 
@@ -208,7 +198,7 @@ def _recoded_language(
     k = len(w)
     max_t = max(len(r) for r in returns)
     distinct: set[tuple[int, ...]] = set()
-    for image, cut, occ in _base_occurrences(sub, w, n_target * max_t + k):
+    for image, cut, occ in _base_occurrences(sub, w, sub.growth_power(n_target * max_t + k)):
         seq = []
         for a, b in zip(occ, occ[1:]):
             seg = image[a:b]

@@ -19,6 +19,7 @@ from flowmcg.words import SlidingBlockCode, shift_offsets
 
 from test_cross_sections import CIRCLE
 from test_one_core import RULES
+from test_tails import reference_fixed_point
 
 
 def junctions(classes):
@@ -126,7 +127,7 @@ def oracle_classes(sub, check=2048):
     for leaves in raw:
         kept = []
         for b, a in leaves:
-            w = fixed_point(sub, b, check, left=True) + fixed_point(sub, a, check)
+            w = reference_fixed_point(sub, b, check, k, True) + reference_fixed_point(sub, a, check, k, False)
             if not any(
                 next(shift_offsets(w, seen, shifts, len(w) // 2), None) is not None
                 for _, seen in kept
@@ -138,7 +139,7 @@ def oracle_classes(sub, check=2048):
         return f"tail check of {check} symbols leaves no class with two leaves"
     merged, tails = [], []
     for leaves in raw:
-        tail = fixed_point(sub, leaves[0][1], check)
+        tail = reference_fixed_point(sub, leaves[0][1], check, k, False)
         for i, seen in enumerate(tails):
             if _agree(tail, seen, max_shift):
                 merged[i].extend(leaves)
@@ -161,7 +162,7 @@ def oracle_action(op, sub, k, classes, check=2048):
         max(len(powered.image_idx(c)) for c in range(sub.size)),
         max(len(w) for w in op.images),
     )
-    tails = [fixed_point(sub, cls[0][1], check) for cls in classes]
+    tails = [reference_fixed_point(sub, cls[0][1], check, k, False) for cls in classes]
     perm = []
     for i, tail in enumerate(tails):
         img = op.apply_idx(tail)[:check]

@@ -21,7 +21,7 @@ from flowmcg.automorphisms import (
 from flowmcg.errors import InternalCheckError, ResourceLimitError
 from flowmcg.mcg import assemble_mcg
 from flowmcg.pf import cr_check
-from flowmcg.substitution import Substitution, cycle_lengths, fixed_point
+from flowmcg.substitution import Substitution, cycle_lengths
 from flowmcg.words import (
     CHECK_DEPTH,
     INVERSE_RADIUS_BUDGET,
@@ -29,6 +29,8 @@ from flowmcg.words import (
     code_preserves_language,
     compose_codes,
 )
+
+from test_tails import reference_fixed_point
 
 # the ten primitive aperiodic substitutions of test_criterion_09
 FIXED = {
@@ -203,8 +205,9 @@ def reference_table(report):
     """The composition table built as before: each composite is a code over
     every admissible window of its radius, applied to the shift sample."""
     sub = report.sub
-    seed = min(cycle_lengths(sub.first_letter_map()))
-    sample = fixed_point(sub, seed, report.window)
+    cycles = cycle_lengths(sub.first_letter_map())
+    seed = min(cycles)
+    sample = reference_fixed_point(sub, seed, report.window, cycles[seed], False)
     lang = sub.language(4 * report.radius + 1)
     images = [e.apply(sample) for e in report.elements]
     table = []

@@ -121,6 +121,45 @@ def test_every_private_helper_has_a_caller():
     assert orphan_helpers(sources) == []
 
 
+def unread_constants(sources: dict[str, str], owners: set[str]) -> list[str]:
+    """UPPER_CASE names assigned at module level in the `owners` modules and
+    read nowhere in the sources outside their own assignments."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    reads: dict[str, list[int]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id if isinstance(node, ast.Name) else node.attr, []).append(id(node))
+    unread = []
+    for module in sorted(owners):
+        for node in trees[module].body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            names = [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+            own = {id(inner) for inner in ast.walk(node)}
+            unread += [
+                f"{module}:{name} (line {node.lineno})"
+                for name in names
+                if all(ref in own for ref in reads.get(name, []))
+            ]
+    return sorted(unread)
+
+
+def test_the_check_finds_an_unread_constant():
+    sources = {
+        "a.py": "LIMIT = 3\n_CAP = 4\nSTEP: int = 2\nlower = 1\nGROW = GROW + 1\n"
+        "def f():\n    HIDDEN = 1\n    return LIMIT\n",
+        "test_a.py": "import a\na.STEP\na._CAP = 5\n",
+    }
+    assert unread_constants(sources, {"a.py"}) == ["a.py:GROW (line 5)", "a.py:_CAP (line 2)"]
+
+
+def test_every_constant_is_read():
+    sources = {f"src/{p.name}": p.read_text() for p in SRC.glob("*.py")}
+    owners = set(sources)
+    sources.update({f"tests/{p.name}": p.read_text() for p in TESTS.glob("*.py")})
+    assert unread_constants(sources, owners) == []
+
+
 def orphan_members(sources: dict[str, str], owners: set[str]) -> list[str]:
     """Public methods and properties of the public classes in the `owners`
     modules, named nowhere in the sources outside their own definitions.

@@ -117,12 +117,10 @@ def test_fixed_point_matches_repeated_application(rules):
 
 @pytest.mark.parametrize("rules", [{"0": "01", "1": "10"}, {"0": "01", "1": "0"}], ids=["tm", "fib"])
 def test_one_fixed_point_is_kept_per_seed_and_side(rules):
-    # return words grow the point of the least first-letter seed, the Aut
-    # search its shift-identification sample and the class action its tails
-    # and pads: each reads the one prefix kept for its seed and side
+    # the Aut search grows its shift-identification sample and the class
+    # action its tails and pads: each reads the one prefix kept for its seed
+    # and side
     sub = Substitution.from_rules(rules)
-    for b in range(sub.size):
-        return_words(sub, (b,))
     report = search_automorphisms(sub, 1)
     classes = asymptotic_classes(sub)
     for code in report.codes:
