@@ -44,7 +44,7 @@ from .substitution import (
     is_aperiodic,
     is_primitive,
 )
-from .words import Cylinder, CylinderSet, LanguageTable, section_word, word_idx
+from .words import Cylinder, CylinderSet, section_word, word_idx
 
 @dataclass(frozen=True)
 class DerivedData:
@@ -178,39 +178,6 @@ class GroupElement:
         return f"GroupElement(level={self.level}, vector={self.vector})"
 
 
-@dataclass(frozen=True)
-class TraceValue:
-    """A trace value lam^(-exponent) * element, kept exact."""
-
-    element: FieldElement
-    exponent: int
-    field: NumberField
-
-    def exact(self) -> FieldElement:
-        if self.exponent == 0:
-            return self.element
-        lam_pow = self.field.power(self.field.generator(), self.exponent)
-        return self.element / lam_pow
-
-    def __float__(self) -> float:
-        return float(self.exact())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TraceValue):
-            return self.exact() == other.exact()
-        if isinstance(other, FieldElement):
-            return self.exact() == other
-        if isinstance(other, (int, Fraction)):
-            return self.exact() == self.field.rational(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.exact())
-
-    def __repr__(self) -> str:
-        return f"TraceValue({float(self):.6g})"
-
-
 class DirectLimitGroup:
     """Stationary direct limit of Z^d under a nonnegative integer matrix,
     with order unit and exact trace data."""
@@ -232,8 +199,7 @@ class DirectLimitGroup:
         self.eventual_kernel_basis = tuple(eventual_kernel(n_matrix))
         self._kernel_hnf = hnf_rows(self.eventual_kernel_basis)
         self.order_unit = self.element(0, derived.lengths)
-        unit_trace = trace(self, self.order_unit)
-        if unit_trace.exact() != field.one():
+        if trace(self, self.order_unit) != field.one():
             raise InternalCheckError("order unit trace is not 1")
 
     # -- element plumbing -------------------------------------------------
@@ -311,18 +277,19 @@ def element_equal(group: DirectLimitGroup, g: GroupElement, h: GroupElement) -> 
     return not any((g - h).vector)
 
 
-def trace(group: DirectLimitGroup, g: GroupElement) -> TraceValue:
+def trace(group: DirectLimitGroup, g: GroupElement) -> FieldElement:
     """Exact trace lam^{-m kappa} * mu(base) * (u_N . v)."""
     if g.group is not group:
         raise ValidationError("element belongs to a different presentation")
-    acc = group.field.zero()
+    field = group.field
+    acc = field.zero()
     for coef, x in zip(g.vector, group.u_n):
         if coef:
-            acc = acc + group.field.scal(coef, x)
-    element = group.base_measure * acc
-    return TraceValue(
-        element=element, exponent=g.level * group.derived.kappa, field=group.field
-    )
+            acc = acc + field.scal(coef, x)
+    value = group.base_measure * acc
+    if g.level == 0:
+        return value
+    return value / field.power(field.generator(), g.level * group.derived.kappa)
 
 
 # -- cylinder classes -----------------------------------------------------
@@ -361,36 +328,38 @@ def _single_cylinder_class(group: DirectLimitGroup, word: tuple[int, ...]) -> Gr
         return group.order_unit
     if not sub.language(len(word)).admissible(word):
         raise ValidationError("cylinder word is not admissible")
-    weights = _block_weights(group, word)
+    derived = group.derived
+    weights = _block_weights(derived.eta, derived.return_words, [(word, 1)])
     return _combine_block_weights(group, weights)
 
 
 def _block_weights(
-    group: DirectLimitGroup, word: tuple[int, ...]
+    tiling: Substitution,
+    tiles: Sequence[tuple[int, ...]],
+    terms: Sequence[tuple[tuple[int, ...], int]],
 ) -> tuple[int, dict[tuple[int, ...], int]]:
-    """Weights h(v) over admissible derived s-blocks v: the number of
-    occurrences of `word` that start inside the first tile of the window
-    spelled by v.  The s - 1 tiles after the first are at least |word| - 1
-    long together, so the window holds each such occurrence whole."""
-    derived = group.derived
-    min_len = min(derived.lengths)
-    c = word
-    s = 1 + max(0, -((1 - len(c)) // min_len))  # 1 + ceil((|c|-1)/min_len)
-    blocks = sorted(derived.eta.language(s).blocks_of(s))
+    """Weights h(v) over the admissible s-blocks v of a substitution whose
+    letter i stands for the tile tiles[i]: the sum over the (word,
+    coefficient) terms of the coefficient times the number of occurrences
+    of the word that start inside the first tile of the window spelled by
+    v.  The s - 1 tiles after the first are at least (longest word) - 1
+    long together, so the window holds each such occurrence whole.  Every
+    block gets its weight, zero included."""
+    min_len = min(len(t) for t in tiles)
+    reach = max((len(c) for c, _ in terms), default=0)
+    s = 1 + max(0, -((1 - reach) // min_len))  # 1 + ceil((reach-1)/min_len)
     out: dict[tuple[int, ...], int] = {}
-    for v in blocks:
+    for v in sorted(tiling.language(s).blocks_of(s)):
         window: list[int] = []
         for letter in v:
-            window.extend(derived.return_words[letter])
-        first_len = derived.lengths[v[0]]
-        count = 0
-        for p in range(first_len):
-            if p + len(c) > len(window):
-                raise InternalCheckError("weight window too short for the block")
-            if tuple(window[p : p + len(c)]) == c:
-                count += 1
-        if count:
-            out[v] = count
+            window.extend(tiles[letter])
+        first_len = len(tiles[v[0]])
+        if first_len - 1 + reach > len(window):
+            raise InternalCheckError("weight window too short for the block")
+        out[v] = sum(
+            coeff * sum(tuple(window[p : p + len(c)]) == c for p in range(first_len))
+            for c, coeff in terms
+        )
     return s, out
 
 
@@ -619,18 +588,18 @@ def restrict_class(sub: Substitution, gamma: Mapping, section) -> RestrictedClas
 
     `gamma` maps words (cylinders at offset 0) to integer coefficients; the
     weight of a return word is the gamma-weight summed along it.  Occurrence
-    counts that straddle the end of a return word are resolved by reading
-    every admissible continuation compatible with returning to the section
-    off the language; disagreement between continuations is an error.
-    Supported sections: the whole space and one-letter cylinders on a cycle
-    of the first-letter map.
+    counts that straddle the end of a return word are read off every block
+    of return words that may follow it: the blocks of the derived
+    substitution of a letter section (Durand), or of the substitution
+    itself on the whole space.  Disagreement between two blocks with the
+    same first return word is an error.  Supported sections: the whole
+    space and one-letter cylinders on a cycle of the first-letter map.
     """
     terms = _normalize_gamma(sub, gamma)
-    max_len = max((len(w) for w, _ in terms), default=0)
-
     word = section_word(sub.alphabet, section)
     if word is None:
         returns: tuple[tuple[int, ...], ...] = tuple((a,) for a in range(sub.size))
+        tiling = sub
     elif len(word) != 1:
         raise ValidationError(
             "supported cross sections: whole space or a one-letter cylinder"
@@ -641,58 +610,21 @@ def restrict_class(sub: Substitution, gamma: Mapping, section) -> RestrictedClas
         )
     else:
         returns = return_words(sub, word)
+        tiling = derived_substitution(sub, word[0], returns)
 
-    language = sub.language(max(2, max_len + max(len(r) for r in returns)))
-    weights = tuple(
-        _return_word_weight(language, terms, r, word or (), max_len) for r in returns
-    )
+    weights: dict[int, int] = {}
+    for v, total in _block_weights(tiling, returns, terms)[1].items():
+        if weights.setdefault(v[0], total) != total:
+            raise ValidationError(
+                "weight of a return word depends on the continuation; "
+                "the class does not restrict to this basis"
+            )
     return RestrictedClass(
         section=word,
         return_words=returns,
-        weights=weights,
+        weights=tuple(weights[i] for i in range(len(returns))),
         lengths=tuple(len(r) for r in returns),
     )
-
-
-def _return_word_weight(
-    language: LanguageTable,
-    terms: list[tuple[tuple[int, ...], int]],
-    r: tuple[int, ...],
-    section: tuple[int, ...],
-    max_len: int,
-) -> int:
-    """The gamma-weight of the occurrences starting inside r, the same for
-    every continuation.  The continuations are the admissible blocks
-    r + z with |z| = max_len - 1 that go on with the section word, as far
-    as z reaches (the whole space has the empty word).  Those are exactly
-    the prefixes of concatenated return words that may follow r: an
-    admissible word starting at the letter splits at its occurrences into
-    return words and a prefix of one."""
-    k = len(r)
-    windows = [
-        block
-        for block in language.blocks_of(k + max(0, max_len - 1))
-        if block[:k] == r and block[k : k + len(section)] == section[: len(block) - k]
-    ]
-    if not windows:
-        raise InternalCheckError("no admissible continuation for a return word")
-    values = set()
-    for window in windows:
-        total = 0
-        for word, coeff in terms:
-            if len(word) == 0:
-                total += coeff * k
-                continue
-            for p in range(k):
-                if p + len(word) <= len(window) and window[p : p + len(word)] == word:
-                    total += coeff
-        values.add(total)
-    if len(values) != 1:
-        raise ValidationError(
-            "weight of a return word depends on the continuation; "
-            "the class does not restrict to this basis"
-        )
-    return values.pop()
 
 
 # -- induced action of flow codes -----------------------------------------

@@ -12,6 +12,7 @@ scaling factor mu(C)/mu(D)) works on that presentation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
@@ -19,7 +20,7 @@ from typing import Mapping, Sequence
 
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
 from .numberfield import FieldElement, NumberField
-from .pf import cylinder_measure, pf_data
+from .pf import cylinder_measure, occurrence_measures, pf_data
 from .substitution import SYMBOL_BUDGET, Substitution, cycle_lengths, fixed_point, is_primitive
 from .words import (
     CHECK_DEPTH,
@@ -106,10 +107,20 @@ def return_words(sub: Substitution, w: tuple[int, ...]) -> tuple[tuple[int, ...]
     occurrence, and their gaps, each kept at its first appearance, are the
     return words in order of first occurrence along u.
     """
-    return sub.cached(("return_words", w), lambda: _first_returns(sub, w))
+    return _first_returns(sub, w)[0]
 
 
-def _first_returns(sub: Substitution, w: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def _first_returns(sub: Substitution, w: tuple[int, ...]):
+    """The return words of [w], the power p of their pass, and for every ab
+    in L_2 how many times each gap r starts inside sigma^p(a) in
+    sigma^p(ab); memoised.  Each such start begins an occurrence of r·w that
+    lies whole inside sigma^p(ab), and each occurrence of r·w in a point is
+    counted by exactly one of them, so these counts weigh mu[r·w]
+    (`pf.occurrence_measures`)."""
+    return sub.cached(("return_words", w), lambda: _return_pass(sub, w))
+
+
+def _return_pass(sub: Substitution, w: tuple[int, ...]):
     cycles = cycle_lengths(sub.first_letter_map())
     seed = min(cycles)
     p = cycles[seed]
@@ -123,12 +134,12 @@ def _first_returns(sub: Substitution, w: tuple[int, ...]) -> tuple[tuple[int, ..
         p += cycles[seed]
     spans = dict(zip(sub.two_blocks(), _base_occurrences(sub, w, p)))
     order = [sub.iterate_idx(seed, p)[:2]]
-    gaps = []
+    counts = {}
     for ab in order:
         image, cut, occ = spans[ab]
         order.extend(b for b in dict.fromkeys(zip(image[:cut], image[1:])) if b not in order)
-        gaps.extend(image[a:b] for a, b in zip(occ, occ[1:]) if a < cut)
-    return tuple(dict.fromkeys(gaps))
+        counts[ab] = Counter(image[a:b] for a, b in zip(occ, occ[1:]) if a < cut)
+    return tuple(dict.fromkeys(chain.from_iterable(counts.values()))), p, counts
 
 
 def derived_substitution(
@@ -251,11 +262,10 @@ def induce(sub: Substitution, section) -> ReturnSystem:
 
     if not sub.language(len(word)).admissible(word):
         raise ValidationError("section word is not admissible")
-    returns = return_words(sub, word)
+    returns, p, counts = _first_returns(sub, word)
     alphabet = Alphabet.labels(len(returns))
-    weights = tuple(
-        cylinder_measure(sub, r + word) for r in returns
-    )
+    entry = sub.cached(("entry_measures", word), lambda: occurrence_measures(sub, p, counts))
+    weights = tuple(entry[r] for r in returns)
     base_measure = cylinder_measure(sub, word)
     recoded_sub = None
     if len(word) == 1 and word[0] in cycle_lengths(sub.first_letter_map()):

@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import InternalCheckError, ValidationError
 from .numberfield import (
@@ -333,25 +333,41 @@ def _block_measures(sub: Substitution, n: int) -> dict[tuple[int, ...], FieldEle
 
 
 def _measure_windows(sub: Substitution, n: int) -> dict[tuple[int, ...], FieldElement]:
-    """mu(w) for every w in L_n, in one walk over the windows: lam^-k times
-    the sum over ab in L_2 of mu(ab) times the number of occurrences of w in
-    sigma^k(ab) that start inside sigma^k(a), with min |sigma^k| >= n - 1
-    (Queffelec, LNM 1294, ch. 5)."""
+    """mu(w) for every w in L_n, in one walk over the windows of sigma^k(ab),
+    with min |sigma^k| >= n - 1."""
+    k = sub.growth_power(n - 1)
+    windows = {
+        ab: Counter(image[i : i + n] for i in range(cut))
+        for ab, (image, cut) in zip(sub.two_blocks(), sub.two_block_images(k))
+    }
+    return occurrence_measures(sub, k, windows)
+
+
+def occurrence_measures(
+    sub: Substitution,
+    k: int,
+    counts: Mapping[tuple[int, ...], Mapping[tuple[int, ...], int]],
+) -> dict[tuple[int, ...], FieldElement]:
+    """lam^-k times the sum over ab in L_2 of mu(ab)·counts[ab][x], for
+    every key x, added up as integer coefficients over one common
+    denominator.  When counts[ab][x] is the number of occurrences of a word
+    that start inside sigma^k(a) in sigma^k(ab), each lying whole inside
+    sigma^k(ab), this is the measure of that word's cylinder (Queffelec,
+    LNM 1294, ch. 5): the window x itself here, the return word x followed
+    by the base word in `flows.induce`."""
     field = pf_data(sub).field
     mu2 = sub.cached("two_block_measures", lambda: _two_block_measures(sub))
-    k = sub.growth_power(n - 1)
     scale = field.power(field.generator(), -k)
-    # lam^-k mu(ab) as integer coefficients over one common denominator
     scaled = {ab: mu * scale for ab, mu in mu2.items()}
     den = math.lcm(*(x.den for x in scaled.values()))
     sums: dict[tuple[int, ...], list[int]] = {}
-    for ab, (image, cut) in zip(sub.two_blocks(), sub.two_block_images(k)):
+    for ab, hits_of in counts.items():
         nums = [c * (den // scaled[ab].den) for c in scaled[ab].nums]
-        for w, hits in Counter(image[i : i + n] for i in range(cut)).items():
-            acc = sums.setdefault(w, [0] * field.degree)
+        for x, hits in hits_of.items():
+            acc = sums.setdefault(x, [0] * field.degree)
             for j, c in enumerate(nums):
                 acc[j] += hits * c
-    return {w: field.element_over(sums[w], den) for w in sorted(sums)}
+    return {x: field.element_over(sums[x], den) for x in sorted(sums)}
 
 
 def cylinder_measure(sub: Substitution, word) -> FieldElement:

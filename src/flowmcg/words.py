@@ -39,6 +39,7 @@ class Alphabet:
             if not isinstance(s, str) or not s:
                 raise ValidationError("alphabet symbols must be nonempty strings")
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
+        object.__setattr__(self, "_single_char", all(len(s) == 1 for s in self.symbols))
 
     @classmethod
     def of(cls, symbols: Iterable[str]) -> "Alphabet":
@@ -68,7 +69,7 @@ class Alphabet:
 
     @property
     def single_char(self) -> bool:
-        return all(len(s) == 1 for s in self.symbols)
+        return self._single_char  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
@@ -88,12 +89,12 @@ class Word:
         else comma separated) or from a sequence of symbols."""
         if isinstance(text, str):
             if alphabet.single_char and "," not in text:
-                parts: Sequence[str] = list(text)
+                parts: Sequence[str] = text
             else:
                 parts = [p for p in text.split(",") if p != ""]
         else:
             parts = list(text)
-        return cls(alphabet, tuple(alphabet.index(p) for p in parts))
+        return cls(alphabet, tuple(map(alphabet.index, parts)))
 
     @property
     def text(self) -> str:

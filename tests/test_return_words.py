@@ -8,13 +8,14 @@ import json
 
 import pytest
 
+from flowmcg import pf
 from flowmcg.cli import run
 from flowmcg.errors import InternalCheckError, ResourceLimitError, ValidationError
-from flowmcg.flows import return_words
+from flowmcg.flows import induce, return_words
 from flowmcg.substitution import Substitution, cycle_lengths, fixed_point
 
 from test_cross_sections import CIRCLE
-from test_one_core import RULES
+from test_one_core import IDS as CORPUS_IDS, RULES
 
 REPETITIVITY_CAP = 4096
 ORDER_SCAN_CAP = 200_000
@@ -97,6 +98,19 @@ def test_return_words_match_the_two_stage_construction(rules):
             assert return_words(sub, w) == two_stage_return_words(sub, w), w
 
 
+@pytest.mark.parametrize("rules", RULES, ids=CORPUS_IDS)
+def test_entry_measures_are_the_cylinder_measures(rules):
+    """mu[r·w], read off the return-word pass, against the L_n measure
+    table of r·w, for every admissible w of length 1 to 3."""
+    sub = Substitution.from_rules(rules)
+    lang = sub.language(3)
+    for n in range(1, 4):
+        for w in sorted(lang.blocks_of(n)):
+            system = induce(sub, w)
+            expected = tuple(pf.cylinder_measure(sub, r.idx + w) for r in system.return_words)
+            assert system.weights == expected, w
+
+
 def test_return_words_are_memoised(fib):
     assert return_words(fib, (0, 1)) is return_words(fib, (0, 1))
 
@@ -124,9 +138,20 @@ def test_hard_return_words_follow_a_whole_iterate(hard_point, letter):
     assert return_words(Substitution.from_rules(HARD), (letter,)) == expected
 
 
+def test_hard_entry_measures_build_only_the_letter_table(monkeypatch):
+    # the return words of 2 reach 2,486 symbols; their entry measures come
+    # from the return-word pass, and only mu(2) from a measure table
+    lengths = []
+    windows = pf._measure_windows
+    monkeypatch.setattr(pf, "_measure_windows", lambda sub, n: lengths.append(n) or windows(sub, n))
+    induce(Substitution.from_rules(HARD), (2,))
+    assert lengths == [1]
+
+
 @pytest.mark.parametrize(
-    "argv", [["coinvariants"], ["induce", "--word", "0"], ["induce", "--word", "2"]],
-    ids=["coinvariants", "induce-0", "induce-2"],
+    "argv",
+    [["coinvariants"]] + [["induce", "--word", str(a)] for a in range(4)],
+    ids=["coinvariants"] + [f"induce-{a}" for a in range(4)],
 )
 def test_hard_input_commands_complete(capsys, tmp_path, argv):
     path = tmp_path / "hard.json"
