@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import Mapping, Sequence
 
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
@@ -52,7 +52,10 @@ class ReturnSystem:
     measure.  `recoded_sub` generates `recoded_language`: the substitution
     itself on the whole space, the derived substitution of sigma^c on the
     return words of a one-letter section on a first-letter cycle of length
-    c, and None for longer words and for letters off every cycle.
+    c, and None for longer words and for letters off every cycle.  On a
+    cylinder the return words, weights and `recoded_language` are read off
+    one return-word pass (`_first_returns`) and `base_measure` off
+    `pf.cylinder_measure`, so the checks below compare two computations.
     """
 
     sub: Substitution
@@ -112,11 +115,17 @@ def return_words(sub: Substitution, w: tuple[int, ...]) -> tuple[tuple[int, ...]
 
 def _first_returns(sub: Substitution, w: tuple[int, ...]):
     """The return words of [w], the power p of their pass, and for every ab
-    in L_2 how many times each gap r starts inside sigma^p(a) in
-    sigma^p(ab); memoised.  Each such start begins an occurrence of r·w that
-    lies whole inside sigma^p(ab), and each occurrence of r·w in a point is
-    counted by exactly one of them, so these counts weigh mu[r·w]
-    (`pf.occurrence_measures`)."""
+    in L_2 the word tau(ab): the gaps that start inside sigma^p(a) in
+    sigma^p(ab), in order, each written as the index of its return word;
+    memoised.  The return words are numbered at their first appearance
+    along tau, in the breadth-first 2-block order of `return_words`.
+
+    Each tau(ab) is nonempty, as sigma^p(a) holds w.  Each gap r begins an
+    occurrence of r·w that lies whole inside sigma^p(ab), and each
+    occurrence of r·w in a point is counted by exactly one of them, so the
+    letters of tau(ab) weigh mu[r·w] (`pf.occurrence_measures`).  As
+    u = sigma^p(u), the visits of w along u read tau(u0 u1)·tau(u1 u2)·...,
+    which `_recoded_language` reads."""
     return sub.cached(("return_words", w), lambda: _return_pass(sub, w))
 
 
@@ -132,14 +141,18 @@ def _return_pass(sub: Substitution, w: tuple[int, ...]):
         if all(_contains(sub.iterate_idx(b, p), w) for b in range(sub.size)):
             break
         p += cycles[seed]
-    spans = dict(zip(sub.two_blocks(), _base_occurrences(sub, w, p)))
+    spans = dict(zip(sub.two_blocks(), sub.two_block_images(p)))
+    k = len(w)
     order = [sub.iterate_idx(seed, p)[:2]]
-    counts = {}
+    index: dict[tuple[int, ...], int] = {}
+    tau = {}
     for ab in order:
-        image, cut, occ = spans[ab]
+        image, cut = spans[ab]
         order.extend(b for b in dict.fromkeys(zip(image[:cut], image[1:])) if b not in order)
-        counts[ab] = Counter(image[a:b] for a, b in zip(occ, occ[1:]) if a < cut)
-    return tuple(dict.fromkeys(chain.from_iterable(counts.values()))), p, counts
+        occ = [i for i in range(len(image) - k + 1) if image[i : i + k] == w]
+        gaps = (image[a:b] for a, b in zip(occ, occ[1:]) if a < cut)
+        tau[ab] = tuple(index.setdefault(r, len(index)) for r in gaps)
+    return tuple(index), p, tau
 
 
 def derived_substitution(
@@ -182,54 +195,36 @@ def decompose_into_returns(
     return tuple(out)
 
 
-def _base_occurrences(sub: Substitution, w: tuple[int, ...], p: int):
-    """For every ab in L_2, in order: sigma^p(ab), |sigma^p(a)| and the
-    positions of w in sigma^p(ab)."""
-    k = len(w)
-    for image, cut in sub.two_block_images(p):
-        yield image, cut, [i for i in range(len(image) - k + 1) if image[i : i + k] == w]
-
-
 def _contains(block: tuple[int, ...], w: tuple[int, ...]) -> bool:
     k = len(w)
     return any(block[i : i + k] == w for i in range(len(block) - k + 1))
 
 
-def _recoded_language(
-    sub: Substitution,
-    w: tuple[int, ...],
-    returns: Sequence[tuple[int, ...]],
-    alphabet: Alphabet,
-    n_target: int,
-) -> LanguageTable:
-    """Language of the induced system: decode the visits that follow each
-    occurrence of the base word starting inside sigma^k(a) in sigma^k(ab),
-    ab in L_2, with sigma^k(b) long enough to hold n_target more visits."""
-    index = {r: i for i, r in enumerate(returns)}
-    k = len(w)
-    max_t = max(len(r) for r in returns)
+def _recoded_language(sub: Substitution, w: tuple[int, ...]) -> LanguageTable:
+    """Language of the induced system on [w] to `CHECK_DEPTH`.  The visits
+    along u read tau(u0 u1)·tau(u1 u2)·... and every tau(ab) is nonempty,
+    so the recoded n-blocks are the length-n windows of
+    tau(y0 y1)·...·tau(y(n-1) yn) that start inside tau(y0 y1), over y in
+    L_(n+1); shorter blocks are their prefixes."""
+    returns, _, tau = _first_returns(sub, w)
+    n = CHECK_DEPTH
     distinct: set[tuple[int, ...]] = set()
-    for image, cut, occ in _base_occurrences(sub, w, sub.growth_power(n_target * max_t + k)):
-        seq = []
-        for a, b in zip(occ, occ[1:]):
-            seg = image[a:b]
-            if seg not in index:
-                raise InternalCheckError("decoded segment is not a return word")
-            seq.append(index[seg])
-        for start, pos in enumerate(occ):
-            if pos >= cut:
-                break
-            visits = tuple(seq[start : start + n_target])
-            if len(visits) < n_target:
-                raise InternalCheckError("image too short for the recoded length")
-            distinct.add(visits)
-    blocks = {n: frozenset(v[:n] for v in distinct) for n in range(1, n_target + 1)}
-    return LanguageTable(alphabet, blocks, n_target)
+    for y in sub.language(n + 1).blocks_of(n + 1):
+        head = len(tau[y[:2]])
+        visits = tuple(islice(chain.from_iterable(tau[ab] for ab in zip(y, y[1:])), head + n - 1))
+        for start in range(head):
+            window = visits[start : start + n]
+            if len(window) < n:
+                raise InternalCheckError("visits too short for the recoded length")
+            distinct.add(window)
+    blocks = {m: frozenset(v[:m] for v in distinct) for m in range(1, n + 1)}
+    return LanguageTable(Alphabet.labels(len(returns)), blocks, n)
 
 
 def induce(sub: Substitution, section) -> ReturnSystem:
     """The return system of a cross section: return words in order of first
-    occurrence, exact entry measures, and the recoded language.
+    occurrence, exact entry measures, and the recoded language; memoised
+    per section word, the whole space included.
 
     The section may be a CylinderSet (whole space or a single cylinder) or
     a word in any form `words.word_idx` reads; the empty word is the whole
@@ -240,10 +235,13 @@ def induce(sub: Substitution, section) -> ReturnSystem:
     """
     if not is_primitive(sub):
         raise ValidationError("substitution must be primitive")
+    word = section_word(sub.alphabet, section)
+    return sub.cached(("induce", word), lambda: _induced_system(sub, word))
+
+
+def _induced_system(sub: Substitution, word: tuple[int, ...] | None) -> ReturnSystem:
     data = pf_data(sub)
     field = data.field
-
-    word = section_word(sub.alphabet, section)
     if word is None:
         letters = tuple(Word(sub.alphabet, (a,)) for a in range(sub.size))
         return ReturnSystem(
@@ -262,23 +260,21 @@ def induce(sub: Substitution, section) -> ReturnSystem:
 
     if not sub.language(len(word)).admissible(word):
         raise ValidationError("section word is not admissible")
-    returns, p, counts = _first_returns(sub, word)
-    alphabet = Alphabet.labels(len(returns))
-    entry = sub.cached(("entry_measures", word), lambda: occurrence_measures(sub, p, counts))
-    weights = tuple(entry[r] for r in returns)
+    returns, p, tau = _first_returns(sub, word)
+    entry = occurrence_measures(sub, p, {ab: Counter(visits) for ab, visits in tau.items()})
     base_measure = cylinder_measure(sub, word)
     recoded_sub = None
     if len(word) == 1 and word[0] in cycle_lengths(sub.first_letter_map()):
         recoded_sub = derived_substitution(sub, word[0], returns)
-    recoded_language = _recoded_language(sub, word, returns, alphabet, CHECK_DEPTH)
+    recoded_language = _recoded_language(sub, word)
     return ReturnSystem(
         sub=sub,
         base=CylinderSet.single(Word(sub.alphabet, word)),
         base_word=word,
         return_words=tuple(Word(sub.alphabet, r) for r in returns),
         return_times=tuple(len(r) for r in returns),
-        alphabet=alphabet,
-        weights=weights,
+        alphabet=recoded_language.alphabet,
+        weights=tuple(entry[i] for i in range(len(returns))),
         base_measure=base_measure,
         field=field,
         recoded_sub=recoded_sub,

@@ -353,8 +353,8 @@ def occurrence_measures(
     denominator.  When counts[ab][x] is the number of occurrences of a word
     that start inside sigma^k(a) in sigma^k(ab), each lying whole inside
     sigma^k(ab), this is the measure of that word's cylinder (Queffelec,
-    LNM 1294, ch. 5): the window x itself here, the return word x followed
-    by the base word in `flows.induce`."""
+    LNM 1294, ch. 5): the window x itself here, the return word numbered x
+    followed by the base word in `flows.induce`."""
     field = pf_data(sub).field
     mu2 = sub.cached("two_block_measures", lambda: _two_block_measures(sub))
     scale = field.power(field.generator(), -k)

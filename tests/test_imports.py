@@ -1,9 +1,10 @@
 """Every name a flowmcg module imports is used in that module, no module
 imports another's private name, every private helper it defines has a
 caller, every public method or property is named in the package or its
-tests, and nothing the package runs loads sympy.  Importing the package
-loads none of its modules, the first name looked up on it loads every
-layer, and each CLI command loads only the modules it runs.
+tests, no parameter gains a default, and nothing the package runs
+loads sympy.  Importing the package loads none of its modules, the first
+name looked up on it loads every layer, and each CLI command loads only
+the modules it runs.
 
 `from __future__` imports are directives, so they are exempt from the
 import check."""
@@ -201,6 +202,58 @@ def test_every_public_member_is_named():
     owners = set(sources)
     sources.update({f"tests/{p.name}": p.read_text() for p in TESTS.glob("*.py")})
     assert orphan_members(sources, owners) == []
+
+
+def defaulted_parameters(sources: dict[str, str]) -> set[str]:
+    """`module.function.param` for every parameter with a default value,
+    keyword-only and positional-only ones and those of lambdas included."""
+    found = set()
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            name = getattr(node, "name", "<lambda>")
+            found.update(f"{module}.{name}.{a.arg}" for a in defaulted)
+    return found
+
+
+def test_the_check_finds_defaulted_parameters():
+    sources = {
+        "a": "def f(x, y=1, *, z, w=2): pass\nclass C:\n    def m(self, k=0, /, j=1): pass\n"
+        "g = lambda n=3: n\ndef h(a, *b, **c): pass\n",
+    }
+    assert defaulted_parameters(sources) == {"a.f.y", "a.f.w", "a.m.k", "a.m.j", "a.<lambda>.n"}
+
+
+# every parameter with a default in the package; an option or a budget
+# passed as a defaulted parameter is a new knob, so this set may only shrink
+DEFAULTED = {
+    "automorphisms.search_automorphisms.radius",
+    "cli.run.argv",
+    "coinvariants.derived_proper.base",
+    "coinvariants.build_coinvariants.base",
+    "coinvariants.induced_action.group",
+    "coinvariants.raised.levels",
+    "flows.cocycle_slopes.x0",
+    "flows.cocycle_slopes.k_range",
+    "intpoly._add.c",
+    "intpoly._prod.c",
+    "mcg.assemble_mcg.aut_radius",
+    "mcg.virtually_abelian_report.n_max",
+    "pf.positive_eigenvector.charpoly",
+    "substitution.fixed_point.left",
+    "substitution.from_rules.alphabet",
+    "words.single.offset",
+}
+
+
+def test_no_new_defaulted_parameter():
+    assert defaulted_parameters({p.stem: p.read_text() for p in MODULES}) <= DEFAULTED
 
 
 def imported_roots(source: str) -> set[str]:

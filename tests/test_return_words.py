@@ -1,17 +1,20 @@
 """Return words in one pass over the 2-block images, against the former
 two-stage construction kept here as the reference: a repetitivity bound
 searched in the language, the certified set read off the 2-block images,
-then a fixed-point prefix scanned, doubling up to a cap, to order it."""
+then a fixed-point prefix scanned, doubling up to a cap, to order it.
+The recoded languages of the hard input are checked against the visits
+along a whole iterate, and `induce` against its own memo."""
 
 import itertools
 import json
+import re
 
 import pytest
 
-from flowmcg import pf
+from flowmcg import flows, pf
 from flowmcg.cli import run
 from flowmcg.errors import InternalCheckError, ResourceLimitError, ValidationError
-from flowmcg.flows import induce, return_words
+from flowmcg.flows import induce, restrict_flow_code, return_words, substitution_code
 from flowmcg.substitution import Substitution, cycle_lengths, fixed_point
 
 from test_cross_sections import CIRCLE
@@ -115,6 +118,20 @@ def test_return_words_are_memoised(fib):
     assert return_words(fib, (0, 1)) is return_words(fib, (0, 1))
 
 
+def test_induce_is_memoised_per_section_word(fib):
+    assert induce(fib, (0,)) is induce(fib, "0")
+    assert induce(fib, None) is induce(fib, "")
+
+
+def test_restriction_reuses_the_induced_section(cyclic4, monkeypatch):
+    induce(cyclic4, (0,))
+    calls = []
+    recoded = flows._recoded_language
+    monkeypatch.setattr(flows, "_recoded_language", lambda sub, w: calls.append(w) or recoded(sub, w))
+    restrict_flow_code(substitution_code(cyclic4), "0")
+    assert calls == []
+
+
 def test_a_seed_that_does_not_grow_is_refused():
     # 0 -> 0 has no 2-block, so no image could hold a return word
     with pytest.raises(ValidationError, match="does not grow"):
@@ -148,10 +165,33 @@ def test_hard_entry_measures_build_only_the_letter_table(monkeypatch):
     assert lengths == [1]
 
 
+# the two-letter sections whose visit windows along sigma^12(0) are the
+# whole recoded language; the other six need a longer iterate (sigma^14(0)
+# gives all of theirs)
+SATURATED = ("00", "22", "23", "31", "32", "33")
+
+
+@pytest.mark.parametrize("word", sorted(f"{a}{b}" for a, b in Substitution.from_rules(HARD).two_blocks()))
+def test_hard_recoded_languages_hold_the_visits_along_a_whole_iterate(hard_point, word):
+    """Every run of 12 consecutive visits of the two-letter section along
+    sigma^12(0) is a recoded block, and on the sections that prefix
+    saturates those runs are all of them."""
+    system = induce(Substitution.from_rules(HARD), word)
+    index = {bytes(r.idx): i for i, r in enumerate(system.return_words)}
+    point = bytes(hard_point)
+    occ = [m.start() for m in re.finditer(b"(?=%s)" % re.escape(bytes(map(int, word))), point)]
+    visits = bytes(index[point[a:b]] for a, b in zip(occ, occ[1:]))
+    n = system.recoded_language.n_max
+    along = set(map(tuple, {visits[i : i + n] for i in range(len(visits) - n + 1)}))
+    recoded = system.recoded_language.blocks_of(n)
+    assert along <= recoded
+    assert (along == recoded) == (word in SATURATED)
+
+
 @pytest.mark.parametrize(
     "argv",
-    [["coinvariants"]] + [["induce", "--word", str(a)] for a in range(4)],
-    ids=["coinvariants"] + [f"induce-{a}" for a in range(4)],
+    [["coinvariants"]] + [["induce", "--word", w] for w in ("0", "1", "2", "3", "01", "10", "11", "13", "30")],
+    ids=lambda argv: "-".join(argv[::2]),
 )
 def test_hard_input_commands_complete(capsys, tmp_path, argv):
     path = tmp_path / "hard.json"

@@ -147,14 +147,14 @@ def test_block_frequencies_match_dense_solve(rules):
 @pytest.mark.parametrize("rules", RULES, ids=IDS)
 def test_recoded_language_matches_decoded_blocks(rules):
     sub = Substitution.from_rules(rules)
-    for a in range(sub.size):
-        system = induce(sub, (a,))
+    for w in [(a,) for a in range(sub.size)] + [sub.two_blocks()[-1]]:
+        system = induce(sub, w)
         recoded = system.recoded_language
         expected = reference_recoded_language(
-            sub, (a,), [r.idx for r in system.return_words], recoded.n_max
+            sub, w, [r.idx for r in system.return_words], recoded.n_max
         )
         for n in range(1, recoded.n_max + 1):
-            assert recoded.blocks_of(n) == expected[n], (a, n)
+            assert recoded.blocks_of(n) == expected[n], (w, n)
 
 
 @pytest.mark.parametrize("rules", RULES, ids=IDS)
