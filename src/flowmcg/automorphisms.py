@@ -12,21 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import InternalCheckError, ResourceLimitError, ValidationError
-from .substitution import Substitution, cycle_lengths, fixed_point, is_aperiodic, is_primitive
+from .substitution import Substitution, is_aperiodic, is_primitive
 from .words import (
     CHECK_DEPTH,
     INVERSE_RADIUS_BUDGET,
     LanguageTable,
     SlidingBlockCode,
+    compose_codes,
     inverse_code,
-    shift_offsets,
 )
 
-DEFAULT_RADIUS = 2
-SHIFT_ID_WINDOW = 4096
 # search nodes (window outputs tried) of the candidate search: the known
 # inputs need at most 10,500 (0→01, 1→12, 2→23, 3→30 at radius 2)
 CANDIDATE_BUDGET = 1_000_000
@@ -38,13 +36,13 @@ class AutGroupReport:
     """Automorphisms found at a fixed radius.
 
     `codes` lists every verified code in lexicographic rule order, paired
-    with `inverses`.  `elements` are representatives modulo shift powers;
-    `table` is their composition table (again modulo shift powers).
+    with `inverses`.  `elements` are representatives modulo shift powers,
+    identity first; `table[i][j]` is the element equal to elements[i] after
+    elements[j] modulo shift powers, both decided on the language.
     """
 
     sub: Substitution
     radius: int
-    window: int
     codes: tuple[SlidingBlockCode, ...]
     inverses: tuple[SlidingBlockCode, ...]
     elements: tuple[SlidingBlockCode, ...]
@@ -66,23 +64,28 @@ class QuotientGroup:
 
 
 def _equal_mod_shift(
-    out_a: Sequence[int],
-    radius_a: int,
-    out_b: Sequence[int],
-    radius_b: int,
-    max_offset: int,
+    a: SlidingBlockCode, b: SlidingBlockCode, language: LanguageTable
 ) -> int | None:
-    """Offset k with a = shift^k b on the sample, or None, given each code's
-    output on the same sample and its radius.
+    """The offset k, |k| <= a.radius + b.radius, with a = shift^k b, or None.
 
-    Two matching offsets on a long aperiodic sample would mean the window
-    is periodic; that is reported rather than resolved silently.
+    a = shift^k b exactly when a's rule on the window around 0 equals b's
+    rule on the window around k on every admissible block spanning both
+    windows.  Two matching offsets would mean the language is periodic;
+    that is reported rather than resolved silently.
     """
-    # position t of the point has index t - r in each output array, so
-    # a = shift^k b reads out_a[i] == out_b[i + k + radius_a - radius_b]
-    delta = radius_a - radius_b
-    shifts = range(delta - max_offset, delta + max_offset + 1)
-    hits = [j - delta for j in shift_offsets(out_a, out_b, shifts, max_offset + 1)]
+    ra, rb = a.radius, b.radius
+    hits = []
+    for k in range(-ra - rb, ra + rb + 1):
+        # the block spans positions lo .. hi; each window starts at its own
+        # position minus lo
+        lo, hi = min(-ra, k - rb), max(ra, k + rb)
+        sa, sb = -ra - lo, k - rb - lo
+        ea, eb = sa + 2 * ra + 1, sb + 2 * rb + 1
+        if all(
+            a.rule[w[sa:ea]] == b.rule[w[sb:eb]]
+            for w in language.blocks_of(hi - lo + 1)
+        ):
+            hits.append(k)
     if len(hits) > 1:
         raise InternalCheckError(
             f"shift identification ambiguous: offsets {hits} all match"
@@ -156,28 +159,15 @@ def _enumerate_candidates(
     return blocks, found
 
 
-def _window_indices(
-    seq: Sequence[int], width: int, index: Mapping[tuple[int, ...], int]
-) -> list[int]:
-    """The index of each length-`width` window of seq, in order."""
-    t = tuple(seq)
-    try:
-        return list(map(index.__getitem__, zip(*(t[k:] for k in range(width)))))
-    except KeyError as exc:
-        raise InternalCheckError(
-            f"sample window {exc.args[0]} is not an admissible window"
-        ) from None
-
-
-def search_automorphisms(sub: Substitution, radius: int = DEFAULT_RADIUS) -> AutGroupReport:
+def search_automorphisms(sub: Substitution, radius: int) -> AutGroupReport:
     """Every automorphism realizable at the given radius.
 
     Searches the output assignments on admissible windows, pruned by the
     language to `CHECK_DEPTH` (at most CANDIDATE_BUDGET search nodes), keeps
     the assignments that admit a verified two-sided inverse code, then groups
-    them modulo shift powers.  Shift identification and the composition
-    table read the codes' outputs at the window indices of a fixed-point
-    sample and of its images.
+    them modulo shift powers.  Shifts are identified by comparing rules on
+    the language, and each table entry is the composite code from
+    `compose_codes`, identified the same way.
     """
     if radius < 0:
         raise ValidationError("radius must be nonnegative")
@@ -190,7 +180,13 @@ def search_automorphisms(sub: Substitution, radius: int = DEFAULT_RADIUS) -> Aut
     if is_aperiodic(sub).periodic:
         raise ValidationError("shift is periodic; no automorphism search")
     d = sub.size
-    depth = max(CHECK_DEPTH + 2 * radius, 2 * (radius + INVERSE_RADIUS_BUDGET) + 1)
+    # a radius-2r composite meets radius-r elements at offsets up to 3r,
+    # which reads blocks of length 6r + 1
+    depth = max(
+        CHECK_DEPTH + 2 * radius,
+        2 * (radius + INVERSE_RADIUS_BUDGET) + 1,
+        6 * radius + 1,
+    )
     lang = sub.language(depth)
 
     codes: list[SlidingBlockCode] = []
@@ -212,61 +208,42 @@ def search_automorphisms(sub: Substitution, radius: int = DEFAULT_RADIUS) -> Aut
     if ident not in kept:
         raise InternalCheckError("identity code missing from the search result")
     ident_pos = kept.index(ident)
-    # all codes read the same windows: index the sample's once, and read each
-    # code's image of it off the code's outputs
-    width = 2 * radius + 1
-    index = {w: i for i, w in enumerate(blocks)}
-    seed = min(cycle_lengths(sub.first_letter_map()))
-    sample = fixed_point(sub, seed, SHIFT_ID_WINDOW)
-    at_sample = _window_indices(sample, width, index)
-    images = [tuple(map(outputs.__getitem__, at_sample)) for outputs in kept]
-
-    def shift_to(out: Sequence[int], out_radius: int, r: int) -> int | None:
-        return _equal_mod_shift(out, out_radius, images[r], radius, out_radius + radius)
 
     # identity leads its shift class so the quotient identity is the real one
-    reps: list[int] = [ident_pos]
-    for i in range(len(codes)):
-        if i == ident_pos:
-            continue
-        if all(shift_to(images[i], radius, r) is None for r in reps):
-            reps.append(i)
-    elements = tuple(codes[i] for i in reps)
-    identity_index = 0
+    elements = [codes[ident_pos]]
+    for i, code in enumerate(codes):
+        if i != ident_pos and all(
+            _equal_mod_shift(code, e, lang) is None for e in elements
+        ):
+            elements.append(code)
 
-    # codes[i] after codes[j] is a code of radius 2r whose image of the
-    # sample is codes[i]'s outputs read at the windows of images[j]
-    at_image = {j: _window_indices(images[j], width, index) for j in reps}
     table = []
-    for i in reps:
+    for outer in elements:
         row = []
-        for j in reps:
-            comp_image = tuple(map(kept[i].__getitem__, at_image[j]))
-            hit = None
-            for pos, r in enumerate(reps):
-                if shift_to(comp_image, 2 * radius, r) is not None:
-                    hit = pos
+        for inner in elements:
+            comp = compose_codes(outer, inner, lang)
+            for pos, e in enumerate(elements):
+                if _equal_mod_shift(comp, e, lang) is not None:
+                    row.append(pos)
                     break
-            if hit is None:
+            else:
                 raise InternalCheckError(
                     "composition left the searched set; radius too small"
                 )
-            row.append(hit)
         table.append(tuple(row))
 
     certificate = (
         f"complete at radius {radius}; language checked to depth {CHECK_DEPTH}; "
-        f"shift identification window {SHIFT_ID_WINDOW}"
+        "shifts identified on the language"
     )
     return AutGroupReport(
         sub=sub,
         radius=radius,
-        window=SHIFT_ID_WINDOW,
         codes=tuple(codes),
         inverses=tuple(inverses),
-        elements=elements,
+        elements=tuple(elements),
         table=tuple(table),
-        identity_index=identity_index,
+        identity_index=0,
         certificate=certificate,
     )
 
@@ -284,9 +261,7 @@ def _element_orders(table: Sequence[Sequence[int]], identity: int) -> tuple[int,
     return tuple(orders)
 
 
-def _identify_group(
-    table: Sequence[Sequence[int]], identity: int, orders: Sequence[int]
-) -> str:
+def _identify_group(table: Sequence[Sequence[int]], orders: Sequence[int]) -> str:
     n = len(table)
     if n == 1:
         return "trivial"
@@ -338,7 +313,7 @@ def shift_quotient(report: AutGroupReport) -> QuotientGroup:
         if table[table[i][j]][k] != table[i][table[j][k]]:
             raise InternalCheckError("associativity fails in quotient table")
     orders = _element_orders(table, e)
-    name = _identify_group(table, e, orders)
+    name = _identify_group(table, orders)
     return QuotientGroup(
         order=n,
         table=table,

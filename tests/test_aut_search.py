@@ -5,17 +5,19 @@ that passes the 2-block check across overlaps, and
 `reference_preserving_candidates` keeps those that pass the full language
 check; `search_automorphisms` then filters each one through the inverse and
 round-trip checks.  Swapping it in gives the reference report.
+`sample_offset` and `reference_table` compare the codes' images of a
+fixed-point sample, as shifts and the table were identified before they
+were read off the rules.
 """
 
 import dataclasses
 
 import pytest
 
-from flowmcg import automorphisms, words
+from flowmcg import automorphisms, substitution, words
 from flowmcg.automorphisms import (
     _enumerate_candidates,
     _equal_mod_shift,
-    _window_indices,
     search_automorphisms,
 )
 from flowmcg.errors import InternalCheckError, ResourceLimitError
@@ -201,13 +203,37 @@ def test_codes_preserve_the_language(name, radius):
         assert code_preserves_language(code, lang, lang, CHECK_DEPTH)
 
 
-def reference_table(report):
-    """The composition table built as before: each composite is a code over
-    every admissible window of its radius, applied to the shift sample."""
-    sub = report.sub
+# symbols of the fixed-point prefix the sample oracle compares images on
+SAMPLE = 4096
+
+
+def reference_sample(sub):
+    """The fixed-point prefix of the least seed on a first-letter cycle."""
     cycles = cycle_lengths(sub.first_letter_map())
     seed = min(cycles)
-    sample = reference_fixed_point(sub, seed, report.window, cycles[seed], False)
+    return reference_fixed_point(sub, seed, SAMPLE, cycles[seed], False)
+
+
+def sample_offset(out_a, radius_a, out_b, radius_b):
+    """The offset k, |k| <= radius_a + radius_b, at which two codes' images
+    of the same sample agree as a = shift^k b, or None; at most one may."""
+    # position t of the sample has index t - r in each image
+    hits = []
+    for k in range(-radius_a - radius_b, radius_a + radius_b + 1):
+        j = k + radius_a - radius_b
+        start, stop = max(0, -j), min(len(out_a), len(out_b) - j)
+        if out_a[start:stop] == out_b[start + j : stop + j]:
+            hits.append(k)
+    assert len(hits) <= 1, hits
+    return hits[0] if hits else None
+
+
+def reference_table(report):
+    """The composition table built as before: each composite is a code over
+    every admissible window of its radius, applied to the shift sample and
+    matched against the elements' images of it."""
+    sub = report.sub
+    sample = reference_sample(sub)
     lang = sub.language(4 * report.radius + 1)
     images = [e.apply(sample) for e in report.elements]
     table = []
@@ -219,13 +245,7 @@ def reference_table(report):
             hits = [
                 pos
                 for pos, e in enumerate(report.elements)
-                if _equal_mod_shift(
-                    comp_image,
-                    comp.radius,
-                    images[pos],
-                    e.radius,
-                    comp.radius + e.radius,
-                )
+                if sample_offset(comp_image, comp.radius, images[pos], e.radius)
                 is not None
             ]
             assert len(hits) == 1
@@ -240,12 +260,34 @@ def test_table_matches_composed_codes(name, radius):
     assert report.table == reference_table(report)
 
 
-def test_window_indices():
-    index = {(0, 1): 0, (1, 0): 1, (1, 1): 2}
-    assert _window_indices((0, 1, 1, 0, 1), 2, index) == [0, 2, 1, 0]
-    assert _window_indices((1,), 2, index) == []
-    with pytest.raises(InternalCheckError, match=r"\(0, 0\)"):
-        _window_indices((1, 0, 0, 1), 2, index)
+@pytest.mark.parametrize("name,radius", CASES, ids=[f"{n}-r{r}" for n, r in CASES])
+def test_equal_mod_shift_matches_the_sample(name, radius):
+    sub = Substitution.from_rules(INPUTS[name])
+    report = search_automorphisms(sub, radius=radius)
+    lang = sub.language(4 * radius + 1)
+    sample = reference_sample(sub)
+    images = [code.apply(sample) for code in report.codes]
+    for a, image_a in zip(report.codes, images):
+        for b, image_b in zip(report.codes, images):
+            assert _equal_mod_shift(a, b, lang) == sample_offset(
+                image_a, a.radius, image_b, b.radius
+            )
+
+
+@pytest.mark.parametrize("name", ["tm", "cyclic4"])
+def test_search_grows_no_fixed_point(monkeypatch, name):
+    calls = []
+    grow = substitution.fixed_point
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return grow(*args, **kwargs)
+
+    monkeypatch.setattr(substitution, "fixed_point", counted)
+    monkeypatch.setattr(automorphisms, "fixed_point", counted, raising=False)
+    report = search_automorphisms(Substitution.from_rules(INPUTS[name]), radius=1)
+    assert len(report.elements) > 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["tm", "cyclic4"])
@@ -268,8 +310,13 @@ def test_search_makes_no_language_check_and_no_long_apply(monkeypatch, name):
 
     monkeypatch.setattr(SlidingBlockCode, "apply", recorded)
     report = search_automorphisms(Substitution.from_rules(INPUTS[name]), radius=radius)
-    # the language the search builds: its check depth, or the inverse budget
-    depth = max(CHECK_DEPTH + 2 * radius, 2 * (radius + INVERSE_RADIUS_BUDGET) + 1)
+    # the language the search builds: its check depth, the inverse budget,
+    # or a radius-2r composite compared with radius-r elements
+    depth = max(
+        CHECK_DEPTH + 2 * radius,
+        2 * (radius + INVERSE_RADIUS_BUDGET) + 1,
+        6 * radius + 1,
+    )
     assert len(report.elements) > 1
     assert checks == []
     assert lengths and max(lengths) <= depth

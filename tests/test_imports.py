@@ -233,7 +233,6 @@ def test_the_check_finds_defaulted_parameters():
 # every parameter with a default in the package; an option or a budget
 # passed as a defaulted parameter is a new knob, so this set may only shrink
 DEFAULTED = {
-    "automorphisms.search_automorphisms.radius",
     "cli.run.argv",
     "coinvariants.derived_proper.base",
     "coinvariants.build_coinvariants.base",

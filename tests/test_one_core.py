@@ -13,7 +13,7 @@ from flowmcg.automorphisms import _equal_mod_shift, search_automorphisms
 from flowmcg.errors import InternalCheckError, ValidationError
 from flowmcg.flows import decompose_into_returns, return_words
 from flowmcg.substitution import Substitution, cycle_lengths, fixed_point
-from flowmcg.words import Alphabet, SlidingBlockCode, shift_offsets
+from flowmcg.words import Alphabet, LanguageTable, SlidingBlockCode, compose_codes, shift_offsets
 
 # the ten primitive aperiodic inputs of test_criterion_09, then the first
 # twelve primitive aperiodic draws of its generator (seed 20260822)
@@ -117,9 +117,8 @@ def test_fixed_point_matches_repeated_application(rules):
 
 @pytest.mark.parametrize("rules", [{"0": "01", "1": "10"}, {"0": "01", "1": "0"}], ids=["tm", "fib"])
 def test_one_fixed_point_is_kept_per_seed_and_side(rules):
-    # the Aut search grows its shift-identification sample and the class
-    # action its tails and pads: each reads the one prefix kept for its seed
-    # and side
+    # the class action grows its tails and pads: each reads the one prefix
+    # kept for its seed and side
     sub = Substitution.from_rules(rules)
     report = search_automorphisms(sub, 1)
     classes = asymptotic_classes(sub)
@@ -167,20 +166,34 @@ def test_shift_offsets_all_periodic_offsets():
 
 def test_equal_mod_shift_offsets(fib):
     lang = fib.language(8)
-    sample = fixed_point(fib, 0, 200)
-    ident = SlidingBlockCode.shift_power(fib.alphabet, lang, 0)
-    shift = SlidingBlockCode.shift_power(fib.alphabet, lang, 1)
-    ident_out, shift_out = ident.apply(sample), shift.apply(sample)
-    assert _equal_mod_shift(ident_out, 0, ident_out, 0, 0) == 0
-    assert _equal_mod_shift(shift_out, shift.radius, ident_out, 0, 1) == 1
-    assert _equal_mod_shift(ident_out, 0, shift_out, shift.radius, 1) == -1
+    ident, shift, back = (
+        SlidingBlockCode.shift_power(fib.alphabet, lang, k) for k in (0, 1, -1)
+    )
+    assert _equal_mod_shift(ident, ident, lang) == 0
+    assert _equal_mod_shift(shift, ident, lang) == 1
+    assert _equal_mod_shift(ident, shift, lang) == -1
+    assert _equal_mod_shift(back, ident, lang) == -1
+    # radius-2 composites against radius-1 elements
+    ident1 = SlidingBlockCode(fib.alphabet, fib.alphabet, 1, {w: w[1] for w in lang.blocks_of(3)})
+    for outer, inner, element, k in [
+        (shift, back, ident1, 0),
+        (shift, shift, shift, 1),
+        (back, back, back, -1),
+    ]:
+        composite = compose_codes(outer, inner, lang)
+        assert composite.radius == 2
+        assert _equal_mod_shift(composite, element, lang) == k
 
 
-def test_equal_mod_shift_ambiguous_on_a_periodic_sample():
+def test_equal_mod_shift_ambiguous_on_a_periodic_language():
     alphabet = Alphabet.of("01")
-    ident = SlidingBlockCode(alphabet, alphabet, 0, {(0,): 0, (1,): 1})
-    with pytest.raises(InternalCheckError, match="ambiguous"):
-        _equal_mod_shift(ident.apply((0, 1) * 20), 0, ident.apply((0, 1) * 20), 0, 2)
+    # the language of (01)^infinity, where shift^2 is the identity
+    periodic = {n: frozenset(((0, 1) * n)[i : i + n] for i in (0, 1)) for n in range(1, 6)}
+    lang = LanguageTable(alphabet, periodic, 5)
+    # radius 1, so offsets -2 .. 2 are tried
+    ident = SlidingBlockCode(alphabet, alphabet, 1, {w: w[1] for w in periodic[3]})
+    with pytest.raises(InternalCheckError, match=r"ambiguous: offsets \[-2, 0, 2\]"):
+        _equal_mod_shift(ident, ident, lang)
 
 
 def test_decompose_into_returns_rejects_an_unknown_piece():
