@@ -8,10 +8,9 @@ point at the origin; the leaves of a class share that right point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
-from .errors import InternalCheckError, ValidationError
+from .errors import InternalCheckError, Record, ValidationError
 from .substitution import (
     Substitution,
     cycle_lengths,
@@ -25,8 +24,7 @@ from .words import SlidingBlockCode, shift_offsets
 TAIL_CHECK = 2048
 
 
-@dataclass(frozen=True)
-class AsymptoticClassSet:
+class AsymptoticClassSet(Record):
     """Finitely many classes of asymptotic points, each sharing a forward
     tail; every class carries at least two leaves.  A leaf is its junction
     2-block (b, a) across the origin: the left fixed point ending in b

@@ -9,12 +9,11 @@ radii.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 from typing import Sequence
 
-from .errors import InternalCheckError, ResourceLimitError, ValidationError
+from .errors import InternalCheckError, Record, ResourceLimitError, ValidationError
 from .substitution import Substitution, is_aperiodic, is_primitive
 from .words import (
     CHECK_DEPTH,
@@ -31,8 +30,7 @@ CANDIDATE_BUDGET = 1_000_000
 GROUP_NAME_BOUND = 12
 
 
-@dataclass(frozen=True)
-class AutGroupReport:
+class AutGroupReport(Record):
     """Automorphisms found at a fixed radius.
 
     `codes` lists every verified code in lexicographic rule order, paired
@@ -51,8 +49,7 @@ class AutGroupReport:
     certificate: str
 
 
-@dataclass(frozen=True)
-class QuotientGroup:
+class QuotientGroup(Record):
     """The automorphism group modulo shift powers, as a finite group."""
 
     order: int

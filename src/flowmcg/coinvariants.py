@@ -16,12 +16,11 @@ on a finite quotient of Z^d, d the degree of lam.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Mapping, Sequence
 
-from .errors import InternalCheckError, ValidationError
+from .errors import InternalCheckError, Record, ValidationError
 from .flows import derived_substitution, return_words
 from .intlat import (
     IntMatrix,
@@ -46,8 +45,7 @@ from .substitution import (
 )
 from .words import Cylinder, CylinderSet, section_word, word_idx
 
-@dataclass(frozen=True)
-class DerivedData:
+class DerivedData(Record):
     """Left-proper presentation extracted from a substitution.
 
     ``section`` is the word of the cross section whose return words present
@@ -138,8 +136,7 @@ def derived_proper(sub: Substitution, base: int | str | None = None) -> DerivedD
     )
 
 
-@dataclass(frozen=True, eq=False)
-class GroupElement:
+class GroupElement(Record):
     """An element of the direct limit, as a vector at some level.
 
     The vector is stored reduced modulo the eventual kernel; equality of
@@ -149,6 +146,8 @@ class GroupElement:
     group: "DirectLimitGroup"
     level: int
     vector: tuple[int, ...]
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def raised(self, levels: int = 1) -> "GroupElement":
         v = self.vector
@@ -394,8 +393,7 @@ def _combine_block_weights(
 # -- trace image ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceImage:
+class TraceImage(Record):
     """The Z[1/lam]-module generated by the letter frequencies: the union of
     lam^-k·L over k >= 0, with L the lattice spanned by the u·lam^j, u a
     frequency and j below the degree.  L has full rank, and lam, an
@@ -518,8 +516,7 @@ def _infinitesimal_rank_of(group: DirectLimitGroup) -> int:
     return inf
 
 
-@dataclass(frozen=True)
-class CoinvariantsReport:
+class CoinvariantsReport(Record):
     free_rank: int
     invariant_factors: tuple[int, ...]
     trace_image_description: str
@@ -550,8 +547,7 @@ def coinvariants_report(sub: Substitution) -> CoinvariantsReport:
 # -- restriction to a cross section ---------------------------------------
 
 
-@dataclass(frozen=True)
-class RestrictedClass:
+class RestrictedClass(Record):
     """A class expressed on the return-word basis of a cross section, whose
     word is `section` (None for the whole space)."""
 
@@ -630,8 +626,7 @@ def restrict_class(sub: Substitution, gamma: Mapping, section) -> RestrictedClas
 # -- induced action of flow codes -----------------------------------------
 
 
-@dataclass(frozen=True)
-class ActionReport:
+class ActionReport(Record):
     """The action of a flow code on the coinvariants presentation.
 
     `matrix` columns are the images of the level-0 basis classes, written in

@@ -13,12 +13,11 @@ scaling factor mu(C)/mu(D)) works on that presentation.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, islice
 from typing import Mapping, Sequence
 
-from .errors import InternalCheckError, ResourceLimitError, ValidationError
+from .errors import InternalCheckError, Record, ResourceLimitError, ValidationError
 from .numberfield import FieldElement, NumberField
 from .pf import cylinder_measure, occurrence_measures, pf_data
 from .substitution import SYMBOL_BUDGET, Substitution, cycle_lengths, fixed_point, is_primitive
@@ -41,8 +40,7 @@ RELATION_P_MAX = 6
 RELATION_Q_MAX = 12
 
 
-@dataclass(frozen=True)
-class ReturnSystem:
+class ReturnSystem(Record):
     """A cross section recoded on its return words.
 
     `base` is the cylinder defining the section, or None for the target of
@@ -282,8 +280,7 @@ def _induced_system(sub: Substitution, word: tuple[int, ...] | None) -> ReturnSy
     )
 
 
-@dataclass(frozen=True)
-class FlowCode:
+class FlowCode(Record):
     """A conjugacy between two recoded cross sections, with verified
     inverse.  Validation is bounded: `verified_depth` records how far the
     language checks ran; it is a certificate depth, not a proof."""
@@ -378,8 +375,7 @@ def _substitution_code(source: ReturnSystem) -> FlowCode:
         Word(source.sub.alphabet, source.sub.apply_idx(r.idx))
         for r in source.return_words
     )
-    target = replace(
-        source,
+    target = source.replace(
         base=None,
         base_word=None,
         return_words=images,
@@ -534,8 +530,7 @@ def compose_flow_codes(fc1: FlowCode, fc2: FlowCode) -> FlowCode:
     )
 
 
-@dataclass(frozen=True)
-class CocycleProfile:
+class CocycleProfile(Record):
     """Per-step slopes of the orbit-equivalence cocycle along one orbit:
     the ratio of the landing return time to the departing return time."""
 

@@ -12,12 +12,11 @@ kernel. Elimination over Q is one fraction-free Gauss–Jordan routine,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .errors import InternalCheckError
+from .errors import InternalCheckError, Record
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -260,8 +259,7 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> IntMatrix:
     return mat_from(out)
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     """A finitely generated subgroup of Q^n: rows/den, the rows in the
     Hermite form of `hnf_rows`."""
 

@@ -11,12 +11,11 @@ runs only when called.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, isqrt
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .errors import InternalCheckError, ValidationError
+from .errors import InternalCheckError, Record, ValidationError
 from .intpoly import is_perfect_power, is_prime
 
 if TYPE_CHECKING:
@@ -27,8 +26,7 @@ if TYPE_CHECKING:
     from .words import SlidingBlockCode
 
 
-@dataclass(frozen=True)
-class ZPart:
+class ZPart(Record):
     """Image of the scaling homomorphism: infinite cyclic, with the
     canonical substitution code mapping to the expansion factor."""
 
@@ -38,8 +36,7 @@ class ZPart:
     note: str
 
 
-@dataclass(frozen=True)
-class FinitePart:
+class FinitePart(Record):
     class_count: int
     bound: int
     action: tuple[int, ...]
@@ -49,8 +46,7 @@ class FinitePart:
     description: str | None
 
 
-@dataclass(frozen=True)
-class McgReport:
+class McgReport(Record):
     sub: Substitution
     lam: AlgebraicNumber
     cr: BalanceVerdict
@@ -211,8 +207,7 @@ def assemble_mcg(sub: Substitution, aut_radius: int = 1) -> McgReport:
 # Sturmian dichotomy
 
 
-@dataclass(frozen=True)
-class Surd:
+class Surd(Record):
     """The quadratic irrational (a + b*sqrt(d)) / c with integer entries."""
 
     a: int
@@ -243,8 +238,7 @@ class Surd:
 NON_QUADRATIC = "non-quadratic"
 
 
-@dataclass(frozen=True)
-class SturmianVerdict:
+class SturmianVerdict(Record):
     kind: str  # TrivialMCG | IsomorphicToZ | NotApplicable
     reason: str
     minpoly: tuple[int, int, int] | None = None
@@ -309,8 +303,7 @@ def sturmian_classify(beta) -> SturmianVerdict:
 # Odometers
 
 
-@dataclass(frozen=True)
-class OdometerReport:
+class OdometerReport(Record):
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
     coinvariants: str
@@ -354,8 +347,7 @@ def odometer_mcg(preperiod, period) -> OdometerReport:
 # Hierarchical two-measure words
 
 
-@dataclass(frozen=True)
-class HierarchicalWordSpec:
+class HierarchicalWordSpec(Record):
     """Finite stages of the two-symbol hierarchical construction.
 
     Level i+1 concatenates n_values[i] copies of the level-i 0-word and one
@@ -451,8 +443,7 @@ def stage_measure_tables(
 MEASURE_MATCH_THRESHOLD = Fraction(1, 10)
 
 
-@dataclass(frozen=True)
-class MeasureActionReport:
+class MeasureActionReport(Record):
     """Permutation of frequency tables under a code's pushforward."""
 
     permutation: tuple[int, ...]
@@ -546,8 +537,7 @@ def action_on_measures(
 # Virtually-abelian checklist
 
 
-@dataclass(frozen=True)
-class VirtuallyAbelianReport:
+class VirtuallyAbelianReport(Record):
     window: tuple[int, int]
     min_ratio: Fraction
     ergodic_measure_bound: int

@@ -16,12 +16,11 @@ Factoring over Z and the isolation and counting of real roots come from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Sequence
 
-from .errors import InternalCheckError, ValidationError
+from .errors import InternalCheckError, Record, ValidationError
 from .intpoly import count_real_roots, factor, real_root_intervals
 
 
@@ -32,8 +31,7 @@ def eval_ascending(coeffs: Sequence, t: Fraction) -> Fraction:
     return acc
 
 
-@dataclass(frozen=True)
-class AlgebraicNumber:
+class AlgebraicNumber(Record):
     """A real algebraic number, exactly represented."""
 
     minpoly: tuple[int, ...]  # ascending, primitive, irreducible, lead > 0

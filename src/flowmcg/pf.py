@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import InternalCheckError, ValidationError
+from .errors import InternalCheckError, Record, ValidationError
 from .numberfield import (
     AlgebraicNumber,
     FieldElement,
@@ -32,8 +31,7 @@ from .words import word_idx
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class PFData:
+class PFData(Record):
     """Dominant-eigenvalue package of a primitive nonnegative integer matrix.
 
     ``left`` and ``right`` are eigenvectors normalized to coordinate sum 1.
@@ -189,8 +187,7 @@ def is_pisot(obj) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FactorReport:
+class FactorReport(Record):
     poly: tuple[int, ...]
     multiplicity: int
     inside: int
@@ -199,8 +196,7 @@ class FactorReport:
     component_vanishes: bool | None
 
 
-@dataclass(frozen=True)
-class BalanceVerdict:
+class BalanceVerdict(Record):
     """Whether the constant function 1 lies in the contracting cone of the
     transfer action, up to a positive multiple of the frequency vector.
 

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Hashable, Mapping, Sequence, TypeVar
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import Record, ResourceLimitError, ValidationError
 from .words import Alphabet, LanguageTable, Word, windows
 
 if TYPE_CHECKING:
@@ -22,8 +21,7 @@ APERIODICITY_WINDOW = 50
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(Record):
     """A map letter -> nonempty word, extended to words by concatenation."""
 
     alphabet: Alphabet
@@ -282,8 +280,7 @@ def _prefix_counts(sub: Substitution, n_max: int) -> tuple[int, ...]:
     return tuple(accumulate(starts, initial=min(1, len(blocks))))[1:]
 
 
-@dataclass(frozen=True)
-class PeriodicityVerdict:
+class PeriodicityVerdict(Record):
     periodic: bool
     window: int
     period: int | None = None
@@ -297,9 +294,11 @@ def is_aperiodic(sub: Substitution) -> PeriodicityVerdict:
     built: a periodic minimal shift has rational letter frequencies
     (Queffelec, LNM 1294, ch. 5), and a rational positive eigenvector of an
     integer matrix has a rational eigenvalue.  For rational lambda a
-    complexity screen decides: p(n) <= n for some n <= APERIODICITY_WINDOW
-    forces periodicity.  The counts p(1..APERIODICITY_WINDOW) are read off
-    the sorted L_{APERIODICITY_WINDOW}.
+    complexity screen decides: p(n) <= n for some n <= W = APERIODICITY_WINDOW
+    forces periodicity.  As p(1) >= 2 and p is nondecreasing, that n forces
+    p(m) = p(m+1) for some m < n, so p is constant from m on and p(W) <= W;
+    the converse is n = W.  So p(W) > W is the aperiodic verdict, and only a
+    periodic one reads p(1..W) off the sorted L_W to find the period.
 
     A periodic verdict exhibits a word w with the subshift equal to the orbit
     closure of w repeated. An aperiodic verdict of the screen is certified
@@ -316,22 +315,19 @@ def is_aperiodic(sub: Substitution) -> PeriodicityVerdict:
             periodic_word=Word(sub.alphabet, (0,)),
         )
     _chi, _factors, lam = dominant_eigenvalue(sub)
-    if not lam.is_rational:
-        return PeriodicityVerdict(periodic=False, window=APERIODICITY_WINDOW)
-    for n, q in enumerate(complexity_profile(sub, APERIODICITY_WINDOW), start=1):
-        if q <= n:
-            # p is nondecreasing and p(q) = p(q+1) = q here; period is q
-            lang_q = sub.language(2 * q)
-            for w in sorted(lang_q.blocks_of(q)):
-                if lang_q.admissible(w + w):
-                    return PeriodicityVerdict(
-                        periodic=True,
-                        window=APERIODICITY_WINDOW,
-                        period=q,
-                        periodic_word=Word(sub.alphabet, w),
-                    )
-            raise ValidationError("complexity bound hit but no periodic word found")
-    return PeriodicityVerdict(periodic=False, window=APERIODICITY_WINDOW)
+    window = APERIODICITY_WINDOW
+    if not lam.is_rational or len(sub.language(window).blocks_of(window)) > window:
+        return PeriodicityVerdict(periodic=False, window=window)
+    # the first n with p(n) = q <= n: p is nondecreasing and p(q) = p(q+1) = q
+    # there, so the period is q
+    q = next(q for n, q in enumerate(complexity_profile(sub, window), start=1) if q <= n)
+    lang_q = sub.language(2 * q)
+    for w in sorted(lang_q.blocks_of(q)):
+        if lang_q.admissible(w + w):
+            return PeriodicityVerdict(
+                periodic=True, window=window, period=q, periodic_word=Word(sub.alphabet, w)
+            )
+    raise ValidationError("complexity bound hit but no periodic word found")
 
 
 def fixed_point(

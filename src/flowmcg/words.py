@@ -12,10 +12,9 @@ Block codes compose (`compose_codes`), are checked against a language
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import InternalCheckError, ValidationError
+from .errors import InternalCheckError, Record, ValidationError
 
 # symbols of each overlap that shift_offsets compares before copying the rest
 _HEAD = 16
@@ -26,8 +25,7 @@ INVERSE_RADIUS_BUDGET = 6
 CHECK_DEPTH = 12
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Record):
     symbols: tuple[str, ...]
 
     def __post_init__(self) -> None:
@@ -72,8 +70,7 @@ class Alphabet:
         return self._single_char  # type: ignore[attr-defined]
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     alphabet: Alphabet
     idx: tuple[int, ...]
 
@@ -87,14 +84,7 @@ class Word:
     def parse(cls, alphabet: Alphabet, text: str | Sequence[str]) -> "Word":
         """Parse from a string (per character when symbols are single chars,
         else comma separated) or from a sequence of symbols."""
-        if isinstance(text, str):
-            if alphabet.single_char and "," not in text:
-                parts: Sequence[str] = text
-            else:
-                parts = [p for p in text.split(",") if p != ""]
-        else:
-            parts = list(text)
-        return cls(alphabet, tuple(map(alphabet.index, parts)))
+        return cls(alphabet, _parse_idx(alphabet, text))
 
     @property
     def text(self) -> str:
@@ -115,15 +105,29 @@ class Word:
         return f"Word({self.text!r})"
 
 
+def _parse_idx(alphabet: Alphabet, text: str | Sequence[str]) -> tuple[int, ...]:
+    """The letter indices `Word.parse` reads; `Alphabet.index` rejects an
+    unknown symbol, so every index is in range."""
+    if isinstance(text, str):
+        if alphabet.single_char and "," not in text:
+            parts: Sequence[str] = text
+        else:
+            parts = [p for p in text.split(",") if p != ""]
+    else:
+        parts = list(text)
+    return tuple(map(alphabet.index, parts))
+
+
 def word_idx(alphabet: Alphabet, item) -> tuple[int, ...]:
     """Letter indices of a word given as a Word over `alphabet`, a string
-    (read by Word.parse) or a sequence of letter indices."""
+    (read as by Word.parse, with no Word built) or a sequence of letter
+    indices."""
     if isinstance(item, Word):
         if item.alphabet != alphabet:
             raise ValidationError("word is over a different alphabet")
         return item.idx
     if isinstance(item, str):
-        return Word.parse(alphabet, item).idx
+        return _parse_idx(alphabet, item)
     try:
         idx = tuple(operator.index(a) for a in item)
     except TypeError:
@@ -174,8 +178,7 @@ def shift_offsets(
             yield j
 
 
-@dataclass
-class LanguageTable:
+class LanguageTable(Record):
     """Admissible blocks of a subshift, complete for every n <= n_max.
 
     With a `source`, a length missing from `blocks` is generated by it on
@@ -186,6 +189,9 @@ class LanguageTable:
     blocks: dict[int, frozenset[tuple[int, ...]]]
     n_max: int
     source: Callable[[int], frozenset[tuple[int, ...]]] | None = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
 
     def blocks_of(self, n: int) -> frozenset[tuple[int, ...]]:
         if n == 0:
@@ -209,16 +215,14 @@ class LanguageTable:
         return len(self.blocks_of(n))
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(Record):
     """Points whose coordinates starting at `offset` spell `word`."""
 
     word: Word
     offset: int = 0
 
 
-@dataclass(frozen=True)
-class CylinderSet:
+class CylinderSet(Record):
     """A finite union of cylinders, used as a cross section or a test set."""
 
     cylinders: tuple[Cylinder, ...]
@@ -280,8 +284,7 @@ def _cylinders_overlap(c1: Cylinder, c2: Cylinder, language: LanguageTable) -> b
     return False
 
 
-@dataclass(frozen=True)
-class SlidingBlockCode:
+class SlidingBlockCode(Record):
     """A block map: the output at position i is rule[input window i-r .. i+r].
 
     The rule need only cover admissible windows of the intended domain.

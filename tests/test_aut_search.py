@@ -10,8 +10,6 @@ fixed-point sample, as shifts and the table were identified before they
 were read off the rules.
 """
 
-import dataclasses
-
 import pytest
 
 from flowmcg import automorphisms, substitution, words
@@ -352,7 +350,7 @@ def test_quotient_larger_than_class_count_is_refused(monkeypatch):
 
     def enlarged(report):
         group = quotient(report)
-        return dataclasses.replace(group, order=len(group.table) + 1)
+        return group.replace(order=len(group.table) + 1)
 
     # assemble_mcg imports the quotient from its home module when called
     monkeypatch.setattr(automorphisms, "shift_quotient", enlarged)

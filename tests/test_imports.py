@@ -274,6 +274,13 @@ def test_only_the_polynomial_layers_import_sympy():
     assert users == []
 
 
+def test_no_module_imports_dataclasses():
+    """Value types subclass `errors.Record`, which generates no code, so no
+    module pays for `dataclasses` and the `inspect` it loads."""
+    users = sorted(p.name for p in SRC.glob("*.py") if "dataclasses" in imported_roots(p.read_text()))
+    assert users == []
+
+
 # Modules a command loads besides the package, `cli` and `errors`, and its
 # exit status.  `{name}` stands for the file of one of the INPUTS.
 INPUTS = {
@@ -308,7 +315,8 @@ def test_the_cli_runs_without_loading_sympy(tmp_path):
     `analyze` inputs no Aut search, coinvariants or flows, and
     `hierarchical --tables` only `words` besides the closed forms' modules.  Importing the
     package alone loads none of its modules, and the first name looked up on
-    it loads every layer."""
+    it loads every layer.  Neither a command nor that lookup loads
+    `dataclasses` or `inspect`."""
     files = {}
     for name, rules in INPUTS.items():
         files[name] = tmp_path / f"{name}.json"
@@ -323,7 +331,8 @@ def test_the_cli_runs_without_loading_sympy(tmp_path):
         "elif argv is not None:\n"
         "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         "        status = flowmcg.cli.run(argv)\n"
-        "print(json.dumps([status, sorted(m for m in sys.modules if m.split('.')[0] in ('flowmcg', 'sympy'))]))\n"
+        "roots = ('flowmcg', 'sympy', 'dataclasses', 'inspect')\n"
+        "print(json.dumps([status, sorted(m for m in sys.modules if m.split('.')[0] in roots)]))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
 
