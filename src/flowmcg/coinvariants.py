@@ -43,7 +43,7 @@ from .substitution import (
     is_aperiodic,
     is_primitive,
 )
-from .words import Cylinder, CylinderSet, section_word, word_idx
+from .words import section_word, word_idx
 
 class DerivedData(Record):
     """Left-proper presentation extracted from a substitution.
@@ -96,22 +96,14 @@ def derived_proper(sub: Substitution, base: int | str | None = None) -> DerivedD
         section, c_b, zeta = None, 1, sub
         returns = tuple((a,) for a in range(sub.size))
     else:
-        if base is not None:
-            if isinstance(base, str):
-                base_idx = sub.alphabet.index(base)
-            else:
-                (base_idx,) = word_idx(sub.alphabet, (base,))
-            if base_idx not in cycles:
-                raise ValidationError(
-                    "base letter does not begin its own image under any power"
-                )
-            candidates = [base_idx]
+        if base is None:
+            b = min(sorted(cycles), key=lambda a: len(return_words(sub, (a,))))
+        elif isinstance(base, str):
+            b = sub.alphabet.index(base)
         else:
-            candidates = sorted(cycles)
-        found = [(return_words(sub, (b,)), b) for b in candidates]
-        returns, b = min(found, key=lambda rb: len(rb[0]))
-        section, c_b = (b,), cycles[b]
-        zeta = derived_substitution(sub, b, returns)
+            (b,) = word_idx(sub.alphabet, (base,))
+        zeta = derived_substitution(sub, b)
+        section, c_b, returns = (b,), cycles[b], return_words(sub, (b,))
 
     e = 1
     current = zeta
@@ -197,9 +189,15 @@ class DirectLimitGroup:
         self.dimension = len(n_matrix)
         self.eventual_kernel_basis = tuple(eventual_kernel(n_matrix))
         self._kernel_hnf = hnf_rows(self.eventual_kernel_basis)
-        self.order_unit = self.element(0, derived.lengths)
         if trace(self, self.order_unit) != field.one():
             raise InternalCheckError("order unit trace is not 1")
+
+    @property
+    def order_unit(self) -> GroupElement:
+        """The class of the constant function 1: the return-word lengths.
+        Built on each use, as a stored element would refer back to the
+        group."""
+        return self.element(0, self.derived.lengths)
 
     # -- element plumbing -------------------------------------------------
 
@@ -294,41 +292,19 @@ def trace(group: DirectLimitGroup, g: GroupElement) -> FieldElement:
 # -- cylinder classes -----------------------------------------------------
 
 
-def cylinder_class(group: DirectLimitGroup, item) -> GroupElement:
-    """The class of the indicator of a cylinder (or a disjoint finite union)
-    in the presentation.
-
-    Only the word matters: shifting a cylinder changes the indicator by a
-    coboundary, so the offset is ignored.  The empty word gives the order
-    unit.
+def cylinder_class(group: DirectLimitGroup, word) -> GroupElement:
+    """The class of the indicator of the cylinder of a word, in any form
+    `words.word_idx` reads, in the presentation.  A shift of the cylinder
+    changes the indicator by a coboundary, so its class is the same.  The
+    empty word gives the order unit.
     """
-    sub = group.derived.source
-    if isinstance(item, CylinderSet):
-        words = [word_idx(sub.alphabet, c.word) for c in item.cylinders]
-        # the disjointness check reads blocks across the whole span
-        span = max(c.offset + len(c.word) for c in item.cylinders) - min(
-            c.offset for c in item.cylinders
-        )
-        language = sub.language(max(2, span))
-        item.check_admissible(language)
-        item.check_disjoint(language)
-        total = group.zero()
-        for word in words:
-            total = total + _single_cylinder_class(group, word)
-        return total
-    if isinstance(item, Cylinder):
-        item = item.word
-    return _single_cylinder_class(group, word_idx(sub.alphabet, item))
-
-
-def _single_cylinder_class(group: DirectLimitGroup, word: tuple[int, ...]) -> GroupElement:
-    sub = group.derived.source
-    if len(word) == 0:
-        return group.order_unit
-    if not sub.language(len(word)).admissible(word):
-        raise ValidationError("cylinder word is not admissible")
     derived = group.derived
-    weights = _block_weights(derived.eta, derived.return_words, [(word, 1)])
+    idx = word_idx(derived.source.alphabet, word)
+    if len(idx) == 0:
+        return group.order_unit
+    if not derived.source.language(len(idx)).admissible(idx):
+        raise ValidationError("cylinder word is not admissible")
+    weights = _block_weights(derived.eta, derived.return_words, [(idx, 1)])
     return _combine_block_weights(group, weights)
 
 
@@ -582,14 +558,14 @@ def restrict_class(sub: Substitution, gamma: Mapping, section) -> RestrictedClas
     """Express the class of a cylinder-weight function on the return-word
     basis of a cross section.
 
-    `gamma` maps words (cylinders at offset 0) to integer coefficients; the
-    weight of a return word is the gamma-weight summed along it.  Occurrence
-    counts that straddle the end of a return word are read off every block
-    of return words that may follow it: the blocks of the derived
-    substitution of a letter section (Durand), or of the substitution
-    itself on the whole space.  Disagreement between two blocks with the
-    same first return word is an error.  Supported sections: the whole
-    space and one-letter cylinders on a cycle of the first-letter map.
+    `gamma` maps words to integer coefficients; the weight of a return word
+    is the gamma-weight summed along it.  Occurrence counts that straddle
+    the end of a return word are read off every block of return words that
+    may follow it: the blocks of the derived substitution of a letter
+    section (Durand), or of the substitution itself on the whole space.
+    Disagreement between two blocks with the same first return word is an
+    error.  Supported sections: the whole space and one-letter cylinders on
+    a cycle of the first-letter map.
     """
     terms = _normalize_gamma(sub, gamma)
     word = section_word(sub.alphabet, section)
@@ -600,13 +576,9 @@ def restrict_class(sub: Substitution, gamma: Mapping, section) -> RestrictedClas
         raise ValidationError(
             "supported cross sections: whole space or a one-letter cylinder"
         )
-    elif word[0] not in cycle_lengths(sub.first_letter_map()):
-        raise ValidationError(
-            "section letter does not begin its own image under any power"
-        )
     else:
+        tiling = derived_substitution(sub, word[0])
         returns = return_words(sub, word)
-        tiling = derived_substitution(sub, word[0], returns)
 
     weights: dict[int, int] = {}
     for v, total in _block_weights(tiling, returns, terms)[1].items():
@@ -788,7 +760,7 @@ def _pushforward_class(
     found = False
     for block in sorted(language.blocks_of(n)):
         if code.apply(block) == word:
-            total = total + _single_cylinder_class(group, block)
+            total = total + cylinder_class(group, block)
             found = True
     if not found:
         raise ValidationError("no preimage window; code does not map onto the word")

@@ -1,6 +1,8 @@
 """Base types shared across the package: the exceptions, and `Record`, the
 base of every value type."""
 
+import operator
+
 
 class ValidationError(ValueError):
     """Input outside the stated domain of an operation."""
@@ -27,6 +29,10 @@ class Record:
         own = vars(cls)
         cls._fields = tuple(own.get("__annotations__", ()))
         cls._defaults = {name: own[name] for name in cls._fields if name in own}
+        # an attrgetter does not bind to the instance, and over one name it
+        # gives the bare value where the field tuple is a 1-tuple
+        get = operator.attrgetter(*cls._fields)
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
 
     def __init__(self, *args, **kwargs) -> None:
         fields = self._fields
@@ -45,9 +51,6 @@ class Record:
     def __post_init__(self) -> None:
         pass
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -58,10 +61,10 @@ class Record:
         if other.__class__ is not self.__class__:
             return NotImplemented
         # a tuple compares each field with itself as equal, so `is` decides
-        return other is self or self._values() == other._values()
+        return other is self or self._values(self) == self._values(other)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -69,4 +72,4 @@ class Record:
 
     def replace(self, **changes: object) -> "Record":
         """A copy with the given fields changed, checked by `__post_init__`."""
-        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+        return type(self)(**{**dict(zip(self._fields, self._values(self))), **changes})

@@ -24,7 +24,6 @@ from .substitution import SYMBOL_BUDGET, Substitution, cycle_lengths, fixed_poin
 from .words import (
     CHECK_DEPTH,
     Alphabet,
-    CylinderSet,
     LanguageTable,
     SlidingBlockCode,
     Word,
@@ -43,9 +42,10 @@ RELATION_Q_MAX = 12
 class ReturnSystem(Record):
     """A cross section recoded on its return words.
 
-    `base` is the cylinder defining the section, or None for the target of
-    a substitution code (the substituted copy of a section, which is clopen
-    but not presented as a cylinder here).  `weights` are the exact measures
+    The section is the whole space (`is_whole_space`), the cylinder of
+    `base_word`, or, with neither, the target of a substitution code (the
+    substituted copy of a section, which is clopen but not presented as a
+    cylinder here).  `weights` are the exact measures
     of the entry cylinders, one per return word, in the ambient invariant
     measure.  `recoded_sub` generates `recoded_language`: the substitution
     itself on the whole space, the derived substitution of sigma^c on the
@@ -56,8 +56,7 @@ class ReturnSystem(Record):
     `pf.cylinder_measure`, so the checks below compare two computations.
     """
 
-    sub: Substitution
-    base: CylinderSet | None
+    is_whole_space: bool
     base_word: tuple[int, ...] | None
     return_words: tuple[Word, ...]
     return_times: tuple[int, ...]
@@ -85,10 +84,6 @@ class ReturnSystem(Record):
     @property
     def size(self) -> int:
         return len(self.return_words)
-
-    @property
-    def is_whole_space(self) -> bool:
-        return self.base is not None and self.base.is_whole_space
 
 
 def return_words(sub: Substitution, w: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -136,36 +131,41 @@ def _return_pass(sub: Substitution, w: tuple[int, ...]):
     while True:
         if sum(sub.image_lengths(p)) > SYMBOL_BUDGET:
             raise ResourceLimitError("base word not inside every image within the symbol budget")
-        if all(_contains(sub.iterate_idx(b, p), w) for b in range(sub.size)):
+        if all(_starts(sub.iterate_idx(b, p), w) for b in range(sub.size)):
             break
         p += cycles[seed]
     spans = dict(zip(sub.two_blocks(), sub.two_block_images(p)))
-    k = len(w)
     order = [sub.iterate_idx(seed, p)[:2]]
     index: dict[tuple[int, ...], int] = {}
     tau = {}
     for ab in order:
         image, cut = spans[ab]
         order.extend(b for b in dict.fromkeys(zip(image[:cut], image[1:])) if b not in order)
-        occ = [i for i in range(len(image) - k + 1) if image[i : i + k] == w]
+        occ = _starts(image, w)
         gaps = (image[a:b] for a, b in zip(occ, occ[1:]) if a < cut)
         tau[ab] = tuple(index.setdefault(r, len(index)) for r in gaps)
     return tuple(index), p, tau
 
 
-def derived_substitution(
-    sub: Substitution, letter: int, returns: Sequence[tuple[int, ...]]
-) -> Substitution:
+def derived_substitution(sub: Substitution, letter: int) -> Substitution:
     """Durand's derived substitution of sigma^c on the return words of
     `letter`, c the length of the letter's cycle under the first-letter map:
     sigma^c(r) splits into return words, and letter i of the result stands
-    for returns[i]."""
+    for return_words(sub, (letter,))[i]; memoised.  A letter off every
+    cycle raises ValidationError."""
     cycles = cycle_lengths(sub.first_letter_map())
     if letter not in cycles:
         raise ValidationError(
             "letter does not begin its own image under any power"
         )
-    c = cycles[letter]
+    return sub.cached(
+        ("derived_substitution", letter),
+        lambda: _derive(sub, letter, cycles[letter]),
+    )
+
+
+def _derive(sub: Substitution, letter: int, c: int) -> Substitution:
+    returns = return_words(sub, (letter,))
     index = {r: i for i, r in enumerate(returns)}
     labels = Alphabet.labels(len(returns))
     images = []
@@ -193,9 +193,20 @@ def decompose_into_returns(
     return tuple(out)
 
 
-def _contains(block: tuple[int, ...], w: tuple[int, ...]) -> bool:
+def _starts(block: tuple[int, ...], w: tuple[int, ...]) -> list[int]:
+    """Every start of the nonempty word w in block, in order; the slice is
+    compared only at the positions that hold w[0]."""
     k = len(w)
-    return any(block[i : i + k] == w for i in range(len(block) - k + 1))
+    stop = len(block) - k + 1
+    found = []
+    i = -1
+    while True:
+        try:
+            i = block.index(w[0], i + 1, stop)
+        except ValueError:
+            return found
+        if block[i : i + k] == w:
+            found.append(i)
 
 
 def _recoded_language(sub: Substitution, w: tuple[int, ...]) -> LanguageTable:
@@ -224,12 +235,10 @@ def induce(sub: Substitution, section) -> ReturnSystem:
     occurrence, exact entry measures, and the recoded language; memoised
     per section word, the whole space included.
 
-    The section may be a CylinderSet (whole space or a single cylinder) or
-    a word in any form `words.word_idx` reads; the empty word is the whole
-    space.  The offset of a cylinder does not change the recoded system and
-    is ignored.  A one-letter section on a cycle of the first-letter map is
-    recoded by its derived substitution; other sections keep only the
-    recoded language.
+    The section is None or a word in any form `words.word_idx` reads; None
+    and the empty word are the whole space.  A one-letter section on a
+    cycle of the first-letter map is recoded by its derived substitution;
+    other sections keep only the recoded language.
     """
     if not is_primitive(sub):
         raise ValidationError("substitution must be primitive")
@@ -243,8 +252,7 @@ def _induced_system(sub: Substitution, word: tuple[int, ...] | None) -> ReturnSy
     if word is None:
         letters = tuple(Word(sub.alphabet, (a,)) for a in range(sub.size))
         return ReturnSystem(
-            sub=sub,
-            base=CylinderSet.whole_space(sub.alphabet),
+            is_whole_space=True,
             base_word=None,
             return_words=letters,
             return_times=tuple(1 for _ in letters),
@@ -263,11 +271,10 @@ def _induced_system(sub: Substitution, word: tuple[int, ...] | None) -> ReturnSy
     base_measure = cylinder_measure(sub, word)
     recoded_sub = None
     if len(word) == 1 and word[0] in cycle_lengths(sub.first_letter_map()):
-        recoded_sub = derived_substitution(sub, word[0], returns)
+        recoded_sub = derived_substitution(sub, word[0])
     recoded_language = _recoded_language(sub, word)
     return ReturnSystem(
-        sub=sub,
-        base=CylinderSet.single(Word(sub.alphabet, word)),
+        is_whole_space=False,
         base_word=word,
         return_words=tuple(Word(sub.alphabet, r) for r in returns),
         return_times=tuple(len(r) for r in returns),
@@ -295,6 +302,7 @@ class FlowCode(Record):
 
 
 def make_flow_code(
+    sub: Substitution,
     code: SlidingBlockCode,
     source: ReturnSystem,
     target: ReturnSystem,
@@ -334,7 +342,7 @@ def make_flow_code(
             )
     return FlowCode(
         kind=kind,
-        sub=source.sub,
+        sub=sub,
         source=source,
         target=target,
         conjugacy=code,
@@ -348,35 +356,34 @@ def identity_code(sub: Substitution) -> FlowCode:
     code = SlidingBlockCode(
         sub.alphabet, sub.alphabet, 0, {(a,): a for a in range(sub.size)}
     )
-    return make_flow_code(code, sys0, sys0, kind="identity")
+    return make_flow_code(sub, code, sys0, sys0, kind="identity")
 
 
 def automorphism_code(sub: Substitution, code: SlidingBlockCode) -> FlowCode:
     """Wrap a shift automorphism (given as a block code on letters) as a
     flow code from the space to itself."""
     sys0 = induce(sub, None)
-    return make_flow_code(code, sys0, sys0, kind="automorphism")
+    return make_flow_code(sub, code, sys0, sys0, kind="automorphism")
 
 
 def substitution_code(sub: Substitution) -> FlowCode:
     """The canonical flow code of the substitution itself: the space,
     recoded on letters, against its image under one application, recoded
     on image tiles."""
-    return _substitution_code(induce(sub, None))
+    return _substitution_code(sub, induce(sub, None))
 
 
-def _substitution_code(source: ReturnSystem) -> FlowCode:
+def _substitution_code(sub: Substitution, source: ReturnSystem) -> FlowCode:
     """The substitution's flow code from a section to its substituted copy.
     The target has return words sigma(r), entry and base measures scaled by
     1/lambda, and the source's alphabet and recoded data; the conjugacy
     relabels each return word as its image, exact by construction."""
     lam_inv = source.field.inv(source.field.generator())
     images = tuple(
-        Word(source.sub.alphabet, source.sub.apply_idx(r.idx))
-        for r in source.return_words
+        Word(sub.alphabet, sub.apply_idx(r.idx)) for r in source.return_words
     )
     target = source.replace(
-        base=None,
+        is_whole_space=False,
         base_word=None,
         return_words=images,
         return_times=tuple(len(r) for r in images),
@@ -388,7 +395,7 @@ def _substitution_code(source: ReturnSystem) -> FlowCode:
     )
     return FlowCode(
         kind="substitution",
-        sub=source.sub,
+        sub=sub,
         source=source,
         target=target,
         conjugacy=relabel,
@@ -421,7 +428,7 @@ def restrict_flow_code(fc: FlowCode, section) -> FlowCode:
             raise ValidationError("section does not sit inside the source base")
 
     if fc.kind == "substitution":
-        return _substitution_code(induce(fc.sub, word))
+        return _substitution_code(fc.sub, induce(fc.sub, word))
     if fc.conjugacy.radius != 0:
         raise ValidationError(
             "restriction implemented for radius-0 conjugacies only"
@@ -449,14 +456,14 @@ def _restrict_radius0(fc: FlowCode, word: tuple[int, ...]) -> FlowCode:
         raise ValidationError(
             "restriction of an already-induced code is not supported"
         )
-    if fc.target.base is None:
+    if fc.target.base_word is None and not fc.target.is_whole_space:
         raise ValidationError("cannot restrict onto an abstract section")
     # the source is recoded on letters, so the section word is ambient;
     # the image section is spelled out ambiently so its measures stay in
     # the transverse measure of the common flow
     sys_e = induce(sub, word)
     image_recoded = fc.conjugacy.apply(word)
-    sys_f = induce(fc.target.sub, _ambient_word(fc.target, image_recoded, close=True))
+    sys_f = induce(sub, _ambient_word(fc.target, image_recoded, close=True))
     if sys_e.size != sys_f.size:
         raise InternalCheckError("restricted sections disagree on return counts")
     f_index = {w.idx: i for i, w in enumerate(sys_f.return_words)}
@@ -470,7 +477,7 @@ def _restrict_radius0(fc: FlowCode, word: tuple[int, ...]) -> FlowCode:
     if len(set(rule.values())) != sys_f.size:
         raise InternalCheckError("return words of the image section not all hit")
     code = SlidingBlockCode(sys_e.alphabet, sys_f.alphabet, 0, rule)
-    return make_flow_code(code, sys_e, sys_f, kind=fc.kind)
+    return make_flow_code(sub, code, sys_e, sys_f, kind=fc.kind)
 
 
 def compose_flow_codes(fc1: FlowCode, fc2: FlowCode) -> FlowCode:
@@ -501,7 +508,7 @@ def compose_flow_codes(fc1: FlowCode, fc2: FlowCode) -> FlowCode:
         if not middle_ok:
             raise ValidationError("automorphism codes with mismatched sections")
         composite = compose_codes(fc2.conjugacy, fc1.conjugacy, fc1.source.recoded_language)
-        return make_flow_code(composite, fc1.source, fc2.target, kind="automorphism")
+        return make_flow_code(fc1.sub, composite, fc1.source, fc2.target, kind="automorphism")
     if kinds == {"automorphism", "substitution"} and whole:
         aut, tilde = (fc1, fc2) if fc1.kind == "automorphism" else (fc2, fc1)
         if aut.conjugacy.radius != 0:

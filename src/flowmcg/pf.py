@@ -313,16 +313,6 @@ def _two_block_measures(sub: Substitution) -> dict[tuple[int, ...], FieldElement
     return dict(zip(pairs, vec))
 
 
-def block_frequencies(sub: Substitution, n: int):
-    """Exact frequency of every admissible length-n block, as elements of
-    the field of the dominant eigenvalue."""
-    if n < 0:
-        raise ValidationError("block length must be nonnegative")
-    if n == 0:
-        return {(): pf_data(sub).field.one()}
-    return dict(_block_measures(sub, n))
-
-
 def _block_measures(sub: Substitution, n: int) -> dict[tuple[int, ...], FieldElement]:
     """mu(w) for every w in L_n, memoised on the substitution."""
     return sub.cached(("block_measures", n), lambda: _measure_windows(sub, n))

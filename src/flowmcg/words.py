@@ -1,4 +1,4 @@
-"""Finite words, languages, cylinder sets, sliding block codes.
+"""Finite words, languages, sliding block codes.
 
 Symbols are arbitrary strings; internally every word is a tuple of integer
 indices into an Alphabet. Words render as plain strings when every symbol is a
@@ -136,19 +136,11 @@ def word_idx(alphabet: Alphabet, item) -> tuple[int, ...]:
 
 
 def section_word(alphabet: Alphabet, section) -> tuple[int, ...] | None:
-    """The word of a cross section given as None, a CylinderSet (the whole
-    space or one cylinder) or a word `word_idx` reads; None stands for the
-    whole space, and so does the empty word."""
+    """The word of a cross section, which is the cylinder of a word given in
+    any form `word_idx` reads; None, for the whole space, is also what the
+    empty word gives."""
     if section is None:
         return None
-    if isinstance(section, CylinderSet):
-        if section.alphabet != alphabet:
-            raise ValidationError("section is over a different alphabet")
-        if section.is_whole_space:
-            return None
-        if len(section.cylinders) != 1:
-            raise ValidationError("sections must be the whole space or one cylinder")
-        return section.cylinders[0].word.idx
     return word_idx(alphabet, section) or None
 
 
@@ -213,75 +205,6 @@ class LanguageTable(Record):
 
     def complexity(self, n: int) -> int:
         return len(self.blocks_of(n))
-
-
-class Cylinder(Record):
-    """Points whose coordinates starting at `offset` spell `word`."""
-
-    word: Word
-    offset: int = 0
-
-
-class CylinderSet(Record):
-    """A finite union of cylinders, used as a cross section or a test set."""
-
-    cylinders: tuple[Cylinder, ...]
-
-    def __post_init__(self) -> None:
-        if not self.cylinders:
-            raise ValidationError("cylinder set must be a nonempty union")
-        alphs = {c.word.alphabet for c in self.cylinders}
-        if len(alphs) != 1:
-            raise ValidationError("cylinders must share one alphabet")
-
-    @classmethod
-    def single(cls, word: Word, offset: int = 0) -> "CylinderSet":
-        return cls((Cylinder(word, offset),))
-
-    @classmethod
-    def whole_space(cls, alphabet: Alphabet) -> "CylinderSet":
-        return cls((Cylinder(Word(alphabet, ()), 0),))
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.cylinders[0].word.alphabet
-
-    @property
-    def is_whole_space(self) -> bool:
-        return any(len(c.word) == 0 for c in self.cylinders)
-
-    def check_admissible(self, language: LanguageTable) -> None:
-        for c in self.cylinders:
-            if not language.admissible(c.word):
-                raise ValidationError(f"cylinder word {c.word.text!r} is not admissible")
-
-    def check_disjoint(self, language: LanguageTable) -> None:
-        """Pairwise disjointness, decided inside the language."""
-        cs = self.cylinders
-        for i in range(len(cs)):
-            for j in range(i + 1, len(cs)):
-                if _cylinders_overlap(cs[i], cs[j], language):
-                    raise ValidationError(
-                        f"cylinders {cs[i]} and {cs[j]} overlap inside the language"
-                    )
-
-
-def _cylinders_overlap(c1: Cylinder, c2: Cylinder, language: LanguageTable) -> bool:
-    lo = min(c1.offset, c2.offset)
-    hi = max(c1.offset + len(c1.word), c2.offset + len(c2.word))
-    n = hi - lo
-    template: list[int | None] = [None] * n
-    for c in (c1, c2):
-        for k, a in enumerate(c.word.idx):
-            pos = c.offset - lo + k
-            if template[pos] is not None and template[pos] != a:
-                return False
-            template[pos] = a
-    # joint satisfiability: some admissible n-block fills the template
-    for block in language.blocks_of(n):
-        if all(t is None or t == b for t, b in zip(template, block)):
-            return True
-    return False
 
 
 class SlidingBlockCode(Record):
@@ -452,19 +375,3 @@ def _check_roundtrip(
             raise InternalCheckError(
                 f"inverse does not undo the code on window {win}"
             )
-
-
-def code_preserves_language(
-    code: SlidingBlockCode,
-    domain: LanguageTable,
-    codomain: LanguageTable,
-    n_max: int,
-) -> bool:
-    """Images of admissible blocks are admissible, for outputs up to n_max."""
-    usable = max(0, min(n_max, domain.n_max - 2 * code.radius))
-    if language_violation(code, domain, codomain, usable) is not None:
-        return False
-    if usable < n_max:
-        need = usable + 1 + 2 * code.radius
-        raise ValidationError(f"domain language too short: need blocks of length {need}")
-    return True

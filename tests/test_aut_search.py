@@ -26,8 +26,8 @@ from flowmcg.words import (
     CHECK_DEPTH,
     INVERSE_RADIUS_BUDGET,
     SlidingBlockCode,
-    code_preserves_language,
     compose_codes,
+    language_violation,
 )
 
 from test_tails import reference_fixed_point
@@ -115,6 +115,13 @@ def reference_candidates(lang, radius, d, n_check):
     return blocks, found
 
 
+def preserves_language(code, lang, n_check):
+    """Images of admissible blocks are admissible, for outputs up to
+    n_check, read off a language deep enough for all of them."""
+    assert lang.n_max >= n_check + 2 * code.radius
+    return language_violation(code, lang, lang, n_check) is None
+
+
 def reference_preserving_candidates(lang, radius, d, n_check):
     """The reference candidates whose code preserves the language to depth
     n_check, checked in full on each one."""
@@ -122,11 +129,10 @@ def reference_preserving_candidates(lang, radius, d, n_check):
     kept = [
         outputs
         for outputs in found
-        if code_preserves_language(
+        if preserves_language(
             SlidingBlockCode(
                 lang.alphabet, lang.alphabet, radius, dict(zip(blocks, outputs))
             ),
-            lang,
             lang,
             n_check,
         )
@@ -178,11 +184,10 @@ def test_candidates_are_the_language_preserving_assignments(name, radius, extra)
     expected = [
         outputs
         for outputs in ref_found
-        if code_preserves_language(
+        if preserves_language(
             SlidingBlockCode(
                 sub.alphabet, sub.alphabet, radius, dict(zip(blocks, outputs))
             ),
-            lang,
             lang,
             n_check,
         )
@@ -198,7 +203,7 @@ def test_codes_preserve_the_language(name, radius):
     lang = sub.language(CHECK_DEPTH + 2 * radius)
     assert report.codes
     for code in report.codes:
-        assert code_preserves_language(code, lang, lang, CHECK_DEPTH)
+        assert preserves_language(code, lang, CHECK_DEPTH)
 
 
 # symbols of the fixed-point prefix the sample oracle compares images on
@@ -295,10 +300,10 @@ def test_search_makes_no_language_check_and_no_long_apply(monkeypatch, name):
 
     def counted(*args):
         checks.append(args)
-        return code_preserves_language(*args)
+        return language_violation(*args)
 
-    monkeypatch.setattr(words, "code_preserves_language", counted)
-    monkeypatch.setattr(automorphisms, "code_preserves_language", counted, raising=False)
+    monkeypatch.setattr(words, "language_violation", counted)
+    monkeypatch.setattr(automorphisms, "language_violation", counted, raising=False)
     lengths = []
     apply = SlidingBlockCode.apply
 

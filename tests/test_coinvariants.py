@@ -22,7 +22,6 @@ from flowmcg.errors import ValidationError
 from flowmcg.intlat import Lattice, mat_vec
 from flowmcg.pf import pf_data
 from flowmcg.substitution import Substitution, cycle_lengths, incidence_matrix
-from flowmcg.words import Cylinder, CylinderSet, Word
 
 from test_cross_sections import CIRCLE
 from test_one_core import IDS, RULES
@@ -249,15 +248,6 @@ def test_restriction_refuses_a_letter_off_every_cycle(fib):
     # 1 never begins an image of the Fibonacci substitution
     with pytest.raises(ValidationError):
         restrict_class(fib, {"0": 1}, "1")
-
-
-def test_a_union_straddling_the_origin_reads_its_whole_span(fib):
-    # [1] at offset -6 and [00] at offset 1 span 9 symbols
-    one, zero_zero = (Word.parse(fib.alphabet, w) for w in ("1", "00"))
-    union = CylinderSet((Cylinder(one, -6), Cylinder(zero_zero, 1)))
-    g = build_coinvariants(fib)
-    expected = cylinder_class(g, "1") + cylinder_class(g, "00")
-    assert element_equal(g, cylinder_class(g, union), expected)
 
 
 def _basis_traces(g):

@@ -1,10 +1,15 @@
 """The cross-section core: one derived substitution, return-word
-continuations read off the language, and one reader of word arguments."""
+continuations read off the language, one reader of word arguments, and
+nothing kept on a substitution that refers back to it."""
+
+import gc
+import weakref
 
 import pytest
 
 from flowmcg.coinvariants import (
     build_coinvariants,
+    coinvariants_report,
     cylinder_class,
     derived_proper,
     restrict_class,
@@ -19,7 +24,7 @@ from flowmcg.flows import (
 )
 from flowmcg.pf import cylinder_measure
 from flowmcg.substitution import Substitution, cycle_lengths, is_primitive
-from flowmcg.words import Alphabet, Cylinder, CylinderSet, Word, word_idx
+from flowmcg.words import Alphabet, Word, word_idx
 
 from test_one_core import RULES
 
@@ -60,12 +65,12 @@ def test_derived_substitution_recodes_every_letter_on_a_cycle(rules, a):
     assert rec.alphabet == table.alphabet
     for n in range(1, table.n_max + 1):
         assert rec.language(n).blocks_of(n) == table.blocks_of(n), n
-    # the coinvariants' zeta is the same substitution, on the same return
-    # words in the same order
+    # the coinvariants' zeta is the same memoised substitution, on the same
+    # return words in the same order
     derived = derived_proper(sub, base=a)
     assert derived.section == (a,)
     assert derived.return_words == tuple(w.idx for w in system.return_words)
-    assert derived.zeta == rec
+    assert derived_substitution(sub, a) is rec is derived.zeta
 
 
 def test_the_long_cycles_are_covered():
@@ -83,7 +88,7 @@ def test_letters_off_every_cycle_have_no_recoded_substitution(fib):
         assert 1 not in cycle_lengths(sub.first_letter_map())
         assert induce(sub, "1").recoded_sub is None
         with pytest.raises(ValidationError):
-            derived_substitution(sub, 1, ((1, 0), (1,)))
+            derived_substitution(sub, 1)
     assert induce(fib, "01").recoded_sub is None
 
 
@@ -110,6 +115,27 @@ def test_an_empty_word_is_the_whole_space(fib, empty):
     assert restrict_class(fib, {"0": 1}, empty).section is None
     code = substitution_code(fib)
     assert restrict_flow_code(code, empty) is code
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda sub: induce(sub, "0"), lambda sub: induce(sub, "01"), coinvariants_report],
+    ids=["induce-letter", "induce-word", "coinvariants_report"],
+)
+def test_a_substitution_is_freed_by_refcount_after_use(call):
+    """Nothing these calls keep on a substitution or return refers back to
+    it, so it goes with its last reference, the cyclic collector off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sub = Substitution.from_rules({"0": "01", "1": "0"})
+        alive = weakref.ref(sub)
+        call(sub)
+        del sub
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _system(s):
@@ -162,7 +188,7 @@ def test_word_arguments_are_read_alike(fib, name):
     assert call(list(idx)) == expected
 
     foreign = Word(Alphabet.of("ab"), idx)
-    for bad in (foreign, CylinderSet.single(foreign), Cylinder(foreign), idx[:-1] + (2,), 3.5):
+    for bad in (foreign, idx[:-1] + (2,), 3.5):
         with pytest.raises(ValidationError):
             call(bad)
 

@@ -33,8 +33,7 @@ def reference_supertile_section(sub):
     for w in weights:
         base_measure = base_measure + w
     return ReturnSystem(
-        sub=sub,
-        base=None,
+        is_whole_space=False,
         base_word=None,
         return_words=tuple(sub.images),
         return_times=tuple(len(sub.images[a]) for a in range(sub.size)),
@@ -57,8 +56,7 @@ def reference_restricted_code(sub, word):
         Word(sub.alphabet, sub.apply_idx(r.idx)) for r in sys_e.return_words
     )
     target = ReturnSystem(
-        sub=sub,
-        base=None,
+        is_whole_space=False,
         base_word=None,
         return_words=image_returns,
         return_times=tuple(len(r) for r in image_returns),
@@ -106,7 +104,7 @@ def _same_target(got, ref):
     assert got.weights == ref.weights
     assert got.base_measure == ref.base_measure
     assert got.alphabet == ref.alphabet
-    assert got.base is None and got.base_word is None
+    assert not got.is_whole_space and got.base_word is None
 
 
 @pytest.mark.parametrize(

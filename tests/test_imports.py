@@ -1,10 +1,10 @@
 """Every name a flowmcg module imports is used in that module, no module
 imports another's private name, every private helper it defines has a
 caller, every public method or property is named in the package or its
-tests, no parameter gains a default, and nothing the package runs
-loads sympy.  Importing the package loads none of its modules, the first
-name looked up on it loads every layer, and each CLI command loads only
-the modules it runs.
+tests, every `Record` field is read, no parameter gains a default, and
+nothing the package runs loads sympy.  Importing the package loads none of
+its modules, the first name looked up on it loads every layer, and each CLI
+command loads only the modules it runs.
 
 `from __future__` imports are directives, so they are exempt from the
 import check."""
@@ -247,12 +247,76 @@ DEFAULTED = {
     "pf.positive_eigenvector.charpoly",
     "substitution.fixed_point.left",
     "substitution.from_rules.alphabet",
-    "words.single.offset",
 }
 
 
 def test_no_new_defaulted_parameter():
     assert defaulted_parameters({p.stem: p.read_text() for p in MODULES}) <= DEFAULTED
+
+
+def unread_fields(sources: dict[str, str], owners: set[str]) -> list[str]:
+    """`module.Class.field` for every annotated field of a `Record` subclass
+    in the `owners` modules that is read nowhere in the sources outside its
+    class body, by an attribute load or by `getattr` with its literal name."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    reads: dict[str, list[int]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append(id(node))
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr"
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                reads.setdefault(node.args[1].value, []).append(id(node))
+    unread = []
+    for module in sorted(owners):
+        for cls in ast.walk(trees[module]):
+            if not isinstance(cls, ast.ClassDef) or not any(
+                isinstance(base, ast.Name) and base.id == "Record" for base in cls.bases
+            ):
+                continue
+            own = {id(inner) for inner in ast.walk(cls)}
+            unread += [
+                f"{module}.{cls.name}.{node.target.id}"
+                for node in cls.body
+                if isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Name)
+                and all(ref in own for ref in reads.get(node.target.id, []))
+            ]
+    return sorted(unread)
+
+
+def test_the_check_finds_an_unread_field():
+    sources = {
+        "a": "from .errors import Record\nclass P(Record):\n    x: int\n    y: int = 0\n"
+        "    z: int\n    w: int\n    def f(self): return self.y\nclass Q:\n    v: int\n"
+        "def g(p): return p.x, getattr(p, 'z'), getattr(p, 'v' + 'w')\n",
+        "test_a": "import a\na.P(1, 2, 3, 4).w = 5\n",
+    }
+    assert unread_fields(sources, {"a"}) == ["a.P.w", "a.P.y"]
+
+
+# every Record field read nowhere outside its class; a field no code reads
+# is a value carried for nothing, so this set may only shrink
+UNREAD_FIELDS = {
+    "automorphisms.QuotientGroup.identity",
+    "coinvariants.ActionReport.basis_images",
+    "coinvariants.ActionReport.trace_scale",
+    "mcg.FinitePart.aut_report",
+    "mcg.MeasureActionReport.block_length",
+    "mcg.MeasureActionReport.distances",
+}
+
+
+def test_every_record_field_is_read():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    owners = set(sources)
+    sources.update({f"tests/{p.name}": p.read_text() for p in TESTS.glob("*.py")})
+    assert set(unread_fields(sources, owners)) <= UNREAD_FIELDS
 
 
 def imported_roots(source: str) -> set[str]:

@@ -4,7 +4,7 @@ import pytest
 
 from flowmcg.errors import ValidationError
 from flowmcg.numberfield import AlgebraicNumber
-from flowmcg.pf import block_frequencies, cr_check, cylinder_measure, is_pisot, pf_data
+from flowmcg.pf import cr_check, cylinder_measure, is_pisot, pf_data
 from flowmcg.substitution import Substitution
 
 
@@ -87,7 +87,7 @@ def test_cylinder_measure_of_block(fib):
 
 
 def test_block_frequencies_are_a_probability_vector(tm):
-    freqs = block_frequencies(tm, 3)
+    freqs = {b: cylinder_measure(tm, b) for b in tm.language(3).blocks_of(3)}
     field = pf_data(tm).field
     total = field.zero()
     for v in freqs.values():

@@ -3,11 +3,10 @@ import pytest
 from flowmcg.errors import ValidationError
 from flowmcg.words import (
     Alphabet,
-    CylinderSet,
     SlidingBlockCode,
     Word,
-    code_preserves_language,
     compose_codes,
+    language_violation,
 )
 
 
@@ -78,11 +77,12 @@ def test_shift_power_acts_as_translation(fib):
 
 def test_code_preserves_language_detects_violation(tm):
     lang = tm.language(10)
-    # constant map collapses everything onto 000..., not in the language
+    # constant map collapses everything onto 000..., first leaving the
+    # language at length 3
     const = SlidingBlockCode(tm.alphabet, tm.alphabet, 0, {(0,): 0, (1,): 0})
-    assert code_preserves_language(const, lang, lang, 4) is False
+    assert len(language_violation(const, lang, lang, 4)) == 3
     swap = SlidingBlockCode.from_symbol_map(tm.alphabet, tm.alphabet, {"0": "1", "1": "0"})
-    assert code_preserves_language(swap, lang, lang, 6) is True
+    assert language_violation(swap, lang, lang, 6) is None
 
 
 def test_language_table_complexity(fib):
@@ -90,14 +90,3 @@ def test_language_table_complexity(fib):
     assert [lang.complexity(n) for n in range(1, 7)] == [2, 3, 4, 5, 6, 7]
     assert lang.admissible((0, 0)) is True
     assert lang.admissible((1, 1)) is False
-
-
-def test_cylinder_set_validation(ab):
-    w = Word.parse(ab, "01")
-    cs = CylinderSet.single(w)
-    assert not cs.is_whole_space
-    assert cs.alphabet is ab
-    whole = CylinderSet.whole_space(ab)
-    assert whole.is_whole_space
-    with pytest.raises(ValidationError):
-        CylinderSet(())
