@@ -12,10 +12,13 @@ from flowmcg.coinvariants import (
     coinvariants_report,
     cylinder_class,
     derived_proper,
+    element_equal,
     restrict_class,
+    trace,
 )
 from flowmcg.errors import ValidationError
 from flowmcg.flows import (
+    _starts,
     cocycle_slopes,
     derived_substitution,
     induce,
@@ -24,7 +27,7 @@ from flowmcg.flows import (
 )
 from flowmcg.pf import cylinder_measure
 from flowmcg.substitution import Substitution, cycle_lengths, is_primitive
-from flowmcg.words import Alphabet, Word, word_idx
+from flowmcg.words import Alphabet, Word, section_word, word_idx
 
 from test_one_core import RULES
 
@@ -90,6 +93,72 @@ def test_letters_off_every_cycle_have_no_recoded_substitution(fib):
         with pytest.raises(ValidationError):
             derived_substitution(sub, 1)
     assert induce(fib, "01").recoded_sub is None
+
+
+def test_one_check_rejects_a_letter_off_every_cycle(fib):
+    # 1 never begins an image of the Fibonacci substitution; the derived
+    # substitution holds the only check, and every reader of ζ reports it
+    message = "letter does not begin its own image under any power"
+    for call in (
+        lambda: derived_substitution(fib, 1),
+        lambda: derived_proper(fib, base=1),
+        lambda: restrict_class(fib, {"0": 1}, "1"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            call()
+
+
+def _naive_starts(block, w):
+    return [i for i in range(len(block) - len(w) + 1) if block[i : i + len(w)] == w]
+
+
+@pytest.mark.parametrize("rules", RULES + CIRCLE, ids=[_id(r) for r in RULES + CIRCLE])
+def test_the_occurrence_scan_finds_every_start_in_order(rules):
+    sub = Substitution.from_rules(rules)
+    blocks = [sub.iterate_idx(b, p) for b in range(sub.size) for p in (1, 2, 5)]
+    words = [w for n in (1, 2, 3, 4) for w in sorted(sub.language(n).blocks_of(n))]
+    # words outside the language, and one longer than most blocks
+    words += [(0,) * 5, tuple(range(sub.size)) * 2, (sub.size - 1,) * 40]
+    for block in blocks:
+        for w in words:
+            assert _starts(block, w) == _naive_starts(block, w), (block, w)
+
+
+def test_the_occurrence_scan_at_the_edges():
+    assert _starts((0, 0, 0, 0, 0), (0, 0, 0)) == [0, 1, 2]
+    assert _starts((1, 0, 1), (1, 0, 1, 0)) == []
+    # w[0] occurs only where w no longer fits
+    assert _starts((0, 0, 1, 1), (1, 1, 0)) == []
+    assert _starts((0, 0, 1, 1), (1, 1)) == [2]
+    assert _starts((), (0,)) == []
+
+
+@pytest.mark.parametrize("whole", [None, "", (), []])
+def test_section_word_reads_the_whole_space_as_none(fib, whole):
+    assert section_word(fib.alphabet, whole) is None
+    assert section_word(fib.alphabet, "01") == (0, 1)
+    with pytest.raises(ValidationError):
+        section_word(fib.alphabet, "2")
+
+
+def test_a_section_is_whole_a_cylinder_or_a_code_target(fib):
+    whole = induce(fib, None)
+    assert whole.is_whole_space and whole.base_word is None
+    cylinder = induce(fib, "01")
+    assert not cylinder.is_whole_space and cylinder.base_word == (0, 1)
+    target = substitution_code(fib).target
+    assert not target.is_whole_space and target.base_word is None
+
+
+def test_the_order_unit_is_built_on_each_use(fib):
+    g = build_coinvariants(fib)
+    unit = g.order_unit
+    assert unit is not g.order_unit
+    assert element_equal(g, unit, g.order_unit)
+    assert trace(g, unit) == g.field.one()
+    assert element_equal(g, cylinder_class(g, ""), unit)
+    # the cylinders of the letters partition the space
+    assert element_equal(g, cylinder_class(g, "0") + cylinder_class(g, "1"), unit)
 
 
 def test_restriction_reads_continuations_off_the_language(fib):
