@@ -54,7 +54,6 @@ class QuotientGroup(Record):
 
     order: int
     table: tuple[tuple[int, ...], ...]
-    identity: int
     element_orders: tuple[int, ...]
     name: str
     certificate: str
@@ -314,7 +313,6 @@ def shift_quotient(report: AutGroupReport) -> QuotientGroup:
     return QuotientGroup(
         order=n,
         table=table,
-        identity=e,
         element_orders=orders,
         name=name,
         certificate=report.certificate,

@@ -6,9 +6,10 @@ matrix of a left-proper derived substitution (return words of a well-chosen
 letter).  Cylinder indicator classes, the exact trace, its image lattice,
 infinitesimals, restrictions to cross sections, and the automorphisms
 induced by flow codes are all computed in this presentation.  Elements
-are kept reduced modulo the eventual kernel K = ker N^d, so two are equal
-when their difference reduces to 0.  The invariant factors are those of one
-Smith form, of the transition matrix beside its eventual-kernel basis.
+are kept reduced modulo the eventual kernel K = ker N^m, m the multiplicity
+of 0 in det(x - N), so two are equal when their difference reduces to 0.
+The invariant factors are those of one Smith form, of the transition
+matrix beside its eventual-kernel basis.
 Membership in the trace image is a bounded orbit of multiplication by lam
 on a finite quotient of Z^d, d the degree of lam.
 """
@@ -34,7 +35,7 @@ from .intlat import (
     row_reduce,
     transpose,
 )
-from .numberfield import FieldElement, NumberField
+from .numberfield import FieldElement, NumberField, integer_charpoly
 from .pf import PFData, pf_data, positive_eigenvector
 from .substitution import (
     Substitution,
@@ -102,7 +103,7 @@ def derived_proper(sub: Substitution, base: int | str | None = None) -> DerivedD
             b = sub.alphabet.index(base)
         else:
             (b,) = word_idx(sub.alphabet, (base,))
-        zeta = derived_substitution(sub, b)
+        zeta = derived_substitution(sub, (b,))
         section, c_b, returns = (b,), cycles[b], return_words(sub, (b,))
 
     e = 1
@@ -179,6 +180,7 @@ class DirectLimitGroup:
         n_matrix: IntMatrix,
         field: NumberField,
         u_n: tuple[FieldElement, ...],
+        eventual_kernel_basis: tuple[tuple[int, ...], ...],
         base_measure: FieldElement,
     ) -> None:
         self.derived = derived
@@ -187,7 +189,7 @@ class DirectLimitGroup:
         self.u_n = u_n
         self.base_measure = base_measure
         self.dimension = len(n_matrix)
-        self.eventual_kernel_basis = tuple(eventual_kernel(n_matrix))
+        self.eventual_kernel_basis = eventual_kernel_basis
         self._kernel_hnf = hnf_rows(self.eventual_kernel_basis)
         if trace(self, self.order_unit) != field.one():
             raise InternalCheckError("order unit trace is not 1")
@@ -256,18 +258,20 @@ def build_coinvariants(sub: Substitution, base: int | str | None = None) -> Dire
     base_measure = data.left[derived.section[0]] if derived.section else field.one()
     n_matrix = incidence_matrix(derived.eta)
     lam_d = field.power(field.generator(), derived.kappa)
+    chi = integer_charpoly(n_matrix)
     return DirectLimitGroup(
         derived=derived,
         n_matrix=n_matrix,
         field=field,
-        u_n=positive_eigenvector(field, n_matrix, lam_d, transposed=True),
+        u_n=positive_eigenvector(field, n_matrix, lam_d, transposed=True, charpoly=chi),
+        eventual_kernel_basis=tuple(eventual_kernel(n_matrix, chi)),
         base_measure=base_measure,
     )
 
 
 def element_equal(group: DirectLimitGroup, g: GroupElement, h: GroupElement) -> bool:
-    """Equality in the limit: g and h are equal when N^d kills their
-    difference at a common level, i.e. when it lies in K = ker N^d.  Elements
+    """Equality in the limit: g and h are equal when N^m kills their
+    difference at a common level, i.e. when it lies in K = ker N^m.  Elements
     are kept reduced modulo K, so that is when the reduced g - h is 0."""
     if g.group is not group or h.group is not group:
         raise ValidationError("elements belong to a different presentation")
@@ -577,7 +581,7 @@ def restrict_class(sub: Substitution, gamma: Mapping, section) -> RestrictedClas
             "supported cross sections: whole space or a one-letter cylinder"
         )
     else:
-        tiling = derived_substitution(sub, word[0])
+        tiling = derived_substitution(sub, word)
         returns = return_words(sub, word)
 
     weights: dict[int, int] = {}

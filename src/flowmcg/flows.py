@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Mapping, Sequence
 
 from .errors import InternalCheckError, Record, ResourceLimitError, ValidationError
 from .numberfield import FieldElement, NumberField
@@ -48,9 +47,9 @@ class ReturnSystem(Record):
     cylinder here).  `weights` are the exact measures
     of the entry cylinders, one per return word, in the ambient invariant
     measure.  `recoded_sub` generates `recoded_language`: the substitution
-    itself on the whole space, the derived substitution of sigma^c on the
-    return words of a one-letter section on a first-letter cycle of length
-    c, and None for longer words and for letters off every cycle.  On a
+    itself on the whole space, `derived_substitution` on a prefix u of the
+    sigma^c-fixed point grown from u[0] (c the length of u[0]'s cycle under
+    the first-letter map), and None for every other word.  On a
     cylinder the return words, weights and `recoded_language` are read off
     one return-word pass (`_first_returns`) and `base_measure` off
     `pf.cylinder_measure`, so the checks below compare two computations.
@@ -147,50 +146,48 @@ def _return_pass(sub: Substitution, w: tuple[int, ...]):
     return tuple(index), p, tau
 
 
-def derived_substitution(sub: Substitution, letter: int) -> Substitution:
-    """Durand's derived substitution of sigma^c on the return words of
-    `letter`, c the length of the letter's cycle under the first-letter map:
-    sigma^c(r) splits into return words, and letter i of the result stands
-    for return_words(sub, (letter,))[i]; memoised.  A letter off every
-    cycle raises ValidationError."""
-    cycles = cycle_lengths(sub.first_letter_map())
-    if letter not in cycles:
-        raise ValidationError(
-            "letter does not begin its own image under any power"
-        )
-    return sub.cached(
-        ("derived_substitution", letter),
-        lambda: _derive(sub, letter, cycles[letter]),
-    )
+def derived_substitution(sub: Substitution, u: tuple[int, ...]) -> Substitution:
+    """Durand's derived substitution of sigma^c on the return words of u, a
+    prefix of the sigma^c-fixed point grown from u[0], c the length of
+    u[0]'s cycle under the first-letter map; a letter is the case |u| = 1.
+    Letter i of the result stands for return_words(sub, u)[i]; memoised per
+    word.  Any other word raises ValidationError.
+
+    Each return word r begins with u, so sigma^c(r) begins with
+    sigma^c(u), which begins with u, and in every point sigma^c(r) is
+    followed by sigma^c(u).  So the starts of u in sigma^c(r)·u cut
+    sigma^c(r) into return words, by the gap rule of the return pass."""
+    fault = _prefix_fault(sub, u)
+    if fault is not None:
+        raise ValidationError(fault)
+    return sub.cached(("derived_substitution", u), lambda: _derive(sub, u))
 
 
-def _derive(sub: Substitution, letter: int, c: int) -> Substitution:
-    returns = return_words(sub, (letter,))
+def _prefix_fault(sub: Substitution, u: tuple[int, ...]) -> str | None:
+    """Why u is not a prefix of the sigma^c-fixed point grown from u[0], or
+    None when it is."""
+    if u[0] not in cycle_lengths(sub.first_letter_map()):
+        return "letter does not begin its own image under any power"
+    if fixed_point(sub, u[0], len(u)) != u:
+        return "word is not a prefix of the fixed point grown from its first letter"
+    return None
+
+
+def _derive(sub: Substitution, u: tuple[int, ...]) -> Substitution:
+    c = cycle_lengths(sub.first_letter_map())[u[0]]
+    returns = return_words(sub, u)
     index = {r: i for i, r in enumerate(returns)}
     labels = Alphabet.labels(len(returns))
     images = []
     for r in returns:
-        image = tuple(chain.from_iterable(sub.iterate_idx(a, c) for a in r))
-        images.append(Word(labels, decompose_into_returns(image, letter, index)))
-    return Substitution(labels, tuple(images))
-
-
-def decompose_into_returns(
-    word: Sequence[int], letter: int, index: Mapping[tuple[int, ...], int]
-) -> tuple[int, ...]:
-    """Split a word starting and implicitly ending at `letter` occurrences
-    into return-word letters."""
-    occ = [i for i, a in enumerate(word) if a == letter]
-    if not occ or occ[0] != 0:
-        raise InternalCheckError("word does not start at the base letter")
-    pieces = [tuple(word[a:b]) for a, b in zip(occ, occ[1:])]
-    pieces.append(tuple(word[occ[-1]:]))
-    out = []
-    for p in pieces:
-        if p not in index:
+        image = tuple(chain.from_iterable(sub.iterate_idx(a, c) for a in r)) + u
+        cuts = _starts(image, u)
+        # the first piece starts at 0: it is a return word only if u does
+        pieces = [image[a:b] for a, b in zip([0, *cuts[1:]], cuts[1:])]
+        if any(p not in index for p in pieces):
             raise InternalCheckError("decomposition hit an unknown return word")
-        out.append(index[p])
-    return tuple(out)
+        images.append(Word(labels, tuple(index[p] for p in pieces)))
+    return Substitution(labels, tuple(images))
 
 
 def _starts(block: tuple[int, ...], w: tuple[int, ...]) -> list[int]:
@@ -236,9 +233,9 @@ def induce(sub: Substitution, section) -> ReturnSystem:
     per section word, the whole space included.
 
     The section is None or a word in any form `words.word_idx` reads; None
-    and the empty word are the whole space.  A one-letter section on a
-    cycle of the first-letter map is recoded by its derived substitution;
-    other sections keep only the recoded language.
+    and the empty word are the whole space.  A prefix of a fixed point of a
+    power, grown from its first letter, is recoded by its derived
+    substitution; other sections keep only the recoded language.
     """
     if not is_primitive(sub):
         raise ValidationError("substitution must be primitive")
@@ -269,9 +266,7 @@ def _induced_system(sub: Substitution, word: tuple[int, ...] | None) -> ReturnSy
     returns, p, tau = _first_returns(sub, word)
     entry = occurrence_measures(sub, p, {ab: Counter(visits) for ab, visits in tau.items()})
     base_measure = cylinder_measure(sub, word)
-    recoded_sub = None
-    if len(word) == 1 and word[0] in cycle_lengths(sub.first_letter_map()):
-        recoded_sub = derived_substitution(sub, word[0])
+    recoded_sub = None if _prefix_fault(sub, word) else derived_substitution(sub, word)
     recoded_language = _recoded_language(sub, word)
     return ReturnSystem(
         is_whole_space=False,

@@ -2,12 +2,12 @@
 
 Matrices are tuples of row tuples. Kernels are saturated (computed through a
 Smith decomposition with unimodular transforms, by local extended-gcd steps on
-plain ints); the eventual kernel of N is one kernel, of a power of N at or
-above its size. Lattices are row Hermite forms over a common denominator,
-and one routine, `echelon_reduce`, reduces an integer vector by echelon
-rows: it decides lattice membership and picks the representative modulo a
-kernel. Elimination over Q is one fraction-free Gauss–Jordan routine,
-`row_reduce`.
+plain ints); the eventual kernel of N is one kernel, of N^m for m the
+multiplicity of 0 in its characteristic polynomial. Lattices are row
+Hermite forms over a common denominator, and one routine, `echelon_reduce`,
+reduces an integer vector by echelon rows: it decides lattice membership
+and picks the representative modulo a kernel. Elimination over Q is one
+fraction-free Gauss–Jordan routine, `row_reduce`.
 """
 
 from __future__ import annotations
@@ -181,18 +181,23 @@ def right_kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     return basis
 
 
-def eventual_kernel(n_mat: IntMatrix) -> list[tuple[int, ...]]:
-    """Saturated basis of ker(N^m), m the least power of 2 at or above the
-    size d of N (N^m by squaring): the kernels of the powers of N stop
-    growing within d steps, so this is the eventual kernel.
+def eventual_kernel(n_mat: IntMatrix, charpoly: Sequence[int]) -> list[tuple[int, ...]]:
+    """Saturated basis of ker(N^m), m the multiplicity of 0 as a root of
+    `charpoly`, det(x - N) in ascending coefficients: the kernels of the
+    powers of N stop growing at m, the size of N's nilpotent part, so this
+    is the eventual kernel; m = 0 gives none.
 
     It is the kernel of the reduced echelon rows of N^m, cleared of
-    denominators: the same rational row space with small entries.  A Smith
-    form of N^d itself needs transforms of 1,658 bits on the 15x15 derived
-    matrix of 0->01, 1->12, 2->23, 3->30; this one, 3 bits."""
+    denominators: the same rational row space with small entries, zero
+    rows kept so that N^m = 0 keeps its whole kernel.  A Smith form of N^d
+    itself needs transforms of 1,658 bits on the 15x15 derived matrix of
+    0->01, 1->12, 2->23, 3->30; this one, 3 bits."""
+    m = next(k for k, c in enumerate(charpoly) if c)
+    if m == 0:
+        return []
     power = n_mat
-    for _ in range((len(n_mat) - 1).bit_length()):
-        power = mat_mul(power, power)
+    for _ in range(m - 1):
+        power = mat_mul(power, n_mat)
     reduced, _pivots = row_reduce(power)
     rows = []
     for row in reduced:

@@ -19,7 +19,7 @@ from .errors import InternalCheckError, Record, ValidationError
 from .intpoly import is_perfect_power, is_prime
 
 if TYPE_CHECKING:
-    from .automorphisms import AutGroupReport, QuotientGroup
+    from .automorphisms import QuotientGroup
     from .numberfield import AlgebraicNumber
     from .pf import BalanceVerdict
     from .substitution import Substitution
@@ -42,7 +42,6 @@ class FinitePart(Record):
     action: tuple[int, ...]
     action_trivial: bool
     group: QuotientGroup | None
-    aut_report: AutGroupReport | None
     description: str | None
 
 
@@ -117,11 +116,6 @@ def assemble_mcg(sub: Substitution, aut_radius: int = 1) -> McgReport:
     data = pf_data(sub)
     cr = cr_check(sub)
     pisot = is_pisot(sub)
-    if not cr.is_balanced and pisot:
-        caveats.append(
-            "balance check inconclusive but the expansion is Pisot, which "
-            "forces the balanced property"
-        )
 
     tilde = substitution_code(sub)
     value = r_mu(tilde)
@@ -152,11 +146,9 @@ def assemble_mcg(sub: Substitution, aut_radius: int = 1) -> McgReport:
     trivial = action == tuple(range(count))
 
     group: QuotientGroup | None = None
-    aut_report: AutGroupReport | None = None
     description: str | None = None
     if cr.is_balanced:
-        aut_report = search_automorphisms(sub, aut_radius)
-        group = shift_quotient(aut_report)
+        group = shift_quotient(search_automorphisms(sub, aut_radius))
         # Aut/<S> acts freely on the asymptotic classes
         # (Donoso-Durand-Maass-Petite 2016), so its order is at most their count
         if group.order > count:
@@ -196,7 +188,6 @@ def assemble_mcg(sub: Substitution, aut_radius: int = 1) -> McgReport:
             action=action,
             action_trivial=trivial,
             group=group,
-            aut_report=aut_report,
             description=description,
         ),
         caveats=tuple(caveats),
@@ -447,9 +438,7 @@ class MeasureActionReport(Record):
     """Permutation of frequency tables under a code's pushforward."""
 
     permutation: tuple[int, ...]
-    distances: tuple[tuple[Fraction, ...], ...]
     margin: Fraction | None
-    block_length: int
 
 
 def _marginalize(
@@ -527,9 +516,7 @@ def action_on_measures(
         raise InternalCheckError("pushforward did not permute the tables")
     return MeasureActionReport(
         permutation=tuple(perm),
-        distances=distances,
         margin=margin,
-        block_length=n,
     )
 
 

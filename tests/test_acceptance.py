@@ -47,7 +47,7 @@ from flowmcg.mcg import (
     stage_measure_tables,
     sturmian_classify,
 )
-from flowmcg.numberfield import same_real_algebraic
+from flowmcg.numberfield import integer_charpoly, same_real_algebraic
 from flowmcg.pf import cylinder_measure, pf_data
 from flowmcg.substitution import (
     Substitution,
@@ -254,7 +254,7 @@ def test_criterion_09_property_suite(tm, fib, cyclic4, tribonacci):
         matrix = tuple(
             tuple(rng.randint(0, 2) for _ in range(size)) for _ in range(size)
         )
-        basis = eventual_kernel(matrix)
+        basis = eventual_kernel(matrix, integer_charpoly(matrix))
         power = identity(size)
         for _ in range(size):
             power = mat_mul(power, matrix)

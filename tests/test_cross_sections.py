@@ -7,6 +7,7 @@ import weakref
 
 import pytest
 
+from flowmcg import flows
 from flowmcg.coinvariants import (
     build_coinvariants,
     coinvariants_report,
@@ -16,7 +17,7 @@ from flowmcg.coinvariants import (
     restrict_class,
     trace,
 )
-from flowmcg.errors import ValidationError
+from flowmcg.errors import InternalCheckError, ValidationError
 from flowmcg.flows import (
     _starts,
     cocycle_slopes,
@@ -26,8 +27,8 @@ from flowmcg.flows import (
     substitution_code,
 )
 from flowmcg.pf import cylinder_measure
-from flowmcg.substitution import Substitution, cycle_lengths, is_primitive
-from flowmcg.words import Alphabet, Word, section_word, word_idx
+from flowmcg.substitution import Substitution, cycle_lengths, fixed_point, is_primitive
+from flowmcg.words import CHECK_DEPTH, Alphabet, Word, section_word, word_idx
 
 from test_one_core import RULES
 
@@ -73,7 +74,7 @@ def test_derived_substitution_recodes_every_letter_on_a_cycle(rules, a):
     derived = derived_proper(sub, base=a)
     assert derived.section == (a,)
     assert derived.return_words == tuple(w.idx for w in system.return_words)
-    assert derived_substitution(sub, a) is rec is derived.zeta
+    assert derived_substitution(sub, (a,)) is rec is derived.zeta
 
 
 def test_the_long_cycles_are_covered():
@@ -91,8 +92,9 @@ def test_letters_off_every_cycle_have_no_recoded_substitution(fib):
         assert 1 not in cycle_lengths(sub.first_letter_map())
         assert induce(sub, "1").recoded_sub is None
         with pytest.raises(ValidationError):
-            derived_substitution(sub, 1)
-    assert induce(fib, "01").recoded_sub is None
+            derived_substitution(sub, (1,))
+    # 01 is a prefix of the Fibonacci fixed point, so it is recoded
+    assert induce(fib, "01").recoded_sub is not None
 
 
 def test_one_check_rejects_a_letter_off_every_cycle(fib):
@@ -100,12 +102,60 @@ def test_one_check_rejects_a_letter_off_every_cycle(fib):
     # substitution holds the only check, and every reader of ζ reports it
     message = "letter does not begin its own image under any power"
     for call in (
-        lambda: derived_substitution(fib, 1),
+        lambda: derived_substitution(fib, (1,)),
         lambda: derived_proper(fib, base=1),
         lambda: restrict_class(fib, {"0": 1}, "1"),
     ):
         with pytest.raises(ValidationError, match=message):
             call()
+
+
+def _prefixes(sub, length):
+    """Every prefix of length 1 to `length` of a fixed point grown from a
+    letter on a cycle of the first-letter map."""
+    cycles = cycle_lengths(sub.first_letter_map())
+    return [fixed_point(sub, a, k) for a in sorted(cycles) for k in range(1, length + 1)]
+
+
+@pytest.mark.parametrize("rules", RULES, ids=[_id(r) for r in RULES])
+def test_every_prefix_section_is_recoded_by_its_derived_substitution(rules):
+    sub = Substitution.from_rules(rules)
+    for u in _prefixes(sub, 8):
+        system = induce(sub, u)
+        rec = system.recoded_sub
+        assert rec is derived_substitution(sub, u) and is_primitive(rec), u
+        table = system.recoded_language
+        assert rec.alphabet == table.alphabet and table.n_max == CHECK_DEPTH
+        for n in range(1, table.n_max + 1):
+            assert rec.language(n).blocks_of(n) == table.blocks_of(n), (u, n)
+
+
+@pytest.mark.parametrize("name", ["fib", "tm", "tribonacci"])
+def test_a_word_that_is_no_fixed_point_prefix_has_no_recoded_substitution(request, name):
+    sub = request.getfixturevalue(name)
+    cycles = cycle_lengths(sub.first_letter_map())
+    prefixes = set(_prefixes(sub, 4))
+    others = [
+        w
+        for n in (2, 3, 4)
+        for w in sorted(sub.language(n).blocks_of(n))
+        if w[0] in cycles and w not in prefixes
+    ]
+    assert others
+    for w in others:
+        assert induce(sub, w).recoded_sub is None
+        with pytest.raises(ValidationError, match="not a prefix of the fixed point"):
+            derived_substitution(sub, w)
+
+
+def test_the_split_rejects_a_piece_that_is_no_return_word(monkeypatch):
+    # with the last return word of [0] dropped, sigma(01)·0 = 0100 splits
+    # into 01 and a piece 0 that is no longer known
+    sub = Substitution.from_rules({"0": "01", "1": "0"})
+    full = flows.return_words
+    monkeypatch.setattr(flows, "return_words", lambda s, w: full(s, w)[:-1])
+    with pytest.raises(InternalCheckError, match="unknown return word"):
+        derived_substitution(sub, (0,))
 
 
 def _naive_starts(block, w):

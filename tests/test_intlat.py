@@ -6,7 +6,7 @@ Q(lambda)."""
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -14,17 +14,22 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import smith_normal_form
 
-from flowmcg import intlat
-from flowmcg.coinvariants import coinvariants_report
+from flowmcg import coinvariants, intlat, pf
+from flowmcg.coinvariants import build_coinvariants, coinvariants_report
 from flowmcg.errors import ValidationError
 from flowmcg.intlat import (
+    eventual_kernel,
     invariant_factors,
     mat_mul,
+    right_kernel_basis,
     row_reduce,
     smith_with_transform,
 )
+from flowmcg.numberfield import integer_charpoly
 from flowmcg.pf import pf_data, positive_eigenvector
 from flowmcg.substitution import Substitution, incidence_matrix, is_primitive
+
+from test_one_core import RULES
 
 
 def _det(m):
@@ -160,6 +165,71 @@ def test_positive_eigenvector_lies_in_the_kernel(request, name):
             for x, y in zip(row, vec):
                 acc = acc + x * y
             assert acc.is_zero()
+
+
+def _squared_eventual_kernel(n_mat):
+    """The earlier eventual kernel, kept as an oracle: ker N^m for m the least
+    power of 2 at or above the size of N, by squaring."""
+    power = n_mat
+    for _ in range((len(n_mat) - 1).bit_length()):
+        power = mat_mul(power, power)
+    reduced, _pivots = row_reduce(power)
+    rows = [tuple(int(x * lcm(*(y.denominator for y in row))) for x in row) for row in reduced]
+    return right_kernel_basis(tuple(rows))
+
+
+def _random_square_matrices(count, seed):
+    """Square integer matrices up to 6x6: a third with entries in [-2, 2], a
+    third strictly upper triangular (nilpotent) under a shuffle of the
+    coordinates, and a third block diagonal with such a nilpotent block."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randint(1, 6)
+        kind = rng.randrange(3)
+        if kind == 0:
+            yield tuple(tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d))
+            continue
+        k = d if kind == 1 else rng.randint(1, d)
+        m = [[0] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(d):
+                if (i < j < k) or (i >= k and j >= k):
+                    m[i][j] = rng.randint(-2, 2)
+        order = rng.sample(range(d), d)
+        yield tuple(tuple(m[order[i]][order[j]] for j in range(d)) for i in range(d))
+
+
+def test_the_eventual_kernel_is_the_squared_power_kernel_on_random_matrices():
+    matrices = list(_random_square_matrices(600, 19))
+    matrices += [((0,) * d,) * d for d in range(1, 6)]
+    matrices += [tuple(tuple(int(j == i + 1) for j in range(d)) for i in range(d)) for d in range(1, 6)]
+    nilpotent = 0
+    for m in matrices:
+        chi = integer_charpoly(m)
+        assert eventual_kernel(m, chi) == _squared_eventual_kernel(m), m
+        nilpotent += not any(chi[:-1])
+    assert nilpotent > 200
+
+
+@pytest.mark.parametrize("rules", RULES, ids=[",".join(f"{a}>{w}" for a, w in sorted(r.items())) for r in RULES])
+def test_the_eventual_kernel_is_the_squared_power_kernel_on_the_corpus(rules):
+    group = build_coinvariants(Substitution.from_rules(rules))
+    assert group.eventual_kernel_basis == tuple(_squared_eventual_kernel(group.n_matrix))
+
+
+def test_build_coinvariants_computes_the_characteristic_polynomial_of_n_once(monkeypatch):
+    sub = Substitution.from_rules({"0": "01", "1": "12", "2": "23", "3": "30"})
+    pf_data(sub)
+    seen = []
+
+    def counted(m):
+        seen.append(m)
+        return integer_charpoly(m)
+
+    for module in (coinvariants, pf):
+        monkeypatch.setattr(module, "integer_charpoly", counted)
+    group = build_coinvariants(sub)
+    assert seen == [group.n_matrix]
 
 
 def _positive_power_exists(m):

@@ -11,7 +11,7 @@ import pytest
 from flowmcg.asymptotics import _tails_agree, action_on_classes, asymptotic_classes
 from flowmcg.automorphisms import _equal_mod_shift, search_automorphisms
 from flowmcg.errors import InternalCheckError, ValidationError
-from flowmcg.flows import decompose_into_returns, return_words
+from flowmcg.flows import return_words
 from flowmcg.substitution import Substitution, cycle_lengths, fixed_point
 from flowmcg.words import Alphabet, LanguageTable, SlidingBlockCode, compose_codes, shift_offsets
 
@@ -194,10 +194,3 @@ def test_equal_mod_shift_ambiguous_on_a_periodic_language():
     ident = SlidingBlockCode(alphabet, alphabet, 1, {w: w[1] for w in periodic[3]})
     with pytest.raises(InternalCheckError, match=r"ambiguous: offsets \[-2, 0, 2\]"):
         _equal_mod_shift(ident, ident, lang)
-
-
-def test_decompose_into_returns_rejects_an_unknown_piece():
-    index = {(0, 1): 0, (0,): 1}
-    assert decompose_into_returns((0, 1, 0, 0), 0, index) == (0, 1, 1)
-    with pytest.raises(InternalCheckError):
-        decompose_into_returns((0, 1, 1, 0), 0, index)

@@ -7,6 +7,8 @@ from flowmcg.numberfield import AlgebraicNumber
 from flowmcg.pf import cr_check, cylinder_measure, is_pisot, pf_data
 from flowmcg.substitution import Substitution
 
+from test_asymptotics import CORPUS
+
 
 def test_thue_morse_expansion_is_two(tm):
     data = pf_data(tm)
@@ -51,6 +53,18 @@ def test_pisot_verdicts(tm, fib, tribonacci):
     # conjugate (1 - sqrt(13)) / 2 has modulus > 1
     wide = Substitution.from_rules({"0": "0111", "1": "0"})
     assert not is_pisot(wide)
+
+
+def test_a_pisot_expansion_is_always_balanced():
+    # Pisot leaves cr_check no reason to give: every conjugate of lambda
+    # contracts and every other factor lies inside the circle
+    pisot = 0
+    for rules in CORPUS.values():
+        sub = Substitution.from_rules(rules)
+        if is_pisot(sub):
+            pisot += 1
+            assert cr_check(sub).is_balanced, rules
+    assert pisot > 20
 
 
 def test_cr_verdict_exact_for_equal_column_sums(tm, cyclic4):
