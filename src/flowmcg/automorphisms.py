@@ -56,7 +56,6 @@ class QuotientGroup(Record):
     table: tuple[tuple[int, ...], ...]
     element_orders: tuple[int, ...]
     name: str
-    certificate: str
 
 
 def _equal_mod_shift(
@@ -315,5 +314,4 @@ def shift_quotient(report: AutGroupReport) -> QuotientGroup:
         table=table,
         element_orders=orders,
         name=name,
-        certificate=report.certificate,
     )

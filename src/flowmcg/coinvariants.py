@@ -51,7 +51,7 @@ class DerivedData(Record):
 
     ``section`` is the word of the cross section whose return words present
     the shift, None for the whole space (as in ``ReturnSystem.base_word``).
-    ``zeta`` is the one-step derived substitution on those return words (the
+    ``zeta`` is ``flows.derived_substitution`` on that section (the
     substitution itself on the whole space), ``eta`` its left-proper power;
     return words realize eta's letters inside the original shift.
     """
@@ -61,7 +61,6 @@ class DerivedData(Record):
     cycle_length: int
     zeta: Substitution
     eta: Substitution
-    proper_power: int
     kappa: int
     return_words: tuple[tuple[int, ...], ...]
     lengths: tuple[int, ...]
@@ -94,17 +93,15 @@ def derived_proper(sub: Substitution, base: int | str | None = None) -> DerivedD
 
     cycles = cycle_lengths(sub.first_letter_map())
     if base is None and sub.is_left_proper() and sub.is_right_proper():
-        section, c_b, zeta = None, 1, sub
-        returns = tuple((a,) for a in range(sub.size))
+        section = None
+    elif base is None:
+        section = (min(sorted(cycles), key=lambda a: len(return_words(sub, (a,)))),)
+    elif isinstance(base, str):
+        section = (sub.alphabet.index(base),)
     else:
-        if base is None:
-            b = min(sorted(cycles), key=lambda a: len(return_words(sub, (a,))))
-        elif isinstance(base, str):
-            b = sub.alphabet.index(base)
-        else:
-            (b,) = word_idx(sub.alphabet, (base,))
-        zeta = derived_substitution(sub, (b,))
-        section, c_b, returns = (b,), cycles[b], return_words(sub, (b,))
+        section = word_idx(sub.alphabet, (base,))
+    zeta = derived_substitution(sub, section)
+    returns = return_words(sub, section)
 
     e = 1
     current = zeta
@@ -116,13 +113,13 @@ def derived_proper(sub: Substitution, base: int | str | None = None) -> DerivedD
             )
         current = zeta.power(e)
     eta = current
+    c_b = cycles[section[0]] if section else 1
     return DerivedData(
         source=sub,
         section=section,
         cycle_length=c_b,
         zeta=zeta,
         eta=eta,
-        proper_power=e,
         kappa=c_b * e,
         return_words=returns,
         lengths=tuple(len(r) for r in returns),
@@ -142,7 +139,7 @@ class GroupElement(Record):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def raised(self, levels: int = 1) -> "GroupElement":
+    def raised(self, levels: int) -> "GroupElement":
         v = self.vector
         for _ in range(levels):
             v = mat_vec(self.group.n_matrix, v)
@@ -534,7 +531,6 @@ class RestrictedClass(Record):
     section: tuple[int, ...] | None
     return_words: tuple[tuple[int, ...], ...]
     weights: tuple[int, ...]
-    lengths: tuple[int, ...]
 
     def as_group_element(self, group: DirectLimitGroup) -> GroupElement:
         if self.section != group.derived.section:
@@ -565,24 +561,17 @@ def restrict_class(sub: Substitution, gamma: Mapping, section) -> RestrictedClas
     `gamma` maps words to integer coefficients; the weight of a return word
     is the gamma-weight summed along it.  Occurrence counts that straddle
     the end of a return word are read off every block of return words that
-    may follow it: the blocks of the derived substitution of a letter
-    section (Durand), or of the substitution itself on the whole space.
-    Disagreement between two blocks with the same first return word is an
-    error.  Supported sections: the whole space and one-letter cylinders on
-    a cycle of the first-letter map.
+    may follow it: the blocks of `flows.derived_substitution` on the
+    section, σ itself on the whole space and Durand's derived substitution
+    on a prefix section.  Disagreement between two blocks with the same
+    first return word is an error.  Supported sections: the whole space and
+    every prefix u of the σ^c-fixed point grown from u[0], c the length of
+    u[0]'s cycle under the first-letter map.
     """
     terms = _normalize_gamma(sub, gamma)
     word = section_word(sub.alphabet, section)
-    if word is None:
-        returns: tuple[tuple[int, ...], ...] = tuple((a,) for a in range(sub.size))
-        tiling = sub
-    elif len(word) != 1:
-        raise ValidationError(
-            "supported cross sections: whole space or a one-letter cylinder"
-        )
-    else:
-        tiling = derived_substitution(sub, word)
-        returns = return_words(sub, word)
+    tiling = derived_substitution(sub, word)
+    returns = return_words(sub, word)
 
     weights: dict[int, int] = {}
     for v, total in _block_weights(tiling, returns, terms)[1].items():
@@ -595,7 +584,6 @@ def restrict_class(sub: Substitution, gamma: Mapping, section) -> RestrictedClas
         section=word,
         return_words=returns,
         weights=tuple(weights[i] for i in range(len(returns))),
-        lengths=tuple(len(r) for r in returns),
     )
 
 

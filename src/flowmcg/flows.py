@@ -46,35 +46,29 @@ class ReturnSystem(Record):
     substituted copy of a section, which is clopen but not presented as a
     cylinder here).  `weights` are the exact measures
     of the entry cylinders, one per return word, in the ambient invariant
-    measure.  `recoded_sub` generates `recoded_language`: the substitution
-    itself on the whole space, `derived_substitution` on a prefix u of the
-    sigma^c-fixed point grown from u[0] (c the length of u[0]'s cycle under
-    the first-letter map), and None for every other word.  On a
-    cylinder the return words, weights and `recoded_language` are read off
-    one return-word pass (`_first_returns`) and `base_measure` off
-    `pf.cylinder_measure`, so the checks below compare two computations.
+    measure.  A system keeps what its section measured; the substitution
+    that generates `recoded_language`, where there is one, is
+    `derived_substitution(sub, base_word)`.  On a cylinder the return
+    words, weights and `recoded_language` are read off one return-word pass
+    (`_first_returns`) and `base_measure` off `pf.cylinder_measure`, so the
+    checks below compare two computations.
     """
 
     is_whole_space: bool
     base_word: tuple[int, ...] | None
     return_words: tuple[Word, ...]
-    return_times: tuple[int, ...]
-    alphabet: Alphabet
     weights: tuple[FieldElement, ...]
     base_measure: FieldElement
-    field: NumberField
-    recoded_sub: Substitution | None
     recoded_language: LanguageTable
 
     def __post_init__(self) -> None:
-        if tuple(len(w) for w in self.return_words) != self.return_times:
-            raise InternalCheckError("return times must equal return-word lengths")
-        kac = self.field.zero()
+        field = self.field
+        kac = field.zero()
         for w, t in zip(self.weights, self.return_times):
-            kac = kac + self.field.scal(t, w)
-        if kac != self.field.one():
+            kac = kac + field.scal(t, w)
+        if kac != field.one():
             raise InternalCheckError("return-time expectation is not 1/measure")
-        total = self.field.zero()
+        total = field.zero()
         for w in self.weights:
             total = total + w
         if total != self.base_measure:
@@ -84,11 +78,24 @@ class ReturnSystem(Record):
     def size(self) -> int:
         return len(self.return_words)
 
+    @property
+    def return_times(self) -> tuple[int, ...]:
+        return tuple(len(w) for w in self.return_words)
 
-def return_words(sub: Substitution, w: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.recoded_language.alphabet
+
+    @property
+    def field(self) -> NumberField:
+        return self.base_measure.field
+
+
+def return_words(sub: Substitution, w: tuple[int, ...] | None) -> tuple[tuple[int, ...], ...]:
     """All return words of the cylinder [w] of a primitive substitution, in
     order of first occurrence along the one-sided fixed point u grown from
-    the least letter s on a cycle of the first-letter map; memoised.
+    the least letter s on a cycle of the first-letter map; memoised.  The
+    whole space, w None, is tiled by its letters, in alphabet order.
 
     Let c be the cycle length of s and p the least multiple of c with w
     inside every sigma^p(b).  Every point is a shift of some sigma^p(y), and
@@ -102,6 +109,8 @@ def return_words(sub: Substitution, w: tuple[int, ...]) -> tuple[tuple[int, ...]
     occurrence, and their gaps, each kept at its first appearance, are the
     return words in order of first occurrence along u.
     """
+    if w is None:
+        return tuple((a,) for a in range(sub.size))
     return _first_returns(sub, w)[0]
 
 
@@ -146,17 +155,22 @@ def _return_pass(sub: Substitution, w: tuple[int, ...]):
     return tuple(index), p, tau
 
 
-def derived_substitution(sub: Substitution, u: tuple[int, ...]) -> Substitution:
-    """Durand's derived substitution of sigma^c on the return words of u, a
-    prefix of the sigma^c-fixed point grown from u[0], c the length of
-    u[0]'s cycle under the first-letter map; a letter is the case |u| = 1.
-    Letter i of the result stands for return_words(sub, u)[i]; memoised per
-    word.  Any other word raises ValidationError.
+def derived_substitution(sub: Substitution, u: tuple[int, ...] | None) -> Substitution:
+    """The substitution that presents the section u on the tiles
+    `return_words(sub, u)`, letter i standing for tile i.  On the whole
+    space, u None, that is sub itself, not memoised, as a memo entry would
+    refer back to sub.  Otherwise it is Durand's derived substitution of
+    sigma^c on the return words of u, a prefix of the sigma^c-fixed point
+    grown from u[0], c the length of u[0]'s cycle under the first-letter
+    map; a letter is the case |u| = 1; memoised per word.  Any other word
+    raises ValidationError.
 
     Each return word r begins with u, so sigma^c(r) begins with
     sigma^c(u), which begins with u, and in every point sigma^c(r) is
     followed by sigma^c(u).  So the starts of u in sigma^c(r)·u cut
     sigma^c(r) into return words, by the gap rule of the return pass."""
+    if u is None:
+        return sub
     fault = _prefix_fault(sub, u)
     if fault is not None:
         raise ValidationError(fault)
@@ -229,56 +243,42 @@ def _recoded_language(sub: Substitution, w: tuple[int, ...]) -> LanguageTable:
 
 def induce(sub: Substitution, section) -> ReturnSystem:
     """The return system of a cross section: return words in order of first
-    occurrence, exact entry measures, and the recoded language; memoised
-    per section word, the whole space included.
+    occurrence, exact entry measures, and the recoded language.
 
     The section is None or a word in any form `words.word_idx` reads; None
-    and the empty word are the whole space.  A prefix of a fixed point of a
-    power, grown from its first letter, is recoded by its derived
-    substitution; other sections keep only the recoded language.
+    and the empty word are the whole space.  A cylinder's system is
+    memoised per section word.  The whole space's is built on each call: it
+    is d letters and one Kac sum, and its language table refers back to
+    sub, so a memo entry would pin sub.
     """
     if not is_primitive(sub):
         raise ValidationError("substitution must be primitive")
     word = section_word(sub.alphabet, section)
-    return sub.cached(("induce", word), lambda: _induced_system(sub, word))
-
-
-def _induced_system(sub: Substitution, word: tuple[int, ...] | None) -> ReturnSystem:
-    data = pf_data(sub)
-    field = data.field
     if word is None:
-        letters = tuple(Word(sub.alphabet, (a,)) for a in range(sub.size))
+        data = pf_data(sub)
         return ReturnSystem(
             is_whole_space=True,
             base_word=None,
-            return_words=letters,
-            return_times=tuple(1 for _ in letters),
-            alphabet=sub.alphabet,
+            return_words=tuple(Word(sub.alphabet, r) for r in return_words(sub, None)),
             weights=data.left,
-            base_measure=field.one(),
-            field=field,
-            recoded_sub=sub,
+            base_measure=data.field.one(),
             recoded_language=sub.language(2 * CHECK_DEPTH),
         )
+    return sub.cached(("induce", word), lambda: _induced_system(sub, word))
 
+
+def _induced_system(sub: Substitution, word: tuple[int, ...]) -> ReturnSystem:
     if not sub.language(len(word)).admissible(word):
         raise ValidationError("section word is not admissible")
     returns, p, tau = _first_returns(sub, word)
     entry = occurrence_measures(sub, p, {ab: Counter(visits) for ab, visits in tau.items()})
-    base_measure = cylinder_measure(sub, word)
-    recoded_sub = None if _prefix_fault(sub, word) else derived_substitution(sub, word)
-    recoded_language = _recoded_language(sub, word)
     return ReturnSystem(
         is_whole_space=False,
         base_word=word,
         return_words=tuple(Word(sub.alphabet, r) for r in returns),
-        return_times=tuple(len(r) for r in returns),
-        alphabet=recoded_language.alphabet,
         weights=tuple(entry[i] for i in range(len(returns))),
-        base_measure=base_measure,
-        field=field,
-        recoded_sub=recoded_sub,
-        recoded_language=recoded_language,
+        base_measure=cylinder_measure(sub, word),
+        recoded_language=_recoded_language(sub, word),
     )
 
 
@@ -381,7 +381,6 @@ def _substitution_code(sub: Substitution, source: ReturnSystem) -> FlowCode:
         is_whole_space=False,
         base_word=None,
         return_words=images,
-        return_times=tuple(len(r) for r in images),
         weights=tuple(w * lam_inv for w in source.weights),
         base_measure=source.base_measure * lam_inv,
     )
@@ -568,10 +567,11 @@ def cocycle_slopes(fc: FlowCode, x0=None, k_range=range(0, 24)) -> CocycleProfil
             raise ValidationError("presentation too short for the index range")
         get = seq.__getitem__
     else:
-        rec = fc.source.recoded_sub
-        if rec is None:
+        source = fc.source
+        word = source.base_word
+        if not source.is_whole_space and (word is None or _prefix_fault(fc.sub, word)):
             raise ValidationError("no recoded substitution; pass a presentation")
-        get = _two_sided_point(rec, ks[0], ks[-1])
+        get = _two_sided_point(derived_substitution(fc.sub, word), ks[0], ks[-1])
     out = []
     for k in ks:
         a = get(k)

@@ -46,7 +46,6 @@ class FinitePart(Record):
 
 
 class McgReport(Record):
-    sub: Substitution
     lam: AlgebraicNumber
     cr: BalanceVerdict
     pisot: bool
@@ -172,7 +171,6 @@ def assemble_mcg(sub: Substitution, aut_radius: int = 1) -> McgReport:
         )
 
     return McgReport(
-        sub=sub,
         lam=data.lam,
         cr=cr,
         pisot=pisot,

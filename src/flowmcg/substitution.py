@@ -127,15 +127,20 @@ class Substitution(Record):
 
     def language(self, n_max: int) -> LanguageTable:
         """Language table to n_max.  Each length is generated when first
-        asked for and kept on the substitution for every later table."""
+        asked for and kept on the substitution for every later table.  The
+        source is a bound method, so two tables of one substitution to one
+        length are equal."""
         if n_max < 1:
             raise ValidationError("n_max must be >= 1")
         return LanguageTable(
             self.alphabet,
             self._blocks,  # type: ignore[attr-defined]
             n_max,
-            lambda n: generate_language(self, n),
+            self._generate,
         )
+
+    def _generate(self, n: int) -> frozenset[tuple[int, ...]]:
+        return generate_language(self, n)
 
     def cached(self, key: Hashable, build: Callable[[], T]) -> T:
         """Data derived from this substitution, built on first use."""

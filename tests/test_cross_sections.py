@@ -21,11 +21,15 @@ from flowmcg.errors import InternalCheckError, ValidationError
 from flowmcg.flows import (
     _starts,
     cocycle_slopes,
+    compose_flow_codes,
     derived_substitution,
+    identity_code,
     induce,
     restrict_flow_code,
+    return_words,
     substitution_code,
 )
+from flowmcg.mcg import assemble_mcg
 from flowmcg.pf import cylinder_measure
 from flowmcg.substitution import Substitution, cycle_lengths, fixed_point, is_primitive
 from flowmcg.words import CHECK_DEPTH, Alphabet, Word, section_word, word_idx
@@ -63,8 +67,8 @@ LONG_CYCLE = {
 def test_derived_substitution_recodes_every_letter_on_a_cycle(rules, a):
     sub = Substitution.from_rules(rules)
     system = induce(sub, (a,))
-    rec = system.recoded_sub
-    assert rec is not None and is_primitive(rec)
+    rec = derived_substitution(sub, (a,))
+    assert is_primitive(rec)
     table = system.recoded_language
     assert rec.alphabet == table.alphabet
     for n in range(1, table.n_max + 1):
@@ -90,11 +94,12 @@ def test_letters_off_every_cycle_have_no_recoded_substitution(fib):
     pool10 = Substitution.from_rules({"0": "010", "1": "011"})
     for sub in (fib, pool10):
         assert 1 not in cycle_lengths(sub.first_letter_map())
-        assert induce(sub, "1").recoded_sub is None
+        # the section is still induced; only its derived substitution is refused
+        assert induce(sub, "1").base_word == (1,)
         with pytest.raises(ValidationError):
             derived_substitution(sub, (1,))
     # 01 is a prefix of the Fibonacci fixed point, so it is recoded
-    assert induce(fib, "01").recoded_sub is not None
+    assert is_primitive(derived_substitution(fib, (0, 1)))
 
 
 def test_one_check_rejects_a_letter_off_every_cycle(fib):
@@ -122,7 +127,7 @@ def test_every_prefix_section_is_recoded_by_its_derived_substitution(rules):
     sub = Substitution.from_rules(rules)
     for u in _prefixes(sub, 8):
         system = induce(sub, u)
-        rec = system.recoded_sub
+        rec = derived_substitution(sub, u)
         assert rec is derived_substitution(sub, u) and is_primitive(rec), u
         table = system.recoded_language
         assert rec.alphabet == table.alphabet and table.n_max == CHECK_DEPTH
@@ -143,9 +148,31 @@ def test_a_word_that_is_no_fixed_point_prefix_has_no_recoded_substitution(reques
     ]
     assert others
     for w in others:
-        assert induce(sub, w).recoded_sub is None
+        assert induce(sub, w).base_word == w
         with pytest.raises(ValidationError, match="not a prefix of the fixed point"):
             derived_substitution(sub, w)
+
+
+def test_the_whole_space_is_presented_by_the_substitution_on_its_letters():
+    for rules in RULES + CIRCLE:
+        sub = Substitution.from_rules(rules)
+        assert derived_substitution(sub, None) is sub
+        assert return_words(sub, None) == tuple((a,) for a in range(sub.size))
+        assert tuple(w.idx for w in induce(sub, None).return_words) == return_words(sub, None)
+
+
+def test_inducing_a_long_prefix_builds_no_derived_substitution(monkeypatch):
+    # on a 5-cycle of the first-letter map Durand's derived substitution of
+    # this prefix splits sigma^5 of every return word; induce needs none of it
+    def refuse(sub, u):
+        raise AssertionError("induce reached the derived substitution")
+
+    monkeypatch.setattr(flows, "_derive", refuse)
+    sub = Substitution.from_rules(CIRCLE[0])
+    u = word_idx(sub.alphabet, "4012341")
+    assert flows._prefix_fault(sub, u) is None
+    system = induce(sub, u)
+    assert system.base_word == u and system.size == len(return_words(sub, u))
 
 
 def test_the_split_rejects_a_piece_that_is_no_return_word(monkeypatch):
@@ -220,12 +247,34 @@ def test_restriction_reads_continuations_off_the_language(fib):
     assert rc.weights == (2, 1)
 
 
-def test_restriction_keeps_the_one_letter_rule(fib):
-    with pytest.raises(ValidationError):
-        restrict_class(fib, {"0": 1}, "01")
+def test_restriction_takes_every_prefix_section(fib):
+    # 01 is a prefix of the Fibonacci fixed point 0100101001...; 00 is not
+    rc = restrict_class(fib, {"0": 1}, "01")
+    assert rc.section == (0, 1) and rc.return_words == return_words(fib, (0, 1))
+    message = "word is not a prefix of the fixed point grown from its first letter"
+    assert flows._prefix_fault(fib, (0, 0)) == message
+    for bad in ("00", "001", "0010"):
+        with pytest.raises(ValidationError, match=message):
+            restrict_class(fib, {"0": 1}, bad)
     with pytest.raises(ValidationError):
         restrict_class(fib, {"0": 1}, 0)
     assert restrict_class(fib, {"0": 1}, (0,)) == restrict_class(fib, {"0": 1}, "0")
+
+
+def test_restriction_on_every_prefix_section_of_the_fixed_ten():
+    # the first ten RULES are the fixed ten
+    sections = [(r, u) for r in RULES[:10] for u in _prefixes(Substitution.from_rules(r), 4)]
+    assert len(sections) == 72
+    for rules, u in sections:
+        sub = Substitution.from_rules(rules)
+        returns = return_words(sub, u)
+        assert restrict_class(sub, {u: 1}, u).weights == (1,) * len(returns), (rules, u)
+        letters = {(a,): 1 for a in range(sub.size)}
+        rc = restrict_class(sub, letters, u)
+        assert rc.weights == tuple(len(r) for r in returns), (rules, u)
+        for i, r in enumerate(returns):
+            unit = tuple(int(j == i) for j in range(len(returns)))
+            assert restrict_class(sub, {r + u: 1}, u).weights == unit, (rules, u, r)
 
 
 @pytest.mark.parametrize("empty", ["", (), ",,", []])
@@ -236,11 +285,21 @@ def test_an_empty_word_is_the_whole_space(fib, empty):
     assert restrict_flow_code(code, empty) is code
 
 
-@pytest.mark.parametrize(
-    "call",
-    [lambda sub: induce(sub, "0"), lambda sub: induce(sub, "01"), coinvariants_report],
-    ids=["induce-letter", "induce-word", "coinvariants_report"],
-)
+FREEING_CALLS = {
+    "induce-letter": lambda sub: induce(sub, "0"),
+    "induce-word": lambda sub: induce(sub, "01"),
+    "coinvariants_report": coinvariants_report,
+    "induce-whole": lambda sub: induce(sub, None),
+    "substitution_code": substitution_code,
+    "identity_code": identity_code,
+    "compose_flow_codes": lambda sub: compose_flow_codes(substitution_code(sub), substitution_code(sub)),
+    "restrict_flow_code": lambda sub: restrict_flow_code(substitution_code(sub), "0"),
+    "cocycle_slopes": lambda sub: cocycle_slopes(substitution_code(sub)),
+    "assemble_mcg": assemble_mcg,
+}
+
+
+@pytest.mark.parametrize("call", FREEING_CALLS.values(), ids=FREEING_CALLS)
 def test_a_substitution_is_freed_by_refcount_after_use(call):
     """Nothing these calls keep on a substitution or return refers back to
     it, so it goes with its last reference, the cyclic collector off."""

@@ -9,6 +9,7 @@ import pytest
 from flowmcg.flows import (
     FlowCode,
     ReturnSystem,
+    derived_substitution,
     induce,
     r_mu,
     restrict_flow_code,
@@ -36,12 +37,8 @@ def reference_supertile_section(sub):
         is_whole_space=False,
         base_word=None,
         return_words=tuple(sub.images),
-        return_times=tuple(len(sub.images[a]) for a in range(sub.size)),
-        alphabet=sub.alphabet,
         weights=weights,
         base_measure=base_measure,
-        field=field,
-        recoded_sub=sub,
         recoded_language=sub.language(8),
     )
 
@@ -59,12 +56,8 @@ def reference_restricted_code(sub, word):
         is_whole_space=False,
         base_word=None,
         return_words=image_returns,
-        return_times=tuple(len(r) for r in image_returns),
-        alphabet=sys_e.alphabet,
         weights=tuple(w * lam_inv for w in sys_e.weights),
         base_measure=sys_e.base_measure * lam_inv,
-        field=field,
-        recoded_sub=sys_e.recoded_sub,
         recoded_language=sys_e.recoded_language,
     )
     relabel = SlidingBlockCode(
@@ -116,7 +109,9 @@ def test_substitution_code_matches_the_reference_constructions(key, word):
     if word is None:
         ref = reference_supertile_section(sub)
         _same_target(whole.target, ref)
-        assert whole.target.recoded_sub is sub
+        # the whole space is presented by sub itself, on its letters
+        assert derived_substitution(sub, whole.source.base_word) is sub
+        assert whole.target.alphabet == sub.alphabet
         assert r_mu(whole) == whole.source.base_measure / ref.base_measure
         return
     got = restrict_flow_code(whole, word)
@@ -125,7 +120,8 @@ def test_substitution_code_matches_the_reference_constructions(key, word):
     assert got.source.base_word == word
     assert got.source.return_words == ref.source.return_words
     _same_target(got.target, ref.target)
-    assert got.target.recoded_sub == ref.target.recoded_sub
+    # the target keeps the source's recoded language, that of its derived substitution
+    assert got.target.recoded_language is ref.target.recoded_language
     assert got.conjugacy == ref.conjugacy
     assert r_mu(got) == r_mu(ref)
 

@@ -237,7 +237,6 @@ DEFAULTED = {
     "coinvariants.derived_proper.base",
     "coinvariants.build_coinvariants.base",
     "coinvariants.induced_action.group",
-    "coinvariants.raised.levels",
     "flows.cocycle_slopes.x0",
     "flows.cocycle_slopes.k_range",
     "intpoly._add.c",
