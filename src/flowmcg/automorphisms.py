@@ -9,7 +9,7 @@ radii.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate, product
 from operator import itemgetter
 from typing import Sequence
 
@@ -98,9 +98,18 @@ def _enumerate_candidates(
 
     One depth-first search assigns the windows in an order along the overlap
     graph and checks each block as soon as its last window is assigned.
+    The checks are read off L_{n_check + 2·radius} alone: every shorter
+    admissible block is a prefix of one of those (the language extends to
+    the right) and closes at the running maximum of its windows' positions.
+    Of the prefixes closing at one position only the longest is kept, since
+    the image of a shorter one is a prefix of its image; so the search
+    prunes the same nodes as with every block of every length.
     Raises ResourceLimitError once it visits more than CANDIDATE_BUDGET
     search nodes.
     """
+    # asked first, so that a primitive substitution's table reads every
+    # shorter length off it
+    longest = lang.blocks_of(n_check + 2 * radius)
     width = 2 * radius + 1
     blocks = sorted(lang.blocks_of(width))
     index = {w: i for i, w in enumerate(blocks)}
@@ -122,11 +131,18 @@ def _enumerate_candidates(
     # each block is checked at the position of its last window in the order;
     # n >= 2, so each getter reads a tuple of outputs
     closing: list[list[tuple[itemgetter, frozenset]]] = [[] for _ in blocks]
-    for n in range(2, n_check + 1):
-        images = lang.blocks_of(n)
-        for w in lang.blocks_of(n + 2 * radius):
-            wins = [index[w[i : i + width]] for i in range(n)]
-            closing[max(pos[i] for i in wins)].append((itemgetter(*wins), images))
+    images = [lang.blocks_of(n) for n in range(n_check + 1)]
+    checked: set[tuple[int, ...]] = set()
+    for w in longest:
+        wins = [index[w[i : i + width]] for i in range(n_check)]
+        # closes[n - 1]: where the prefix with n windows closes
+        closes = list(accumulate((pos[i] for i in wins), max))
+        for n in range(2, n_check + 1):
+            if n == n_check or closes[n] > closes[n - 1]:
+                prefix = w[: n + 2 * radius]
+                if prefix not in checked:
+                    checked.add(prefix)
+                    closing[closes[n - 1]].append((itemgetter(*wins[:n]), images[n]))
 
     out = [0] * len(blocks)
     found: list[tuple[int, ...]] = []

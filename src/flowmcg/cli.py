@@ -97,7 +97,11 @@ def _cmd_analyze(args) -> None:
 def _cmd_language(args) -> None:
     if args.n < 1:
         raise ValidationError("flowmcg language: argument --n: must be >= 1")
+    from .substitution import is_primitive
+
     sub = _load_sub(args.file)
+    if not is_primitive(sub):
+        raise ValidationError("language expects a primitive substitution")
     table = sub.language(args.n)
     blocks = sorted(table.blocks_of(args.n))
     _emit(

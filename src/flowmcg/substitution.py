@@ -126,10 +126,14 @@ class Substitution(Record):
         return len(set(self.last_letter_map())) == 1
 
     def language(self, n_max: int) -> LanguageTable:
-        """Language table to n_max.  Each length is generated when first
-        asked for and kept on the substitution for every later table.  The
-        source is a bound method, so two tables of one substitution to one
-        length are equal."""
+        """Language table to n_max.  Each length is built when first asked
+        for and kept on the substitution for every later table.  For a
+        primitive substitution a length below one already kept is read off
+        the shortest such length as its prefixes, since every block of the
+        language extends to the right; otherwise, and for a length above
+        every kept one, it is generated.  Ask for the longest length first
+        to generate once.  The source is a bound method, so two tables of
+        one substitution to one length are equal."""
         if n_max < 1:
             raise ValidationError("n_max must be >= 1")
         return LanguageTable(
@@ -140,6 +144,10 @@ class Substitution(Record):
         )
 
     def _generate(self, n: int) -> frozenset[tuple[int, ...]]:
+        held: dict = self._blocks  # type: ignore[attr-defined]
+        longer = [m for m in held if m > n]
+        if longer and self.cached("primitive", lambda: is_primitive(self)):
+            return frozenset(w[:n] for w in held[min(longer)])
         return generate_language(self, n)
 
     def cached(self, key: Hashable, build: Callable[[], T]) -> T:

@@ -7,7 +7,9 @@ check; `search_automorphisms` then filters each one through the inverse and
 round-trip checks.  Swapping it in gives the reference report.
 `sample_offset` and `reference_table` compare the codes' images of a
 fixed-point sample, as shifts and the table were identified before they
-were read off the rules.
+were read off the rules.  `closing_dfs` is the candidate search with a check
+for every admissible block of every length, as it was before the checks
+were built from the longest blocks alone.
 """
 
 import pytest
@@ -30,6 +32,7 @@ from flowmcg.words import (
     language_violation,
 )
 
+from test_substitution import counted_generations
 from test_tails import reference_fixed_point
 
 # the ten primitive aperiodic substitutions of test_criterion_09
@@ -206,6 +209,85 @@ def test_codes_preserve_the_language(name, radius):
         assert preserves_language(code, lang, CHECK_DEPTH)
 
 
+def closing_dfs(lang, radius, d, n_check):
+    """The candidate search with a check for every admissible block of every
+    length n + 2·radius, 2 <= n <= n_check, each at the position of its last
+    window: the windows, the candidates and the search nodes visited."""
+    width = 2 * radius + 1
+    blocks = sorted(lang.blocks_of(width))
+    index = {w: i for i, w in enumerate(blocks)}
+    succ = [[] for _ in blocks]
+    for u in lang.blocks_of(width + 1):
+        succ[index[u[:-1]]].append(index[u[1:]])
+    order, pos = [], [-1] * len(blocks)
+    for root in range(len(blocks)):
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            if pos[i] < 0:
+                pos[i] = len(order)
+                order.append(i)
+                stack.extend(reversed(succ[i]))
+    closing = [[] for _ in blocks]
+    for n in range(2, n_check + 1):
+        images = lang.blocks_of(n)
+        for w in lang.blocks_of(n + 2 * radius):
+            wins = [index[w[i : i + width]] for i in range(n)]
+            closing[max(pos[i] for i in wins)].append((wins, images))
+
+    out = [0] * len(blocks)
+    found = []
+    nodes = 0
+
+    def walk(p):
+        nonlocal nodes
+        if p == len(order):
+            found.append(tuple(out))
+            return
+        for letter in range(d):
+            nodes += 1
+            out[order[p]] = letter
+            if all(
+                tuple(out[i] for i in wins) in images for wins, images in closing[p]
+            ):
+                walk(p + 1)
+
+    walk(0)
+    return blocks, sorted(found), nodes
+
+
+def n_bonacci(k):
+    return {**{str(i): f"0{i + 1}" for i in range(k - 1)}, str(k - 1): "0"}
+
+
+# searches that walk many nodes: REFERENCE_TOO_SLOW is slow only for the
+# unpruned reference, and these three at radius 1
+WALKS = {
+    "5-bonacci": n_bonacci(5),
+    "6-bonacci": n_bonacci(6),
+    "cyclic5": {"0": "01", "1": "12", "2": "23", "3": "34", "4": "40"},
+}
+CLOSING_CASES = CASES + sorted(REFERENCE_TOO_SLOW) + [(name, 1) for name in WALKS]
+
+
+@pytest.mark.parametrize(
+    "name,radius", CLOSING_CASES, ids=[f"{n}-r{r}" for n, r in CLOSING_CASES]
+)
+def test_checks_from_the_longest_blocks_prune_like_every_block(monkeypatch, name, radius):
+    rules = {**INPUTS, **WALKS}[name]
+    sub = Substitution.from_rules(rules)
+    lang = sub.language(CHECK_DEPTH + 2 * radius)
+    blocks, found, nodes = closing_dfs(lang, radius, sub.size, CHECK_DEPTH)
+    # the same node count: the search fits a budget of exactly that many
+    # nodes and exceeds one fewer
+    monkeypatch.setattr(automorphisms, "CANDIDATE_BUDGET", nodes)
+    fresh = Substitution.from_rules(rules).language(CHECK_DEPTH + 2 * radius)
+    assert _enumerate_candidates(fresh, radius, sub.size, CHECK_DEPTH) == (blocks, found)
+    monkeypatch.setattr(automorphisms, "CANDIDATE_BUDGET", nodes - 1)
+    with pytest.raises(ResourceLimitError, match="search nodes"):
+        _enumerate_candidates(lang, radius, sub.size, CHECK_DEPTH)
+
+
 # symbols of the fixed-point prefix the sample oracle compares images on
 SAMPLE = 4096
 
@@ -291,6 +373,15 @@ def test_search_grows_no_fixed_point(monkeypatch, name):
     report = search_automorphisms(Substitution.from_rules(INPUTS[name]), radius=1)
     assert len(report.elements) > 1
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["tm", "fib", "cyclic4"])
+def test_search_generates_one_language_length(monkeypatch, name):
+    calls = counted_generations(monkeypatch)
+    search_automorphisms(Substitution.from_rules(INPUTS[name]), radius=1)
+    # tm and cyclic4 have rational lambda, so the aperiodicity screen builds
+    # L_50 first; fib's search asks for L_{CHECK_DEPTH + 2} first
+    assert calls == [{"fib": CHECK_DEPTH + 2}.get(name, 50)]
 
 
 @pytest.mark.parametrize("name", ["tm", "cyclic4"])

@@ -40,6 +40,25 @@ def test_language_lists_blocks(capsys, tm_file):
     assert "010" in payload["blocks"]
 
 
+@pytest.mark.parametrize(
+    "rules",
+    [{"0": "0", "1": "1"}, {"0": "01", "1": "11"}],
+    ids=["identity", "growing"],
+)
+@pytest.mark.parametrize("command", [["language", "--n", "8"], ["complexity"]])
+def test_language_and_complexity_refuse_a_non_primitive_substitution(
+    capsys, tmp_path, rules, command
+):
+    # the identity does not grow and 0→01, 1→11 does; both are invalid input
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps({"alphabet": ["0", "1"], "rules": rules}))
+    assert run([command[0], str(path), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "expects a primitive substitution" in captured.err
+
+
 def test_complexity_values(capsys, tm_file):
     payload = run_json(capsys, ["complexity", tm_file, "--n-max", "5"])
     assert payload["complexity"] == {"1": 2, "2": 4, "3": 6, "4": 10, "5": 12}
