@@ -2,18 +2,19 @@
 
 `factor` is Zassenhaus's algorithm (Cohen, *A Course in Computational
 Algebraic Number Theory*, 3.5): Yun's square-free parts, their factors
-modulo a small odd prime by distinct- and equal-degree splitting, Hensel
-lifting past twice a Mignotte bound, and recombination by trial division. `real_root_intervals` is the Vincent–Akritas–Strzeboński
-continued-fraction isolation (Akritas–Strzeboński, Nonlinear Anal. Model.
-Control 10(4), 2005) with the local-max-quadratic bound, step for step as
-sympy 1.14's `Poly.intervals()`: its intervals, and so every endpoint that
-halving them later prints, are sympy's. Only the bound's log2 is exact here.
+modulo one small odd prime by distinct- and equal-degree splitting (one
+factor there proves irreducibility), Hensel lifting past twice a Mignotte
+bound, and recombination by trial division. `real_root_intervals` is the
+Vincent–Akritas–Strzeboński continued-fraction isolation
+(Akritas–Strzeboński, Nonlinear Anal. Model. Control 10(4), 2005) with the
+local-max-quadratic bound, step for step as sympy 1.14's `Poly.intervals()`:
+its intervals, and so every endpoint that halving them later prints, are
+sympy's. Only the bound's log2 is exact here.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from itertools import combinations, count, zip_longest
 from typing import Sequence
@@ -127,9 +128,9 @@ def _monic_gcd(f: Sequence[int], g: Sequence[int], p: int) -> list:
 
 
 def _powmod(a: Sequence[int], e: int, f: Sequence[int], p: int) -> list:
-    """a^e modulo f and p."""
-    out = [1]
-    for bit in bin(e)[2:]:
+    """a^e modulo f and p, for e >= 1."""
+    out = _divmod(a, f, p)[1]
+    for bit in bin(e)[3:]:
         out = _divmod(_mul(out, out), f, p)[1]
         if bit == "1":
             out = _divmod(_mul(out, a), f, p)[1]
@@ -203,21 +204,20 @@ def factor(asc: Sequence[int]) -> tuple[int, list[tuple[tuple[int, ...], int]]]:
 
 
 def _factor_square_free(f: list) -> list[list]:
-    """The irreducible factors of a primitive square-free f with f(0) != 0.
-    Of the first three odd primes that keep its degree and square-freeness,
-    the one with the fewest factors is taken; the factors are lifted to a
-    modulus beyond twice the Mignotte bound, and each least subset whose
-    product, times the lead and in symmetric residues, divides the rest of
-    f over Z is split off."""
-    tries = []
+    """The irreducible factors of a primitive square-free f with f(0) != 0,
+    from its factors modulo the first odd prime that keeps its degree and
+    square-freeness: one factor there proves f irreducible, else they are
+    lifted to a modulus beyond twice the Mignotte bound, and each least
+    subset whose product, times the lead and in symmetric residues, divides
+    the rest of f over Z is split off."""
     for p in filter(is_prime, count(3, 2)):
         if f[-1] % p:
             fp = _prod([f], p, pow(f[-1], -1, p))
             if len(_monic_gcd(fp, _add([i * x for i, x in enumerate(fp)][1:], (), p), p)) == 1:
-                tries.append((len(facs := _factor_mod(fp, p)), p, facs))
-                if len(facs) == 1 or len(tries) == 3:
-                    break
-    _r, p, lifted = min(tries)  # factors modulo p, lifted below
+                break
+    lifted = _factor_mod(fp, p)
+    if len(lifted) == 1:
+        return [f]
     bound = abs(f[-1]) * 2 ** (len(f) - 1) * (math.isqrt(sum(c * c for c in f)) + 1)
     # Hensel, one power of p at a time: with a_i the inverse of the lead times
     # the other factors modulo u_i and p (a field, so by a power), the a_i·e
@@ -250,8 +250,9 @@ def _factor_square_free(f: list) -> list[list]:
 def _factor_mod(f: list, p: int) -> list[list]:
     """The monic irreducible factors of a monic square-free f modulo an odd
     prime p: x^(p^d) - x collects those of degree d, and gcds with
-    a^((p^d - 1)/2) - 1 for random a split them apart."""
-    rng, out, h, d = random.Random(p), [], [0, 1], 0
+    a^((p^d - 1)/2) - 1 split them apart, a taking every residue in turn as
+    the polynomial with the base-p digits of p, p + 1, ... as coefficients."""
+    out, h, d, k = [], [0, 1], 0, p
     while len(f) - 1 >= 2 * (d + 1):
         d, h = d + 1, _powmod(h, p, f, p)
         g = _monic_gcd(f, _add(h, [0, 1], p, -1), p)
@@ -262,7 +263,7 @@ def _factor_mod(f: list, p: int) -> list[list]:
             if len(u) - 1 == d:
                 out.append(u)
                 continue
-            a = [rng.randrange(p) for _ in range(len(u) - 1)]
+            a, k = [k // p**i % p for i in range(len(u) - 1)], k + 1
             w = _monic_gcd(u, _add(_powmod(a, (p**d - 1) // 2, u, p), [1], p, -1), p)
             todo += [w, _divmod(u, w, p)[0]] if 1 < len(w) < len(u) else [u]
     return out + [f] if len(f) > 1 else out
@@ -274,10 +275,13 @@ def real_root_intervals(asc: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
     gives them: (q, q) for a rational root q met exactly."""
     f = list(asc)
     out, f = ([], f) if f[0] else ([(Fraction(0), Fraction(0))], f[1:])
-    for sign, g in ((-1, [-x if i & 1 else x for i, x in enumerate(f)]), (1, f)):
-        for a, b, c, d in _positive_roots(g):
-            out.append(tuple(sorted((sign * Fraction(a, c), sign * Fraction(b, d)))))
-    return sorted(out)
+    negative = positive_root_intervals([-x if i & 1 else x for i, x in enumerate(f)])
+    return sorted(out + [(-hi, -lo) for lo, hi in negative] + positive_root_intervals(f))
+
+
+def positive_root_intervals(asc: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
+    """Those of `real_root_intervals` that hold positive roots, for f(0) != 0."""
+    return [tuple(sorted((Fraction(a, c), Fraction(b, d)))) for a, b, c, d in _positive_roots(list(asc))]
 
 
 def count_real_roots(asc: Sequence[int], lo: Fraction | int, hi: Fraction | int) -> int:

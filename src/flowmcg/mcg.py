@@ -106,7 +106,7 @@ def assemble_mcg(sub: Substitution, aut_radius: int = 1) -> McgReport:
         raise ValidationError("shift is periodic; no report")
     from .asymptotics import action_on_classes, asymptotic_classes
     from .automorphisms import search_automorphisms, shift_quotient
-    from .flows import lambda_relation_search, r_mu, substitution_code
+    from .flows import r_mu, substitution_code
     from .numberfield import same_real_algebraic
     from .pf import cr_check, is_pisot, pf_data
 
@@ -120,7 +120,7 @@ def assemble_mcg(sub: Substitution, aut_radius: int = 1) -> McgReport:
     value = r_mu(tilde)
     if not same_real_algebraic(value, data.field.generator()):
         raise InternalCheckError("self-similarity code value differs from lambda")
-    relation = lambda_relation_search(value)
+    relation = (1, 1)  # value = lambda > 1: the least value^p = lambda^q
     if data.lam.is_rational:
         lam_int = int(data.lam.as_fraction())
         proper = is_perfect_power(lam_int)

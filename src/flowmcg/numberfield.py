@@ -2,13 +2,13 @@
 
 An algebraic number is an integer minimal polynomial (ascending coefficients,
 primitive, irreducible, positive leading coefficient) plus an isolating
-rational interval. Field elements of Q(lambda) are polynomials in lambda of
-degree below that of lambda, stored as integer coefficients over one
-positive denominator and reduced mod the minimal polynomial in integers.
-Signs are decided exactly by interval refinement, which terminates because
-a nonzero element of the field has nonzero value.
+rational interval; its checks and comparisons read signs of the integer
+q^n·f(p/q). Field elements of Q(lambda) are polynomials in lambda of degree
+below that of lambda, as integer coefficients over one positive denominator
+reduced mod the minimal polynomial in integers. Signs are decided exactly
+by interval refinement, which ends as a nonzero element has nonzero value.
 Characteristic polynomials come from one division-free Berkowitz core, which
-also gives inverses (by Cayley–Hamilton) and minimal polynomials of elements.
+also gives quotients (by Cayley–Hamilton) and minimal polynomials.
 Factoring over Z and the isolation and counting of real roots come from
 `intpoly`, so the module runs on the standard library alone.
 """
@@ -21,14 +21,16 @@ from itertools import zip_longest
 from typing import Sequence
 
 from .errors import InternalCheckError, Record, ValidationError
-from .intpoly import count_real_roots, factor, real_root_intervals
+from .intpoly import count_real_roots, factor, positive_root_intervals, real_root_intervals
 
 
-def eval_ascending(coeffs: Sequence, t: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * t + Fraction(c)
-    return acc
+def _sign_at(asc: Sequence[int], t: Fraction | int) -> int:
+    """The sign of f(t), read off the integer q^n·f(p/q) for t = p/q, q > 0."""
+    p, q = t.as_integer_ratio()
+    acc, qk = 0, 1
+    for c in reversed(asc):
+        acc, qk = acc * p + c * qk, qk * q
+    return (acc > 0) - (acc < 0)
 
 
 class AlgebraicNumber(Record):
@@ -42,9 +44,8 @@ class AlgebraicNumber(Record):
         if len(self.minpoly) < 2 or self.minpoly[-1] <= 0:
             raise ValidationError("minimal polynomial must be nonconstant, lead > 0")
         if self.degree >= 2:
-            slo = eval_ascending(self.minpoly, self.lo)
-            shi = eval_ascending(self.minpoly, self.hi)
-            if slo == 0 or shi == 0 or (slo > 0) == (shi > 0):
+            slo, shi = _sign_at(self.minpoly, self.lo), _sign_at(self.minpoly, self.hi)
+            if slo == 0 or shi == 0 or slo == shi:
                 raise ValidationError("interval does not isolate a root")
 
     @property
@@ -87,15 +88,14 @@ class AlgebraicNumber(Record):
         if self.is_rational:
             return self
         lo, hi = self.lo, self.hi
-        slo = eval_ascending(self.minpoly, lo)
+        slo = _sign_at(self.minpoly, lo)
         while hi - lo > width:
             mid = (lo + hi) / 2
-            smid = eval_ascending(self.minpoly, mid)
+            smid = _sign_at(self.minpoly, mid)
             if smid == 0:
                 raise InternalCheckError("irreducible polynomial with rational root")
-            if (smid > 0) == (slo > 0):
+            if smid == slo:
                 lo = mid
-                slo = smid
             else:
                 hi = mid
         return AlgebraicNumber(self.minpoly, lo, hi)
@@ -110,17 +110,15 @@ class AlgebraicNumber(Record):
         return float(self.approx(Fraction(1, 10**17)))
 
     def compare_fraction(self, q: Fraction | int) -> int:
-        """Sign of self - q, exact."""
+        """Sign of self - q, exact: q inside the interval lies below the one
+        root there exactly when the minimal polynomial has its sign at lo."""
         q = Fraction(q)
         if self.is_rational:
             v = self.as_fraction()
             return (v > q) - (v < q)
-        if eval_ascending(self.minpoly, q) == 0:
+        if (at_q := _sign_at(self.minpoly, q)) == 0:
             raise InternalCheckError("irreducible polynomial with rational root")
-        cur = self
-        while cur.lo <= q <= cur.hi:
-            cur = cur.refined((cur.hi - cur.lo) / 4)
-        return 1 if cur.lo > q else -1
+        return 1 if q <= self.lo or q < self.hi and at_q == _sign_at(self.minpoly, self.lo) else -1
 
     def __lt__(self, other: "AlgebraicNumber") -> bool:
         """Exact order.  An irrational number lies strictly inside its
@@ -145,7 +143,7 @@ class AlgebraicNumber(Record):
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
         if lo >= hi:
             return False
-        return (eval_ascending(self.minpoly, lo) > 0) != (eval_ascending(self.minpoly, hi) > 0)
+        return (_sign_at(self.minpoly, lo) > 0) != (_sign_at(self.minpoly, hi) > 0)
 
 
 def algebraic_to_json(a: AlgebraicNumber) -> dict:
@@ -173,8 +171,7 @@ class NumberField:
         self._sign_root = root
         self.degree = root.degree
         # constants of the field, built once: elements are immutable
-        self._zero = self.element([])
-        self._one = self.element([1])
+        self._zero, self._one = self.element_over([], 1), self.element_over([1], 1)
         self._generator = self.element([root.as_fraction()] if self.degree == 1 else [0, 1])
 
     def __eq__(self, other: object) -> bool:
@@ -267,15 +264,26 @@ class NumberField:
     def multiplication_rows(self, a: "FieldElement") -> tuple[int, list[list[int]]]:
         """(s, rows) with rows[t] the integer coefficients of s·a·lambda^t,
         s > 0 the least such multiplier: the integer matrix of
-        multiplication by s·a, acting on coefficient rows from the right."""
-        rows = [self.element_over([0] * t + list(a.nums), a.den) for t in range(self.degree)]
-        s = math.lcm(*(row.den for row in rows))
-        return s, [[x * (s // row.den) for x in row.nums] for row in rows]
+        multiplication by s·a, acting on coefficient rows from the right.
+        Each row is the one before times lambda, its top power reduced by
+        the minimal polynomial p, after scaling by p's lead if need be."""
+        p, rows, s = self.root.minpoly, [list(a.nums)], a.den
+        while len(rows) < self.degree:
+            if rows[-1][-1] % p[-1]:
+                rows, s = [[x * p[-1] for x in row] for row in rows], s * p[-1]
+            c = rows[-1][-1] // p[-1]
+            rows.append([-c * p[0]] + [x - c * y for x, y in zip(rows[-1], p[1:-1])])
+        g = math.gcd(s, *(x for row in rows for x in row))
+        return s // g, rows if g == 1 else [[x // g for x in row] for row in rows]
 
     def inv(self, a: "FieldElement") -> "FieldElement":
-        """Cayley–Hamilton on b = s·a of `multiplication_rows`: chi(b) = 0 for
-        chi = sum of e_j·x^j, so b^-1 = -(e_1 + e_2·b + ... + b^(d-1))/e_0,
-        by Horner steps on integer rows; e_0 = ±det != 0 as b != 0."""
+        return self.quotients([[1] + [0] * (self.degree - 1)], a)[0]
+
+    def quotients(self, numerators: Sequence[Sequence[int]], a: "FieldElement") -> list:
+        """n / a for integer coefficient rows n, by Cayley–Hamilton on b = s·a
+        of `multiplication_rows`: chi(b) = 0 for chi = sum of e_j·x^j, so
+        n/b = -n·(e_1 + e_2·b + ... + b^(d-1))/e_0, by Horner steps on
+        integer rows; e_0 = ±det != 0 as b != 0."""
         if a.field is not self:
             self._check(a)
         if a.is_zero():
@@ -284,11 +292,12 @@ class NumberField:
         chi = _berkowitz(rows)
         if not chi[0]:
             raise InternalCheckError("element shares a factor with the minimal polynomial")
-        acc = [1] + [0] * (self.degree - 1)
-        for e in reversed(chi[1:-1]):
-            acc = [sum(x * row[j] for x, row in zip(acc, rows)) for j in range(self.degree)]
-            acc[0] += e
-        return _canonical(self, [-s * x for x in acc], chi[0])
+        def over(n: Sequence[int]) -> "FieldElement":
+            acc = list(n)
+            for e in reversed(chi[1:-1]):
+                acc = [sum(x * row[j] for x, row in zip(acc, rows)) + e * c for j, c in enumerate(n)]
+            return _canonical(self, [-s * x for x in acc], chi[0])
+        return [over(n) for n in numerators]
 
     def div(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
         return self.mul(a, self.inv(b))
@@ -307,30 +316,31 @@ class NumberField:
 
     # sign and approximation ----------------------------------------------
 
-    def sign(self, a: "FieldElement") -> int:
-        """Exact sign via interval refinement of lambda, resumed from the
-        tightest interval an earlier call refined to.  On [lo, hi] with
-        lo >= 0, t^k lies in [lo^k, hi^k], so the element is at least the sum
-        of c·lo^k over c > 0 and c·hi^k over c < 0, and at most the reverse;
-        with lo = p/q and hi = r/s both bounds are taken in integers, times
-        (q·s)^(d-1)."""
-        nums = a.nums
-        if not any(nums[1:]):
-            return (nums[0] > 0) - (nums[0] < 0)
+    def signs(self, rows: Sequence[Sequence[int]]) -> list[int]:
+        """Exact signs of the elements with integer coefficient rows `rows`,
+        over any positive denominator, by refining lambda's interval from the
+        tightest one an earlier call reached.  On [lo, hi] with lo >= 0, t^k
+        lies in [lo^k, hi^k], which bounds each element; with lo = p/q and
+        hi = r/s both bounds are taken in integers, times (q·s)^(d-1)."""
+        out = {i: (n[0] > 0) - (n[0] < 0) for i, n in enumerate(rows) if not any(n[1:])}
         root, top = self._sign_root, self.degree - 1
-        while True:
+        while len(out) < len(rows):
             if root.lo >= 0:
                 (p, q), (r, s) = root.lo.as_integer_ratio(), root.hi.as_integer_ratio()
                 los = [p**k * q ** (top - k) * s**top for k in range(top + 1)]
                 his = [r**k * s ** (top - k) * q**top for k in range(top + 1)]
-                lo = sum(c * (x if c > 0 else y) for c, x, y in zip(nums, los, his))
-                hi = sum(c * (y if c > 0 else x) for c, x, y in zip(nums, los, his))
-            else:
-                lo, hi = _interval_eval(a.coeffs, root.lo, root.hi)
-            if lo > 0 or hi < 0:
-                self._sign_root = root
-                return 1 if lo > 0 else -1
-            root = root.refined((root.hi - root.lo) / 4)
+            for i, nums in [(i, n) for i, n in enumerate(rows) if i not in out]:
+                if root.lo >= 0:
+                    lo = sum(c * (x if c > 0 else y) for c, x, y in zip(nums, los, his))
+                    hi = sum(c * (y if c > 0 else x) for c, x, y in zip(nums, los, his))
+                else:
+                    lo, hi = _interval_eval(nums, root.lo, root.hi)
+                if lo > 0 or hi < 0:
+                    out[i] = 1 if lo > 0 else -1
+            if len(out) < len(rows):
+                root = root.refined((root.hi - root.lo) / 4)
+        self._sign_root = root
+        return [out[i] for i in range(len(rows))]
 
     def approx(self, a: "FieldElement", eps: Fraction) -> Fraction:
         root = self.root
@@ -397,7 +407,7 @@ class FieldElement:
         return hash((self.nums, self.den))
 
     def sign(self) -> int:
-        return self.field.sign(self)
+        return self.field.signs([self.nums])[0]
 
     def __float__(self) -> float:
         return self.field.to_float(self)
@@ -527,11 +537,16 @@ def factor_charpoly(charpoly: Sequence[int]) -> list[tuple[tuple[int, ...], int]
 
 
 def dominant_root(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], tuple, AlgebraicNumber]:
-    """The characteristic polynomial of a square integer matrix, its
-    irreducible factors with multiplicities, and its largest real root."""
+    """The characteristic polynomial of a square nonnegative integer matrix
+    with no zero row, its irreducible factors with multiplicities, and its
+    largest real root: the spectral radius, at least 1 (Perron–Frobenius),
+    so only positive roots are isolated."""
     chi = integer_charpoly(matrix)
     factors = tuple(factor_charpoly(chi))
-    roots = [r for asc, _mult in factors for r in AlgebraicNumber.roots_of_irreducible(asc)]
+    roots = [AlgebraicNumber.from_rational(Fraction(-a[0], a[1]))
+             for a, _ in factors if len(a) == 2 and a[0] < 0]
+    roots += [AlgebraicNumber(a, lo, hi)
+              for a, _ in factors if len(a) > 2 for lo, hi in positive_root_intervals(a)]
     if not roots:
         raise InternalCheckError("primitive matrix with no real eigenvalue")
     return chi, factors, max(roots)

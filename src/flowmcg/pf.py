@@ -4,9 +4,10 @@ block frequencies, balance verdicts for the constant function.
 All eigenvector arithmetic happens in the number field generated by the
 dominant eigenvalue, so every reported frequency is exact.  Eigenvectors are
 read off the integer characteristic polynomial, with no elimination over
-that field (`positive_eigenvector`).  The balance verdict (`cr_check`) is
-read off integer rows and those eigenvectors, with no primary
-decomposition.
+that field, and checked (`positive_eigenvector`, then `pf_data` once more)
+as identities on integer numerators over one denominator.  The balance
+verdict (`cr_check`) is read off integer rows and those eigenvectors, with
+no primary decomposition.
 """
 
 from __future__ import annotations
@@ -89,56 +90,53 @@ def positive_eigenvector(
     Krylov vectors A^j e_k with one common denominator.
     """
     n = len(m)
-    a = tuple(zip(*m)) if transposed else m
+    a, columns = (tuple(zip(*m)), m) if transposed else (m, tuple(zip(*m)))
     chi = integer_charpoly(m) if charpoly is None else charpoly
-    den, times_mu = _multiplier(field, eigenvalue)
+    den, mu_rows = field.multiplication_rows(eigenvalue)
     # synthetic division: q_(n-1) = 1, q_(j-1) = chi_j + mu·q_j, remainder
     # chi_0 + mu·q_0; q_j is kept as the integer vector den^(n-1-j)·q_j
     q = [[0] * field.degree for _ in range(n)]
     carry = [1] + [0] * (field.degree - 1)
     for j in range(n - 1, -1, -1):
         q[j] = [x * den**j for x in carry]
-        carry = times_mu(carry)
+        carry = _combine(carry, mu_rows)
         carry[0] += chi[j] * den ** (n - j)
     if any(carry):
         raise InternalCheckError("dominant eigenspace dimension != 1")
     for k in range(n):
-        column = [[0] * field.degree for _ in range(n)]
-        krylov = [int(i == k) for i in range(n)]
-        for qj in q:
-            for i, x in enumerate(krylov):
-                if x:
-                    column[i] = [s + x * c for s, c in zip(column[i], qj)]
-            krylov = [sum(r * x for r, x in zip(row, krylov)) for row in a]
-        if any(any(cs) for cs in column):
+        krylov = [[int(i == k) for i in range(n)]]
+        while len(krylov) < n:
+            krylov.append(_combine(krylov[-1], columns))
+        column = [_combine(powers, q) for powers in zip(*krylov)]
+        if any(map(any, column)):
             break
     else:
         raise InternalCheckError("dominant eigenspace dimension != 1")
-    for row, cs in zip(a, column):
-        image = [sum(r * vs[t] for r, vs in zip(row, column)) for t in range(field.degree)]
-        if [den * x for x in image] != times_mu(cs):
-            raise InternalCheckError("eigenvector check failed")
-    if {field.element_over(cs, 1).sign() for cs in column} not in ({1}, {-1}):
+    if not _is_eigenvector(a, column, den, mu_rows):
+        raise InternalCheckError("eigenvector check failed")
+    if set(field.signs(column)) not in ({1}, {-1}):
         raise InternalCheckError("dominant eigenvector not strictly positive")
-    total = field.element_over([sum(t) for t in zip(*column)], 1)
-    scale_den, times_scale = _multiplier(field, field.inv(total))
-    return tuple(field.element_over(times_scale(cs), scale_den) for cs in column)
+    return tuple(field.quotients(column, field.element_over([sum(t) for t in zip(*column)], 1)))
 
 
-def _multiplier(field: NumberField, c: FieldElement):
-    """(den, f) with f(s) = den·c·s for s an integer coefficient vector of
-    an element of the field: multiplication by c over the integers."""
-    den, int_rows = field.multiplication_rows(c)
+def _combine(coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
+    """The sum of c·row over the coefficients c and integer rows, zeros skipped."""
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            out = [x + c * y for x, y in zip(out, row)]
+    return out
 
-    def times(s: Sequence[int]) -> list[int]:
-        return [sum(st * row[j] for st, row in zip(s, int_rows)) for j in range(field.degree)]
 
-    return den, times
+def _is_eigenvector(a: IntMatrix, column: Sequence[Sequence[int]], den: int, mu_rows) -> bool:
+    """a·v = mu·v, for v's integer rows over one denominator and mu's `multiplication_rows`."""
+    return all([den * x for x in _combine(row, column)] == _combine(cs, mu_rows)
+               for row, cs in zip(a, column))
 
 
 def _solve_pf(obj) -> PFData:
     m, labels = _as_matrix(obj)
-    if not is_primitive(m):
+    if not is_primitive(obj if isinstance(obj, Substitution) else m):
         kind = "substitution" if isinstance(obj, Substitution) else "matrix"
         raise ValidationError(f"{kind} is not primitive")
     chi, factors, best = (
@@ -152,10 +150,12 @@ def _solve_pf(obj) -> PFData:
     lam_el = field.generator()
     left = positive_eigenvector(field, m, lam_el, transposed=True, charpoly=chi)
     right = positive_eigenvector(field, m, lam_el, transposed=False, charpoly=chi)
+    den, lam_rows = field.multiplication_rows(lam_el)
     for side, vec, rows in (("left", left, tuple(zip(*m))), ("right", right, m)):
-        for row, x in zip(rows, vec):
-            if sum(map(field.scal, row, vec), field.zero()) != lam_el * x:
-                raise InternalCheckError(f"{side} eigenvector check failed")
+        common = math.lcm(*(x.den for x in vec))
+        nums = [[c * (common // x.den) for c in x.nums] for x in vec]
+        if not _is_eigenvector(rows, nums, den, lam_rows):
+            raise InternalCheckError(f"{side} eigenvector check failed")
     return PFData(
         matrix=m,
         lam=best,
@@ -176,14 +176,10 @@ def is_pisot(obj) -> bool:
     if data.lam.compare_fraction(1) <= 0:
         return False
     for asc, _mult in data.charpoly_factors:
-        inside, on, outside = classify_roots_vs_unit_circle(asc)
         deg = len(asc) - 1
-        if tuple(asc) == data.pf_factor:
-            if (inside, on, outside) != (deg - 1, 0, 1):
-                return False
-        else:
-            if (inside, on, outside) != (deg, 0, 0):
-                return False
+        want = (deg - 1, 0, 1) if tuple(asc) == data.pf_factor else (deg, 0, 0)
+        if classify_roots_vs_unit_circle(asc) != want:
+            return False
     return True
 
 

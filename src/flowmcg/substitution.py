@@ -146,7 +146,7 @@ class Substitution(Record):
     def _generate(self, n: int) -> frozenset[tuple[int, ...]]:
         held: dict = self._blocks  # type: ignore[attr-defined]
         longer = [m for m in held if m > n]
-        if longer and self.cached("primitive", lambda: is_primitive(self)):
+        if longer and is_primitive(self):
             return frozenset(w[:n] for w in held[min(longer)])
         return generate_language(self, n)
 
@@ -226,14 +226,15 @@ def incidence_matrix(sub: Substitution) -> tuple[tuple[int, ...], ...]:
 
 
 def is_primitive(obj: Substitution | Sequence[Sequence[int]]) -> bool:
-    """Some power of the incidence matrix (of a substitution, or a square
-    nonnegative integer matrix given directly) is strictly positive.
+    """Some power of the incidence matrix of a substitution (which keeps the
+    verdict) or of a square nonnegative integer matrix is strictly positive.
 
     Boolean powers up to the Wielandt bound d^2 - 2d + 2 decide this.
     """
-    matrix = incidence_matrix(obj) if isinstance(obj, Substitution) else obj
-    d = len(matrix)
-    m = [[bool(x) for x in row] for row in matrix]
+    if isinstance(obj, Substitution):
+        return obj.cached("primitive", lambda: is_primitive(incidence_matrix(obj)))
+    d = len(obj)
+    m = [[bool(x) for x in row] for row in obj]
     bound = d * d - 2 * d + 2
     acc = m
     for _ in range(bound - 1):
@@ -301,7 +302,7 @@ class PeriodicityVerdict(Record):
 
 
 def is_aperiodic(sub: Substitution) -> PeriodicityVerdict:
-    """Aperiodicity of the subshift.
+    """Aperiodicity of the subshift, kept on the substitution.
 
     An irrational dominant eigenvalue lambda certifies it, with no language
     built: a periodic minimal shift has rational letter frequencies
@@ -317,6 +318,10 @@ def is_aperiodic(sub: Substitution) -> PeriodicityVerdict:
     closure of w repeated. An aperiodic verdict of the screen is certified
     to the window.
     """
+    return sub.cached("aperiodic", lambda: _periodicity(sub))
+
+
+def _periodicity(sub: Substitution) -> PeriodicityVerdict:
     if not is_primitive(sub):
         raise ValidationError("aperiodicity check expects a primitive substitution")
     if sub.size == 1:

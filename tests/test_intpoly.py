@@ -2,7 +2,9 @@
 root intervals (which must be sympy's own, since halving them prints their
 endpoints), root counts on an interval, primality and perfect powers."""
 
+import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -15,6 +17,8 @@ import flowmcg
 from flowmcg import intpoly, numberfield
 from flowmcg.cli import run
 from flowmcg.errors import InternalCheckError, ResourceLimitError, ValidationError
+from flowmcg.flows import derived_substitution
+from flowmcg.substitution import cycle_lengths, incidence_matrix
 
 X = sympy.Symbol("x")
 
@@ -73,6 +77,110 @@ def test_factoring_matches_sympy_on_special_polynomials(asc):
     Swinnerton-Dyer polynomial (two or more factors modulo every prime),
     f(x^20) for Fibonacci's f, content with a negative lead, x^12 - 2."""
     assert intpoly.factor(asc) == _sympy_factors(asc)
+
+
+def _three_prime_factor(asc):
+    """`intpoly.factor` as it was before the one-prime square-free step: the
+    oracle that the one-prime factoring must agree with."""
+    f = intpoly._trim([int(x) for x in asc])
+    if len(f) < 2:
+        return (f[0] if f else 0), []
+    g = intpoly._primitive(f)
+    zeros = next(i for i, x in enumerate(g) if x)
+    out = [((0, 1), zeros)] if zeros else []
+    for h, k in intpoly.square_free_factors(g[zeros:]):
+        out += [(tuple(u), k) for u in _three_prime_square_free(h)]
+    return f[-1] // g[-1], sorted(out)
+
+
+def _three_prime_square_free(f):
+    """Of the first three odd primes that keep the degree and
+    square-freeness of f, the one with the fewest factors is taken; the
+    factors are lifted past twice the Mignotte bound, one power of p at a
+    time, and each least subset whose product divides the rest of f over Z
+    is split off."""
+    tries = []
+    for p in filter(intpoly.is_prime, itertools.count(3, 2)):
+        if f[-1] % p:
+            fp = intpoly._prod([f], p, pow(f[-1], -1, p))
+            if len(intpoly._monic_gcd(fp, intpoly._add([i * x for i, x in enumerate(fp)][1:], (), p), p)) == 1:
+                tries.append((len(facs := _random_split(fp, p)), p, facs))
+                if len(facs) == 1 or len(tries) == 3:
+                    break
+    _r, p, lifted = min(tries)
+    bound = abs(f[-1]) * 2 ** (len(f) - 1) * (math.isqrt(sum(c * c for c in f)) + 1)
+    inverses = [
+        intpoly._powmod(intpoly._prod(lifted[:i] + lifted[i + 1:], p, f[-1]), p ** (len(u) - 1) - 2, u, p)
+        for i, u in enumerate(lifted)
+    ]
+    mod = p
+    while mod <= 2 * bound:
+        e = [x // mod for x in intpoly._add(f, intpoly._prod(lifted, mod * p, f[-1]), mod * p, -1)]
+        lifted = [intpoly._add(u, [mod * x for x in intpoly._divmod(intpoly._mul(a, e), u, p)[1]], mod * p)
+                  for u, a in zip(lifted, inverses)]
+        mod *= p
+    out, size = [], 1
+    while 2 * size <= len(lifted):
+        for subset in itertools.combinations(range(len(lifted)), size):
+            g = intpoly._prod((lifted[i] for i in subset), mod, f[-1])
+            g = intpoly._primitive([x - mod if 2 * x > mod else x for x in g])
+            q = intpoly._quotient(f, g) if g[0] and f[0] % g[0] == 0 else None
+            if q is not None:
+                out.append(g)
+                f, lifted = q, [u for i, u in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    return out + [f]
+
+
+def _random_split(f, p):
+    """The monic irreducible factors of a monic square-free f modulo p, by
+    distinct-degree splitting and equal-degree splitting with random a."""
+    rng, out, h, d = random.Random(p), [], [0, 1], 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d, h = d + 1, intpoly._powmod(h, p, f, p)
+        g = intpoly._monic_gcd(f, intpoly._add(h, [0, 1], p, -1), p)
+        f, todo = intpoly._divmod(f, g, p)[0], [g] if len(g) > 1 else []
+        h = intpoly._divmod(h, f, p)[1]
+        while todo:
+            u = todo.pop()
+            if len(u) - 1 == d:
+                out.append(u)
+                continue
+            a = [rng.randrange(p) for _ in range(len(u) - 1)]
+            w = intpoly._monic_gcd(u, intpoly._add(intpoly._powmod(a, (p**d - 1) // 2, u, p), [1], p, -1), p)
+            todo += [w, intpoly._divmod(u, w, p)[0]] if 1 < len(w) < len(u) else [u]
+    return out + [f] if len(f) > 1 else out
+
+
+def _corpus_charpolys():
+    """The characteristic polynomials of every corpus sigma, sigma^2,
+    sigma^3 and derived substitution on a letter section."""
+    from test_asymptotics import CORPUS
+
+    out = set()
+    for rules in CORPUS.values():
+        sub = flowmcg.Substitution.from_rules(rules)
+        subs = [sub, sub.power(2), sub.power(3)] + [
+            derived_substitution(sub, (a,)) for a in sorted(cycle_lengths(sub.first_letter_map()))
+        ]
+        out |= {numberfield.integer_charpoly(incidence_matrix(s)) for s in subs}
+    return sorted(out)
+
+
+def test_factoring_matches_the_three_prime_oracle_and_sympy_on_the_corpus():
+    charpolys = _corpus_charpolys()
+    assert len(charpolys) > 50
+    for asc in charpolys:
+        assert intpoly.factor(asc) == _three_prime_factor(asc) == _sympy_factors(asc), asc
+
+
+def test_factoring_matches_the_three_prime_oracle_on_random_products():
+    rng = random.Random(18)
+    for degree in [rng.randint(1, 24) for _ in range(60)] + [50, 56, 60]:
+        f = _random_product(rng, degree)
+        assert intpoly.factor(f) == _three_prime_factor(f), f
 
 
 def test_square_free_factors_multiply_back():
@@ -204,7 +312,7 @@ def test_counts_on_open_intervals_with_rational_endpoints():
         lo = Fraction(rng.randint(-12, 12), rng.randint(1, 3))
         hi = lo + Fraction(rng.randint(1, 20), rng.randint(1, 3))
         closed = _poly(asc).count_roots(lo, hi)
-        at_ends = sum(numberfield.eval_ascending(asc, q) == 0 for q in (lo, hi))
+        at_ends = sum(numberfield._sign_at(asc, q) == 0 for q in (lo, hi))
         assert intpoly.count_real_roots(asc, lo, hi) == closed - at_ends
 
 
@@ -226,7 +334,7 @@ def test_exact_log_bound_isolates_roots_with_wide_coefficients():
         intervals = intpoly.real_root_intervals(asc)
         assert len(intervals) == g.count_roots()
         for lo, hi in intervals:
-            slo, shi = (numberfield.eval_ascending(asc, q) for q in (lo, hi))
+            slo, shi = (numberfield._sign_at(asc, q) for q in (lo, hi))
             assert (lo == hi and slo == 0) or (lo < hi and slo * shi < 0)
 
 

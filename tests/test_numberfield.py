@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -321,6 +322,38 @@ def test_inverse_by_cayley_hamilton(asc):
         assert a * field.inv(a) == field.one()
     with pytest.raises(ZeroDivisionError):
         field.inv(field.zero())
+
+
+@pytest.mark.parametrize("asc", KERNEL_FIELDS, ids=str)
+def test_multiplication_rows_and_quotients_match_field_arithmetic(asc):
+    """Row t of `multiplication_rows` is s·a·lambda^t with s the least
+    integer multiplier, monic minimal polynomial or not; `quotients` divides
+    each integer row by a as `inv` and multiplication do."""
+    field = _field_of(asc)
+    lam = field.generator()
+    rng = random.Random("rows " + str(asc))
+    elements = list(_random_elements(field, rng, 30))
+    for a in elements:
+        s, rows = field.multiplication_rows(a)
+        products = [a * field.power(lam, t) for t in range(field.degree)]
+        assert [field.element_over(row, s) for row in rows] == products
+        assert s == math.lcm(*(x.den for x in products))
+        numerators = [[rng.randint(-20, 20) for _ in range(field.degree)] for _ in range(3)]
+        assert field.quotients(numerators, a) == [field.element_over(n, 1) * field.inv(a) for n in numerators]
+
+
+@pytest.mark.parametrize("asc", [f for f in KERNEL_FIELDS if len(f) > 2], ids=str)
+def test_compare_fraction_matches_bisection(asc):
+    """One sign at q decides the comparison inside the isolating interval,
+    as halving the interval until q leaves it does."""
+    rng = random.Random("compare " + str(asc))
+    for root in AlgebraicNumber.real_roots_of(asc):
+        for _ in range(40):
+            q = root.lo + (root.hi - root.lo) * Fraction(rng.randint(-10, 30), 20)
+            cur = root
+            while cur.lo <= q <= cur.hi:
+                cur = cur.refined((cur.hi - cur.lo) / 4)
+            assert root.compare_fraction(q) == (1 if cur.lo > q else -1), (root, q)
 
 
 @pytest.mark.parametrize("asc", [f for f in KERNEL_FIELDS if len(f) <= 5], ids=str)
