@@ -256,7 +256,9 @@ def _factor_mod(f: list, p: int) -> list[list]:
     while len(f) - 1 >= 2 * (d + 1):
         d, h = d + 1, _powmod(h, p, f, p)
         g = _monic_gcd(f, _add(h, [0, 1], p, -1), p)
-        f, todo = _divmod(f, g, p)[0], [g] if len(g) > 1 else []
+        if len(g) == 1:
+            continue  # no factor of degree d: f and h stay as they are
+        f, todo = _divmod(f, g, p)[0], [g]
         h = _divmod(h, f, p)[1]
         while todo:
             u = todo.pop()

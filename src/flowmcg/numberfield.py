@@ -5,8 +5,9 @@ primitive, irreducible, positive leading coefficient) plus an isolating
 rational interval; its checks and comparisons read signs of the integer
 q^n·f(p/q). Field elements of Q(lambda) are polynomials in lambda of degree
 below that of lambda, as integer coefficients over one positive denominator
-reduced mod the minimal polynomial in integers. Signs are decided exactly
-by interval refinement, which ends as a nonzero element has nonzero value.
+reduced mod the minimal polynomial in integers. Signs and approximations
+refine one integer bound on lambda's interval; a sign is decided as a
+nonzero element has nonzero value.
 Characteristic polynomials come from one division-free Berkowitz core, which
 also gives quotients (by Cayley–Hamilton) and minimal polynomials.
 Factoring over Z and the isolation and counting of real roots come from
@@ -316,25 +317,35 @@ class NumberField:
 
     # sign and approximation ----------------------------------------------
 
+    def _bounds(self, rows: Sequence[Sequence[int]], root: AlgebraicNumber) -> tuple[AlgebraicNumber, list, int]:
+        """(root, bounds, den): lambda's interval `root`, refined in quarter
+        steps while it straddles 0, and integers a <= b for each coefficient
+        row c with a/den <= sum of c_k·t^k <= b/den on it.  On [p/q, r/s] at
+        or above 0, t^k lies in [(p/q)^k, (r/s)^k], taken times (q·s)^(d-1);
+        one at or below 0 is reflected by t -> -t, negating odd c_k."""
+        while root.lo < 0 < root.hi:
+            root = root.refined((root.hi - root.lo) / 4)
+        lo, hi, top = root.lo, root.hi, self.degree - 1
+        if hi <= 0:
+            rows = [[-c if k & 1 else c for k, c in enumerate(nums)] for nums in rows]
+            lo, hi = -hi, -lo
+        (p, q), (r, s) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        los = [p**k * q ** (top - k) * s**top for k in range(top + 1)]
+        his = [r**k * s ** (top - k) * q**top for k in range(top + 1)]
+        bounds = [(sum(c * (x if c > 0 else y) for c, x, y in zip(nums, los, his)),
+                   sum(c * (y if c > 0 else x) for c, x, y in zip(nums, los, his))) for nums in rows]
+        return root, bounds, (q * s) ** top
+
     def signs(self, rows: Sequence[Sequence[int]]) -> list[int]:
         """Exact signs of the elements with integer coefficient rows `rows`,
         over any positive denominator, by refining lambda's interval from the
-        tightest one an earlier call reached.  On [lo, hi] with lo >= 0, t^k
-        lies in [lo^k, hi^k], which bounds each element; with lo = p/q and
-        hi = r/s both bounds are taken in integers, times (q·s)^(d-1)."""
+        tightest one an earlier call reached until `_bounds` decides each."""
         out = {i: (n[0] > 0) - (n[0] < 0) for i, n in enumerate(rows) if not any(n[1:])}
-        root, top = self._sign_root, self.degree - 1
+        root = self._sign_root
         while len(out) < len(rows):
-            if root.lo >= 0:
-                (p, q), (r, s) = root.lo.as_integer_ratio(), root.hi.as_integer_ratio()
-                los = [p**k * q ** (top - k) * s**top for k in range(top + 1)]
-                his = [r**k * s ** (top - k) * q**top for k in range(top + 1)]
-            for i, nums in [(i, n) for i, n in enumerate(rows) if i not in out]:
-                if root.lo >= 0:
-                    lo = sum(c * (x if c > 0 else y) for c, x, y in zip(nums, los, his))
-                    hi = sum(c * (y if c > 0 else x) for c, x, y in zip(nums, los, his))
-                else:
-                    lo, hi = _interval_eval(nums, root.lo, root.hi)
+            todo = [i for i in range(len(rows)) if i not in out]
+            root, bounds, _den = self._bounds([rows[i] for i in todo], root)
+            for i, (lo, hi) in zip(todo, bounds):
                 if lo > 0 or hi < 0:
                     out[i] = 1 if lo > 0 else -1
             if len(out) < len(rows):
@@ -343,11 +354,13 @@ class NumberField:
         return [out[i] for i in range(len(rows))]
 
     def approx(self, a: "FieldElement", eps: Fraction) -> Fraction:
+        """The midpoint of `_bounds` of a, once they lie closer than eps,
+        refining lambda's first interval in quarter steps."""
         root = self.root
         while True:
-            lo, hi = _interval_eval(a.coeffs, root.lo, root.hi)
-            if hi - lo < eps:
-                return (lo + hi) / 2
+            root, [(lo, hi)], den = self._bounds([a.nums], root)
+            if Fraction(hi - lo, den * a.den) < eps:
+                return Fraction(lo + hi, 2 * den * a.den)
             root = root.refined((root.hi - root.lo) / 4)
 
     def to_float(self, a: "FieldElement") -> float:
@@ -425,24 +438,6 @@ def _canonical(field: NumberField, nums: list[int], den: int) -> FieldElement:
     el.field, el.den, el._coeffs = field, den // g, None
     el.nums = tuple(x // g for x in nums) if g != 1 else tuple(nums)
     return el
-
-
-def _interval_eval(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Interval extension of a polynomial over [lo, hi] via monomial bounds."""
-    out_lo = Fraction(0)
-    out_hi = Fraction(0)
-    plo, phi = Fraction(1), Fraction(1)  # bounds for t^k over the interval
-    for c in coeffs:
-        if c > 0:
-            out_lo += c * plo
-            out_hi += c * phi
-        elif c < 0:
-            out_lo += c * phi
-            out_hi += c * plo
-        # next power bounds
-        cands = [plo * lo, plo * hi, phi * lo, phi * hi]
-        plo, phi = min(cands), max(cands)
-    return out_lo, out_hi
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ read off the integer characteristic polynomial, with no elimination over
 that field, and checked (`positive_eigenvector`, then `pf_data` once more)
 as identities on integer numerators over one denominator.  The balance
 verdict (`cr_check`) is read off integer rows and those eigenvectors, with
-no primary decomposition.
+no primary decomposition; its table of factors against the unit circle is
+what `is_pisot` reads.  A substitution keeps both PF data and verdict.
 """
 
 from __future__ import annotations
@@ -44,20 +45,17 @@ class PFData(Record):
     left: tuple[FieldElement, ...]
     right: tuple[FieldElement, ...]
     charpoly_factors: tuple[tuple[tuple[int, ...], int], ...]
-    pf_factor: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
 
 
-def _as_matrix(obj) -> tuple[IntMatrix, tuple[str, ...] | None]:
+def _as_matrix(obj) -> IntMatrix:
     if isinstance(obj, Substitution):
-        labels = tuple(obj.alphabet)
-        return incidence_matrix(obj), labels
+        return incidence_matrix(obj)
     m = tuple(tuple(int(x) for x in row) for row in obj)
     if any(len(r) != len(m) for r in m):
         raise ValidationError("incidence matrix must be square")
     if any(x < 0 for row in m for x in row):
         raise ValidationError("incidence matrix must be nonnegative")
-    return m, None
+    return m
 
 
 def pf_data(obj) -> PFData:
@@ -135,7 +133,7 @@ def _is_eigenvector(a: IntMatrix, column: Sequence[Sequence[int]], den: int, mu_
 
 
 def _solve_pf(obj) -> PFData:
-    m, labels = _as_matrix(obj)
+    m = _as_matrix(obj)
     if not is_primitive(obj if isinstance(obj, Substitution) else m):
         kind = "substitution" if isinstance(obj, Substitution) else "matrix"
         raise ValidationError(f"{kind} is not primitive")
@@ -163,24 +161,7 @@ def _solve_pf(obj) -> PFData:
         left=left,
         right=right,
         charpoly_factors=factors,
-        pf_factor=best.minpoly,
-        labels=labels,
     )
-
-
-def is_pisot(obj) -> bool:
-    """True when the dominant eigenvalue exceeds 1 and every other
-    eigenvalue of the full characteristic polynomial lies strictly inside
-    the unit circle."""
-    data = obj if isinstance(obj, PFData) else pf_data(obj)
-    if data.lam.compare_fraction(1) <= 0:
-        return False
-    for asc, _mult in data.charpoly_factors:
-        deg = len(asc) - 1
-        want = (deg - 1, 0, 1) if tuple(asc) == data.pf_factor else (deg, 0, 0)
-        if classify_roots_vs_unit_circle(asc) != want:
-            return False
-    return True
 
 
 class FactorReport(Record):
@@ -221,9 +202,10 @@ def _row_times_poly(row: Sequence[int], m: IntMatrix, asc: Sequence[int]) -> lis
 
 def cr_check(obj) -> BalanceVerdict:
     """Decide whether the constant function is balanced against the letter
-    frequencies.
+    frequencies.  A substitution keeps its verdict, as it keeps its PF data.
 
-    Strategy: equal column sums give the exact verdict at once.  Otherwise
+    Strategy: every characteristic factor is placed against the unit
+    circle, once.  Equal column sums then give the exact verdict.  Otherwise
     the constant row vector splits into primary components along the
     characteristic factors; a component living on a factor with any root on
     or outside the unit circle must vanish identically, except the dominant
@@ -234,34 +216,25 @@ def cr_check(obj) -> BalanceVerdict:
     constant row is ((1·r)/(l·r))·l for the left and right eigenvectors l
     and r, and 1·r = 1, so alpha = 1/(l·r).
     """
+    if isinstance(obj, Substitution):
+        return obj.cached("cr_check", lambda: cr_check(pf_data(obj)))
     data = obj if isinstance(obj, PFData) else pf_data(obj)
     m = data.matrix
     n = len(m)
     field = data.field
-    col_sums = [sum(m[i][j] for i in range(n)) for j in range(n)]
-    if len(set(col_sums)) == 1:
-        uniform = field.rational(Fraction(1, n))
-        if any(x != uniform for x in data.left):
-            raise InternalCheckError("equal column sums but non-uniform frequencies")
-        return BalanceVerdict(
-            verdict="ExactCR",
-            alpha=field.rational(n),
-            factor_reports=(),
-            reasons=("all incidence column sums equal",),
-        )
-
+    exact = len({sum(m[i][j] for i in range(n)) for j in range(n)}) == 1
     reports: list[FactorReport] = []
     reasons: list[str] = []
     for asc, mult in data.charpoly_factors:
         inside, on, outside = classify_roots_vs_unit_circle(asc)
         fdeg = len(asc) - 1
         vanish = None
-        if asc == data.pf_factor:
+        if not exact and asc == data.lam.minpoly:
             if (inside, on, outside) != (fdeg - 1, 0, 1):
                 reasons.append(
                     "a conjugate of the dominant eigenvalue is not contracting"
                 )
-        elif on + outside:
+        elif not exact and on + outside:
             row = [1] * n
             for other, other_mult in data.charpoly_factors:
                 if other != asc:
@@ -274,6 +247,16 @@ def cr_check(obj) -> BalanceVerdict:
                     "non-contracting factor"
                 )
         reports.append(FactorReport(asc, mult, inside, on, outside, vanish))
+    if exact:
+        uniform = field.rational(Fraction(1, n))
+        if any(x != uniform for x in data.left):
+            raise InternalCheckError("equal column sums but non-uniform frequencies")
+        return BalanceVerdict(
+            verdict="ExactCR",
+            alpha=field.rational(n),
+            factor_reports=tuple(reports),
+            reasons=("all incidence column sums equal",),
+        )
     if reasons:
         return BalanceVerdict(
             verdict="Inconclusive",
@@ -292,6 +275,20 @@ def cr_check(obj) -> BalanceVerdict:
         factor_reports=tuple(reports),
         reasons=("all non-contracting components of the constant vector vanish",),
     )
+
+
+def is_pisot(obj) -> bool:
+    """True when the dominant eigenvalue exceeds 1 and every other
+    eigenvalue of the full characteristic polynomial lies strictly inside
+    the unit circle, read off `cr_check`'s factor table: the dominant
+    factor has one root outside the circle, lambda itself, so lambda > 1."""
+    data = obj if isinstance(obj, PFData) else pf_data(obj)
+    for r in cr_check(obj if isinstance(obj, Substitution) else data).factor_reports:
+        deg = len(r.poly) - 1
+        want = (deg - 1, 0, 1) if r.poly == data.lam.minpoly else (deg, 0, 0)
+        if (r.inside, r.on, r.outside) != want:
+            return False
+    return True
 
 
 def _two_block_measures(sub: Substitution) -> dict[tuple[int, ...], FieldElement]:

@@ -16,6 +16,8 @@ from flowmcg.numberfield import classify_roots_vs_unit_circle, integer_charpoly
 from flowmcg.pf import BalanceVerdict, FactorReport, cr_check, pf_data
 from flowmcg.substitution import Substitution, is_aperiodic, is_primitive
 
+from test_numberfield import reference_classify
+
 # the ten primitive aperiodic substitutions of test_criterion_09, then the
 # first twelve primitive aperiodic draws of its generator
 INPUTS = {
@@ -87,7 +89,8 @@ def _ones_row_powers(m, count):
 
 
 def reference_cr_check(data) -> BalanceVerdict:
-    """The primary-decomposition `cr_check` that was replaced."""
+    """The primary-decomposition `cr_check` that was replaced.  Equal
+    column sums take the factor table from sympy's root boxes."""
     m = data.matrix
     n = len(m)
     field = data.field
@@ -99,7 +102,10 @@ def reference_cr_check(data) -> BalanceVerdict:
         return BalanceVerdict(
             verdict="ExactCR",
             alpha=field.rational(n),
-            factor_reports=(),
+            factor_reports=tuple(
+                FactorReport(asc, mult, *reference_classify(asc), None)
+                for asc, mult in data.charpoly_factors
+            ),
             reasons=("all incidence column sums equal",),
         )
 
@@ -132,7 +138,7 @@ def reference_cr_check(data) -> BalanceVerdict:
         total = [t + r for t, r in zip(total, row)]
         inside, on, outside = classify_roots_vs_unit_circle(asc)
         fdeg = len(asc) - 1
-        if asc == data.pf_factor:
+        if asc == data.lam.minpoly:
             vanish = None
             if (inside, on, outside) != (fdeg - 1, 0, 1):
                 ok = False
@@ -152,7 +158,7 @@ def reference_cr_check(data) -> BalanceVerdict:
     if not ok:
         return BalanceVerdict("Inconclusive", None, tuple(reports), tuple(reasons))
 
-    pf_asc = data.pf_factor
+    pf_asc = data.lam.minpoly
     y_p = component_rows[pf_asc]
     d = len(pf_asc) - 1
     s_coeffs = [field.zero()] * d

@@ -3,7 +3,9 @@ against the Fraction-coefficient arithmetic it replaced, kept here as the
 reference.  Seeded random elements are drawn in the fields of the dominant
 eigenvalues of the report inputs, in the field of a root of 2x^2 - 3 (a
 minimal polynomial that is not monic) and in fields whose isolating
-interval is negative or contains 0."""
+interval is negative or contains 0.  The Fraction interval evaluator the
+field's signs and approximations were once read off is kept here too, as
+the oracle of both."""
 
 import math
 import random
@@ -11,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from flowmcg.numberfield import AlgebraicNumber, FieldElement, NumberField, _interval_eval
+from flowmcg.numberfield import AlgebraicNumber, FieldElement, NumberField
 from flowmcg.pf import pf_data
 from flowmcg.substitution import Substitution
 
@@ -54,6 +56,34 @@ HAND = {
     # the root about 0.347 of x^3 - 3x + 1
     "across0_cubic": ((1, -3, 0, 1), Fraction(-1), Fraction(1)),
 }
+
+
+def interval_eval(coeffs, lo, hi):
+    """Interval extension of a polynomial over [lo, hi] via monomial bounds."""
+    out_lo = Fraction(0)
+    out_hi = Fraction(0)
+    plo, phi = Fraction(1), Fraction(1)  # bounds for t^k over the interval
+    for c in coeffs:
+        if c > 0:
+            out_lo += c * plo
+            out_hi += c * phi
+        elif c < 0:
+            out_lo += c * phi
+            out_hi += c * plo
+        # next power bounds
+        cands = [plo * lo, plo * hi, phi * lo, phi * hi]
+        plo, phi = min(cands), max(cands)
+    return out_lo, out_hi
+
+
+def reference_approx(root, coeffs, eps):
+    """The midpoint of `interval_eval` once it is narrower than eps, from
+    lambda's interval `root` on in quarter steps."""
+    while True:
+        lo, hi = interval_eval(coeffs, root.lo, root.hi)
+        if hi - lo < eps:
+            return (lo + hi) / 2
+        root = root.refined((root.hi - root.lo) / 4)
 
 
 def _root(name):
@@ -111,7 +141,7 @@ class Reference:
             return (a[0] > 0) - (a[0] < 0)
         root = self.root
         while True:
-            lo, hi = _interval_eval(a, root.lo, root.hi)
+            lo, hi = interval_eval(a, root.lo, root.hi)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -215,3 +245,34 @@ def test_hand_intervals_cover_both_sign_paths():
     assert all(_root(name).lo < 0 for name in HAND if name != "sqrt(3/2)")
     assert any(_root(name).hi > 0 > _root(name).lo for name in HAND)
     assert _root("sqrt(3/2)").minpoly[-1] == 2 and _root("sqrt(3/2)").lo >= 0
+
+
+# polynomials whose least root isolation puts at or below 0: -sqrt 2, the
+# root of x^2 - x - 1 in [-1, 0] and the least root of x^3 - 3x + 1
+NEGATIVE = [(-2, 0, 1), (-1, -1, 1), (1, -3, 0, 1)]
+
+
+@pytest.mark.parametrize("asc", NEGATIVE, ids=str)
+def test_signs_and_approximations_at_negative_roots_match_the_oracle(asc):
+    root = AlgebraicNumber.real_roots_of(asc)[0]
+    assert root.hi <= 0
+    ref = Reference(root)
+    tuples = _coeff_tuples(root, random.Random(f"negative {asc}"))
+    want = [ref.sign(c) for c in tuples]
+    assert {1, 0, -1} <= set(want)
+    field = NumberField(root)
+    assert field.signs([FieldElement(field, c).nums for c in tuples]) == want
+    eps = Fraction(1, 10**12)
+    for c in tuples[:8]:
+        assert field.approx(FieldElement(field, c), eps) == reference_approx(root, c, eps)
+
+
+@pytest.mark.parametrize("name", [n for n in HAND if n.startswith("across0")])
+def test_approximations_across_0_lie_within_eps_of_the_oracle(name):
+    """An interval that straddles 0 is refined before it bounds anything,
+    so the midpoint may differ from the oracle's, never by eps or more."""
+    root = _root(name)
+    field = NumberField(root)
+    eps = Fraction(1, 10**12)
+    for c in _coeff_tuples(root, random.Random("across " + name))[:8]:
+        assert abs(field.approx(FieldElement(field, c), eps) - reference_approx(root, c, eps)) < eps

@@ -1,7 +1,8 @@
 """PF data against values frozen before its arithmetic moved to integer
 numerators, the integer re-check of both eigen-equations, and call-count
-guards: a job that recomputes PF data, or a primitivity verdict, fails
-here and not only in the benchmark."""
+guards: a job that recomputes PF data, a primitivity verdict or the
+placement of a characteristic factor against the unit circle fails here
+and not only in the benchmark."""
 
 import json
 import os
@@ -10,13 +11,15 @@ from fractions import Fraction
 import pytest
 
 import flowmcg
-from flowmcg import coinvariants, numberfield, pf, substitution
+from flowmcg import cli, coinvariants, numberfield, pf, substitution
 from flowmcg.errors import InternalCheckError, ResourceLimitError
 from flowmcg.flows import lambda_relation_search
 from flowmcg.pf import pf_data
 from flowmcg.substitution import Substitution, incidence_matrix
 
 from test_asymptotics import CORPUS
+from test_benchmark_outputs import EXPECTED, SEED, corpus
+from test_field_integers import reference_approx
 
 # pf_data of every CORPUS sigma ("key ^1") and sigma^2 ("key ^2"), frozen
 # before the factoring and the eigenvector arithmetic were rewritten
@@ -134,3 +137,57 @@ def test_lambda_is_its_own_least_relation(key):
     to equal lambda; the search agrees on every corpus input."""
     field = pf_data(Substitution.from_rules(CORPUS[key])).field
     assert lambda_relation_search(field.generator()) == (1, 1)
+
+
+def test_approx_matches_the_oracle_on_every_corpus_frequency():
+    """`approx` starts from lambda's first interval and steps as the
+    oracle does, so every printed approximation stays the same."""
+    eps = Fraction(1, 10**12)
+    for key, rules in CORPUS.items():
+        data = pf_data(Substitution.from_rules(rules))
+        for x in data.left + data.right:
+            assert data.field.approx(x, eps) == reference_approx(data.field.root, x.coeffs, eps), key
+
+
+def _classified(monkeypatch) -> list:
+    """The factors handed to the unit-circle classifier from here on."""
+    seen = []
+    real = pf.classify_roots_vs_unit_circle
+    monkeypatch.setattr(pf, "classify_roots_vs_unit_circle", lambda asc: seen.append(tuple(asc)) or real(asc))
+    return seen
+
+
+def _factors(rules) -> list:
+    return sorted(f for f, _ in pf_data(Substitution.from_rules(rules)).charpoly_factors)
+
+
+# the seed-1 `report` inputs but sigma4
+REPORT_INPUTS = {
+    name: rules for name, rules in corpus.report_inputs(SEED, EXPECTED["pool"]).items() if name != "sigma4"
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_INPUTS))
+def test_assemble_mcg_places_each_factor_against_the_circle_once(monkeypatch, name):
+    """The balance verdict and the Pisot test read one factor table, kept
+    on the substitution."""
+    want = _factors(REPORT_INPUTS[name])
+    seen = _classified(monkeypatch)
+    sub = Substitution.from_rules(REPORT_INPUTS[name])
+    try:
+        flowmcg.assemble_mcg(sub, aut_radius=1)
+    except (InternalCheckError, ResourceLimitError):
+        pass  # exit 3 or 2 comes after the balance verdict
+    assert sorted(seen) == want
+    assert pf.cr_check(sub) is pf.cr_check(sub)
+
+
+@pytest.mark.parametrize("name", corpus.FIXTURES)
+def test_the_cr_command_places_each_factor_against_the_circle_once(monkeypatch, tmp_path, name):
+    rules = corpus.FIXED[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"alphabet": sorted(rules), "rules": rules}))
+    want = _factors(rules)
+    seen = _classified(monkeypatch)
+    assert cli.run(["cr", str(path)]) == 0
+    assert sorted(seen) == want

@@ -11,10 +11,12 @@ import pytest
 
 from flowmcg.asymptotics import TAIL_CHECK, action_on_classes, asymptotic_classes
 from flowmcg.errors import InternalCheckError, ValidationError
-from flowmcg.numberfield import FieldElement, NumberField, _interval_eval
+from flowmcg.numberfield import FieldElement, NumberField
 from flowmcg.pf import pf_data
 from flowmcg.substitution import Substitution, fixed_point
 from flowmcg.words import SlidingBlockCode, shift_offsets
+
+from test_field_integers import interval_eval
 
 
 def reference_shift_offsets(x, y, shifts, min_overlap):
@@ -87,7 +89,7 @@ def reference_sign(root, coeffs):
     if all(c == 0 for c in coeffs[1:]):
         return (coeffs[0] > 0) - (coeffs[0] < 0)
     while True:
-        lo, hi = _interval_eval(coeffs, root.lo, root.hi)
+        lo, hi = interval_eval(coeffs, root.lo, root.hi)
         if lo > 0:
             return 1
         if hi < 0:
