@@ -45,7 +45,6 @@ class AutGroupReport(Record):
     inverses: tuple[SlidingBlockCode, ...]
     elements: tuple[SlidingBlockCode, ...]
     table: tuple[tuple[int, ...], ...]
-    identity_index: int
     certificate: str
 
 
@@ -254,7 +253,6 @@ def search_automorphisms(sub: Substitution, radius: int) -> AutGroupReport:
         inverses=tuple(inverses),
         elements=tuple(elements),
         table=tuple(table),
-        identity_index=0,
         certificate=certificate,
     )
 
@@ -313,7 +311,7 @@ def shift_quotient(report: AutGroupReport) -> QuotientGroup:
     """
     table = report.table
     n = len(table)
-    e = report.identity_index
+    e = 0  # search_automorphisms lists the identity first
     for i in range(n):
         if table[e][i] != i or table[i][e] != i:
             raise InternalCheckError("identity axiom fails in quotient table")

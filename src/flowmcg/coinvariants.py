@@ -254,7 +254,7 @@ def build_coinvariants(sub: Substitution, base: int | str | None = None) -> Dire
     # the measure of the section: a letter's frequency, or 1
     base_measure = data.left[derived.section[0]] if derived.section else field.one()
     n_matrix = incidence_matrix(derived.eta)
-    lam_d = field.power(field.generator(), derived.kappa)
+    lam_d = field.generator() ** derived.kappa
     chi = integer_charpoly(n_matrix)
     return DirectLimitGroup(
         derived=derived,
@@ -283,11 +283,11 @@ def trace(group: DirectLimitGroup, g: GroupElement) -> FieldElement:
     acc = field.zero()
     for coef, x in zip(g.vector, group.u_n):
         if coef:
-            acc = acc + field.scal(coef, x)
+            acc = acc + x * coef
     value = group.base_measure * acc
     if g.level == 0:
         return value
-    return value / field.power(field.generator(), g.level * group.derived.kappa)
+    return value / field.generator() ** (g.level * group.derived.kappa)
 
 
 # -- cylinder classes -----------------------------------------------------

@@ -65,7 +65,7 @@ class ReturnSystem(Record):
         field = self.field
         kac = field.zero()
         for w, t in zip(self.weights, self.return_times):
-            kac = kac + field.scal(t, w)
+            kac = kac + w * t
         if kac != field.one():
             raise InternalCheckError("return-time expectation is not 1/measure")
         total = field.zero()
@@ -373,7 +373,7 @@ def _substitution_code(sub: Substitution, source: ReturnSystem) -> FlowCode:
     The target has return words sigma(r), entry and base measures scaled by
     1/lambda, and the source's alphabet and recoded data; the conjugacy
     relabels each return word as its image, exact by construction."""
-    lam_inv = source.field.inv(source.field.generator())
+    lam_inv = source.field.generator().inverse()
     images = tuple(
         Word(sub.alphabet, sub.apply_idx(r.idx)) for r in source.return_words
     )
@@ -606,16 +606,15 @@ def lambda_relation_search(alpha: FieldElement) -> tuple[int, int] | None:
     """Smallest exact relation alpha^p = lam^q with 1 <= p <= RELATION_P_MAX
     and |q| <= RELATION_Q_MAX (q may be negative for contracting factors),
     or None."""
-    field = alpha.field
     if alpha.sign() <= 0:
         raise ValidationError("relation search needs a positive element")
-    lam = field.generator()
-    lam_inv = field.inv(lam)
+    lam = alpha.field.generator()
+    lam_inv = lam.inverse()
     for p in range(1, RELATION_P_MAX + 1):
-        ap = field.power(alpha, p)
+        ap = alpha ** p
         for q_abs in range(0, RELATION_Q_MAX + 1):
             for q in ((q_abs,) if q_abs == 0 else (q_abs, -q_abs)):
                 base = lam if q >= 0 else lam_inv
-                if ap == field.power(base, abs(q)):
+                if ap == base ** abs(q):
                     return (p, q)
     return None

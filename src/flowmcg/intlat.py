@@ -221,8 +221,13 @@ def echelon_reduce(rows: Sequence[Sequence[int]], vector: Sequence[int]) -> tupl
 
 
 def hnf_rows(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    """Canonical basis (unique HNF, pivots positive, entries above pivots
-    reduced) of the row lattice spanned by the given integer rows."""
+    """An echelon basis, pivots positive, of the row lattice spanned by the
+    given integer rows.  Entries above each pivot are reduced into
+    [0, pivot) from the last pivot row upward, so reducing by a higher pivot
+    row can move an entry above a lower pivot out of that range again: for
+    [[1, 2, 3], [0, 2, 5], [0, 0, 3]] the basis is [[1, 0, -2], [0, 2, 2],
+    [0, 0, 3]].  The basis is therefore not the unique Hermite normal form,
+    and two generating sets of one lattice may give different bases."""
     work = [list(r) for r in rows if any(x != 0 for x in r)]
     if not work:
         return ()
@@ -266,7 +271,7 @@ def hnf_rows(rows: Sequence[Sequence[int]]) -> IntMatrix:
 
 class Lattice(Record):
     """A finitely generated subgroup of Q^n: rows/den, the rows in the
-    Hermite form of `hnf_rows`."""
+    echelon basis of `hnf_rows`."""
 
     den: int
     rows: IntMatrix

@@ -5,9 +5,11 @@ primitive, irreducible, positive leading coefficient) plus an isolating
 rational interval; its checks and comparisons read signs of the integer
 q^n·f(p/q). Field elements of Q(lambda) are polynomials in lambda of degree
 below that of lambda, as integer coefficients over one positive denominator
-reduced mod the minimal polynomial in integers. Signs and approximations
-refine one integer bound on lambda's interval; a sign is decided as a
-nonzero element has nonzero value.
+reduced mod the minimal polynomial in integers. A `NumberField` builds
+elements, and they combine by the operators +, -, *, / and ** and by
+`FieldElement.inverse`. Signs and approximations refine one integer bound
+on lambda's interval; a sign is decided as a nonzero element has nonzero
+value.
 Characteristic polynomials come from one division-free Berkowitz core, which
 also gives quotients (by Cayley–Hamilton) and minimal polynomials.
 Factoring over Z and the isolation and counting of real roots come from
@@ -70,20 +72,17 @@ class AlgebraicNumber(Record):
     @classmethod
     def real_roots_of(cls, coeffs_asc: Sequence[int]) -> list["AlgebraicNumber"]:
         """All real roots of an integer polynomial, each exactly isolated,
-        in increasing order."""
-        return sorted(
-            r for asc, _mult in factor_charpoly(coeffs_asc) for r in cls.roots_of_irreducible(asc)
-        )
-
-    @classmethod
-    def roots_of_irreducible(cls, asc: Sequence[int]) -> list["AlgebraicNumber"]:
-        """The real roots of an irreducible integer polynomial (ascending,
-        primitive, positive leading coefficient), each exactly isolated."""
-        if len(asc) == 2:
-            return [cls.from_rational(Fraction(-asc[0], asc[1]))]
-        # rational endpoints around one simple irrational root: the signs
-        # there differ, and __post_init__ checks that they do
-        return [cls(tuple(asc), lo, hi) for lo, hi in real_root_intervals(asc)]
+        in increasing order.  A linear factor gives its rational root; the
+        interval endpoints around each simple irrational root of another
+        factor are rational with differing signs, which __post_init__
+        checks."""
+        roots = []
+        for asc, _mult in factor_charpoly(coeffs_asc):
+            if len(asc) == 2:
+                roots.append(cls.from_rational(Fraction(-asc[0], asc[1])))
+            else:
+                roots += [cls(tuple(asc), lo, hi) for lo, hi in real_root_intervals(asc)]
+        return sorted(roots)
 
     def refined(self, width: Fraction) -> "AlgebraicNumber":
         if self.is_rational:
@@ -160,7 +159,9 @@ def algebraic_to_json(a: AlgebraicNumber) -> dict:
 
 
 class NumberField:
-    """Q(lambda) for a fixed real algebraic lambda, with exact operations.
+    """Q(lambda) for a fixed real algebraic lambda: the constructors of its
+    elements, and the integer-row operations (multiplication matrices,
+    quotients, signs, approximations) that their arithmetic runs on.
 
     Elements are integer coefficient tuples (ascending in powers of lambda)
     of length equal to the degree, over one positive denominator.
@@ -228,40 +229,6 @@ class NumberField:
     def generator(self) -> "FieldElement":
         return self._generator
 
-    # arithmetic -----------------------------------------------------------
-
-    def add(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
-        if a.field is not self or b.field is not self:
-            self._check(a, b)
-        da, db = a.den, b.den
-        return _canonical(self, [x * db + y * da for x, y in zip(a.nums, b.nums)], da * db)
-
-    def sub(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
-        if a.field is not self or b.field is not self:
-            self._check(a, b)
-        da, db = a.den, b.den
-        return _canonical(self, [x * db - y * da for x, y in zip(a.nums, b.nums)], da * db)
-
-    def neg(self, a: "FieldElement") -> "FieldElement":
-        return _canonical(self, [-x for x in a.nums], a.den)
-
-    def mul(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
-        if a.field is not self or b.field is not self:
-            self._check(a, b)
-        prod = [0] * (2 * self.degree - 1)
-        for i, x in enumerate(a.nums):
-            if x:
-                for j, y in enumerate(b.nums):
-                    prod[i + j] += x * y
-        return self.element_over(prod, a.den * b.den)
-
-    def scal(self, q: Fraction | int, a: "FieldElement") -> "FieldElement":
-        if a.field is not self:
-            self._check(a)
-        if not isinstance(q, (int, Fraction)):
-            q = Fraction(q)
-        return _canonical(self, [q.numerator * x for x in a.nums], q.denominator * a.den)
-
     def multiplication_rows(self, a: "FieldElement") -> tuple[int, list[list[int]]]:
         """(s, rows) with rows[t] the integer coefficients of s·a·lambda^t,
         s > 0 the least such multiplier: the integer matrix of
@@ -276,9 +243,6 @@ class NumberField:
             rows.append([-c * p[0]] + [x - c * y for x, y in zip(rows[-1], p[1:-1])])
         g = math.gcd(s, *(x for row in rows for x in row))
         return s // g, rows if g == 1 else [[x // g for x in row] for row in rows]
-
-    def inv(self, a: "FieldElement") -> "FieldElement":
-        return self.quotients([[1] + [0] * (self.degree - 1)], a)[0]
 
     def quotients(self, numerators: Sequence[Sequence[int]], a: "FieldElement") -> list:
         """n / a for integer coefficient rows n, by Cayley–Hamilton on b = s·a
@@ -299,21 +263,6 @@ class NumberField:
                 acc = [sum(x * row[j] for x, row in zip(acc, rows)) + e * c for j, c in enumerate(n)]
             return _canonical(self, [-s * x for x in acc], chi[0])
         return [over(n) for n in numerators]
-
-    def div(self, a: "FieldElement", b: "FieldElement") -> "FieldElement":
-        return self.mul(a, self.inv(b))
-
-    def power(self, a: "FieldElement", k: int) -> "FieldElement":
-        if k < 0:
-            return self.power(self.inv(a), -k)
-        out = self.one()
-        base = a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
 
     # sign and approximation ----------------------------------------------
 
@@ -363,21 +312,17 @@ class NumberField:
                 return Fraction(lo + hi, 2 * den * a.den)
             root = root.refined((root.hi - root.lo) / 4)
 
-    def to_float(self, a: "FieldElement") -> float:
-        return float(self.approx(a, Fraction(1, 10**17)))
-
 
 class FieldElement:
     """(sum of nums[k]·lambda^k) / den in a number field, with integer
     numerators and den > 0 sharing no common factor, so that equal elements
     have equal representations.  `coeffs` are the same coefficients as
-    reduced Fractions."""
+    reduced Fractions.  Elements are built by the field's constructors and
+    combine by the operators: sums, products and scalings by an int or a
+    Fraction run on the integer numerators, and inverses by Cayley–Hamilton
+    (`NumberField.quotients`)."""
 
     __slots__ = ("field", "nums", "den", "_coeffs")
-
-    def __init__(self, field: NumberField, coeffs: Sequence[Fraction | int]) -> None:
-        el = field.element(coeffs)
-        self.field, self.nums, self.den, self._coeffs = field, el.nums, el.den, None
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -389,25 +334,54 @@ class FieldElement:
         return not any(self.nums)
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        return self.field.add(self, other)
+        if other.field is not self.field:
+            self.field._check(other)
+        da, db = self.den, other.den
+        return _canonical(self.field, [x * db + y * da for x, y in zip(self.nums, other.nums)], da * db)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return self.field.sub(self, other)
+        if other.field is not self.field:
+            self.field._check(other)
+        da, db = self.den, other.den
+        return _canonical(self.field, [x * db - y * da for x, y in zip(self.nums, other.nums)], da * db)
 
     def __neg__(self) -> "FieldElement":
-        return self.field.neg(self)
+        return _canonical(self.field, [-x for x in self.nums], self.den)
 
-    def __mul__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field.mul(self, other)
-        return self.field.scal(other, self)
+    def __mul__(self, other: "FieldElement | Fraction | int") -> "FieldElement":
+        field = self.field
+        if not isinstance(other, FieldElement):
+            q = other if isinstance(other, (int, Fraction)) else Fraction(other)
+            return _canonical(field, [q.numerator * x for x in self.nums], q.denominator * self.den)
+        if other.field is not field:
+            field._check(other)
+        prod = [0] * (2 * field.degree - 1)
+        for i, x in enumerate(self.nums):
+            if x:
+                for j, y in enumerate(other.nums):
+                    prod[i + j] += x * y
+        return field.element_over(prod, self.den * other.den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
+    def inverse(self) -> "FieldElement":
+        return self.field.quotients([[1] + [0] * (self.field.degree - 1)], self)[0]
+
+    def __truediv__(self, other: "FieldElement | Fraction | int") -> "FieldElement":
         if isinstance(other, FieldElement):
-            return self.field.div(self, other)
-        return self.field.scal(1 / Fraction(other), self)
+            return self * other.inverse()
+        return self * (1 / Fraction(other))
+
+    def __pow__(self, k: int) -> "FieldElement":
+        """self^k by squaring; a negative k raises the inverse to -k."""
+        base, k = (self.inverse(), -k) if k < 0 else (self, k)
+        out = self.field.one()
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldElement):
@@ -423,7 +397,7 @@ class FieldElement:
         return self.field.signs([self.nums])[0]
 
     def __float__(self) -> float:
-        return self.field.to_float(self)
+        return float(self.field.approx(self, Fraction(1, 10**17)))
 
     def __repr__(self) -> str:
         return f"FieldElement{self.coeffs}"

@@ -8,7 +8,8 @@ that field, and checked (`positive_eigenvector`, then `pf_data` once more)
 as identities on integer numerators over one denominator.  The balance
 verdict (`cr_check`) is read off integer rows and those eigenvectors, with
 no primary decomposition; its table of factors against the unit circle is
-what `is_pisot` reads.  A substitution keeps both PF data and verdict.
+what `is_pisot` reads.  `pf_data`, `cr_check` and `is_pisot` take a
+`Substitution`, which keeps both PF data and verdict.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .numberfield import (
     FieldElement,
     NumberField,
     classify_roots_vs_unit_circle,
-    dominant_root,
     integer_charpoly,
 )
 from .substitution import Substitution, dominant_eigenvalue, incidence_matrix, is_primitive
@@ -34,7 +34,8 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 
 class PFData(Record):
-    """Dominant-eigenvalue package of a primitive nonnegative integer matrix.
+    """Dominant-eigenvalue package of a primitive substitution's incidence
+    matrix.
 
     ``left`` and ``right`` are eigenvectors normalized to coordinate sum 1.
     """
@@ -47,23 +48,9 @@ class PFData(Record):
     charpoly_factors: tuple[tuple[tuple[int, ...], int], ...]
 
 
-def _as_matrix(obj) -> IntMatrix:
-    if isinstance(obj, Substitution):
-        return incidence_matrix(obj)
-    m = tuple(tuple(int(x) for x in row) for row in obj)
-    if any(len(r) != len(m) for r in m):
-        raise ValidationError("incidence matrix must be square")
-    if any(x < 0 for row in m for x in row):
-        raise ValidationError("incidence matrix must be nonnegative")
-    return m
-
-
-def pf_data(obj) -> PFData:
-    """Exact dominant-eigenvalue data for a primitive substitution or matrix.
-    A substitution keeps its data; a matrix is solved on every call."""
-    if isinstance(obj, Substitution):
-        return obj.cached("pf_data", lambda: _solve_pf(obj))
-    return _solve_pf(obj)
+def pf_data(sub: Substitution) -> PFData:
+    """Exact dominant-eigenvalue data for a primitive substitution, kept on it."""
+    return sub.cached("pf_data", lambda: _solve_pf(sub))
 
 
 def positive_eigenvector(
@@ -71,13 +58,13 @@ def positive_eigenvector(
     m: IntMatrix,
     eigenvalue: FieldElement,
     transposed: bool,
-    charpoly: Sequence[int] | None = None,
+    charpoly: Sequence[int],
 ) -> tuple[FieldElement, ...]:
     """The eigenvector of m (of its transpose when `transposed`, i.e. the
     left eigenvector) for an eigenvalue mu with a one-dimensional
     eigenspace, strictly positive and normalised to coordinate sum 1.
 
-    With chi = det(x - m) (`charpoly` when the caller has it) and
+    With chi = det(x - m) (`charpoly`, ascending) and
     q(x) = chi(x) / (x - mu), (A - mu)·q(A) = chi(A) = 0, so every column
     of q(A) lies in the eigenspace.  If mu has algebraic multiplicity k,
     q = (x - mu)^(k-1)·r with r(mu) != 0, and q(A) = 0 exactly when every
@@ -89,7 +76,6 @@ def positive_eigenvector(
     """
     n = len(m)
     a, columns = (tuple(zip(*m)), m) if transposed else (m, tuple(zip(*m)))
-    chi = integer_charpoly(m) if charpoly is None else charpoly
     den, mu_rows = field.multiplication_rows(eigenvalue)
     # synthetic division: q_(n-1) = 1, q_(j-1) = chi_j + mu·q_j, remainder
     # chi_0 + mu·q_0; q_j is kept as the integer vector den^(n-1-j)·q_j
@@ -98,7 +84,7 @@ def positive_eigenvector(
     for j in range(n - 1, -1, -1):
         q[j] = [x * den**j for x in carry]
         carry = _combine(carry, mu_rows)
-        carry[0] += chi[j] * den ** (n - j)
+        carry[0] += charpoly[j] * den ** (n - j)
     if any(carry):
         raise InternalCheckError("dominant eigenspace dimension != 1")
     for k in range(n):
@@ -132,14 +118,11 @@ def _is_eigenvector(a: IntMatrix, column: Sequence[Sequence[int]], den: int, mu_
                for row, cs in zip(a, column))
 
 
-def _solve_pf(obj) -> PFData:
-    m = _as_matrix(obj)
-    if not is_primitive(obj if isinstance(obj, Substitution) else m):
-        kind = "substitution" if isinstance(obj, Substitution) else "matrix"
-        raise ValidationError(f"{kind} is not primitive")
-    chi, factors, best = (
-        dominant_eigenvalue(obj) if isinstance(obj, Substitution) else dominant_root(m)
-    )
+def _solve_pf(sub: Substitution) -> PFData:
+    if not is_primitive(sub):
+        raise ValidationError("substitution is not primitive")
+    m = incidence_matrix(sub)
+    chi, factors, best = dominant_eigenvalue(sub)
     if dict(factors)[best.minpoly] != 1:
         raise InternalCheckError("dominant eigenvalue is not simple")
     if best.compare_fraction(1) < 0:
@@ -200,9 +183,15 @@ def _row_times_poly(row: Sequence[int], m: IntMatrix, asc: Sequence[int]) -> lis
     return out
 
 
-def cr_check(obj) -> BalanceVerdict:
+def cr_check(sub: Substitution) -> BalanceVerdict:
     """Decide whether the constant function is balanced against the letter
-    frequencies.  A substitution keeps its verdict, as it keeps its PF data.
+    frequencies of a primitive substitution, which keeps its verdict as it
+    keeps its PF data."""
+    return sub.cached("cr_check", lambda: _verdict(pf_data(sub)))
+
+
+def _verdict(data: PFData) -> BalanceVerdict:
+    """The balance verdict of `cr_check`, read off PF data.
 
     Strategy: every characteristic factor is placed against the unit
     circle, once.  Equal column sums then give the exact verdict.  Otherwise
@@ -216,9 +205,6 @@ def cr_check(obj) -> BalanceVerdict:
     constant row is ((1·r)/(l·r))·l for the left and right eigenvectors l
     and r, and 1·r = 1, so alpha = 1/(l·r).
     """
-    if isinstance(obj, Substitution):
-        return obj.cached("cr_check", lambda: cr_check(pf_data(obj)))
-    data = obj if isinstance(obj, PFData) else pf_data(obj)
     m = data.matrix
     n = len(m)
     field = data.field
@@ -265,7 +251,7 @@ def cr_check(obj) -> BalanceVerdict:
             reasons=tuple(reasons),
         )
 
-    alpha = field.inv(sum(map(field.mul, data.left, data.right), field.zero()))
+    alpha = sum((x * y for x, y in zip(data.left, data.right)), field.zero()).inverse()
     if alpha.sign() <= 0:
         raise InternalCheckError("dominant coefficient of the constant row "
                                  "is not positive")
@@ -277,15 +263,16 @@ def cr_check(obj) -> BalanceVerdict:
     )
 
 
-def is_pisot(obj) -> bool:
-    """True when the dominant eigenvalue exceeds 1 and every other
-    eigenvalue of the full characteristic polynomial lies strictly inside
-    the unit circle, read off `cr_check`'s factor table: the dominant
-    factor has one root outside the circle, lambda itself, so lambda > 1."""
-    data = obj if isinstance(obj, PFData) else pf_data(obj)
-    for r in cr_check(obj if isinstance(obj, Substitution) else data).factor_reports:
+def is_pisot(sub: Substitution) -> bool:
+    """True when the dominant eigenvalue of a primitive substitution exceeds
+    1 and every other eigenvalue of the full characteristic polynomial lies
+    strictly inside the unit circle, read off `cr_check`'s factor table: the
+    dominant factor has one root outside the circle, lambda itself, so
+    lambda > 1."""
+    dominant = pf_data(sub).lam.minpoly
+    for r in cr_check(sub).factor_reports:
         deg = len(r.poly) - 1
-        want = (deg - 1, 0, 1) if r.poly == data.lam.minpoly else (deg, 0, 0)
+        want = (deg - 1, 0, 1) if r.poly == dominant else (deg, 0, 0)
         if (r.inside, r.on, r.outside) != want:
             return False
     return True
@@ -302,7 +289,9 @@ def _two_block_measures(sub: Substitution) -> dict[tuple[int, ...], FieldElement
     for i, (image, cut) in enumerate(sub.two_block_images(1)):
         for pos in range(cut):
             counts[i][index[image[pos : pos + 2]]] += 1
-    vec = positive_eigenvector(data.field, counts, data.field.generator(), transposed=True)
+    vec = positive_eigenvector(
+        data.field, counts, data.field.generator(), transposed=True, charpoly=integer_charpoly(counts)
+    )
     return dict(zip(pairs, vec))
 
 
@@ -336,7 +325,7 @@ def occurrence_measures(
     followed by the base word in `flows.induce`."""
     field = pf_data(sub).field
     mu2 = sub.cached("two_block_measures", lambda: _two_block_measures(sub))
-    scale = field.power(field.generator(), -k)
+    scale = field.generator() ** -k
     scaled = {ab: mu * scale for ab, mu in mu2.items()}
     den = math.lcm(*(x.den for x in scaled.values()))
     sums: dict[tuple[int, ...], list[int]] = {}

@@ -16,8 +16,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InternalCheckError, Record, ValidationError
 
-# symbols of each overlap that shift_offsets compares before copying the rest
-_HEAD = 16
 # largest radius tried for the inverse of a block code
 INVERSE_RADIUS_BUDGET = 6
 # block length to which languages are checked: automorphism candidates,
@@ -155,18 +153,11 @@ def shift_offsets(
     x: tuple[int, ...], y: tuple[int, ...], shifts: Iterable[int], min_overlap: int
 ) -> Iterator[int]:
     """Every offset j in `shifts`, in order, with x[i] == y[i + j] wherever
-    both sides are defined and at least `min_overlap` such positions.  The
-    first _HEAD positions of an overlap are compared before the rest is
-    copied, since most offsets fail there."""
+    both sides are defined and at least `min_overlap` such positions."""
     for j in shifts:
         start = max(0, -j)
         stop = min(len(x), len(y) - j)
-        head = min(stop, start + _HEAD)
-        if (
-            stop - start >= min_overlap
-            and x[start:head] == y[start + j : head + j]
-            and x[head:stop] == y[head + j : stop + j]
-        ):
+        if stop - start >= min_overlap and x[start:stop] == y[start + j : stop + j]:
             yield j
 
 

@@ -12,7 +12,7 @@ def test_radius_zero_search_on_thue_morse(tm):
     report = search_automorphisms(tm, radius=0)
     assert len(report.codes) == 2
     assert len(report.elements) == 2
-    assert report.identity_index == 0
+    assert report.elements[0].rule == {(a,): a for a in range(2)}
     q = shift_quotient(report)
     assert (q.order, q.name) == (2, "Z/2")
     assert q.element_orders == (1, 2)

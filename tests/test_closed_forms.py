@@ -175,7 +175,7 @@ def reference_cr_check(data) -> BalanceVerdict:
     z = [field.zero() for _ in range(n)]
     for coef, prow in zip(s_coeffs, yp_powers):
         for j in range(n):
-            z[j] = z[j] + field.scal(prow[j], coef)
+            z[j] = z[j] + prow[j] * coef
     s_at_lam = field.zero()
     for k in range(d - 1, -1, -1):
         s_at_lam = s_at_lam * field.generator() + s_coeffs[k]

@@ -125,16 +125,16 @@ def test_trace_image_membership_against_its_construction(rules):
     data = pf_data(sub)
     field = data.field
     lam = field.generator()
-    lam_inv = field.inv(lam)
+    lam_inv = lam.inverse()
     image = trace_image(sub)
     rng = random.Random(str(sorted(rules.items())))
     members = []
     for _ in range(12):
         member = field.zero()
         for u in data.left:
-            term = field.power(lam_inv, rng.randint(0, 4)) * u * rng.randint(-6, 6)
+            term = lam_inv ** rng.randint(0, 4) * u * rng.randint(-6, 6)
             if rng.random() < 0.3:
-                term = term * field.power(lam, rng.randint(1, 3))
+                term = term * lam ** rng.randint(1, 3)
             member = member + term
         members.append(member)
         assert image.contains(member)

@@ -28,7 +28,7 @@ def reference_supertile_section(sub):
     section: one return word per letter, namely its image."""
     data = pf_data(sub)
     field = data.field
-    lam_inv = field.inv(field.generator())
+    lam_inv = field.generator().inverse()
     weights = tuple(u * lam_inv for u in data.left)
     base_measure = field.zero()
     for w in weights:
@@ -48,7 +48,7 @@ def reference_restricted_code(sub, word):
     map to their images, measures scale by the expansion."""
     sys_e = induce(sub, word)
     field = sys_e.field
-    lam_inv = field.inv(field.generator())
+    lam_inv = field.generator().inverse()
     image_returns = tuple(
         Word(sub.alphabet, sub.apply_idx(r.idx)) for r in sys_e.return_words
     )

@@ -243,7 +243,6 @@ DEFAULTED = {
     "intpoly._prod.c",
     "mcg.assemble_mcg.aut_radius",
     "mcg.virtually_abelian_report.n_max",
-    "pf.positive_eigenvector.charpoly",
     "substitution.fixed_point.left",
     "substitution.from_rules.alphabet",
 }
@@ -251,6 +250,62 @@ DEFAULTED = {
 
 def test_no_new_defaulted_parameter():
     assert defaulted_parameters({p.stem: p.read_text() for p in MODULES}) <= DEFAULTED
+
+
+def pass_throughs(sources: dict[str, str]) -> list[str]:
+    """`module.Class.function` (or `module.function`) for every function
+    whose body, docstring aside, is one `return g(...)` that passes its own
+    positional parameters, in order, and nothing else: a second name for g."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body = child.body
+                if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                    body = body[1:]
+                params = [a.arg for a in child.args.posonlyargs + child.args.args]
+                call = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+                if (
+                    isinstance(call, ast.Call)
+                    and not call.keywords
+                    and [getattr(a, "id", None) for a in call.args] == params
+                ):
+                    found.append(f"{prefix}{child.name}")
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), f"{module}.")
+    return sorted(found)
+
+
+def test_the_check_finds_a_pass_through():
+    sources = {
+        "a": "def f(x, y):\n    'doc'\n    return g(x, y)\ndef h(x, y): return g(y, x)\n"
+        "def k(x): return g(x, 1)\ndef n(x): return g(x, key=1)\n"
+        "class C:\n    def __neg__(self): return self.field.neg(self)\n"
+        "    def sign(self): return self.field.signs([self])[0]\n"
+        "    def wrap(self, x):\n        def inner(x): return self.f(x)\n        return inner\n",
+    }
+    assert pass_throughs(sources) == ["a.C.__neg__", "a.C.wrap.inner", "a.f"]
+
+
+# functions that only pass their parameters on to another; a second name for
+# one operation is a second way to it, so this set may only shrink.
+# `integer_charpoly` names the Berkowitz core for perfbench's tracer, which
+# wraps every public numberfield function at every binding: calling the
+# public name inside numberfield would send its own Cayley–Hamilton calls
+# through the tracer
+PASS_THROUGHS = {
+    "numberfield.integer_charpoly",
+}
+
+
+def test_no_function_only_passes_its_parameters_on():
+    assert set(pass_throughs({p.stem: p.read_text() for p in MODULES})) <= PASS_THROUGHS
 
 
 def unread_fields(sources: dict[str, str], owners: set[str]) -> list[str]:

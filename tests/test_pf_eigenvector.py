@@ -7,7 +7,7 @@ import pytest
 from flowmcg import coinvariants, intlat, numberfield, pf
 from flowmcg.coinvariants import derived_proper
 from flowmcg.errors import InternalCheckError
-from flowmcg.numberfield import AlgebraicNumber, NumberField
+from flowmcg.numberfield import AlgebraicNumber, NumberField, integer_charpoly
 from flowmcg.pf import pf_data, positive_eigenvector
 from flowmcg.substitution import Substitution, incidence_matrix
 
@@ -51,7 +51,7 @@ def _reference_kernel(field, rows):
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
-        inv = field.inv(a[rank][col])
+        inv = a[rank][col].inverse()
         a[rank] = [x * inv for x in a[rank]]
         for r in range(n):
             if r != rank and not a[r][col].is_zero():
@@ -112,12 +112,12 @@ def _cases(rules):
     m = incidence_matrix(sub)
     power = m
     for k in (1, 2, 3):
-        yield field, power, field.power(lam, k)
+        yield field, power, lam ** k
         power = intlat.mat_mul(power, m)
     yield field, _two_block_matrix(sub), lam
     derived = derived_proper(sub)
     eta = incidence_matrix(derived.eta)
-    lam_d = field.power(lam, derived.kappa)
+    lam_d = lam ** derived.kappa
     yield field, eta, lam_d
     yield field, intlat.transpose(eta), lam_d
 
@@ -127,7 +127,8 @@ def test_eigenvectors_match_the_elimination_reference(name):
     for field, m, mu in _cases(INPUTS[name]):
         for transposed in (True, False):
             expected = _outcome(_reference_eigenvector, field, m, mu, transposed)
-            assert _outcome(positive_eigenvector, field, m, mu, transposed) == expected
+            got = _outcome(positive_eigenvector, field, m, mu, transposed, integer_charpoly(m))
+            assert got == expected
 
 
 def _rational_field():
@@ -137,7 +138,7 @@ def _rational_field():
 def test_a_zero_first_column_of_q_is_skipped():
     # chi = (x - 1)(x - 2), q(A) = A - 1 = [[0, 1], [0, 1]]
     field = _rational_field()
-    vec = positive_eigenvector(field, ((1, 1), (0, 2)), field.rational(2), False)
+    vec = positive_eigenvector(field, ((1, 1), (0, 2)), field.rational(2), False, (2, -3, 1))
     assert vec == (field.rational(1) / 2, field.rational(1) / 2)
     assert vec == _reference_eigenvector(field, ((1, 1), (0, 2)), field.rational(2), False)
 
@@ -155,7 +156,7 @@ def test_refusals_match_the_reference(m, mu, message):
     field = _rational_field()
     for transposed in (True, False):
         with pytest.raises(InternalCheckError, match=message):
-            positive_eigenvector(field, m, field.rational(mu), transposed)
+            positive_eigenvector(field, m, field.rational(mu), transposed, integer_charpoly(m))
         with pytest.raises(InternalCheckError, match=message):
             _reference_eigenvector(field, m, field.rational(mu), transposed)
 

@@ -11,7 +11,7 @@ import pytest
 
 from flowmcg.asymptotics import TAIL_CHECK, action_on_classes, asymptotic_classes
 from flowmcg.errors import InternalCheckError, ValidationError
-from flowmcg.numberfield import FieldElement, NumberField
+from flowmcg.numberfield import NumberField
 from flowmcg.pf import pf_data
 from flowmcg.substitution import Substitution, fixed_point
 from flowmcg.words import SlidingBlockCode, shift_offsets
@@ -283,9 +283,9 @@ def test_sign_matches_a_fresh_refinement_in_any_order(name):
     assert 1 in want and -1 in want and 0 in want
     for order in (elements, elements[::-1]):
         field = NumberField(root)
-        got = {c: FieldElement(field, c).sign() for c in order}
+        got = {c: field.element(c).sign() for c in order}
         assert [got[c] for c in elements] == want
     for c, s in zip(elements, want):
         fresh = NumberField(root)
-        assert FieldElement(fresh, c).sign() == s
+        assert fresh.element(c).sign() == s
 

@@ -84,7 +84,7 @@ def reference_block_frequencies(sub, n):
         image = sum((sub.iterate_idx(x, k) for x in b), ())
         for pos in range(len(sub.iterate_idx(b[0], k))):
             counts[index[b]][index[image[pos : pos + n]]] += 1
-    lam_k = field.power(field.generator(), k)
+    lam_k = field.generator() ** k
     rows = [
         [field.rational(counts[j][i]) - (lam_k if i == j else field.zero()) for j in range(len(blocks))]
         for i in range(len(blocks))
@@ -187,10 +187,6 @@ def test_language_lengths_are_built_once_on_demand():
 
 def test_pf_data_is_kept_on_the_substitution(fib):
     assert pf_data(fib) is pf_data(fib)
-    matrix = ((1, 1), (1, 0))
-    first, second = pf_data(matrix), pf_data(matrix)
-    assert first is not second
-    assert first.left == second.left
 
 
 def test_sigma4_sections_and_restriction_complete():
