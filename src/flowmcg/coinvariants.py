@@ -287,7 +287,7 @@ def trace(group: DirectLimitGroup, g: GroupElement) -> FieldElement:
     value = group.base_measure * acc
     if g.level == 0:
         return value
-    return value / field.generator() ** (g.level * group.derived.kappa)
+    return value * field.generator_inverse() ** (g.level * group.derived.kappa)
 
 
 # -- cylinder classes -----------------------------------------------------

@@ -7,13 +7,15 @@ an inverse found and checked by `words.inverse_code`.  The substitution's
 own code, on the whole space or on a cylinder, maps a section to its
 substituted copy: return words sigma(r), measures scaled by 1/lambda.
 Everything downstream (restriction, composition, slope profiles, the
-scaling factor mu(C)/mu(D)) works on that presentation.
+scaling factor mu(C)/mu(D)) works on that presentation.  A cylinder's
+recoded language is built when a flow code first reads it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache, partial
 from itertools import chain, islice
 
 from .errors import InternalCheckError, Record, ResourceLimitError, ValidationError
@@ -49,9 +51,9 @@ class ReturnSystem(Record):
     measure.  A system keeps what its section measured; the substitution
     that generates `recoded_language`, where there is one, is
     `derived_substitution(sub, base_word)`.  On a cylinder the return
-    words, weights and `recoded_language` are read off one return-word pass
-    (`_first_returns`) and `base_measure` off `pf.cylinder_measure`, so the
-    checks below compare two computations.
+    words, weights and `recoded_language` (built when first read) come from
+    one return-word pass (`_first_returns`) and `base_measure` from
+    `pf.cylinder_measure`, so the checks below compare two computations.
     """
 
     is_whole_space: bool
@@ -221,15 +223,26 @@ def _starts(block: tuple[int, ...], w: tuple[int, ...]) -> list[int]:
 
 
 def _recoded_language(sub: Substitution, w: tuple[int, ...]) -> LanguageTable:
-    """Language of the induced system on [w] to `CHECK_DEPTH`.  The visits
-    along u read tau(u0 u1)·tau(u1 u2)·... and every tau(ab) is nonempty,
-    so the recoded n-blocks are the length-n windows of
-    tau(y0 y1)·...·tau(y(n-1) yn) that start inside tau(y0 y1), over y in
-    L_(n+1); shorter blocks are their prefixes."""
+    """Language of the induced system on [w] to n = `CHECK_DEPTH`, built on
+    first read from tau and the spans sigma^k(ab) whose (n+1)-windows that
+    start inside sigma^k(a) are L_(n+1), taken now (a symbol budget fails
+    here) and kept in place of sub; shorter lengths are prefixes of n."""
     returns, _, tau = _first_returns(sub, w)
     n = CHECK_DEPTH
+    built = cache(partial(_recoded_windows, tau, sub.two_block_images(sub.growth_power(n)), n))
+
+    def source(m: int) -> frozenset[tuple[int, ...]]:
+        return built() if m == n else frozenset(v[:m] for v in built())
+
+    return LanguageTable(Alphabet.labels(len(returns)), {}, n, source)
+
+
+def _recoded_windows(tau, spans, n: int) -> frozenset[tuple[int, ...]]:
+    """The recoded n-blocks: as every tau(ab) is nonempty and the visits along
+    u read tau(u0 u1)·tau(u1 u2)·..., the length-n windows of tau(y0 y1)·...·
+    tau(y(n-1) yn) that start inside tau(y0 y1), over y in L_(n+1)."""
     distinct: set[tuple[int, ...]] = set()
-    for y in sub.language(n + 1).blocks_of(n + 1):
+    for y in {image[i : i + n + 1] for image, cut in spans for i in range(cut)}:
         head = len(tau[y[:2]])
         visits = tuple(islice(chain.from_iterable(tau[ab] for ab in zip(y, y[1:])), head + n - 1))
         for start in range(head):
@@ -237,8 +250,7 @@ def _recoded_language(sub: Substitution, w: tuple[int, ...]) -> LanguageTable:
             if len(window) < n:
                 raise InternalCheckError("visits too short for the recoded length")
             distinct.add(window)
-    blocks = {m: frozenset(v[:m] for v in distinct) for m in range(1, n + 1)}
-    return LanguageTable(Alphabet.labels(len(returns)), blocks, n)
+    return frozenset(distinct)
 
 
 def induce(sub: Substitution, section) -> ReturnSystem:
@@ -373,7 +385,7 @@ def _substitution_code(sub: Substitution, source: ReturnSystem) -> FlowCode:
     The target has return words sigma(r), entry and base measures scaled by
     1/lambda, and the source's alphabet and recoded data; the conjugacy
     relabels each return word as its image, exact by construction."""
-    lam_inv = source.field.generator().inverse()
+    lam_inv = source.field.generator_inverse()
     images = tuple(
         Word(sub.alphabet, sub.apply_idx(r.idx)) for r in source.return_words
     )
@@ -609,7 +621,7 @@ def lambda_relation_search(alpha: FieldElement) -> tuple[int, int] | None:
     if alpha.sign() <= 0:
         raise ValidationError("relation search needs a positive element")
     lam = alpha.field.generator()
-    lam_inv = lam.inverse()
+    lam_inv = alpha.field.generator_inverse()
     for p in range(1, RELATION_P_MAX + 1):
         ap = alpha ** p
         for q_abs in range(0, RELATION_Q_MAX + 1):

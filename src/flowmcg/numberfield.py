@@ -175,6 +175,7 @@ class NumberField:
         # constants of the field, built once: elements are immutable
         self._zero, self._one = self.element_over([], 1), self.element_over([1], 1)
         self._generator = self.element([root.as_fraction()] if self.degree == 1 else [0, 1])
+        self._generator_inverse: FieldElement | None = None
 
     def __eq__(self, other: object) -> bool:
         """Fields are equal when their generators are the same root of the
@@ -228,6 +229,12 @@ class NumberField:
 
     def generator(self) -> "FieldElement":
         return self._generator
+
+    def generator_inverse(self) -> "FieldElement":
+        """1/lambda, solved by Cayley–Hamilton on first use and kept."""
+        if self._generator_inverse is None:
+            self._generator_inverse = self._generator.inverse()
+        return self._generator_inverse
 
     def multiplication_rows(self, a: "FieldElement") -> tuple[int, list[list[int]]]:
         """(s, rows) with rows[t] the integer coefficients of s·a·lambda^t,

@@ -9,7 +9,8 @@ as identities on integer numerators over one denominator.  The balance
 verdict (`cr_check`) is read off integer rows and those eigenvectors, with
 no primary decomposition; its table of factors against the unit circle is
 what `is_pisot` reads.  `pf_data`, `cr_check` and `is_pisot` take a
-`Substitution`, which keeps both PF data and verdict.
+`Substitution`, which keeps both PF data and verdict.  Block measures weigh
+windows by the 2-block measures, read off the letter frequencies.
 """
 
 from __future__ import annotations
@@ -20,15 +21,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InternalCheckError, Record, ValidationError
-from .numberfield import (
-    AlgebraicNumber,
-    FieldElement,
-    NumberField,
-    classify_roots_vs_unit_circle,
-    integer_charpoly,
-)
+from .numberfield import AlgebraicNumber, FieldElement, NumberField, classify_roots_vs_unit_circle
 from .substitution import Substitution, dominant_eigenvalue, incidence_matrix, is_primitive
-from .words import word_idx
+from .words import windows, word_idx
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -279,20 +274,53 @@ def is_pisot(sub: Substitution) -> bool:
 
 
 def _two_block_measures(sub: Substitution) -> dict[tuple[int, ...], FieldElement]:
-    """mu(ab) for every ab in L_2: the positive left eigenvector, of total
-    mass 1, of the substitution acting on 2-blocks (ab -> the 2-blocks of
-    sigma(ab) that start inside sigma(a))."""
+    """mu(ab) for every ab in L_2, read off the letter frequencies mu(a).  In
+    sigma(ab) the 2-blocks that start inside sigma(a) lie inside it but one,
+    B(ab) = (last of sigma(a), first of sigma(b)), so lam·mu = v + P·mu with
+    v(x) = sum of mu(a)·#{x inside sigma(a)} and P following B.  As
+    lam > 1 >= rho(P), mu(x) adds v(y)·lam^-(k+1) over the paths B^k(y) = x,
+    a cycle of length L adding the factor 1/(1 - lam^-L): one sweep of B's
+    graph, leaves first, each cycle unrolled once round.  Checked as exact
+    identities: lam·mu = mu·M_2, strict positivity and total mass 1."""
     data = pf_data(sub)
+    field = data.field
     pairs = sub.two_blocks()
-    index = {ab: i for i, ab in enumerate(pairs)}
-    counts = [[0] * len(pairs) for _ in pairs]
-    for i, (image, cut) in enumerate(sub.two_block_images(1)):
+    acc = dict.fromkeys(pairs, field.zero())
+    for freq, image in zip(data.left, sub.images):
+        for x, c in Counter(windows(image.idx, 2)).items():
+            acc[x] += freq * c
+    boundary = {(a, b): (sub.images[a].idx[-1], sub.images[b].idx[0]) for a, b in pairs}
+    lam_inv = field.generator_inverse()
+    mu: dict[tuple[int, ...], FieldElement] = {}
+    waiting = Counter(boundary.values())
+    ready = [x for x in pairs if not waiting[x]]
+    for y in ready:
+        mu[y] = acc[y] * lam_inv
+        acc[boundary[y]] += mu[y]
+        waiting[boundary[y]] -= 1
+        if not waiting[boundary[y]]:
+            ready.append(boundary[y])
+    for x in (x for x in pairs if x not in mu):
+        cycle = [x]
+        while boundary[cycle[-1]] != x:
+            cycle.append(boundary[cycle[-1]])
+        total = field.zero()
+        for c in cycle[1:] + cycle[:1]:
+            total = (total + acc[c]) * lam_inv
+        mu[x] = total / (field.one() - lam_inv ** len(cycle))
+        for prev, c in zip(cycle, cycle[1:]):
+            mu[c] = (acc[c] + mu[prev]) * lam_inv
+    image = dict.fromkeys(pairs, field.zero())
+    for ab, (span, cut) in zip(pairs, sub.two_block_images(1)):
         for pos in range(cut):
-            counts[i][index[image[pos : pos + 2]]] += 1
-    vec = positive_eigenvector(
-        data.field, counts, data.field.generator(), transposed=True, charpoly=integer_charpoly(counts)
-    )
-    return dict(zip(pairs, vec))
+            image[span[pos : pos + 2]] += mu[ab]
+    if any(image[x] != mu[x] * field.generator() for x in pairs):
+        raise InternalCheckError("2-block measures are not a left eigenvector")
+    if set(field.signs([mu[x].nums for x in pairs])) != {1}:
+        raise InternalCheckError("2-block measures not strictly positive")
+    if sum(mu.values(), field.zero()) != field.one():
+        raise InternalCheckError("2-block measures do not sum to 1")
+    return {x: mu[x] for x in pairs}
 
 
 def _block_measures(sub: Substitution, n: int) -> dict[tuple[int, ...], FieldElement]:
@@ -325,7 +353,7 @@ def occurrence_measures(
     followed by the base word in `flows.induce`."""
     field = pf_data(sub).field
     mu2 = sub.cached("two_block_measures", lambda: _two_block_measures(sub))
-    scale = field.generator() ** -k
+    scale = field.generator_inverse() ** k
     scaled = {ab: mu * scale for ab, mu in mu2.items()}
     den = math.lcm(*(x.den for x in scaled.values()))
     sums: dict[tuple[int, ...], list[int]] = {}

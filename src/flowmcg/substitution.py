@@ -263,6 +263,8 @@ def generate_language(sub: Substitution, n: int) -> frozenset[tuple[int, ...]]:
     For primitive substitutions this is the language of the subshift."""
     if n < 1:
         raise ValidationError("block length must be >= 1")
+    if sub.size == 1:  # the one point 0^oo, also for 0 -> 0: no 2-block, no growth
+        return frozenset({(0,) * n})
     spans = sub.two_block_images(sub.growth_power(n - 1))
     return frozenset(image[i : i + n] for image, cut in spans for i in range(cut))
 
@@ -325,7 +327,7 @@ def _periodicity(sub: Substitution) -> PeriodicityVerdict:
     if not is_primitive(sub):
         raise ValidationError("aperiodicity check expects a primitive substitution")
     if sub.size == 1:
-        # the single point 0^oo; 0 -> 0 has no 2-block to build a language from
+        # the single point 0^oo, with no language to build
         return PeriodicityVerdict(
             periodic=True,
             window=APERIODICITY_WINDOW,

@@ -208,13 +208,68 @@ def test_validation_failures_exit_one(tmp_path):
 
 @pytest.mark.parametrize("command", ["analyze", "coinvariants", "asymptotics"])
 def test_one_letter_identity_exits_one_as_periodic(capsys, tmp_path, command):
-    # 0 -> 0 is primitive but its images hold no 2-block, so L_2 is empty
+    # 0 -> 0 is primitive, and its subshift is the single point 0^oo
     path = tmp_path / "identity.json"
     path.write_text(json.dumps({"alphabet": ["0"], "rules": {"0": "0"}}))
     assert run([command, str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "periodic" in captured.err
+
+
+@pytest.fixture
+def one_letter_file(tmp_path):
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps({"alphabet": ["0"], "rules": {"0": "0"}}))
+    return str(path)
+
+
+def test_one_letter_identity_has_the_language_of_one_point(capsys, one_letter_file):
+    assert run_json(capsys, ["language", one_letter_file, "--n", "4"]) == {
+        "n": 4, "count": 1, "blocks": ["0000"]
+    }
+    payload = run_json(capsys, ["complexity", one_letter_file, "--n-max", "8"])
+    assert payload["complexity"] == {str(n): 1 for n in range(1, 9)}
+    payload = run_json(capsys, ["induce", one_letter_file])
+    assert (payload["returns"], payload["return_times"]) == (["0"], [1])
+    payload = run_json(capsys, ["flowcode", "make", one_letter_file, "--kind", "identity"])
+    assert payload["r_mu"]["coeffs"] == ["1"]
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["induce", "{}", "--word", "0"], "does not grow"),
+        (["flowcode", "slopes", "{}"], "does not grow"),
+        (["flowcode", "restrict", "{}", "--word", "0"], "does not grow"),
+        (["checklist", "{}"], "periodic"),
+    ],
+    ids=["induce-word", "slopes", "restrict", "checklist"],
+)
+def test_one_letter_identity_names_its_non_growth_or_periodicity(capsys, one_letter_file, argv, reason):
+    # these exited 2 or 3, or called the only block "not admissible"
+    assert run([one_letter_file if a == "{}" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and reason in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze"], ["language", "--n", "8"], ["complexity"], ["pf"], ["cr"], ["coinvariants"],
+        ["asymptotics"], ["aut"], ["induce"], ["induce", "--word", "0"], ["flowcode", "make"],
+        ["flowcode", "make", "--kind", "identity"], ["flowcode", "compose"], ["flowcode", "rmu"],
+        ["flowcode", "slopes"], ["flowcode", "restrict", "--word", "0"], ["checklist"],
+    ],
+    ids=" ".join,
+)
+def test_one_letter_identity_never_exhausts_a_budget_or_fails_a_check(capsys, one_letter_file, argv):
+    split = 2 if argv[0] == "flowcode" else 1
+    code = run([*argv[:split], one_letter_file, *argv[split:]])
+    captured = capsys.readouterr()
+    assert code in (0, 1), captured.err
+    assert code == 0 or "periodic" in captured.err or "does not grow" in captured.err
 
 
 def test_complexity_below_length_one_is_an_empty_table(capsys, tm_file):

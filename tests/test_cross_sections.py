@@ -25,6 +25,7 @@ from flowmcg.flows import (
     derived_substitution,
     identity_code,
     induce,
+    make_flow_code,
     restrict_flow_code,
     return_words,
     substitution_code,
@@ -32,7 +33,7 @@ from flowmcg.flows import (
 from flowmcg.mcg import assemble_mcg
 from flowmcg.pf import cylinder_measure
 from flowmcg.substitution import Substitution, cycle_lengths, fixed_point, is_primitive
-from flowmcg.words import CHECK_DEPTH, Alphabet, Word, section_word, word_idx
+from flowmcg.words import CHECK_DEPTH, Alphabet, SlidingBlockCode, Word, section_word, word_idx
 
 from test_one_core import RULES
 
@@ -296,7 +297,18 @@ FREEING_CALLS = {
     "restrict_flow_code": lambda sub: restrict_flow_code(substitution_code(sub), "0"),
     "cocycle_slopes": lambda sub: cocycle_slopes(substitution_code(sub)),
     "assemble_mcg": assemble_mcg,
+    "recoded-language": lambda sub: induce(sub, "0").recoded_language.blocks_of(CHECK_DEPTH),
+    "automorphism-on-a-section": lambda sub: compose_flow_codes(*[_section_identity(sub, "01")] * 2),
 }
+
+
+def _section_identity(sub, word):
+    """The identity of a section's recoding as an automorphism code, which
+    reads its recoded language."""
+    system = induce(sub, word)
+    rule = {(i,): i for i in range(system.size)}
+    code = SlidingBlockCode(system.alphabet, system.alphabet, 0, rule)
+    return make_flow_code(sub, code, system, system, kind="automorphism")
 
 
 @pytest.mark.parametrize("call", FREEING_CALLS.values(), ids=FREEING_CALLS)
@@ -314,6 +326,26 @@ def test_a_substitution_is_freed_by_refcount_after_use(call):
     finally:
         if enabled:
             gc.enable()
+
+
+def test_a_recoded_language_is_read_after_its_substitution_is_freed():
+    """The recoded table keeps the spans of sigma it reads, not sigma: a
+    table first read once its substitution is gone holds the blocks of one
+    read while it lived."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sub = Substitution.from_rules({"0": "01", "1": "0"})
+        alive = weakref.ref(sub)
+        table = induce(sub, "0").recoded_language
+        del sub
+        assert alive() is None and table.blocks == {}
+        after = {n: table.blocks_of(n) for n in range(1, CHECK_DEPTH + 1)}
+    finally:
+        if enabled:
+            gc.enable()
+    live = induce(Substitution.from_rules({"0": "01", "1": "0"}), "0").recoded_language
+    assert after == {n: live.blocks_of(n) for n in range(1, CHECK_DEPTH + 1)}
 
 
 def _system(s):

@@ -14,7 +14,7 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import smith_normal_form
 
-from flowmcg import coinvariants, intlat, pf
+from flowmcg import coinvariants, intlat, numberfield
 from flowmcg.coinvariants import build_coinvariants, coinvariants_report
 from flowmcg.errors import ValidationError
 from flowmcg.intlat import (
@@ -226,7 +226,7 @@ def test_build_coinvariants_computes_the_characteristic_polynomial_of_n_once(mon
         seen.append(m)
         return integer_charpoly(m)
 
-    for module in (coinvariants, pf):
+    for module in (coinvariants, numberfield):
         monkeypatch.setattr(module, "integer_charpoly", counted)
     group = build_coinvariants(sub)
     assert seen == [group.n_matrix]
