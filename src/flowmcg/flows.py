@@ -21,7 +21,7 @@ from itertools import chain, islice
 from .errors import InternalCheckError, Record, ResourceLimitError, ValidationError
 from .numberfield import FieldElement, NumberField
 from .pf import cylinder_measure, occurrence_measures, pf_data
-from .substitution import SYMBOL_BUDGET, Substitution, cycle_lengths, fixed_point, is_primitive
+from .substitution import SYMBOL_BUDGET, Substitution, cycle_lengths, fixed_point, is_primitive, span_windows
 from .words import (
     CHECK_DEPTH,
     Alphabet,
@@ -224,17 +224,14 @@ def _starts(block: tuple[int, ...], w: tuple[int, ...]) -> list[int]:
 
 def _recoded_language(sub: Substitution, w: tuple[int, ...]) -> LanguageTable:
     """Language of the induced system on [w] to n = `CHECK_DEPTH`, built on
-    first read from tau and the spans sigma^k(ab) whose (n+1)-windows that
-    start inside sigma^k(a) are L_(n+1), taken now (a symbol budget fails
-    here) and kept in place of sub; shorter lengths are prefixes of n."""
+    first read from tau and the spans of L_(n+1), taken now (a symbol budget
+    fails here) in place of sub; shorter lengths are prefixes of length n."""
     returns, _, tau = _first_returns(sub, w)
     n = CHECK_DEPTH
     built = cache(partial(_recoded_windows, tau, sub.two_block_images(sub.growth_power(n)), n))
-
-    def source(m: int) -> frozenset[tuple[int, ...]]:
-        return built() if m == n else frozenset(v[:m] for v in built())
-
-    return LanguageTable(Alphabet.labels(len(returns)), {}, n, source)
+    return LanguageTable(
+        Alphabet.labels(len(returns)), {}, n, lambda m: built() if m == n else frozenset(v[:m] for v in built())
+    )
 
 
 def _recoded_windows(tau, spans, n: int) -> frozenset[tuple[int, ...]]:
@@ -242,7 +239,7 @@ def _recoded_windows(tau, spans, n: int) -> frozenset[tuple[int, ...]]:
     u read tau(u0 u1)·tau(u1 u2)·..., the length-n windows of tau(y0 y1)·...·
     tau(y(n-1) yn) that start inside tau(y0 y1), over y in L_(n+1)."""
     distinct: set[tuple[int, ...]] = set()
-    for y in {image[i : i + n + 1] for image, cut in spans for i in range(cut)}:
+    for y in span_windows(spans, n + 1):
         head = len(tau[y[:2]])
         visits = tuple(islice(chain.from_iterable(tau[ab] for ab in zip(y, y[1:])), head + n - 1))
         for start in range(head):

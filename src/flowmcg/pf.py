@@ -7,10 +7,9 @@ read off the integer characteristic polynomial, with no elimination over
 that field, and checked (`positive_eigenvector`, then `pf_data` once more)
 as identities on integer numerators over one denominator.  The balance
 verdict (`cr_check`) is read off integer rows and those eigenvectors, with
-no primary decomposition; its table of factors against the unit circle is
-what `is_pisot` reads.  `pf_data`, `cr_check` and `is_pisot` take a
-`Substitution`, which keeps both PF data and verdict.  Block measures weigh
-windows by the 2-block measures, read off the letter frequencies.
+no primary decomposition; `is_pisot` reads its table of factors against the
+unit circle.  `pf_data`, `cr_check` and `is_pisot` take a `Substitution`,
+which keeps PF data and verdict; 2-block measures come from letter frequencies.
 """
 
 from __future__ import annotations
@@ -274,17 +273,17 @@ def is_pisot(sub: Substitution) -> bool:
 
 
 def _two_block_measures(sub: Substitution) -> dict[tuple[int, ...], FieldElement]:
-    """mu(ab) for every ab in L_2, read off the letter frequencies mu(a).  In
-    sigma(ab) the 2-blocks that start inside sigma(a) lie inside it but one,
-    B(ab) = (last of sigma(a), first of sigma(b)), so lam·mu = v + P·mu with
-    v(x) = sum of mu(a)·#{x inside sigma(a)} and P following B.  As
-    lam > 1 >= rho(P), mu(x) adds v(y)·lam^-(k+1) over the paths B^k(y) = x,
-    a cycle of length L adding the factor 1/(1 - lam^-L): one sweep of B's
-    graph, leaves first, each cycle unrolled once round.  Checked as exact
-    identities: lam·mu = mu·M_2, strict positivity and total mass 1."""
+    """mu(ab) for every ab in L_2, from the letter frequencies mu(a).  The
+    2-blocks of sigma(ab) starting inside sigma(a) lie inside it but one,
+    B(ab) = (last of sigma(a), first of sigma(b)): lam·mu = v + P·mu, v(x) =
+    sum of mu(a)·#{x inside sigma(a)}, P following B.  As lam > 1 >= rho(P),
+    mu(x) adds v(y)·lam^-(k+1) over paths B^k(y) = x, a cycle of length L
+    adding 1/(1 - lam^-L).  Checked: lam·mu = mu·M_2, mu > 0, mass 1."""
     data = pf_data(sub)
     field = data.field
     pairs = sub.two_blocks()
+    if sub.size == 1:  # the one point 0^oo; lam = 1 for 0 -> 0
+        return {pairs[0]: field.one()}
     acc = dict.fromkeys(pairs, field.zero())
     for freq, image in zip(data.left, sub.images):
         for x, c in Counter(windows(image.idx, 2)).items():
@@ -370,7 +369,7 @@ def cylinder_measure(sub: Substitution, word) -> FieldElement:
     """Exact measure of the cylinder of a word in the unique shift-invariant
     probability measure."""
     idx = word_idx(sub.alphabet, word)
-    if len(idx) == 0:
+    if len(idx) == 0 or sub.size == 1:  # one letter: the one point 0^oo, also for 0 -> 0
         return pf_data(sub).field.one()
     measure = _block_measures(sub, len(idx)).get(idx)
     if measure is None:

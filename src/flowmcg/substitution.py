@@ -164,6 +164,8 @@ class Substitution(Record):
 
     def _close_two_blocks(self) -> tuple[tuple[int, int], ...]:
         found = {w for a in range(self.size) for w in windows(self.images[a].idx, 2)}
+        if self.size == 1:  # the one point 0^oo, also for 0 -> 0, whose image has no 2-block
+            found.add((0, 0))
         todo = list(found)
         while todo:
             a, b = todo.pop()
@@ -263,9 +265,14 @@ def generate_language(sub: Substitution, n: int) -> frozenset[tuple[int, ...]]:
     For primitive substitutions this is the language of the subshift."""
     if n < 1:
         raise ValidationError("block length must be >= 1")
-    if sub.size == 1:  # the one point 0^oo, also for 0 -> 0: no 2-block, no growth
+    if sub.size == 1:  # the one point 0^oo, also for 0 -> 0, which does not grow
         return frozenset({(0,) * n})
-    spans = sub.two_block_images(sub.growth_power(n - 1))
+    return span_windows(sub.two_block_images(sub.growth_power(n - 1)), n)
+
+
+def span_windows(spans, n: int) -> frozenset[tuple[int, ...]]:
+    """The length-n windows of `two_block_images` spans sigma^k(ab) that
+    start inside sigma^k(a): L_n when min |sigma^k| >= n - 1."""
     return frozenset(image[i : i + n] for image, cut in spans for i in range(cut))
 
 

@@ -222,3 +222,17 @@ def test_the_generator_inverse_is_one_over_lambda_in_every_corpus_field():
     for rules in CORPUS.values():
         field = pf_data(Substitution.from_rules(rules)).field
         assert field.generator_inverse() == field.one() / field.generator()
+
+
+@pytest.mark.parametrize("rules", [{"0": "0"}, {"0": "00"}, *CORPUS.values()], ids=["0>0", "0>00", *CORPUS])
+def test_two_blocks_are_the_language_of_length_two(rules):
+    # the 2-block measures weigh sub.two_blocks(), so it must be L_2
+    sub = Substitution.from_rules(rules)
+    assert set(sub.two_blocks()) == sub.language(2).blocks_of(2)
+
+
+def test_the_one_point_of_a_one_letter_identity_has_measure_one():
+    sub = Substitution.from_rules({"0": "0"})
+    one = pf_data(sub).field.one()
+    assert [cylinder_measure(sub, "0" * n) for n in range(1, 6)] == [one] * 5
+    assert pf.occurrence_measures(sub, 0, {(0, 0): {"x": 1}}) == {"x": one}
