@@ -1,9 +1,10 @@
 """A computable presentation of the coinvariants group of a primitive
 aperiodic substitution shift.
 
-The group is presented as a stationary direct limit over the incidence
-matrix of a left-proper derived substitution (return words of a well-chosen
-letter).  Cylinder indicator classes, the exact trace, its image lattice,
+The group is presented as a stationary direct limit over N = M^e, M the
+incidence matrix of a derived substitution zeta (return words of a
+well-chosen letter) and zeta^e, never built, its least left-proper power.
+Cylinder indicator classes, the exact trace, its image lattice,
 infinitesimals, restrictions to cross sections, and the automorphisms
 induced by flow codes are all computed in this presentation.  Elements
 are kept reduced modulo the eventual kernel K = ker N^m, m the multiplicity
@@ -31,6 +32,7 @@ from .intlat import (
     hnf_rows,
     identity,
     invariant_factors,
+    mat_mul,
     mat_vec,
     row_reduce,
     transpose,
@@ -52,27 +54,20 @@ class DerivedData(Record):
     ``section`` is the word of the cross section whose return words present
     the shift, None for the whole space (as in ``ReturnSystem.base_word``).
     ``zeta`` is ``flows.derived_substitution`` on that section (the
-    substitution itself on the whole space), ``eta`` its left-proper power;
-    return words realize eta's letters inside the original shift.
+    substitution itself on the whole space), zeta^power (never built) its
+    least left-proper power, with every image beginning with
+    ``head_letter``; return words realize zeta's letters inside the shift.
     """
 
     source: Substitution
     section: tuple[int, ...] | None
     cycle_length: int
     zeta: Substitution
-    eta: Substitution
+    power: int
+    head_letter: int
     kappa: int
     return_words: tuple[tuple[int, ...], ...]
     lengths: tuple[int, ...]
-
-    @property
-    def dimension(self) -> int:
-        return self.eta.size
-
-    @property
-    def head_letter(self) -> int:
-        """The common first letter of every eta image."""
-        return self.eta.first_letter_map()[0]
 
 
 def derived_proper(sub: Substitution, base: int | str | None = None) -> DerivedData:
@@ -103,23 +98,24 @@ def derived_proper(sub: Substitution, base: int | str | None = None) -> DerivedD
     zeta = derived_substitution(sub, section)
     returns = return_words(sub, section)
 
-    e = 1
-    current = zeta
-    while not current.is_left_proper():
+    # the first letters of the images of zeta^e
+    first = zeta.first_letter_map()
+    e, heads = 1, set(first)
+    while len(heads) > 1:
         e += 1
         if e > zeta.size + 2:
             raise InternalCheckError(
                 "first-letter map of the derived substitution never stabilizes"
             )
-        current = zeta.power(e)
-    eta = current
+        heads = {first[a] for a in heads}
     c_b = cycles[section[0]] if section else 1
     return DerivedData(
         source=sub,
         section=section,
         cycle_length=c_b,
         zeta=zeta,
-        eta=eta,
+        power=e,
+        head_letter=heads.pop(),
         kappa=c_b * e,
         return_words=returns,
         lengths=tuple(len(r) for r in returns),
@@ -240,10 +236,11 @@ class DirectLimitGroup:
 
 def build_coinvariants(sub: Substitution, base: int | str | None = None) -> DirectLimitGroup:
     """Present the coinvariants group of the shift of `sub` as a stationary
-    direct limit over the derived incidence matrix N.
+    direct limit over N = M^e, M = zeta's incidence matrix.
 
     The trace weighs a class by the left PF eigenvector u_N of N, normalised
-    to sum 1: the frequencies of the return words.  The order unit (the class of
+    to sum 1: the frequencies of the return words.  u_N is M's, and M and N
+    have one eventual kernel, so both come from M.  The order unit (the class of
     the constant function 1, the length vector of the return words) then has
     trace mu(base)·sum of freq(r)·|r|, which is 1 by Kac's lemma; the
     constructor checks that it is.
@@ -253,15 +250,17 @@ def build_coinvariants(sub: Substitution, base: int | str | None = None) -> Dire
     field = data.field
     # the measure of the section: a letter's frequency, or 1
     base_measure = data.left[derived.section[0]] if derived.section else field.one()
-    n_matrix = incidence_matrix(derived.eta)
-    lam_d = field.generator() ** derived.kappa
-    chi = integer_charpoly(n_matrix)
+    n_matrix = m_zeta = incidence_matrix(derived.zeta)
+    for _ in range(derived.power - 1):
+        n_matrix = mat_mul(n_matrix, m_zeta)
+    lam_c = field.generator() ** derived.cycle_length
+    chi = integer_charpoly(m_zeta)
     return DirectLimitGroup(
         derived=derived,
         n_matrix=n_matrix,
         field=field,
-        u_n=positive_eigenvector(field, n_matrix, lam_d, transposed=True, charpoly=chi),
-        eventual_kernel_basis=tuple(eventual_kernel(n_matrix, chi)),
+        u_n=positive_eigenvector(field, m_zeta, lam_c, transposed=True, charpoly=chi),
+        eventual_kernel_basis=tuple(eventual_kernel(m_zeta, chi)),
         base_measure=base_measure,
     )
 
@@ -305,7 +304,7 @@ def cylinder_class(group: DirectLimitGroup, word) -> GroupElement:
         return group.order_unit
     if not derived.source.language(len(idx)).admissible(idx):
         raise ValidationError("cylinder word is not admissible")
-    weights = _block_weights(derived.eta, derived.return_words, [(idx, 1)])
+    weights = _block_weights(derived.zeta, derived.return_words, [(idx, 1)])
     return _combine_block_weights(group, weights)
 
 
@@ -350,10 +349,11 @@ def _combine_block_weights(
         for v, cnt in h.items():
             vec[v[0]] += cnt
         return group.element(0, vec)
-    eta = derived.eta
-    m = eta.growth_power(s)
+    # the least eta^m = zeta^(e m) with images s long; images never shrink
+    zeta, e = derived.zeta, derived.power
+    m = -(-zeta.growth_power(s) // e)
     b_weight: dict[tuple[int, int], int] = {}
-    for ij, (joined, cut) in zip(eta.two_blocks(), eta.two_block_images(m)):
+    for ij, (joined, cut) in zip(zeta.two_blocks(), zeta.two_block_images(e * m)):
         total = sum(h.get(joined[p : p + s], 0) for p in range(cut))
         if total:
             b_weight[ij] = total
@@ -362,7 +362,7 @@ def _combine_block_weights(
     head = (derived.head_letter,)
     vec = [0] * d
     for l in range(d):
-        img = eta.image_idx(l)
+        img = zeta.iterate_idx(l, e)
         vec[l] = sum(b_weight.get(ij, 0) for ij in zip(img, img[1:] + head))
     return group.element(m + 1, vec)
 
@@ -485,7 +485,7 @@ def _infinitesimal_rank_of(group: DirectLimitGroup) -> int:
     deg = group.field.degree
     rows = []
     for k in range(deg):
-        rows.append([group.u_n[i].coeffs[k] if k < len(group.u_n[i].coeffs) else Fraction(0) for i in range(d)])
+        rows.append([group.u_n[i].coeffs[k] for i in range(d)])
     null_dim = d - len(row_reduce(rows)[1])
     inf = null_dim - len(group.eventual_kernel_basis)
     if inf < 0:

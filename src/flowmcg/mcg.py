@@ -220,9 +220,6 @@ class Surd(Record):
         g = gcd(*coeffs)
         return tuple(x // g for x in coeffs)
 
-    def approx(self) -> float:
-        return (self.a + self.b * self.d**0.5) / self.c
-
 
 NON_QUADRATIC = "non-quadratic"
 

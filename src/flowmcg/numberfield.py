@@ -100,14 +100,11 @@ class AlgebraicNumber(Record):
                 hi = mid
         return AlgebraicNumber(self.minpoly, lo, hi)
 
-    def approx(self, eps: Fraction) -> Fraction:
-        if self.is_rational:
-            return self.as_fraction()
-        r = self.refined(eps)
-        return (r.lo + r.hi) / 2
-
     def __float__(self) -> float:
-        return float(self.approx(Fraction(1, 10**17)))
+        if self.is_rational:
+            return float(self.as_fraction())
+        r = self.refined(Fraction(1, 10**17))
+        return float((r.lo + r.hi) / 2)
 
     def compare_fraction(self, q: Fraction | int) -> int:
         """Sign of self - q, exact: q inside the interval lies below the one

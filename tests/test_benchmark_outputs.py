@@ -2,11 +2,13 @@
 output of every in-process benchmark job, recomputed and checked against
 the digests frozen in perfbench/expected.json.
 
-Covered are every ``report`` job on the seed-1 inputs and every
-``sections`` job that returned or was rejected as invalid when the digests
-were frozen.  A ``report`` job that failed then may now fail cleanly or
-return, with no frozen digest to compare with, but not be rejected as
-invalid or escape with an exception outside the package's own.  The
+Covered are every ``report`` job on the seed-1 inputs, the
+``coinvariants_report`` job on every renaming of the pool that the digests
+were frozen for, and every ``sections`` job that returned or was rejected
+as invalid when the digests were frozen.  A ``report`` job that failed then
+may now fail cleanly or return, with no frozen digest to compare with, but
+not be rejected as invalid or escape with an exception outside the
+package's own.  The
 benchmark's own modules do the job calls, the serialisation, the digests
 and the verdict, so the two gates cannot drift apart.
 """
@@ -62,3 +64,14 @@ def test_benchmark_jobs_reproduce_their_frozen_outputs(workload):
         elif workload == "report":
             assert _outcome(job, subs) != "mismatch", job[0]
     assert checked > len(jobs) // 2
+
+
+def test_every_frozen_renaming_reproduces_its_coinvariants_report():
+    """A seed draws one renaming of each pool member, and a report may
+    depend on the letter names (the default base letter is the first by
+    index; the renamings of pool03 and of pool07 have two digests each), so
+    every renaming frozen is checked, not only those of one seed."""
+    inputs = corpus.all_pool_inputs(EXPECTED["pool"])
+    for job in corpus.report_jobs(inputs):
+        if job[1] == "coinvariants_report":
+            assert _outcome(job, {}) == "ok", job[0]

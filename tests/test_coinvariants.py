@@ -19,9 +19,16 @@ from flowmcg.coinvariants import (
     trace_image,
 )
 from flowmcg.errors import ValidationError
-from flowmcg.intlat import Lattice, mat_vec
-from flowmcg.pf import pf_data
-from flowmcg.substitution import Substitution, cycle_lengths, incidence_matrix
+from flowmcg.intlat import Lattice, eventual_kernel, mat_vec
+from flowmcg.numberfield import integer_charpoly
+from flowmcg.pf import cylinder_measure, pf_data, positive_eigenvector
+from flowmcg.substitution import (
+    Substitution,
+    cycle_lengths,
+    incidence_matrix,
+    is_aperiodic,
+    is_primitive,
+)
 
 from test_cross_sections import CIRCLE
 from test_one_core import IDS, RULES
@@ -184,10 +191,10 @@ def test_element_equality_is_death_under_the_dth_power(name, request):
 
 @pytest.mark.parametrize("rules", RULES + CIRCLE, ids=IDS + ["circle5", "circle3"])
 def test_the_standard_orientation_has_unit_trace(rules):
-    """The transition matrix is the derived incidence matrix itself, and the
-    order unit has trace 1 (Kac's lemma)."""
+    """The transition matrix is the incidence matrix of the left-proper
+    power eta itself, and the order unit has trace 1 (Kac's lemma)."""
     g = build_coinvariants(Substitution.from_rules(rules))
-    assert g.n_matrix == incidence_matrix(g.derived.eta)
+    assert g.n_matrix == incidence_matrix(g.derived.zeta.power(g.derived.power))
     assert trace(g, g.order_unit) == g.field.one()
 
 
@@ -297,12 +304,13 @@ def test_restriction_base_mismatch_is_rejected(fib):
 def reference_block_weights(group, word):
     """h over eta's s-blocks as first written: the window of each block is
     closed by the head letter's return word on the whole space and by the
-    base letter otherwise."""
+    base letter otherwise.  eta is built here as the power of zeta."""
     derived = group.derived
+    eta = derived.zeta.power(derived.power)
     min_len = min(derived.lengths)
     c = word
     s = 1 + max(0, -((1 - len(c)) // min_len))  # 1 + ceil((|c|-1)/min_len)
-    blocks = sorted(derived.eta.language(s).blocks_of(s))
+    blocks = sorted(eta.language(s).blocks_of(s))
     out = {}
     closer = (
         derived.return_words[derived.head_letter]
@@ -327,7 +335,7 @@ def reference_block_weights(group, word):
 
 def reference_combine_block_weights(group, weights):
     """The level-(m+1) vector as first written: a scan over every (2-block,
-    letter) adjacency."""
+    letter) adjacency of eta, built here as the power of zeta."""
     s, h = weights
     derived = group.derived
     d = group.dimension
@@ -336,7 +344,7 @@ def reference_combine_block_weights(group, weights):
         for v, cnt in h.items():
             vec[v[0]] += cnt
         return group.element(0, vec)
-    eta = derived.eta
+    eta = derived.zeta.power(derived.power)
     m = eta.growth_power(s)
     b_weight = {}
     for ij, (joined, cut) in zip(eta.two_blocks(), eta.two_block_images(m)):
@@ -381,3 +389,75 @@ def test_cylinder_classes_match_the_reference_copy(name, rules):
             )
             got = cylinder_class(group, word)
             assert (got.level, got.vector) == (expected.level, expected.vector), word
+
+
+# -- the presentation on zeta against its built power eta ------------------
+
+
+def _cyclic(n):
+    """cyclic n: i -> i(i+1), indices mod n."""
+    return {str(i): f"{i}{(i + 1) % n}" for i in range(n)}
+
+
+ETA_CASES = CASES + [(f"cyclic{n}", _cyclic(n)) for n in range(5, 9)]
+
+
+@pytest.mark.parametrize("name,rules", ETA_CASES, ids=[name for name, _ in ETA_CASES])
+def test_the_presentation_read_off_zeta_is_that_of_its_built_power(name, rules, monkeypatch):
+    """N, u_N and the eventual kernel computed on eta = zeta^e, built as a
+    Substitution, with N's own characteristic polynomial, are those that
+    build_coinvariants reads off zeta without building any power; e is the
+    least power that is left proper, and head_letter begins eta's images."""
+    sub = Substitution.from_rules(rules)
+
+    def refused(self, k):
+        raise AssertionError("build_coinvariants built a power of a substitution")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Substitution, "power", refused)
+        group = build_coinvariants(sub)
+    derived = group.derived
+    zeta, e = derived.zeta, derived.power
+    eta = zeta.power(e)
+    assert eta.is_left_proper() and (e == 1 or not zeta.power(e - 1).is_left_proper())
+    assert eta.first_letter_map()[0] == derived.head_letter
+    n_matrix = incidence_matrix(eta)
+    chi = integer_charpoly(n_matrix)
+    lam_d = group.field.generator() ** derived.kappa
+    assert group.n_matrix == n_matrix
+    assert group.u_n == positive_eigenvector(group.field, n_matrix, lam_d, True, chi)
+    assert group.eventual_kernel_basis == tuple(eventual_kernel(n_matrix, chi))
+
+
+# -- trace against measure ------------------------------------------------
+
+
+def _seeded_inputs(count):
+    """Distinct primitive aperiodic substitutions drawn from a fixed seed: 2
+    to 4 letters, images of 1 to 5 letters."""
+    rng = random.Random(5)
+    found = {}
+    while len(found) < count:
+        letters = "0123"[: rng.randint(2, 4)]
+        rules = {a: "".join(rng.choice(letters) for _ in range(rng.randint(1, 5))) for a in letters}
+        sub = Substitution.from_rules(rules)
+        key = ",".join(f"{a}>{w}" for a, w in sorted(rules.items()))
+        if key not in found and is_primitive(sub) and not is_aperiodic(sub).periodic:
+            found[key] = rules
+    return list(found.items())
+
+
+ORACLE_CASES = CASES + _seeded_inputs(100)
+
+
+@pytest.mark.parametrize("name,rules", ORACLE_CASES, ids=[name for name, _ in ORACLE_CASES])
+def test_the_trace_of_a_cylinder_class_is_the_cylinder_measure(name, rules):
+    """trace([w]) = mu[w] for every w in L_1 to L_4.  After pf_data the two
+    sides share nothing: one weighs the class by the derived PF vector, the
+    other sweeps the 2-block measures."""
+    sub = Substitution.from_rules(rules)
+    group = build_coinvariants(sub)
+    language = sub.language(4)
+    for n in range(1, 5):
+        for word in sorted(language.blocks_of(n)):
+            assert trace(group, cylinder_class(group, word)) == cylinder_measure(sub, word), word

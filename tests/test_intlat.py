@@ -218,6 +218,8 @@ def test_the_eventual_kernel_is_the_squared_power_kernel_on_the_corpus(rules):
 
 
 def test_build_coinvariants_computes_the_characteristic_polynomial_of_n_once(monkeypatch):
+    """The one polynomial is that of zeta's incidence matrix M, of which the
+    transition matrix N is a power."""
     sub = Substitution.from_rules({"0": "01", "1": "12", "2": "23", "3": "30"})
     pf_data(sub)
     seen = []
@@ -229,7 +231,7 @@ def test_build_coinvariants_computes_the_characteristic_polynomial_of_n_once(mon
     for module in (coinvariants, numberfield):
         monkeypatch.setattr(module, "integer_charpoly", counted)
     group = build_coinvariants(sub)
-    assert seen == [group.n_matrix]
+    assert seen == [incidence_matrix(group.derived.zeta)]
 
 
 def _positive_power_exists(m):

@@ -116,7 +116,7 @@ def _cases(rules):
         power = intlat.mat_mul(power, m)
     yield field, _two_block_matrix(sub), lam
     derived = derived_proper(sub)
-    eta = incidence_matrix(derived.eta)
+    eta = incidence_matrix(derived.zeta.power(derived.power))
     lam_d = lam ** derived.kappa
     yield field, eta, lam_d
     yield field, intlat.transpose(eta), lam_d
