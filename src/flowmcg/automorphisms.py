@@ -25,7 +25,7 @@ from .words import (
 )
 
 # search nodes (window outputs tried) of the candidate search: the known
-# inputs need at most 10,500 (0→01, 1→12, 2→23, 3→30 at radius 2)
+# inputs need at most 13,506 (0→01, 1→12, …, 5→50 at radius 1)
 CANDIDATE_BUDGET = 1_000_000
 GROUP_NAME_BOUND = 12
 
@@ -101,8 +101,11 @@ def _enumerate_candidates(
     admissible block is a prefix of one of those (the language extends to
     the right) and closes at the running maximum of its windows' positions.
     Of the prefixes closing at one position only the longest is kept, since
-    the image of a shorter one is a prefix of its image; so the search
-    prunes the same nodes as with every block of every length.
+    the image of a shorter one is a prefix of its image; so, for one visit
+    order, the search prunes the same nodes as with every block of every
+    length.  That order is the windows' alone, whatever the table's history:
+    roots sorted, each followed depth-first along its overlap successors,
+    least first.
     Raises ResourceLimitError once it visits more than CANDIDATE_BUDGET
     search nodes.
     """
@@ -113,7 +116,7 @@ def _enumerate_candidates(
     blocks = sorted(lang.blocks_of(width))
     index = {w: i for i, w in enumerate(blocks)}
     succ: list[list[int]] = [[] for _ in blocks]
-    for u in lang.blocks_of(width + 1):
+    for u in sorted(lang.blocks_of(width + 1)):
         succ[index[u[:-1]]].append(index[u[1:]])
     # visit order: depth-first along overlap successors, so the windows of a
     # block tend to be assigned one after another

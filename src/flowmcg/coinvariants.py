@@ -252,7 +252,7 @@ def build_coinvariants(sub: Substitution, base: int | str | None = None) -> Dire
     base_measure = data.left[derived.section[0]] if derived.section else field.one()
     n_matrix = m_zeta = incidence_matrix(derived.zeta)
     for _ in range(derived.power - 1):
-        n_matrix = mat_mul(n_matrix, m_zeta)
+        n_matrix = mat_mul(m_zeta, n_matrix)
     lam_c = field.generator() ** derived.cycle_length
     chi = integer_charpoly(m_zeta)
     return DirectLimitGroup(

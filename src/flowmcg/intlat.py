@@ -34,10 +34,16 @@ def transpose(m: IntMatrix) -> IntMatrix:
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    """Each row of a·b as the sum of b's rows weighted by the nonzero
+    entries of a's row, so a sparse a costs only its nonzero entries."""
+    out = []
+    for row in a:
+        acc = [0] * (len(b[0]) if b else 0)
+        for x, b_row in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b_row)]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_vec(a: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
@@ -197,7 +203,7 @@ def eventual_kernel(n_mat: IntMatrix, charpoly: Sequence[int]) -> list[tuple[int
         return []
     power = n_mat
     for _ in range(m - 1):
-        power = mat_mul(power, n_mat)
+        power = mat_mul(n_mat, power)
     reduced, _pivots = row_reduce(power)
     rows = []
     for row in reduced:

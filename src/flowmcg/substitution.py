@@ -15,7 +15,7 @@ if TYPE_CHECKING:
 SYMBOL_BUDGET = 2_000_000
 # highest power of the substitution taken to make images long enough
 _MAX_POWER = 64
-# longest block length of the complexity screen for rational lambda
+# longest period the aperiodicity screen detects for rational lambda
 APERIODICITY_WINDOW = 50
 
 T = TypeVar("T")
@@ -311,21 +311,27 @@ class PeriodicityVerdict(Record):
 
 
 def is_aperiodic(sub: Substitution) -> PeriodicityVerdict:
-    """Aperiodicity of the subshift, kept on the substitution.
+    """Aperiodicity of the subshift, kept on the substitution, with no
+    language table built.
 
-    An irrational dominant eigenvalue lambda certifies it, with no language
-    built: a periodic minimal shift has rational letter frequencies
-    (Queffelec, LNM 1294, ch. 5), and a rational positive eigenvector of an
-    integer matrix has a rational eigenvalue.  For rational lambda a
-    complexity screen decides: p(n) <= n for some n <= W = APERIODICITY_WINDOW
-    forces periodicity.  As p(1) >= 2 and p is nondecreasing, that n forces
-    p(m) = p(m+1) for some m < n, so p is constant from m on and p(W) <= W;
-    the converse is n = W.  So p(W) > W is the aperiodic verdict, and only a
-    periodic one reads p(1..W) off the sorted L_W to find the period.
+    An irrational dominant eigenvalue lambda certifies it: a periodic
+    minimal shift has rational letter frequencies (Queffelec, LNM 1294,
+    ch. 5), and a rational positive eigenvector of an integer matrix has a
+    rational eigenvalue.  For rational lambda, let u be the first 2W symbols
+    (W = APERIODICITY_WINDOW) of the sigma^c-fixed point grown from s, the
+    least letter on a first-letter cycle, c that cycle's length.  The shift
+    is periodic exactly when u has a least period q <= W and sigma^c(w) is
+    a power of w = u[:q]; the period is then q and the word w's least
+    rotation.  An aperiodic verdict is certified to the window.
 
-    A periodic verdict exhibits a word w with the subshift equal to the orbit
-    closure of w repeated. An aperiodic verdict of the screen is certified
-    to the window.
+    This is the complexity screen p(W) <= W.  For a minimal shift, p(W) <= W
+    exactly when the shift is one periodic orbit of least period q <= W
+    (Morse-Hedlund, 1938).  Its points are then w
+    repeated, so u has least period exactly q (Fine-Wilf, 1965), and
+    sigma^c(w) = w^m.  Conversely, if sigma^c(w) = w^m, then w repeated is
+    the one sigma^c-fixed point that starts with s.  L_q is then the q
+    rotations of w, each v with vv admissible, so the least rotation is
+    the least block v of L_q with vv admissible.
     """
     return sub.cached("aperiodic", lambda: _periodicity(sub))
 
@@ -333,28 +339,21 @@ def is_aperiodic(sub: Substitution) -> PeriodicityVerdict:
 def _periodicity(sub: Substitution) -> PeriodicityVerdict:
     if not is_primitive(sub):
         raise ValidationError("aperiodicity check expects a primitive substitution")
-    if sub.size == 1:
-        # the single point 0^oo, with no language to build
-        return PeriodicityVerdict(
-            periodic=True,
-            window=APERIODICITY_WINDOW,
-            period=1,
-            periodic_word=Word(sub.alphabet, (0,)),
-        )
-    _chi, _factors, lam = dominant_eigenvalue(sub)
     window = APERIODICITY_WINDOW
-    if not lam.is_rational or len(sub.language(window).blocks_of(window)) > window:
-        return PeriodicityVerdict(periodic=False, window=window)
-    # the first n with p(n) = q <= n: p is nondecreasing and p(q) = p(q+1) = q
-    # there, so the period is q
-    q = next(q for n, q in enumerate(complexity_profile(sub, window), start=1) if q <= n)
-    lang_q = sub.language(2 * q)
-    for w in sorted(lang_q.blocks_of(q)):
-        if lang_q.admissible(w + w):
-            return PeriodicityVerdict(
-                periodic=True, window=window, period=q, periodic_word=Word(sub.alphabet, w)
-            )
-    raise ValidationError("complexity bound hit but no periodic word found")
+    if sub.size == 1:  # the single point 0^oo, with no fixed point to grow
+        return PeriodicityVerdict(True, window, 1, Word(sub.alphabet, (0,)))
+    if dominant_eigenvalue(sub)[2].is_rational:
+        cycles = cycle_lengths(sub.first_letter_map())
+        seed = min(cycles)
+        u = fixed_point(sub, seed, 2 * window)
+        q = next((p for p in range(1, window + 1) if u[p:] == u[:-p]), None)
+        if q is not None:
+            w = u[:q]
+            image = tuple(x for a in w for x in sub.iterate_idx(a, cycles[seed]))
+            if image == w * (len(image) // q):
+                least = min(w[i:] + w[:i] for i in range(q))
+                return PeriodicityVerdict(True, window, q, Word(sub.alphabet, least))
+    return PeriodicityVerdict(False, window)
 
 
 def fixed_point(
@@ -407,21 +406,13 @@ def image_prefix(
 
 
 def cycle_lengths(f: tuple[int, ...]) -> dict[int, int]:
-    """For each element on a cycle of the map i -> f(i), its cycle length."""
-    d = len(f)
+    """For each element i on a cycle of the map i -> f(i), its cycle
+    length: the least k <= len(f) with f^k(i) = i."""
     out: dict[int, int] = {}
-    for start in range(d):
-        seen: dict[int, int] = {}
-        cur = start
-        step = 0
-        while cur not in seen:
-            seen[cur] = step
-            cur = f[cur]
-            step += 1
-        # cur closed a loop; the loop members are those from seen[cur] on
-        loop_len = step - seen[cur]
-        cur2 = cur
-        for _ in range(loop_len):
-            out.setdefault(cur2, loop_len)
-            cur2 = f[cur2]
+    for start in range(len(f)):
+        cur, k = f[start], 1
+        while cur != start and k < len(f):
+            cur, k = f[cur], k + 1
+        if cur == start:
+            out[start] = k
     return out

@@ -217,7 +217,7 @@ def closing_dfs(lang, radius, d, n_check):
     blocks = sorted(lang.blocks_of(width))
     index = {w: i for i, w in enumerate(blocks)}
     succ = [[] for _ in blocks]
-    for u in lang.blocks_of(width + 1):
+    for u in sorted(lang.blocks_of(width + 1)):
         succ[index[u[:-1]]].append(index[u[1:]])
     order, pos = [], [-1] * len(blocks)
     for root in range(len(blocks)):
@@ -286,6 +286,26 @@ def test_checks_from_the_longest_blocks_prune_like_every_block(monkeypatch, name
     monkeypatch.setattr(automorphisms, "CANDIDATE_BUDGET", nodes - 1)
     with pytest.raises(ResourceLimitError, match="search nodes"):
         _enumerate_candidates(lang, radius, sub.size, CHECK_DEPTH)
+
+
+@pytest.mark.parametrize(
+    "rules", [{"0": "022", "1": "0", "2": "0021"}, *WALKS.values()], ids=lambda r: ",".join(r.values())
+)
+def test_visit_order_does_not_depend_on_how_the_table_was_built(monkeypatch, rules):
+    """L_{2r+2} generated before the longest length, or read off it: the
+    same windows visited in the same order, so the same node count."""
+    radius = 1
+    depth = CHECK_DEPTH + 2 * radius
+    read_off = Substitution.from_rules(rules).language(depth)
+    generated = Substitution.from_rules(rules).language(depth)
+    generated.blocks_of(2 * radius + 2)
+    nodes = closing_dfs(generated, radius, len(rules), CHECK_DEPTH)[2]
+    for lang in (read_off, generated):
+        monkeypatch.setattr(automorphisms, "CANDIDATE_BUDGET", nodes)
+        _enumerate_candidates(lang, radius, len(rules), CHECK_DEPTH)
+        monkeypatch.setattr(automorphisms, "CANDIDATE_BUDGET", nodes - 1)
+        with pytest.raises(ResourceLimitError, match="search nodes"):
+            _enumerate_candidates(lang, radius, len(rules), CHECK_DEPTH)
 
 
 # symbols of the fixed-point prefix the sample oracle compares images on
@@ -368,9 +388,12 @@ def test_search_grows_no_fixed_point(monkeypatch, name):
         calls.append(args)
         return grow(*args, **kwargs)
 
+    sub = Substitution.from_rules(INPUTS[name])
+    # the aperiodicity screen grows the fixed point of a rational-lambda input
+    substitution.is_aperiodic(sub)
     monkeypatch.setattr(substitution, "fixed_point", counted)
     monkeypatch.setattr(automorphisms, "fixed_point", counted, raising=False)
-    report = search_automorphisms(Substitution.from_rules(INPUTS[name]), radius=1)
+    report = search_automorphisms(sub, radius=1)
     assert len(report.elements) > 1
     assert calls == []
 
@@ -379,9 +402,9 @@ def test_search_grows_no_fixed_point(monkeypatch, name):
 def test_search_generates_one_language_length(monkeypatch, name):
     calls = counted_generations(monkeypatch)
     search_automorphisms(Substitution.from_rules(INPUTS[name]), radius=1)
-    # tm and cyclic4 have rational lambda, so the aperiodicity screen builds
-    # L_50 first; fib's search asks for L_{CHECK_DEPTH + 2} first
-    assert calls == [{"fib": CHECK_DEPTH + 2}.get(name, 50)]
+    # the aperiodicity screen builds no language, so the search asks for
+    # L_{CHECK_DEPTH + 2} first
+    assert calls == [CHECK_DEPTH + 2]
 
 
 @pytest.mark.parametrize("name", ["tm", "cyclic4"])

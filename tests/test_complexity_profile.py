@@ -116,13 +116,12 @@ def test_profile_is_memoised_and_refuses_nonprimitive():
 
 
 @pytest.mark.parametrize("rules", [{"0": "01", "1": "10"}, {"0": "01", "1": "0"}])
-def test_screen_builds_one_language_length(rules):
-    """Thue-Morse (lambda = 2) is screened on L_50 alone; Fibonacci's
-    irrational lambda certifies aperiodicity with no language built."""
+def test_screen_builds_no_language(rules):
+    """Thue-Morse (lambda = 2) is screened on its fixed point; Fibonacci's
+    irrational lambda certifies aperiodicity.  Neither builds a language."""
     sub = Substitution.from_rules(rules)
     assert not is_aperiodic(sub).periodic
-    built = {"01,10": {N_CHECK}, "01,0": set()}[",".join(rules.values())]
-    assert set(sub.language(1).blocks) == built
+    assert not sub.language(1).blocks
 
 
 def test_one_letter_identity_is_periodic_without_a_language():
@@ -156,17 +155,16 @@ CLI_INVALID = [
 @pytest.mark.parametrize(
     "rules", INPUTS + [r for r in CLI_INVALID if r not in INPUTS], ids=lambda r: ",".join(r.values())
 )
-def test_language_is_built_only_for_rational_lambda(rules):
-    """The verdict is the screen's, and the screen's language is built only
-    when lambda is rational; an input that is not primitive is refused."""
+def test_no_language_is_built_for_either_lambda(rules):
+    """The verdict is the screen's, with no language built whether lambda
+    is rational or not; an input that is not primitive is refused."""
     sub = Substitution.from_rules(rules)
     if not is_primitive(sub):
         with pytest.raises(ValidationError, match="expects a primitive substitution"):
             is_aperiodic(sub)
         return
-    irrational = not pf.pf_data(sub).lam.is_rational
     assert is_aperiodic(sub) == per_length_is_aperiodic(Substitution.from_rules(rules))
-    assert (not sub.language(1).blocks) == irrational
+    assert not sub.language(1).blocks
 
 
 def test_certificate_decides_most_report_inputs():

@@ -134,6 +134,22 @@ def test_smith_form_of_zero_and_empty_matrices():
     assert smith_with_transform(()) == ((), (), ())
 
 
+def test_products_match_sympy_on_sparse_and_dense_matrices():
+    rng = random.Random(8)
+    for _ in range(300):
+        rows, inner, cols = (rng.randint(1, 6) for _ in range(3))
+        density = rng.choice((0.0, 0.2, 0.6, 1.0))
+        a, b = (
+            tuple(
+                tuple(rng.randint(-10**6, 10**6) if rng.random() < density else 0 for _ in range(w))
+                for _ in range(h)
+            )
+            for h, w in ((rows, inner), (inner, cols))
+        )
+        assert mat_mul(a, b) == tuple(map(tuple, (sympy.Matrix(a) * sympy.Matrix(b)).tolist()))
+    assert mat_mul((), ((1, 2),)) == () and mat_mul(((),), ()) == ((),)
+
+
 def test_rank_agrees_with_sympy():
     for m in _random_matrices(300, seed=6):
         rows = [

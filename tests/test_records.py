@@ -8,7 +8,8 @@ tuple of its fields, equality by class and fields, no assignment, a
 `GroupElement` compares by identity and `LanguageTable` is mutable and
 unhashable.  `words.word_idx` reads a string as `Word.parse` does without
 building a `Word`, and `is_aperiodic` gives the verdicts of the complexity
-screen that counted p(1..W) on every rational-lambda input.
+screen that counted p(1..W) on every rational-lambda input, with no
+language built.
 """
 
 import json
@@ -279,7 +280,16 @@ def _verdict(screen, rules):
         return str(exc)
 
 
-def test_the_aperiodicity_screen_gives_the_verdicts_of_the_full_count():
+# 0^k 1 repeated has period k + 1: the window W = 50 is the last period caught
+EDGES = [{"0": "0" * k + "1", "1": "0" * k + "1"} for k in (48, 49, 50)]
+# primitive and aperiodic, but its fixed point starts with (01)^61: a period
+# 2 within the window, with sigma(01) not a power of 01
+NEAR_PERIODIC = {"0": "01" * 60 + "011", "1": "01" * 60 + "100"}
+
+
+def _screened_inputs():
+    """CORPUS, random draws, powers of one word, the edges of the window,
+    the one-letter inputs and NEAR_PERIODIC."""
     rng = random.Random(31)
     drawn = [corpus.random_rules(rng) for _ in range(150)]
     # every image a power of one word w: the orbit of w repeated, periodic
@@ -288,24 +298,36 @@ def test_the_aperiodicity_screen_gives_the_verdicts_of_the_full_count():
         letters = "012"[: rng.choice((2, 3))]
         w = "".join(rng.sample(letters, len(letters))) + "".join(rng.choices(letters, k=rng.randint(0, 3)))
         powers.append({a: w * rng.randint(1, 3) for a in letters})
-    # 0^k 1 repeated has period k + 1: the window W = 50 is the last period caught
-    edges = [{"0": "0" * k + "1", "1": "0" * k + "1"} for k in (48, 49, 50)]
-    inputs = list(CORPUS.values()) + drawn + powers + edges + [{"0": "0"}, {"0": "00"}]
+    return list(CORPUS.values()) + drawn + powers + EDGES + [{"0": "0"}, {"0": "00"}, NEAR_PERIODIC]
+
+
+def test_the_aperiodicity_screen_gives_the_verdicts_of_the_full_count():
     periodic = 0
-    for rules in inputs:
+    for rules in _screened_inputs():
         verdict = _verdict(is_aperiodic, rules)
         assert verdict == _verdict(_screen_before, rules), rules
         periodic += isinstance(verdict, PeriodicityVerdict) and verdict.periodic
     assert periodic >= 20
-    assert [_verdict(is_aperiodic, rules).period for rules in edges] == [49, 50, None]
+    assert [_verdict(is_aperiodic, rules).period for rules in EDGES] == [49, 50, None]
+    assert _verdict(is_aperiodic, NEAR_PERIODIC) == PeriodicityVerdict(False, APERIODICITY_WINDOW)
     assert _verdict(is_aperiodic, corpus.INVALID["periodic_0101_01"]) == PeriodicityVerdict(
         True, APERIODICITY_WINDOW, 2, Word.parse(Alphabet.of(["0", "1"]), "01")
     )
 
 
+def test_the_aperiodicity_screen_builds_no_language():
+    for rules in _screened_inputs():
+        sub = Substitution.from_rules(rules)
+        try:
+            is_aperiodic(sub)
+        except ValidationError:
+            pass
+        assert not sub.language(1).blocks, rules
+
+
 def test_an_aperiodic_verdict_counts_no_prefixes():
-    """Thue-Morse has the rational lambda 2, so its verdict comes from
-    |L_W| alone and the counts p(1..W) are never built."""
+    """Thue-Morse has the rational lambda 2, so its verdict comes from its
+    fixed point and the counts p(1..W) are never built."""
     sub = Substitution.from_rules({"0": "01", "1": "10"})
     assert is_aperiodic(sub) == PeriodicityVerdict(False, APERIODICITY_WINDOW)
 
