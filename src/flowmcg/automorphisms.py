@@ -277,13 +277,13 @@ def _identify_group(table: Sequence[Sequence[int]], orders: Sequence[int]) -> st
     n = len(table)
     if n == 1:
         return "trivial"
+    if max(orders) == n:
+        return f"Z/{n}"
     if n > GROUP_NAME_BOUND:
         return f"group of order {n}"
     abelian = all(
         table[i][j] == table[j][i] for i in range(n) for j in range(i + 1, n)
     )
-    if max(orders) == n:
-        return f"Z/{n}"
     if abelian:
         if n == 4:
             return "Z/2 x Z/2"

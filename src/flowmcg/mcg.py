@@ -27,11 +27,10 @@ if TYPE_CHECKING:
 
 
 class ZPart(Record):
-    """Image of the scaling homomorphism: infinite cyclic, with the
-    canonical substitution code mapping to the expansion factor."""
+    """Image of the scaling homomorphism: infinite cyclic, the canonical
+    substitution code mapping to the expansion factor, the report's `lam`."""
 
-    r_mu_value: AlgebraicNumber
-    relation: tuple[int, int] | None
+    relation: tuple[int, int]
     proper_power: bool | None
     note: str
 
@@ -57,7 +56,7 @@ class McgReport(Record):
         from .numberfield import algebraic_to_json
 
         fp = self.finite_part
-        out = {
+        return {
             "lambda": algebraic_to_json(self.lam),
             "cr": self.cr.verdict,
             "pisot": self.pisot,
@@ -67,10 +66,8 @@ class McgReport(Record):
                 "product": "direct" if fp.action_trivial else "semidirect",
             },
             "z_part": {
-                "r_mu": algebraic_to_json(self.z_part.r_mu_value),
-                "relation": list(self.z_part.relation)
-                if self.z_part.relation
-                else None,
+                "r_mu": algebraic_to_json(self.lam),
+                "relation": list(self.z_part.relation),
                 "proper_power": self.z_part.proper_power,
                 "note": self.z_part.note,
             },
@@ -85,14 +82,13 @@ class McgReport(Record):
             },
             "caveats": list(self.caveats),
         }
-        return out
 
 
 def assemble_mcg(sub: Substitution, aut_radius: int = 1) -> McgReport:
     """Full structure report for the flow mapping group of the shift.
 
-    The scaling part records the expansion factor as the value of the
-    canonical self-similarity code, cross-checked exactly.  The finite part
+    The scaling part records the expansion factor, by construction the
+    value of the canonical self-similarity code.  The finite part
     bounds the leaf-permutation group by (class count)! and, when the
     balance check certifies the embedding, identifies it with the
     automorphism quotient found at the given radius, whose order is checked
@@ -106,8 +102,6 @@ def assemble_mcg(sub: Substitution, aut_radius: int = 1) -> McgReport:
         raise ValidationError("shift is periodic; no report")
     from .asymptotics import action_on_classes, asymptotic_classes
     from .automorphisms import search_automorphisms, shift_quotient
-    from .flows import r_mu, substitution_code
-    from .numberfield import same_real_algebraic
     from .pf import cr_check, is_pisot, pf_data
 
     caveats: list[str] = []
@@ -116,11 +110,6 @@ def assemble_mcg(sub: Substitution, aut_radius: int = 1) -> McgReport:
     cr = cr_check(sub)
     pisot = is_pisot(sub)
 
-    tilde = substitution_code(sub)
-    value = r_mu(tilde)
-    if not same_real_algebraic(value, data.field.generator()):
-        raise InternalCheckError("self-similarity code value differs from lambda")
-    relation = (1, 1)  # value = lambda > 1: the least value^p = lambda^q
     if data.lam.is_rational:
         lam_int = int(data.lam.as_fraction())
         proper = is_perfect_power(lam_int)
@@ -175,8 +164,7 @@ def assemble_mcg(sub: Substitution, aut_radius: int = 1) -> McgReport:
         cr=cr,
         pisot=pisot,
         z_part=ZPart(
-            r_mu_value=data.lam,
-            relation=relation,
+            relation=(1, 1),  # the value is lambda > 1
             proper_power=proper,
             note=note,
         ),

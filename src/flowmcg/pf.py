@@ -4,12 +4,12 @@ block frequencies, balance verdicts for the constant function.
 All eigenvector arithmetic happens in the number field generated by the
 dominant eigenvalue, so every reported frequency is exact.  Eigenvectors are
 read off the integer characteristic polynomial, with no elimination over
-that field, and checked (`positive_eigenvector`, then `pf_data` once more)
+that field, and checked (`positive_eigenvector`, then once more normalised)
 as identities on integer numerators over one denominator.  The balance
-verdict (`cr_check`) is read off integer rows and those eigenvectors, with
-no primary decomposition; `is_pisot` reads its table of factors against the
-unit circle.  `pf_data`, `cr_check` and `is_pisot` take a `Substitution`,
-which keeps PF data and verdict; 2-block measures come from letter frequencies.
+verdict (`cr_check`) reads integer rows, the left eigenvector and, for alpha
+only, the right one; `is_pisot` reads its table of factors against the unit
+circle.  `pf_data`, `cr_check` and `is_pisot` take a `Substitution`, which
+keeps PF data and verdict; 2-block measures come from letter frequencies.
 """
 
 from __future__ import annotations
@@ -31,14 +31,13 @@ class PFData(Record):
     """Dominant-eigenvalue package of a primitive substitution's incidence
     matrix.
 
-    ``left`` and ``right`` are eigenvectors normalized to coordinate sum 1.
+    ``left`` is the left eigenvector normalized to coordinate sum 1.
     """
 
     matrix: IntMatrix
     lam: AlgebraicNumber
     field: NumberField
     left: tuple[FieldElement, ...]
-    right: tuple[FieldElement, ...]
     charpoly_factors: tuple[tuple[tuple[int, ...], int], ...]
 
 
@@ -112,6 +111,19 @@ def _is_eigenvector(a: IntMatrix, column: Sequence[Sequence[int]], den: int, mu_
                for row, cs in zip(a, column))
 
 
+def _lambda_eigenvector(field: NumberField, m: IntMatrix, chi: Sequence[int],
+                        transposed: bool) -> tuple[FieldElement, ...]:
+    """`positive_eigenvector` for lambda, the field's generator, checked
+    again on its normalised coordinates over their common denominator."""
+    vec = positive_eigenvector(field, m, field.generator(), transposed, chi)
+    den, lam_rows = field.multiplication_rows(field.generator())
+    common = math.lcm(*(x.den for x in vec))
+    nums = [[c * (common // x.den) for c in x.nums] for x in vec]
+    if not _is_eigenvector(tuple(zip(*m)) if transposed else m, nums, den, lam_rows):
+        raise InternalCheckError(f"{'left' if transposed else 'right'} eigenvector check failed")
+    return vec
+
+
 def _solve_pf(sub: Substitution) -> PFData:
     if not is_primitive(sub):
         raise ValidationError("substitution is not primitive")
@@ -122,21 +134,11 @@ def _solve_pf(sub: Substitution) -> PFData:
     if best.compare_fraction(1) < 0:
         raise InternalCheckError("dominant eigenvalue below 1")
     field = NumberField(best)
-    lam_el = field.generator()
-    left = positive_eigenvector(field, m, lam_el, transposed=True, charpoly=chi)
-    right = positive_eigenvector(field, m, lam_el, transposed=False, charpoly=chi)
-    den, lam_rows = field.multiplication_rows(lam_el)
-    for side, vec, rows in (("left", left, tuple(zip(*m))), ("right", right, m)):
-        common = math.lcm(*(x.den for x in vec))
-        nums = [[c * (common // x.den) for c in x.nums] for x in vec]
-        if not _is_eigenvector(rows, nums, den, lam_rows):
-            raise InternalCheckError(f"{side} eigenvector check failed")
     return PFData(
         matrix=m,
         lam=best,
         field=field,
-        left=left,
-        right=right,
+        left=_lambda_eigenvector(field, m, chi, transposed=True),
         charpoly_factors=factors,
     )
 
@@ -181,10 +183,10 @@ def cr_check(sub: Substitution) -> BalanceVerdict:
     """Decide whether the constant function is balanced against the letter
     frequencies of a primitive substitution, which keeps its verdict as it
     keeps its PF data."""
-    return sub.cached("cr_check", lambda: _verdict(pf_data(sub)))
+    return sub.cached("cr_check", lambda: _verdict(sub))
 
 
-def _verdict(data: PFData) -> BalanceVerdict:
+def _verdict(sub: Substitution) -> BalanceVerdict:
     """The balance verdict of `cr_check`, read off PF data.
 
     Strategy: every characteristic factor is placed against the unit
@@ -197,8 +199,9 @@ def _verdict(data: PFData) -> BalanceVerdict:
     the product of the other primary factors: g(M) kills every other
     primary part and is invertible on q's.  The lambda-component of the
     constant row is ((1·r)/(l·r))·l for the left and right eigenvectors l
-    and r, and 1·r = 1, so alpha = 1/(l·r).
+    and r, and 1·r = 1, so alpha = 1/(l·r); only this branch solves r.
     """
+    data = pf_data(sub)
     m = data.matrix
     n = len(m)
     field = data.field
@@ -245,7 +248,8 @@ def _verdict(data: PFData) -> BalanceVerdict:
             reasons=tuple(reasons),
         )
 
-    alpha = sum((x * y for x, y in zip(data.left, data.right)), field.zero()).inverse()
+    right = _lambda_eigenvector(field, m, dominant_eigenvalue(sub)[0], transposed=False)
+    alpha = sum((x * y for x, y in zip(data.left, right)), field.zero()).inverse()
     if alpha.sign() <= 0:
         raise InternalCheckError("dominant coefficient of the constant row "
                                  "is not positive")

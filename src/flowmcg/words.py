@@ -354,15 +354,20 @@ def _check_roundtrip(
     inv: SlidingBlockCode,
     domain: LanguageTable,
 ) -> None:
-    width = 2 * (fwd.radius + inv.radius) + 1
+    """inv(fwd(u)) is the centre letter of every admissible block u of their
+    combined width; an image inv does not cover is a language mismatch."""
+    r = fwd.radius + inv.radius
+    width = 2 * r + 1
     if width > domain.n_max:
         raise ValidationError(
             f"roundtrip check needs language depth {width}; the language "
             f"reaches {domain.n_max}"
         )
-    composite = compose_codes(inv, fwd, domain)
-    for win, out in composite.rule.items():
-        if out != win[composite.radius]:
-            raise InternalCheckError(
-                f"inverse does not undo the code on window {win}"
+    for win in domain.blocks_of(width):
+        out = inv.rule.get(fwd.apply(win))
+        if out is None:
+            raise ValidationError(
+                "language mismatch: inner image window not covered by outer rule"
             )
+        if out != win[r]:
+            raise InternalCheckError(f"inverse does not undo the code on window {win}")

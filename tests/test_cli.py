@@ -340,3 +340,40 @@ def test_negative_complexity_window_exits_one(capsys, tm_file):
 def test_asymptotics_prints_no_tail_certificate(capsys, tm_file):
     payload = run_json(capsys, ["asymptotics", tm_file])
     assert sorted(payload) == ["classes", "count", "power"]
+
+
+SWAP = '{"0": "1", "1": "0"}'
+
+
+def test_flowcode_restrict_the_substitution_code_to_a_letter(capsys, fib_file):
+    payload = run_json(capsys, ["flowcode", "restrict", fib_file, "--word", "0"])
+    assert (payload["kind"], payload["lambda_relation"]) == ("substitution", {"p": 1, "q": 1})
+    assert (payload["source_section"], payload["target_section"], payload["restricted_to"]) == ("0", "", "0")
+    assert payload["r_mu"]["coeffs"] == ["0", "1"]
+
+
+def test_flowcode_restrict_an_automorphism_to_a_cylinder(capsys, tm_file):
+    argv = ["flowcode", "restrict", tm_file, "--kind", "automorphism", "--map", SWAP, "--word", "01"]
+    payload = run_json(capsys, argv)
+    assert (payload["kind"], payload["source_section"], payload["target_section"]) == ("automorphism", "01", "10")
+    assert (payload["r_mu"]["coeffs"], payload["lambda_relation"]) == (["1"], {"p": 1, "q": 0})
+    assert (payload["radius"], payload["verified_depth"]) == (0, 12)
+
+
+def test_flowcode_slopes_along_the_fibonacci_point(capsys, fib_file):
+    payload = run_json(capsys, ["flowcode", "slopes", fib_file, "--k-max", "5"])
+    assert [s["slope"] for s in payload["slopes"]] == ["2", "1", "2", "2", "1"]
+    assert [s["k"] for s in payload["slopes"]] == [0, 1, 2, 3, 4]
+    assert (payload["mean"], payload["mean_approx"]) == ("8/5", "1.6")
+
+
+@pytest.mark.parametrize("order", [("automorphism", "tilde"), ("tilde", "automorphism")], ids="-".join)
+def test_flowcode_compose_absorbs_a_letter_permutation_into_the_substitution(capsys, tm_file, order):
+    # swap commutes with Thue-Morse, so either order gives 0->10, 1->01
+    first, second = order
+    argv = ["flowcode", "compose", tm_file, "--first", first, "--second", second]
+    argv += ["--first-map" if first == "automorphism" else "--second-map", SWAP]
+    payload = run_json(capsys, argv)
+    assert payload["factors"] == list(order)
+    assert (payload["kind"], payload["source_section"], payload["target_section"]) == ("substitution", "", "")
+    assert (payload["r_mu"]["coeffs"], payload["lambda_relation"]) == (["2"], {"p": 1, "q": 1})

@@ -18,7 +18,10 @@ from flowmcg.flows import (
 )
 from flowmcg.numberfield import same_real_algebraic
 from flowmcg.pf import pf_data
+from flowmcg.substitution import Substitution
 from flowmcg.words import SlidingBlockCode
+
+from test_asymptotics import CORPUS
 
 
 def _swap(sub):
@@ -57,10 +60,15 @@ def test_inadmissible_section_rejected(fib):
         induce(fib, "11")
 
 
-def test_substitution_code_scales_by_expansion(tm, fib):
-    for sub in (tm, fib):
-        fc = substitution_code(sub)
-        assert r_mu(fc) == fc.source.field.generator()
+@pytest.mark.parametrize("rules", [{"0": "01", "1": "10"}, {"0": "01", "1": "0"}, *CORPUS.values()],
+                         ids=["tm", "fib", *CORPUS])
+def test_substitution_code_scales_by_expansion(rules):
+    """r_mu of the canonical code is lambda by construction, so
+    `assemble_mcg` reports lambda from the PF data without building it."""
+    sub = Substitution.from_rules(rules)
+    fc = substitution_code(sub)
+    assert r_mu(fc) == fc.source.field.generator()
+    assert fc.source.field.generator() == pf_data(sub).field.generator()
 
 
 def test_identity_code_scales_by_one(fib):

@@ -418,6 +418,7 @@ FOOTPRINTS = [
     (["odometer", "--period", "2,3"], 0, CLOSED_FORM),
     (["checklist", "--hierarchical", "2,2,2"], 0, CLOSED_FORM),
     (["hierarchical", "--n", "2,2,2,2", "--tables", "12"], 0, CLOSED_FORM | {"words"}),
+    (["analyze", "{fib}"], 0, CLOSED_FORM | PERRON | {"asymptotics", "automorphisms"}),
     (["analyze", "{not_primitive}"], 1, CLOSED_FORM | SUBSTITUTION),
     (["analyze", "{periodic}"], 1, CLOSED_FORM | SUBSTITUTION | {"numberfield"}),
     (["analyze", "{identity}"], 1, CLOSED_FORM | SUBSTITUTION),
@@ -428,8 +429,9 @@ def test_the_cli_runs_without_loading_sympy(tmp_path):
     """In a fresh interpreter per command, running it loads no sympy module,
     directly or through a dependency, and exactly the flowmcg modules it
     needs: `pf` and `cr` the Perron layers, `complexity` and `language`
-    only substitutions and words, the closed forms and the refused
-    `analyze` inputs no Aut search, coinvariants or flows, and
+    only substitutions and words, `analyze` no coinvariants or flows (λ is
+    read off the PF data), the closed forms and the refused `analyze`
+    inputs no Aut search, and
     `hierarchical --tables` only `words` besides the closed forms' modules.  Importing the
     package alone loads none of its modules, and the first name looked up on
     it loads every layer.  Neither a command nor that lookup loads

@@ -26,15 +26,22 @@ from test_field_integers import reference_approx
 FROZEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pf_frozen.json")
 
 
-def _frozen_form(data):
+def _right(sub):
+    """The right eigenvector as `cr_check` solves it for a ProvedCR verdict."""
+    data = pf_data(sub)
+    return pf._lambda_eigenvector(data.field, data.matrix, substitution.dominant_eigenvalue(sub)[0], False)
+
+
+def _frozen_form(sub):
     def element(x):
         return [list(x.nums), x.den]
 
+    data = pf_data(sub)
     return {
         "minpoly": list(data.lam.minpoly),
         "interval": [str(data.lam.lo), str(data.lam.hi)],
         "left": [element(x) for x in data.left],
-        "right": [element(x) for x in data.right],
+        "right": [element(x) for x in _right(sub)],
         "charpoly_factors": [[list(f), k] for f, k in data.charpoly_factors],
     }
 
@@ -45,19 +52,26 @@ def test_pf_data_of_every_corpus_input_and_its_square_is_unchanged():
     got = {}
     for key, rules in CORPUS.items():
         sub = Substitution.from_rules(rules)
-        got[f"{key} ^1"] = _frozen_form(pf_data(sub))
-        got[f"{key} ^2"] = _frozen_form(pf_data(sub.power(2)))
+        got[f"{key} ^1"] = _frozen_form(sub)
+        got[f"{key} ^2"] = _frozen_form(sub.power(2))
     assert sorted(got) == sorted(frozen)
     for key in sorted(frozen):
         assert got[key] == frozen[key], key
 
 
-@pytest.mark.parametrize("side", ["left", "right"])
-@pytest.mark.parametrize("rules", [{"0": "01", "1": "0"}, {"0": "01", "1": "02", "2": "0"},
-                                   {"0": "01", "1": "10"}], ids=["fib", "tribonacci", "tm"])
+FIB, TRIBONACCI, TM = {"0": "01", "1": "0"}, {"0": "01", "1": "02", "2": "0"}, {"0": "01", "1": "10"}
+
+
+@pytest.mark.parametrize(
+    "side, rules",
+    [("left", FIB), ("left", TRIBONACCI), ("left", TM), ("right", FIB), ("right", TRIBONACCI)],
+    ids=["left-fib", "left-tribonacci", "left-tm", "right-fib", "right-tribonacci"],
+)
 def test_a_wrong_eigenvector_coordinate_fails_the_integer_recheck(monkeypatch, side, rules):
-    """`_solve_pf` checks a·v = lambda·v again on the vectors it is handed:
-    one coordinate moved by 1/7 on one side is caught."""
+    """a·v = lambda·v is checked again on the normalised vector handed
+    back, by `pf_data` for the left one and by `cr_check` for the right one
+    (fib and tribonacci are ProvedCR, the verdict that reads it): one
+    coordinate moved by 1/7 on one side is caught."""
     real = pf.positive_eigenvector
 
     def moved(field, m, mu, transposed, charpoly=None):
@@ -68,7 +82,7 @@ def test_a_wrong_eigenvector_coordinate_fails_the_integer_recheck(monkeypatch, s
 
     monkeypatch.setattr(pf, "positive_eigenvector", moved)
     with pytest.raises(InternalCheckError, match=f"{side} eigenvector check failed"):
-        pf_data(Substitution.from_rules(rules))
+        pf.cr_check(Substitution.from_rules(rules))
 
 
 def _count(monkeypatch, calls, module, name):
@@ -88,8 +102,8 @@ JOBS = (lambda sub: flowmcg.assemble_mcg(sub, aut_radius=1), lambda sub: flowmcg
 @pytest.mark.parametrize("key", sorted(CORPUS))
 def test_each_job_factors_one_charpoly_and_builds_each_eigenvector_once(monkeypatch, key):
     """A job on a fresh substitution factors its characteristic polynomial
-    once; each PF data build takes a left and a right eigenvector, and a
-    coinvariants group one more."""
+    once; each PF data build takes one eigenvector, the left one, a
+    ProvedCR verdict the right one and a coinvariants group one more."""
     calls: dict[str, int] = {}
     _count(monkeypatch, calls, numberfield, "factor_charpoly")
     _count(monkeypatch, calls, pf, "_solve_pf")
@@ -98,12 +112,16 @@ def test_each_job_factors_one_charpoly_and_builds_each_eigenvector_once(monkeypa
     _count(monkeypatch, calls, coinvariants, "build_coinvariants")
     for job in JOBS:
         calls.clear()
+        sub = Substitution.from_rules(CORPUS[key])
         try:
-            job(Substitution.from_rules(CORPUS[key]))
+            job(sub)
         except (InternalCheckError, ResourceLimitError):
             pass  # exit 3 or 2 comes after the PF data
         assert calls["factor_charpoly"] == calls["_solve_pf"] == 1
-        assert calls["positive_eigenvector"] == 2 * calls["_solve_pf"] + calls.get("build_coinvariants", 0)
+        solved = calls["positive_eigenvector"]
+        # `assemble_mcg` takes the verdict right after the PF data
+        proved = job is JOBS[0] and pf.cr_check(sub).verdict == "ProvedCR"
+        assert solved == calls["_solve_pf"] + proved + calls.get("build_coinvariants", 0)
 
 
 @pytest.mark.parametrize("key", sorted(CORPUS))
@@ -144,8 +162,9 @@ def test_approx_matches_the_oracle_on_every_corpus_frequency():
     oracle does, so every printed approximation stays the same."""
     eps = Fraction(1, 10**12)
     for key, rules in CORPUS.items():
-        data = pf_data(Substitution.from_rules(rules))
-        for x in data.left + data.right:
+        sub = Substitution.from_rules(rules)
+        data = pf_data(sub)
+        for x in data.left + _right(sub):
             assert data.field.approx(x, eps) == reference_approx(data.field.root, x.coeffs, eps), key
 
 

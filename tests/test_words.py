@@ -1,11 +1,13 @@
 import pytest
 
-from flowmcg.errors import ValidationError
+from flowmcg import words
+from flowmcg.errors import InternalCheckError, ValidationError
 from flowmcg.words import (
     Alphabet,
     SlidingBlockCode,
     Word,
     compose_codes,
+    inverse_code,
     language_violation,
 )
 
@@ -90,3 +92,38 @@ def test_language_table_complexity(fib):
     assert [lang.complexity(n) for n in range(1, 7)] == [2, 3, 4, 5, 6, 7]
     assert lang.admissible((0, 0)) is True
     assert lang.admissible((1, 1)) is False
+
+
+def _letter_map(sub, pairs):
+    return SlidingBlockCode.from_symbol_map(sub.alphabet, sub.alphabet, pairs)
+
+
+def test_inverse_code_checks_both_round_trips_on_blocks(monkeypatch, tm):
+    """The exchange inverts itself and the unit shift has an inverse of
+    radius 1; both round trips are read on admissible blocks, with no
+    composite code built."""
+    monkeypatch.setattr(words, "compose_codes", None)  # a call would fail
+    lang = tm.language(20)
+    swap = _letter_map(tm, {"0": "1", "1": "0"})
+    inv = inverse_code(swap, lang, lang)
+    assert (inv.radius, inv.rule) == (0, swap.rule)
+    shift = SlidingBlockCode.shift_power(tm.alphabet, lang, 1)
+    back = inverse_code(shift, lang, lang)
+    assert back.radius == 1
+    assert all(back.apply(shift.apply(w)) == (w[2],) for w in lang.blocks_of(5))
+
+
+def test_a_wrong_inverse_fails_its_round_trip(tm):
+    lang = tm.language(12)
+    ident = _letter_map(tm, {"0": "0", "1": "1"})
+    swap = _letter_map(tm, {"0": "1", "1": "0"})
+    with pytest.raises(InternalCheckError, match=r"inverse does not undo the code on window \([01],\)"):
+        words._check_roundtrip(ident, swap, lang)
+
+
+def test_an_uncovered_image_is_a_language_mismatch(tm):
+    lang = tm.language(12)
+    ident = _letter_map(tm, {"0": "0", "1": "1"})
+    partial = _letter_map(tm, {"0": "0"})
+    with pytest.raises(ValidationError, match="language mismatch: inner image window not covered"):
+        words._check_roundtrip(ident, partial, lang)
